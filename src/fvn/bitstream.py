@@ -4,8 +4,9 @@ Fresh uniforms are ``word_bits``-bit fixed-point reals in [0, 1), cut from
 the top bits of buffered 64-bit engine words: one engine word per fresh
 uniform, counted in ``draws``.  On top of the raw stream the source offers
 leading-zero geometric indices, single sign bits served from a pooled word,
-and a last-in-first-out store of recycled uniforms rebuilt from run-test
-leftovers.  Consuming a recycled value never touches ``draws``.
+the descending run behind every run test, and a last-in-first-out store of
+recycled uniforms rebuilt from run-test leftovers.  Consuming a recycled
+value never touches ``draws``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 
 DEFAULT_WORD_BITS = 53
 _BUFFER_WORDS = 8192
+
+# Hard cap on a descending run; Prob(n > 64) < 1/64! even at g = 1, so
+# tripping it means a broken (e.g. NaN) input, not bad luck.
+MAX_RUN_LENGTH = 64
 
 
 class UniformSource:
@@ -85,7 +90,13 @@ class UniformSource:
         nothing.
         """
         w = self.word_bits
-        word = self.next_word()
+        i = self._pos
+        if i >= len(self._ints):
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        self.draws += 1
+        word = self._ints[i]
         if word == 0:
             return w
         k = w - word.bit_length() + 1
@@ -105,6 +116,62 @@ class UniformSource:
         nb -= 1
         self._sign_bits = nb
         return 1 if (self._sign_word >> nb) & 1 else -1
+
+    def descending_run(self, start: float) -> tuple[int, float, float]:
+        """Draw uniforms while they strictly decrease below ``start``; stop
+        at the first non-decrease.  Returns ``(n, u_n, u_next)``: the run
+        length and the terminating pair, with u_n = start when n = 1.
+
+        Draws exactly as ``next_uniform`` would, recycled values first, and
+        recycles the terminating pair as ``recycle_pair`` would.  The loop
+        reads the buffer directly, which saves a method call per uniform.
+        """
+        rec = self.recycled
+        prev = start
+        n = 0
+        # Recycled values first.  The store only grows after the run, so
+        # once it is empty every further value is fresh (the else branch).
+        while rec:
+            u = rec.pop()
+            n += 1
+            if not u < prev:
+                break
+            if n >= MAX_RUN_LENGTH:
+                raise self._run_overflow()
+            prev = u
+        else:
+            floats = self._floats
+            end = len(floats)
+            i = i0 = self._pos
+            while True:
+                if i >= end:
+                    self.draws += i - i0
+                    self._refill()
+                    floats = self._floats
+                    end = len(floats)
+                    i = i0 = 0
+                u = floats[i]
+                i += 1
+                n += 1
+                if not u < prev:
+                    break
+                if n >= MAX_RUN_LENGTH:
+                    self._pos = i
+                    self.draws += i - i0
+                    raise self._run_overflow()
+                prev = u
+            self._pos = i
+            self.draws += i - i0
+        if self.recycling and prev < 1.0:
+            r = (u - prev) / (1.0 - prev)
+            if r < 1.0:
+                rec.append(r)
+        return n, prev, u
+
+    @staticmethod
+    def _run_overflow() -> RuntimeError:
+        return RuntimeError(f"run length exceeded {MAX_RUN_LENGTH}; "
+                            "uniform source is broken")
 
     def recycle_pair(self, u_n: float, u_next: float) -> None:
         """Store (u_next - u_n) / (1 - u_n) for reuse.

@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .bitstream import UniformSource
-
-# Hard cap on the chain; Prob(n > 64) < 1/64! even at g = 1, so tripping it
-# means a broken (e.g. NaN) input, not bad luck.
-MAX_RUN_LENGTH = 64
+from .bitstream import MAX_RUN_LENGTH, UniformSource  # noqa: F401 (re-export)
 
 _GRID_POINTS = 10_000
 
@@ -37,24 +33,15 @@ def _check_g(g_value: float) -> None:
 def run_test(g_value: float, src: UniformSource) -> RunResult:
     """Draw uniforms while they strictly decrease below g_value; stop at the
     first non-decrease.  Accepts iff the run length n is odd, which happens
-    with probability exp(-g_value).  The terminating pair is handed to the
-    source for recycling."""
+    with probability exp(-g_value).  The source recycles the terminating
+    pair.
+
+    The loop itself lives in ``UniformSource.descending_run``, which the
+    samplers call directly; this adds the range check on g and the result
+    record."""
     _check_g(g_value)
-    next_uniform = src.next_uniform
-    prev = g_value
-    n = 0
-    while True:
-        u = next_uniform()
-        n += 1
-        if u < prev:
-            if n >= MAX_RUN_LENGTH:
-                raise RuntimeError(f"run length exceeded {MAX_RUN_LENGTH}; "
-                                   "uniform source is broken")
-            prev = u
-            continue
-        break
-    src.recycle_pair(prev, u)
-    return RunResult(n & 1 == 1, n, (prev, u), n)
+    n, u_n, u_next = src.descending_run(g_value)
+    return RunResult(n & 1 == 1, n, (u_n, u_next), n)
 
 
 def run_length_pmf(g_value: float, n: int) -> float:

@@ -15,7 +15,9 @@ from typing import Callable
 
 from . import tables
 from .bitstream import UniformSource
-from .comparison import run_test
+# Not called here since the samplers call UniformSource.descending_run, but
+# kept as a module attribute: perfbench/tracing.py wraps samplers.run_test.
+from .comparison import run_test  # noqa: F401
 
 EXP_VN = "exp_vn"
 EXP_BRENT = "exp_brent"
@@ -66,8 +68,7 @@ class SamplerConfig:
             if self.table is None:
                 raise ValueError(f"{self.kind} requires a {scheme} table")
             if self.table.scheme != scheme:
-                raise ValueError(f"{self.kind} requires scheme {scheme}, "
-                                 f"got {self.table.scheme}")
+                raise _scheme_error(self.kind, self.table)
 
 
 @lru_cache(maxsize=None)
@@ -89,6 +90,46 @@ def default_config(kind: str, K: int | None = None,
     return SamplerConfig(kind, table, recycling)
 
 
+def _scheme_error(kind: str, table: tables.IntervalTable) -> ValueError:
+    return ValueError(f"{kind} requires scheme {TABLE_SCHEMES[kind]}, "
+                      f"got {table.scheme}")
+
+
+def _draw(table: tables.IntervalTable, src: UniformSource,
+          restart: bool) -> float:
+    """The comparison method on any scheme: one body for all four samplers.
+
+    A normal scheme draws a pooled sign bit first.  Then an interval k is
+    selected, a position x in it is drawn with one uniform, and the run
+    test accepts x with probability exp(-G_k(x)).  G_k is clamped into
+    [0, gmax(k)] as in ``IntervalTable.shifted_exponent``, inlined here to
+    keep method calls off the sampling path.  On a rejection ``restart``
+    selects a fresh interval (von Neumann's exp_vn); otherwise the position
+    is redrawn inside the chosen interval.
+    """
+    lows, widths, tops = table.lows, table.widths, table.tops
+    lows_sq = table.lows_sq
+    sign = 1 if lows_sq is None else src.random_sign()
+    next_uniform = src.next_uniform
+    descending_run = src.descending_run
+    while True:
+        j = tables.select_interval(table, src) - 1
+        lo, width, top = lows[j], widths[j], tops[j]
+        while True:
+            if lows_sq is None:
+                g = width * next_uniform()
+                x = lo + g
+            else:
+                x = lo + width * next_uniform()
+                g = (x * x - lows_sq[j]) * 0.5
+            if not 0.0 <= g <= top:
+                g = 0.0 if g < 0.0 else top
+            if descending_run(g)[0] & 1:
+                return sign * x
+            if restart:
+                break
+
+
 def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> float:
     """Exp(1) on unit intervals with mass (e-1)/e^k.
 
@@ -100,13 +141,8 @@ def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> flo
     if table is None:
         table = _cached_table(tables.EXP_VN, tables.DEFAULT_TABLE_LEN)
     elif table.scheme != tables.EXP_VN:
-        raise ValueError(f"exp_vn requires scheme {tables.EXP_VN}, got {table.scheme}")
-    while True:
-        k = tables.select_interval(table, src)
-        u = src.next_uniform()
-        # position u inside [k-1, k) is already the shifted exponent
-        if run_test(u, src).accepted:
-            return table.boundaries[k - 1] + u
+        raise _scheme_error(EXP_VN, table)
+    return _draw(table, src, True)
 
 
 def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -115,37 +151,8 @@ def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
     The interval is chosen once; rejected positions are redrawn inside it.
     """
     if table.scheme != tables.EXP_BRENT:
-        raise ValueError(f"exp_brent requires scheme {tables.EXP_BRENT}, "
-                         f"got {table.scheme}")
-    k = tables.select_interval(table, src)
-    lo = table.boundaries[k - 1]
-    width = table.boundaries[k] - lo
-    while True:
-        g = width * src.next_uniform()
-        if run_test(g, src).accepted:
-            return lo + g
-
-
-def _normal_magnitude(table: tables.IntervalTable, k: int,
-                      src: UniformSource) -> float:
-    """Half-normal draw restricted to I_k, redrawing in the same interval.
-
-    The shifted exponent is table.shifted_exponent(k, x), clamp included,
-    and top is table.gmax(k): both are inlined to keep method calls off
-    the sampling path.
-    """
-    lo = table.boundaries[k - 1]
-    width = table.boundaries[k] - lo
-    squares = table.boundaries_sq
-    lo_sq = squares[k - 1]
-    top = (squares[k] - lo_sq) * 0.5
-    while True:
-        x = lo + width * src.next_uniform()
-        g = (x * x - lo_sq) * 0.5
-        if not 0.0 <= g <= top:
-            g = 0.0 if g < 0.0 else top
-        if run_test(g, src).accepted:
-            return x
+        raise _scheme_error(EXP_BRENT, table)
+    return _draw(table, src, False)
 
 
 def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -156,11 +163,8 @@ def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
     uniforms per sample (plus the amortized sign bit).
     """
     if table.scheme != tables.NORMAL_FORSYTHE:
-        raise ValueError(f"normal_forsythe requires scheme "
-                         f"{tables.NORMAL_FORSYTHE}, got {table.scheme}")
-    sign = src.random_sign()
-    k = tables.select_interval(table, src)
-    return sign * _normal_magnitude(table, k, src)
+        raise _scheme_error(NORMAL_FORSYTHE, table)
+    return _draw(table, src, False)
 
 
 def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -172,11 +176,8 @@ def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
     per sample.
     """
     if table.scheme != tables.NORMAL_BRENT:
-        raise ValueError(f"normal_grand requires scheme {tables.NORMAL_BRENT}, "
-                         f"got {table.scheme}")
-    sign = src.random_sign()
-    k = tables.select_interval(table, src)
-    return sign * _normal_magnitude(table, k, src)
+        raise _scheme_error(NORMAL_GRAND, table)
+    return _draw(table, src, False)
 
 
 def exp_log_baseline(src: UniformSource) -> float:

@@ -11,6 +11,13 @@ constant so it starts at 0.  Four schemes are built here:
 
 The dyadic schemes store no probability table: selection is one
 leading-zero count on a fresh word.
+
+Every scheme truncates its tail: the mass beyond a_K (2^-K for the dyadic
+schemes) folds into interval K.  The mass-table schemes truncate earlier,
+because their cumulative mass rounds to 1.0 before k = K.  With K = 53 that
+happens from k = 38 for exp_vn and k = 36 for normal_forsythe, so intervals
+39..53 and 37..53 have mass 0 and are never selected: exp_vn never returns
+a value >= 38, and normal_forsythe never one of magnitude >= sqrt(71).
 """
 
 from __future__ import annotations
@@ -70,6 +77,10 @@ class IntervalTable:
     ``boundaries_sq`` so the shifted exponent (x^2 - a^2)/2 uses the exact
     squared boundary (2k-1 is exact for the sqrt(2k-1) scheme, where the
     float square of a_k would not be).
+
+    The per-interval constants are computed once, indexed by k - 1:
+    ``lows`` (a_{k-1}), ``widths`` (a_k - a_{k-1}), ``lows_sq``
+    (the squared a_{k-1}, normal schemes only) and ``tops`` (gmax(k)).
     """
 
     scheme: str
@@ -78,14 +89,34 @@ class IntervalTable:
     select_probs: tuple[float, ...] | None = None
     boundaries_sq: tuple[float, ...] | None = None
     cum_probs: tuple[float, ...] | None = field(default=None, repr=False)
+    lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    widths: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    lows_sq: tuple[float, ...] | None = field(init=False, repr=False,
+                                              compare=False)
+    tops: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if len(self.boundaries) != self.K + 1 or self.boundaries[0] != 0.0:
+        b = self.boundaries
+        if len(b) != self.K + 1 or b[0] != 0.0:
             raise ValueError("boundaries must be (a_0 = 0, ..., a_K)")
-        if any(b >= c for b, c in zip(self.boundaries, self.boundaries[1:])):
+        if any(lo >= hi for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
+        lows = b[:-1]
+        widths = tuple(hi - lo for lo, hi in zip(b, b[1:]))
+        sq = self.boundaries_sq
+        if sq is None:
+            lows_sq, tops = None, widths
+        else:
+            lows_sq = sq[:-1]
+            tops = tuple((hi - lo) * 0.5 for lo, hi in zip(sq, sq[1:]))
+        # the run test accepts with probability exp(-g) only for g <= 1
+        if not all(0.0 < top <= 1.0 for top in tops):
+            raise ValueError("every shifted exponent must top out in (0, 1]")
+        for name, value in (("lows", lows), ("widths", widths),
+                            ("lows_sq", lows_sq), ("tops", tops)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_dyadic(self) -> bool:
@@ -111,20 +142,18 @@ class IntervalTable:
         This is not the silent clipping that DensitySpec forbids: on I_k
         the exact G_k already lies in [0, gmax(k)].
         """
-        if self.boundaries_sq is not None:
-            g = (x * x - self.boundaries_sq[k - 1]) * 0.5
+        if self.lows_sq is not None:
+            g = (x * x - self.lows_sq[k - 1]) * 0.5
         else:
-            g = x - self.boundaries[k - 1]
-        top = self.gmax(k)
+            g = x - self.lows[k - 1]
+        top = self.tops[k - 1]
         if 0.0 <= g <= top:
             return g
         return 0.0 if g < 0.0 else top
 
     def gmax(self, k: int) -> float:
         """Supremum of G_k on I_k (attained at the right endpoint)."""
-        if self.boundaries_sq is not None:
-            return (self.boundaries_sq[k] - self.boundaries_sq[k - 1]) * 0.5
-        return self.boundaries[k] - self.boundaries[k - 1]
+        return self.tops[k - 1]
 
     def selection_probability(self, k: int) -> float:
         """Mass used to select I_k (implicit 2^-k for dyadic schemes)."""

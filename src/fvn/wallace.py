@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import samplers, tables
+from . import samplers
 from .bitstream import UniformSource
 
 BLOCK = 4
@@ -42,16 +42,6 @@ class NormalPool:
     emit_scale: float       # sqrt(S / norm_sq), redrawn once per pass
 
 
-def _gauss(src: UniformSource) -> float:
-    # one Box-Muller value; only used off the per-variate path
-    while True:
-        u = src.next_uniform()
-        if u > 0.0:
-            break
-    v = src.next_uniform()
-    return math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
-
-
 def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
     """Variance correction for the frozen pool norm.
 
@@ -62,7 +52,7 @@ def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
     """
     n = pool.values.size
     c = 2.0 / (9.0 * n)
-    s = n * (1.0 - c + _gauss(src) * math.sqrt(c)) ** 3
+    s = n * (1.0 - c + samplers.box_muller(src)[0] * math.sqrt(c)) ** 3
     return math.sqrt(s / pool.norm_sq)
 
 
@@ -80,7 +70,7 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
     if size < MIN_POOL_SIZE or size % BLOCK != 0:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")
-    table = tables.build_normal_brent(tables.DEFAULT_TABLE_LEN)
+    table = samplers.default_config(samplers.NORMAL_GRAND).table
     values = np.array([samplers.normal_grand(table, src) for _ in range(size)])
     pool = NormalPool(values=values, pass_count=0,
                       norm_sq=float(values @ values), read_cursor=0,

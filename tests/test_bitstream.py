@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvn import bitstream
 from fvn.bitstream import DEFAULT_WORD_BITS, UniformSource
 from fvn.comparison import run_test
 
@@ -219,3 +220,71 @@ def test_draw_accounting_matches_declared_costs(ops, seed):
             sign_calls += 1
             src.random_sign()
     assert src.draws == expected
+
+
+def _reference_run(src, start):
+    """The descending run spelled out with one next_uniform call per value."""
+    prev, n = start, 0
+    while True:
+        u = src.next_uniform()
+        n += 1
+        if not u < prev:
+            break
+        prev = u
+    src.recycle_pair(prev, u)
+    return n, prev, u
+
+
+@pytest.mark.parametrize("recycling", [False, True])
+def test_descending_run_matches_a_next_uniform_loop(recycling):
+    """Same n, terminal pair, recycled store and draws after every run,
+    over runs that cross several 8192-word refills."""
+    buffer_words = bitstream._BUFFER_WORDS
+    fast = UniformSource(2468, recycling=recycling)
+    slow = UniformSource(2468, recycling=recycling)
+    straddles = 0
+    g_cycle = (0.2, 0.5, 0.9, 1.0)
+    i = 0
+    while fast.draws < 3 * buffer_words:
+        g = g_cycle[i % len(g_cycle)]
+        i += 1
+        before = fast.draws
+        assert fast.descending_run(g) == _reference_run(slow, g)
+        assert fast.recycled == slow.recycled
+        assert fast.draws == slow.draws
+        if before // buffer_words < (fast.draws - 1) // buffer_words:
+            straddles += 1
+    assert straddles >= 1
+
+
+@pytest.mark.parametrize("recycling", [False, True])
+def test_descending_run_straddling_a_refill(recycling):
+    """At g = 1 the run has n >= 2, so one started on the last word of the
+    buffer always reads into the next one."""
+    buffer_words = bitstream._BUFFER_WORDS
+    fast = UniformSource(97, recycling=recycling)
+    slow = UniformSource(97, recycling=recycling)
+    for src in (fast, slow):
+        for _ in range(buffer_words - 1):
+            src.next_uniform()
+    assert fast.descending_run(1.0) == _reference_run(slow, 1.0)
+    assert fast.draws == slow.draws > buffer_words
+    assert fast.recycled == slow.recycled
+    assert [fast.next_uniform() for _ in range(10)] == \
+           [slow.next_uniform() for _ in range(10)]
+
+
+def test_descending_run_spends_recycled_values_first():
+    src = UniformSource(5)
+    src.recycled.extend([0.6, 0.3, 0.75])      # popped last-in first
+    assert src.descending_run(1.0) == (3, 0.3, 0.6)
+    assert src.draws == 0
+    assert src.recycled == [(0.6 - 0.3) / (1.0 - 0.3)]
+
+
+def test_descending_run_cap_also_holds_on_recycled_values():
+    src = UniformSource(0)
+    src.recycled.extend((k + 1) / 128 for k in range(64))   # 0.5 popped first
+    with pytest.raises(RuntimeError, match="run length exceeded"):
+        src.descending_run(1.0)
+    assert src.draws == 0

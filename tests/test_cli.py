@@ -114,6 +114,14 @@ def test_verify_emits_one_report_per_line():
     assert "ks_normal_grand" in names and "ks_recycled_uniformity" in names
 
 
+def test_verify_exits_one_when_a_report_fails():
+    # alpha = 0.9 makes most checks fail at this seed
+    r = run_cli("verify", "--n", "2000", "--seed", "1", "--alpha", "0.9")
+    assert r.returncode == 1
+    body = r.stdout.splitlines()[1:]
+    assert len(body) == 10 and any(line.endswith("FAIL") for line in body)
+
+
 def test_verify_repeats_byte_identically():
     a = run_cli("verify", "--n", "20000", "--seed", "7")
     b = run_cli("verify", "--n", "20000", "--seed", "7")

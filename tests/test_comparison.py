@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvn.bitstream import UniformSource
-from fvn.comparison import (DensitySpec, expected_run_length,
+from fvn.comparison import (MAX_RUN_LENGTH, DensitySpec, expected_run_length,
                             odd_parity_probability, run_length_pmf, run_test,
                             sample_density)
 from tests.test_bitstream import FakeEngine, raw_from_word
@@ -55,6 +55,16 @@ def test_run_test_rejects_out_of_range_g():
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             run_test(bad, src)
+
+
+def test_run_test_cap_raises_after_exactly_max_run_length_draws():
+    # strictly decreasing words: a run that never ends
+    words = [raw_from_word(2 ** 53 - 1 - i) for i in range(2 * MAX_RUN_LENGTH)]
+    src = UniformSource(0, engine=FakeEngine(words), recycling=False)
+    with pytest.raises(RuntimeError, match="run length exceeded"):
+        run_test(1.0, src)
+    assert MAX_RUN_LENGTH == 64
+    assert src.draws == 64
 
 
 def test_run_test_terminal_pair_ordered():

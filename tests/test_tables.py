@@ -206,6 +206,27 @@ def test_raw_table_construction_is_validated():
         IntervalTable("nope", (0.0, 1.0), 1)
 
 
+def test_raw_table_rejects_a_shifted_exponent_above_one():
+    # the run test needs g <= 1: an exponential interval wider than 1
+    with pytest.raises(ValueError):
+        IntervalTable("exp_brent", (0.0, 1.5), 1)
+
+
+@pytest.mark.parametrize("scheme", tables.SCHEMES)
+def test_per_interval_constants_match_the_boundaries(scheme):
+    t = build_table(scheme, 53)
+    sq = t.boundaries_sq
+    for k in range(1, 54):
+        lo, hi = t.interval(k)
+        assert t.lows[k - 1] == lo and t.widths[k - 1] == hi - lo
+        if t.is_normal:
+            assert t.lows_sq[k - 1] == sq[k - 1]
+            assert t.gmax(k) == (sq[k] - sq[k - 1]) * 0.5
+        else:
+            assert t.gmax(k) == hi - lo
+    assert t.is_normal or t.lows_sq is None
+
+
 def test_select_interval_dyadic_frequency():
     t = build_exp_brent(53)
     src = UniformSource(424242, recycling=False)
