@@ -7,11 +7,21 @@ leading-zero geometric indices, single sign bits served from a pooled word,
 the descending run behind every run test, and a last-in-first-out store of
 recycled uniforms rebuilt from run-test leftovers.  Consuming a recycled
 value never touches ``draws``.
+
+``comparison_draw`` fuses those steps into one whole comparison-method
+variate in a single call; the samplers run it.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tables import IntervalTable
 
 DEFAULT_WORD_BITS = 53
 _BUFFER_WORDS = 8192
@@ -44,7 +54,7 @@ class UniformSource:
         self._scale = 2.0 ** -word_bits
         self._shift = 64 - word_bits
         self._mask = (1 << word_bits) - 1
-        self._ints: list[int] = []
+        self._ints = array("Q")
         self._floats: list[float] = []
         self._pos = 0
         self._sign_word = 0
@@ -53,7 +63,11 @@ class UniformSource:
     def _refill(self) -> None:
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
         words = raw >> np.uint64(self._shift)
-        self._ints = words.tolist()
+        # Only sign and selection words are read as ints: one word in two
+        # or three on the dyadic schemes, under one in 200 on the mass-table
+        # ones.  So they stay packed and each becomes a Python int when
+        # read; building all 8192 ints at every refill cost more.
+        self._ints = array("Q", words.tobytes())
         self._floats = (words * self._scale).tolist()
         self._pos = 0
 
@@ -125,6 +139,8 @@ class UniformSource:
         Draws exactly as ``next_uniform`` would, recycled values first, and
         recycles the terminating pair as ``recycle_pair`` would.  The loop
         reads the buffer directly, which saves a method call per uniform.
+        ``comparison_draw`` runs the same loop inline; this method is the
+        run test on its own, behind ``comparison.run_test``.
         """
         rec = self.recycled
         prev = start
@@ -167,6 +183,142 @@ class UniformSource:
             if r < 1.0:
                 rec.append(r)
         return n, prev, u
+
+    def comparison_draw(self, table: IntervalTable, restart: bool) -> float:
+        """One finished comparison-method variate on ``table``'s scheme.
+
+        A normal scheme draws a pooled sign bit first.  Then an interval k
+        is selected (a leading-zero count on one fresh word, or a bisection
+        of the cumulative masses by one uniform), a position x in it is
+        drawn with one uniform, and the run test accepts x with probability
+        exp(-G_k(x)).  G_k is clamped into [0, gmax(k)] as in
+        ``IntervalTable.shifted_exponent``.  On a rejection ``restart``
+        selects a fresh interval (von Neumann's exp_vn); otherwise the
+        position is redrawn inside the chosen interval.
+
+        Each step draws exactly as ``random_sign``, ``tables.select_interval``,
+        ``next_uniform`` and ``descending_run`` would, so the stream, the
+        draw count and the recycled store match those calls made one by
+        one.  The whole variate runs in this one frame: the buffer index is
+        a local, reloaded after a refill, and ``_pos`` and ``draws`` are
+        written back on every exit.
+        """
+        lows, widths, tops = table.lows, table.widths, table.tops
+        lows_sq, cum, last = table.lows_sq, table.cum_probs, table.K - 1
+        rec = self.recycled
+        recycling = self.recycling
+        floats, ints = self._floats, self._ints
+        end = len(floats)
+        # i - i0 fresh words are spent but not yet counted in draws.
+        i = i0 = self._pos
+        try:
+            if lows_sq is None:
+                sign = 1
+            else:
+                nb = self._sign_bits
+                if nb == 0:
+                    if i >= end:
+                        self._refill()
+                        self.draws += i - i0
+                        floats, ints = self._floats, self._ints
+                        end = len(floats)
+                        i = i0 = 0
+                    self._sign_word = ints[i]
+                    i += 1
+                    nb = self.word_bits
+                nb -= 1
+                self._sign_bits = nb
+                sign = 1 if (self._sign_word >> nb) & 1 else -1
+            while True:
+                if cum is None:
+                    if i >= end:
+                        self._refill()
+                        self.draws += i - i0
+                        floats, ints = self._floats, self._ints
+                        end = len(floats)
+                        i = i0 = 0
+                    word = ints[i]
+                    i += 1
+                    w = self.word_bits
+                    if word == 0:
+                        k = w
+                    else:
+                        k = w - word.bit_length() + 1
+                        if k < w and recycling:
+                            rec.append(((word << k) & self._mask) * self._scale)
+                else:
+                    if rec:
+                        u = rec.pop()
+                    else:
+                        if i >= end:
+                            self._refill()
+                            self.draws += i - i0
+                            floats, ints = self._floats, self._ints
+                            end = len(floats)
+                            i = i0 = 0
+                        u = floats[i]
+                        i += 1
+                    k = bisect_right(cum, u) + 1
+                j = k - 1 if k <= last else last
+                lo, width, top = lows[j], widths[j], tops[j]
+                while True:
+                    if rec:
+                        u = rec.pop()
+                    else:
+                        if i >= end:
+                            self._refill()
+                            self.draws += i - i0
+                            floats, ints = self._floats, self._ints
+                            end = len(floats)
+                            i = i0 = 0
+                        u = floats[i]
+                        i += 1
+                    if lows_sq is None:
+                        g = width * u
+                        x = lo + g
+                    else:
+                        x = lo + width * u
+                        g = (x * x - lows_sq[j]) * 0.5
+                    if not 0.0 <= g <= top:
+                        g = 0.0 if g < 0.0 else top
+                    # The run test, drawn as descending_run draws it.
+                    prev = g
+                    n = 0
+                    while rec:
+                        u = rec.pop()
+                        n += 1
+                        if not u < prev:
+                            break
+                        if n >= MAX_RUN_LENGTH:
+                            raise self._run_overflow()
+                        prev = u
+                    else:
+                        while True:
+                            if i >= end:
+                                self._refill()
+                                self.draws += i - i0
+                                floats, ints = self._floats, self._ints
+                                end = len(floats)
+                                i = i0 = 0
+                            u = floats[i]
+                            i += 1
+                            n += 1
+                            if not u < prev:
+                                break
+                            if n >= MAX_RUN_LENGTH:
+                                raise self._run_overflow()
+                            prev = u
+                    if recycling and prev < 1.0:
+                        r = (u - prev) / (1.0 - prev)
+                        if r < 1.0:
+                            rec.append(r)
+                    if n & 1:
+                        return sign * x
+                    if restart:
+                        break
+        finally:
+            self._pos = i
+            self.draws += i - i0
 
     @staticmethod
     def _run_overflow() -> RuntimeError:

@@ -2,27 +2,28 @@
 
 Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
-sampling path.  The textbook baselines (inversion, Box-Muller, polar) are
-here for distribution cross-checks and speed comparison only.
+sampling path.  All four check their table's scheme and run one kernel,
+``UniformSource.comparison_draw``.  The textbook baselines (inversion,
+Box-Muller, polar) are here for distribution cross-checks and speed
+comparison only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import tables
 from .bitstream import UniformSource
-# Not called here since the samplers call UniformSource.descending_run, but
-# kept as a module attribute: perfbench/tracing.py wraps samplers.run_test.
+# Not called here: the samplers run UniformSource.comparison_draw.  Kept as
+# a module attribute because perfbench/tracing.py wraps samplers.run_test.
 from .comparison import run_test  # noqa: F401
+# The scheme names double as the names of the samplers built on them.
+from .tables import EXP_BRENT, EXP_VN, NORMAL_FORSYTHE
 
-EXP_VN = "exp_vn"
-EXP_BRENT = "exp_brent"
 EXP_LOG = "exp_log"
-NORMAL_FORSYTHE = "normal_forsythe"
 NORMAL_GRAND = "normal_grand"
 BOX_MULLER = "box_muller"
 POLAR = "polar"
@@ -95,41 +96,6 @@ def _scheme_error(kind: str, table: tables.IntervalTable) -> ValueError:
                       f"got {table.scheme}")
 
 
-def _draw(table: tables.IntervalTable, src: UniformSource,
-          restart: bool) -> float:
-    """The comparison method on any scheme: one body for all four samplers.
-
-    A normal scheme draws a pooled sign bit first.  Then an interval k is
-    selected, a position x in it is drawn with one uniform, and the run
-    test accepts x with probability exp(-G_k(x)).  G_k is clamped into
-    [0, gmax(k)] as in ``IntervalTable.shifted_exponent``, inlined here to
-    keep method calls off the sampling path.  On a rejection ``restart``
-    selects a fresh interval (von Neumann's exp_vn); otherwise the position
-    is redrawn inside the chosen interval.
-    """
-    lows, widths, tops = table.lows, table.widths, table.tops
-    lows_sq = table.lows_sq
-    sign = 1 if lows_sq is None else src.random_sign()
-    next_uniform = src.next_uniform
-    descending_run = src.descending_run
-    while True:
-        j = tables.select_interval(table, src) - 1
-        lo, width, top = lows[j], widths[j], tops[j]
-        while True:
-            if lows_sq is None:
-                g = width * next_uniform()
-                x = lo + g
-            else:
-                x = lo + width * next_uniform()
-                g = (x * x - lows_sq[j]) * 0.5
-            if not 0.0 <= g <= top:
-                g = 0.0 if g < 0.0 else top
-            if descending_run(g)[0] & 1:
-                return sign * x
-            if restart:
-                break
-
-
 def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> float:
     """Exp(1) on unit intervals with mass (e-1)/e^k.
 
@@ -142,7 +108,7 @@ def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> flo
         table = _cached_table(tables.EXP_VN, tables.DEFAULT_TABLE_LEN)
     elif table.scheme != tables.EXP_VN:
         raise _scheme_error(EXP_VN, table)
-    return _draw(table, src, True)
+    return src.comparison_draw(table, True)
 
 
 def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -152,7 +118,7 @@ def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.EXP_BRENT:
         raise _scheme_error(EXP_BRENT, table)
-    return _draw(table, src, False)
+    return src.comparison_draw(table, False)
 
 
 def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -164,7 +130,7 @@ def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.NORMAL_FORSYTHE:
         raise _scheme_error(NORMAL_FORSYTHE, table)
-    return _draw(table, src, False)
+    return src.comparison_draw(table, False)
 
 
 def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -177,7 +143,7 @@ def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.NORMAL_BRENT:
         raise _scheme_error(NORMAL_GRAND, table)
-    return _draw(table, src, False)
+    return src.comparison_draw(table, False)
 
 
 def exp_log_baseline(src: UniformSource) -> float:
@@ -212,7 +178,12 @@ def polar(src: UniformSource) -> tuple[float, float]:
 
 def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], float]:
     """Bind a config to a source it will own and return a zero-argument
-    draw function.  The source's recycling flag is set from the config."""
+    draw function.  The source's recycling flag is set from the config.
+
+    A comparison-method kind returns ``src.comparison_draw`` with its table
+    bound: no wrapper frame, and no call to the public sampler functions or
+    ``tables.select_interval``.
+    """
     src.recycling = config.recycling_enabled
     kind = config.kind
     if kind == EXP_LOG:
@@ -234,14 +205,9 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
         return lambda: wallace.next_normal(pool, src)
-    table = config.table
-    if kind == EXP_VN:
-        return lambda: exp_vn(src, table)
-    if kind == EXP_BRENT:
-        return lambda: exp_brent(table, src)
-    if kind == NORMAL_FORSYTHE:
-        return lambda: normal_forsythe(table, src)
-    return lambda: normal_grand(table, src)
+    # SamplerConfig has checked the table's scheme, so the kernel is bound
+    # once and each draw is a single call with no check.
+    return partial(src.comparison_draw, config.table, kind == EXP_VN)
 
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:

@@ -7,8 +7,6 @@ clocks pin the staged runtime budgets.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -21,6 +19,7 @@ from fvn.comparison import odd_parity_probability, run_length_pmf, run_test
 from fvn.samplers import default_config, interval_index, make_sampler
 from fvn.stats import (chi_square_test, exp1_cdf, ks_test,
                        measure_consumption, std_normal_cdf, uniform_cdf)
+from tests.test_cli import run_cli
 
 SEED = 20260809
 N_RUNS = 1_000_000
@@ -197,11 +196,6 @@ def test_criterion_09_wallace_invariants(million_draws):
                f"D={ks_rep.statistic:.2g}")
 
 
-def _cli(*args):
-    return subprocess.run([sys.executable, "-m", "fvn", *args],
-                          capture_output=True, text=True)
-
-
 def test_criterion_10_cli_determinism():
     invocations = (
         ("generate", "--sampler", "grand", "--n", "5", "--seed", "42"),
@@ -213,7 +207,7 @@ def test_criterion_10_cli_determinism():
     )
     ok = True
     for args in invocations:
-        a, b = _cli(*args), _cli(*args)
+        a, b = run_cli(*args), run_cli(*args)
         ok = ok and a.returncode == 0 and a.stdout == b.stdout
     report("criterion 10: repeated CLI invocations are byte-identical "
            "(bench excluded: timings)", ok, f"{len(invocations)} invocations")
