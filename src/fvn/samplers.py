@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable
 
 from . import tables
@@ -180,9 +181,15 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     """Bind a config to a source it will own and return a zero-argument
     draw function.  The source's recycling flag is set from the config.
 
-    A comparison-method kind returns ``src.comparison_draw`` with its table
-    bound: no wrapper frame, and no call to the public sampler functions or
-    ``tables.select_interval``.
+    No kind has a Python wrapper frame per draw.  A comparison-method kind
+    returns ``src.comparison_draw`` with its table bound, with no call to
+    the public sampler functions or ``tables.select_interval``.  The pair
+    samplers return the ``__next__`` of a pair iterator: it yields the
+    first value of each pair and then the second, and draws a new pair only
+    when the first is due.  Wallace returns the ``__next__`` of
+    ``wallace.emit_passes``, an iterator over one whole pass at a time that
+    begins the next pass on the call after the last value.  Each draw
+    returns a Python float.
     """
     src.recycling = config.recycling_enabled
     kind = config.kind
@@ -190,21 +197,12 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
         return lambda: exp_log_baseline(src)
     if kind in (BOX_MULLER, POLAR):
         pair_fn = box_muller if kind == BOX_MULLER else polar
-        carry: list[float] = []
-
-        def draw() -> float:
-            if carry:
-                return carry.pop()
-            a, b = pair_fn(src)
-            carry.append(b)
-            return a
-
-        return draw
+        return chain.from_iterable(iter(partial(pair_fn, src), None)).__next__
     if kind == WALLACE:
         from . import wallace   # deferred: wallace bootstraps via normal_grand
 
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
-        return lambda: wallace.next_normal(pool, src)
+        return wallace.emit_passes(pool, src).__next__
     # SamplerConfig has checked the table's scheme, so the kernel is bound
     # once and each draw is a single call with no check.
     return partial(src.comparison_draw, config.table, kind == EXP_VN)

@@ -5,12 +5,22 @@ orthogonal transforms applied to randomly regrouped blocks.  Orthogonality
 preserves the pool's Euclidean norm, so refreshed values stay normal;
 uniforms are spent only on the block permutation and a per-pass variance
 correction, not per emitted variate.
+
+A pass, not a single value, is the unit of emission.  When a pass begins,
+the pool is refreshed, the variance correction is redrawn and the
+corrected values are copied once into ``NormalPool.emitted``; every value
+of that pass is read from this snapshot.  So a direct ``refresh()`` in the
+middle of a pass is not seen until the next pass starts.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -35,11 +45,15 @@ _ORTHO_Q_T = np.ascontiguousarray(ORTHO_Q.T)
 
 @dataclass
 class NormalPool:
+    """Pool state.  ``emitted`` holds ``values * emit_scale`` as they were
+    when the current pass began, and emission reads only it."""
+
     values: np.ndarray      # N pseudo-normal values, refreshed in place
     pass_count: int         # refreshes performed
     norm_sq: float          # squared norm recorded at initialization
     read_cursor: int        # next value to emit
     emit_scale: float       # sqrt(S / norm_sq), redrawn once per pass
+    emitted: array | None = None    # array("d") snapshot, set by init_pool
 
 
 def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
@@ -76,6 +90,7 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
                       norm_sq=float(values @ values), read_cursor=0,
                       emit_scale=1.0)
     pool.emit_scale = _pass_scale(pool, src)
+    _snapshot(pool)
     return pool
 
 
@@ -89,12 +104,41 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     pool.pass_count += 1
 
 
+def _snapshot(pool: NormalPool) -> array:
+    # values * emit_scale in float64 is the same IEEE multiply as
+    # emit_scale * float(values[i]).  An array("d") copy is close to a
+    # memcpy, and its iterator makes each Python float only as it is read;
+    # tolist() would build all N floats at the start of every pass.
+    pool.emitted = array("d", (pool.values * pool.emit_scale).tobytes())
+    return pool.emitted
+
+
+def _next_pass(pool: NormalPool, src: UniformSource) -> array:
+    """Begin a pass: refresh, redraw the variance correction, snapshot."""
+    refresh(pool, src)
+    pool.emit_scale = _pass_scale(pool, src)
+    return _snapshot(pool)
+
+
 def next_normal(pool: NormalPool, src: UniformSource) -> float:
-    """Emit the next pool value (variance-corrected); refresh on wraparound."""
+    """Emit the next value of the snapshot taken when the current pass
+    began; a ``refresh()`` made since is not seen until the next pass.  The
+    call after the last value begins that pass: refresh, a new scale, a
+    new snapshot."""
     i = pool.read_cursor
     if i >= pool.values.size:
-        refresh(pool, src)
-        pool.emit_scale = _pass_scale(pool, src)
+        _next_pass(pool, src)
         i = 0
     pool.read_cursor = i + 1
-    return pool.emit_scale * float(pool.values[i])
+    return pool.emitted[i]
+
+
+def emit_passes(pool: NormalPool, src: UniformSource) -> Iterator[float]:
+    """Iterator over the values of a fresh pool: the current pass's
+    snapshot, then one new pass each time the last is used up.  It yields
+    exactly what ``next_normal`` would, with the same draws after every
+    value, but it runs in C with no Python frame per value.  It does not
+    move ``read_cursor``, so the pool must be new (cursor 0) and owned by
+    the iterator."""
+    passes = chain([pool.emitted], iter(partial(_next_pass, pool, src), None))
+    return chain.from_iterable(passes)

@@ -261,3 +261,24 @@ def test_stream_and_draws_are_pinned(kind):
     for _ in range(20_000):
         sha.update(struct.pack("<d", draw()))
     assert (sha.hexdigest(), src.draws) == STREAM_PINS[kind]
+
+
+@pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+def test_every_bound_draw_returns_a_python_float(kind):
+    # `fvn generate --format csv` writes repr(value); an np.float64 would
+    # print as np.float64(...) and change the bytes.
+    draw = make_sampler(default_config(kind), UniformSource(611))
+    for _ in range(4_097):                  # past a Wallace pass boundary
+        assert type(draw()) is float
+
+
+@pytest.mark.parametrize("pair_fn", [box_muller, polar])
+def test_pair_draws_are_the_pairs_flattened(pair_fn):
+    src, twin = UniformSource(612), UniformSource(612, recycling=False)
+    draw = make_sampler(default_config(pair_fn.__name__), src)
+    for _ in range(2_500):
+        a, b = pair_fn(twin)
+        assert draw() == a and src.draws == twin.draws
+        assert draw() == b and src.draws == twin.draws
+    # the first value of the next pair draws the pair
+    assert draw() == pair_fn(twin)[0] and src.draws == twin.draws

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from fvn import samplers
+from fvn import samplers, wallace
 from fvn.bitstream import UniformSource
 from fvn.stats import ks_test, measure_consumption, moments
 from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q,
@@ -123,3 +123,32 @@ def test_amortized_uniform_cost_is_tiny():
     report = measure_consumption(samplers.default_config(samplers.WALLACE),
                                  100_000, 610)
     assert report.mean_per_sample < 0.5
+
+
+@pytest.mark.parametrize("size", [256, DEFAULT_POOL_SIZE])
+def test_bound_draw_matches_next_normal_across_passes(size, monkeypatch):
+    monkeypatch.setattr(wallace, "DEFAULT_POOL_SIZE", size)
+    src, twin = UniformSource(612), UniformSource(612, recycling=False)
+    draw = samplers.make_sampler(samplers.default_config(samplers.WALLACE), src)
+    pool = init_pool(size, twin)
+    assert src.draws == twin.draws
+    before = src.draws
+    for i in range(4 * size + 3):          # four pass boundaries
+        assert draw() == next_normal(pool, twin)
+        assert src.draws == twin.draws
+        # the N-th value spends nothing; the (N+1)-th begins a pass
+        assert (src.draws != before) == (i > 0 and i % size == 0)
+        before = src.draws
+    assert pool.pass_count == 4
+
+
+def test_emission_reads_the_snapshot_of_the_pass():
+    src = UniformSource(613)
+    pool = init_pool(256, src)
+    snapshot = pool.values * pool.emit_scale
+    head = [next_normal(pool, src) for _ in range(10)]
+    refresh(pool, src)                      # mid-pass: not seen until the next
+    tail = [next_normal(pool, src) for _ in range(246)]
+    assert head + tail == snapshot.tolist()
+    assert next_normal(pool, src) == pool.values[0] * pool.emit_scale
+    assert pool.pass_count == 2
