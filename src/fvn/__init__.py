@@ -5,6 +5,10 @@ comparing runs of uniforms (probability exp(-G) with no transcendental
 calls on the sampling path), three interval-subdivision schemes, a
 pool-based normal generator refreshed by orthogonal transforms, and the
 statistical machinery that verifies all of it.
+
+The sampling core needs only numpy.  The verification layer, ``fvn.stats``,
+needs scipy; its names are served from here but loaded on first use, so
+``import fvn`` alone does not import scipy.
 """
 
 __version__ = "0.1.0"
@@ -17,12 +21,14 @@ from .samplers import (SAMPLER_KINDS, SamplerConfig, box_muller,
                        default_config, exp_brent, exp_log_baseline, exp_vn,
                        interval_index, make_sampler, normal_forsythe,
                        normal_grand, polar)
-from .stats import (ConsumptionReport, TestReport, chi_square_test, ks_test,
-                    measure_consumption, moments)
 from .tables import (IntervalTable, build_exp_brent, build_exp_vn,
                      build_normal_brent, build_normal_forsythe, build_table,
                      dump_table, half_normal_tail, select_interval)
 from .wallace import NormalPool, init_pool, next_normal, refresh
+
+# Served by __getattr__ on first use: fvn.stats imports scipy.
+_STATS_NAMES = ("TestReport", "ConsumptionReport", "ks_test",
+                "chi_square_test", "measure_consumption", "moments")
 
 __all__ = [
     "__version__",
@@ -36,6 +42,12 @@ __all__ = [
     "exp_vn", "exp_brent", "exp_log_baseline", "normal_forsythe",
     "normal_grand", "box_muller", "polar", "interval_index",
     "NormalPool", "init_pool", "refresh", "next_normal",
-    "TestReport", "ConsumptionReport", "ks_test", "chi_square_test",
-    "measure_consumption", "moments",
+    *_STATS_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _STATS_NAMES:
+        from . import stats
+        return getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

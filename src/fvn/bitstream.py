@@ -2,11 +2,13 @@
 
 Fresh uniforms are ``word_bits``-bit fixed-point reals in [0, 1), cut from
 the top bits of buffered 64-bit engine words: one engine word per fresh
-uniform, counted in ``draws``.  On top of the raw stream the source offers
-leading-zero geometric indices, single sign bits served from a pooled word,
-the descending run behind every run test, and a last-in-first-out store of
-recycled uniforms rebuilt from run-test leftovers.  Consuming a recycled
-value never touches ``draws``.
+uniform.  ``draws`` is derived, not counted step by step: it is the words
+of the buffers already used up plus the position in the current one.  On
+top of the raw stream the source offers leading-zero geometric indices,
+single sign bits served from a pooled word, the descending run behind
+every run test, and a last-in-first-out store of recycled uniforms rebuilt
+from run-test leftovers.  Consuming a recycled value never touches
+``draws``.
 
 ``comparison_draw`` fuses those steps into one whole comparison-method
 variate in a single call; the samplers run it.
@@ -47,7 +49,6 @@ class UniformSource:
         if not 1 <= word_bits <= 53:
             raise ValueError(f"word_bits must be in [1, 53], got {word_bits}")
         self.word_bits = word_bits
-        self.draws = 0
         self.recycled: list[float] = []
         self.recycling = recycling
         self._engine = engine if engine is not None else np.random.PCG64(seed)
@@ -57,19 +58,32 @@ class UniformSource:
         self._ints = array("Q")
         self._floats: list[float] = []
         self._pos = 0
+        self._spent = 0         # words in the buffers already used up
         self._sign_word = 0
         self._sign_bits = 0
 
-    def _refill(self) -> None:
+    @property
+    def draws(self) -> int:
+        """Fresh engine words spent so far."""
+        return self._spent + self._pos
+
+    def _refill(self) -> tuple[list[float], array]:
+        """Replace the used-up buffer; returns the new ``(floats, ints)``.
+
+        The old buffer joins ``_spent`` only once the engine has delivered,
+        so an engine that raises leaves ``draws`` at the words consumed.
+        """
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
         words = raw >> np.uint64(self._shift)
         # Only sign and selection words are read as ints: one word in two
         # or three on the dyadic schemes, under one in 200 on the mass-table
         # ones.  So they stay packed and each becomes a Python int when
         # read; building all 8192 ints at every refill cost more.
-        self._ints = array("Q", words.tobytes())
-        self._floats = (words * self._scale).tolist()
-        self._pos = 0
+        ints = array("Q", words.tobytes())
+        floats = (words * self._scale).tolist()
+        self._spent += len(self._floats)
+        self._floats, self._ints, self._pos = floats, ints, 0
+        return floats, ints
 
     def next_word(self) -> int:
         """One fresh word_bits-bit integer; always counts one draw."""
@@ -78,7 +92,6 @@ class UniformSource:
             self._refill()
             i = 0
         self._pos = i + 1
-        self.draws += 1
         return self._ints[i]
 
     def next_uniform(self) -> float:
@@ -92,7 +105,6 @@ class UniformSource:
             self._refill()
             i = 0
         self._pos = i + 1
-        self.draws += 1
         return self._floats[i]
 
     def geometric_index(self) -> int:
@@ -104,13 +116,7 @@ class UniformSource:
         nothing.
         """
         w = self.word_bits
-        i = self._pos
-        if i >= len(self._ints):
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        self.draws += 1
-        word = self._ints[i]
+        word = self.next_word()
         if word == 0:
             return w
         k = w - word.bit_length() + 1
@@ -158,26 +164,22 @@ class UniformSource:
         else:
             floats = self._floats
             end = len(floats)
-            i = i0 = self._pos
-            while True:
-                if i >= end:
-                    self.draws += i - i0
-                    self._refill()
-                    floats = self._floats
-                    end = len(floats)
-                    i = i0 = 0
-                u = floats[i]
-                i += 1
-                n += 1
-                if not u < prev:
-                    break
-                if n >= MAX_RUN_LENGTH:
-                    self._pos = i
-                    self.draws += i - i0
-                    raise self._run_overflow()
-                prev = u
-            self._pos = i
-            self.draws += i - i0
+            i = self._pos
+            try:
+                while True:
+                    if i >= end:
+                        floats, _ = self._refill()
+                        i, end = 0, len(floats)
+                    u = floats[i]
+                    i += 1
+                    n += 1
+                    if not u < prev:
+                        break
+                    if n >= MAX_RUN_LENGTH:
+                        raise self._run_overflow()
+                    prev = u
+            finally:
+                self._pos = i
         if self.recycling and prev < 1.0:
             r = (u - prev) / (1.0 - prev)
             if r < 1.0:
@@ -200,8 +202,8 @@ class UniformSource:
         ``next_uniform`` and ``descending_run`` would, so the stream, the
         draw count and the recycled store match those calls made one by
         one.  The whole variate runs in this one frame: the buffer index is
-        a local, reloaded after a refill, and ``_pos`` and ``draws`` are
-        written back on every exit.
+        a local, reset by a refill, and only ``_pos`` is written back, on
+        every exit; ``draws`` follows from it.
         """
         lows, widths, tops = table.lows, table.widths, table.tops
         lows_sq, cum, last = table.lows_sq, table.cum_probs, table.K - 1
@@ -209,8 +211,7 @@ class UniformSource:
         recycling = self.recycling
         floats, ints = self._floats, self._ints
         end = len(floats)
-        # i - i0 fresh words are spent but not yet counted in draws.
-        i = i0 = self._pos
+        i = self._pos
         try:
             if lows_sq is None:
                 sign = 1
@@ -218,11 +219,8 @@ class UniformSource:
                 nb = self._sign_bits
                 if nb == 0:
                     if i >= end:
-                        self._refill()
-                        self.draws += i - i0
-                        floats, ints = self._floats, self._ints
-                        end = len(floats)
-                        i = i0 = 0
+                        floats, ints = self._refill()
+                        i, end = 0, len(floats)
                     self._sign_word = ints[i]
                     i += 1
                     nb = self.word_bits
@@ -232,11 +230,8 @@ class UniformSource:
             while True:
                 if cum is None:
                     if i >= end:
-                        self._refill()
-                        self.draws += i - i0
-                        floats, ints = self._floats, self._ints
-                        end = len(floats)
-                        i = i0 = 0
+                        floats, ints = self._refill()
+                        i, end = 0, len(floats)
                     word = ints[i]
                     i += 1
                     w = self.word_bits
@@ -251,11 +246,8 @@ class UniformSource:
                         u = rec.pop()
                     else:
                         if i >= end:
-                            self._refill()
-                            self.draws += i - i0
-                            floats, ints = self._floats, self._ints
-                            end = len(floats)
-                            i = i0 = 0
+                            floats, ints = self._refill()
+                            i, end = 0, len(floats)
                         u = floats[i]
                         i += 1
                     k = bisect_right(cum, u) + 1
@@ -266,11 +258,8 @@ class UniformSource:
                         u = rec.pop()
                     else:
                         if i >= end:
-                            self._refill()
-                            self.draws += i - i0
-                            floats, ints = self._floats, self._ints
-                            end = len(floats)
-                            i = i0 = 0
+                            floats, ints = self._refill()
+                            i, end = 0, len(floats)
                         u = floats[i]
                         i += 1
                     if lows_sq is None:
@@ -295,11 +284,8 @@ class UniformSource:
                     else:
                         while True:
                             if i >= end:
-                                self._refill()
-                                self.draws += i - i0
-                                floats, ints = self._floats, self._ints
-                                end = len(floats)
-                                i = i0 = 0
+                                floats, ints = self._refill()
+                                i, end = 0, len(floats)
                             u = floats[i]
                             i += 1
                             n += 1
@@ -318,7 +304,6 @@ class UniformSource:
                         break
         finally:
             self._pos = i
-            self.draws += i - i0
 
     @staticmethod
     def _run_overflow() -> RuntimeError:

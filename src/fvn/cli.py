@@ -13,9 +13,8 @@ import json
 import sys
 import time
 
-from . import __version__, samplers, stats, tables
+from . import __version__, samplers, tables
 from .bitstream import UniformSource
-from .comparison import run_test
 
 _ALIASES = {
     "grand": samplers.NORMAL_GRAND,
@@ -91,85 +90,12 @@ def cmd_tables(args, parser) -> int:
     return 0
 
 
-def _verify_battery(seed: int, n: int, alpha: float):
-    """Deterministic list of TestReports; sub-runs use seed offsets."""
-    reports = []
-    cdf_for = {
-        samplers.EXP_VN: stats.exp1_cdf,
-        samplers.EXP_BRENT: stats.exp1_cdf,
-        samplers.NORMAL_FORSYTHE: stats.std_normal_cdf,
-        samplers.NORMAL_GRAND: stats.std_normal_cdf,
-        samplers.WALLACE: stats.std_normal_cdf,
-    }
-    kept = {}
-    import numpy as np
-
-    for i, (kind, cdf) in enumerate(cdf_for.items()):
-        config = samplers.default_config(kind)
-        draw = samplers.make_sampler(config, UniformSource(seed + i))
-        values = np.array([draw() for _ in range(n)])
-        kept[kind] = (config, values)
-        reports.append(stats.ks_test(np.sort(values), cdf, alpha, f"ks_{kind}"))
-
-    # run-length histogram at g = 1 against the closed-form law
-    from .comparison import run_length_pmf
-
-    src = UniformSource(seed + 10, recycling=False)
-    counts = [0] * 9
-    for _ in range(n):
-        counts[min(run_test(1.0, src).n, 9) - 1] += 1
-    probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
-    probs.append(1.0 - sum(probs))
-    reports.append(stats.chi_square_test(counts, probs, n, alpha,
-                                         "chi_square_run_length_g1"))
-
-    # geometric index frequencies against 2^-k
-    src = UniformSource(seed + 11, recycling=False)
-    kmax = 16
-    counts = [0] * kmax
-    for _ in range(n):
-        counts[min(src.geometric_index(), kmax) - 1] += 1
-    probs = [2.0 ** -k for k in range(1, kmax)]
-    probs.append(2.0 ** -(kmax - 1))
-    reports.append(stats.chi_square_test(counts, probs, n, alpha,
-                                         "chi_square_geometric_index"))
-
-    # uniformity of recycled leftovers from live run tests: n per g, each g
-    # on its own source, so a g-dependent bias cannot average away.  One
-    # line reports the largest D against a Bonferroni-split critical value.
-    g_values = (0.2, 0.5, 0.9, 1.0)
-    worst = 0.0
-    for j, g in enumerate(g_values):
-        src = UniformSource(seed + 12 + j, recycling=True)
-        recycled = []
-        while len(recycled) < n:
-            run_test(g, src)
-            recycled.extend(src.recycled)
-            src.recycled.clear()
-        worst = max(worst, stats.ks_test(np.sort(recycled[:n]),
-                                         stats.uniform_cdf).statistic)
-    crit = stats.ks_critical(alpha / len(g_values), n)
-    reports.append(stats.TestReport("ks_recycled_uniformity", worst, crit, n,
-                                    worst < crit < 1.0))
-
-    # dyadic interval occupancy on the kept sample arrays
-    for kind in (samplers.EXP_BRENT, samplers.NORMAL_GRAND):
-        config, values = kept[kind]
-        table = config.table
-        counts = [0] * table.K
-        for v in values.tolist():
-            counts[samplers.interval_index(table, v) - 1] += 1
-        probs = [2.0 ** -k for k in range(1, table.K)]
-        probs.append(2.0 ** -(table.K - 1))
-        reports.append(stats.chi_square_test(counts, probs, n, alpha,
-                                             f"chi_square_occupancy_{kind}"))
-    return reports
-
-
 def cmd_verify(args, parser) -> int:
+    from . import stats     # deferred: scipy loads only for the battery
+
     lines = [f"# fvn {__version__} verify seed={args.seed} n={args.n} "
              f"alpha={args.alpha}"]
-    reports = _verify_battery(args.seed, args.n, args.alpha)
+    reports = stats.verify_battery(args.seed, args.n, args.alpha)
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
         lines.append(f"{r.test_name} statistic={r.statistic:.8g} "
@@ -179,6 +105,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_consumption(args, parser) -> int:
+    from . import stats     # deferred: scipy loads only for the meter
+
     if args.sampler:
         kinds = [_ALIASES.get(k, k) for k in args.sampler]
     else:

@@ -22,7 +22,6 @@ class RunResult(NamedTuple):
     accepted: bool          # n odd
     n: int                  # run length, >= 1
     terminal_pair: tuple[float, float]   # (u_n, u_{n+1}), u_n <= u_{n+1}
-    uniforms_used: int      # uniforms consumed by this run (== n)
 
 
 def _check_g(g_value: float) -> None:
@@ -41,7 +40,7 @@ def run_test(g_value: float, src: UniformSource) -> RunResult:
     adds the range check on g and the result record."""
     _check_g(g_value)
     n, u_n, u_next = src.descending_run(g_value)
-    return RunResult(n & 1 == 1, n, (u_n, u_next), n)
+    return RunResult(n & 1 == 1, n, (u_n, u_next))
 
 
 def run_length_pmf(g_value: float, n: int) -> float:

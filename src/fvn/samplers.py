@@ -11,6 +11,7 @@ comparison only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -210,8 +211,6 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:
     """Which interval a sample landed in (normal samplers fold the sign)."""
-    from bisect import bisect_right
-
     x = abs(value) if table.is_normal else value
     k = bisect_right(table.boundaries, x)
     if k < 1:

@@ -1,6 +1,8 @@
 """Statistical oracles and meters: goodness-of-fit tests, moment
-estimators, and the uniform-consumption meter behind every efficiency
-claim."""
+estimators, the uniform-consumption meter behind every efficiency claim,
+and the verification battery run by ``fvn verify``.
+
+This is the only module that imports scipy; the samplers never load it."""
 
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ import numpy as np
 from scipy import special as _special
 from scipy import stats as _scipy_stats
 
+from . import samplers
 from .bitstream import UniformSource
-from .samplers import SamplerConfig, make_sampler
+from .comparison import run_length_pmf, run_test
 
 # Bins with expected count below this are merged into the tail.
 MIN_EXPECTED_COUNT = 5.0
@@ -108,7 +111,8 @@ def chi_square_test(observed, expected, n: int, alpha: float = 0.01,
     return TestReport(name, stat, crit, n, stat < crit)
 
 
-def measure_consumption(config: SamplerConfig, n: int, seed: int) -> ConsumptionReport:
+def measure_consumption(config: samplers.SamplerConfig, n: int,
+                        seed: int) -> ConsumptionReport:
     """Mean fresh uniforms per output sample on a fresh metered source.
 
     Any setup cost (e.g. pool bootstrap) is amortized into the mean; the
@@ -117,7 +121,7 @@ def measure_consumption(config: SamplerConfig, n: int, seed: int) -> Consumption
     if n < 100_000:
         raise ValueError(f"consumption runs need n >= 100000, got {n}")
     src = UniformSource(seed)
-    sampler = make_sampler(config, src)
+    sampler = samplers.make_sampler(config, src)
     costs = np.empty(n, dtype=np.int64)
     before = src.draws
     for i in range(n):
@@ -128,6 +132,78 @@ def measure_consumption(config: SamplerConfig, n: int, seed: int) -> Consumption
     uniforms = src.draws
     halfwidth = 1.96 * float(np.std(costs, ddof=1)) / math.sqrt(n)
     return ConsumptionReport(config.kind, n, uniforms, uniforms / n, halfwidth)
+
+
+def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
+    """The statistical battery behind ``fvn verify``: a deterministic list
+    of reports, one per test.  Sub-runs use seed offsets from ``seed``."""
+    reports = []
+    cdf_for = {
+        samplers.EXP_VN: exp1_cdf,
+        samplers.EXP_BRENT: exp1_cdf,
+        samplers.NORMAL_FORSYTHE: std_normal_cdf,
+        samplers.NORMAL_GRAND: std_normal_cdf,
+        samplers.WALLACE: std_normal_cdf,
+    }
+    kept = {}
+    for i, (kind, cdf) in enumerate(cdf_for.items()):
+        config = samplers.default_config(kind)
+        draw = samplers.make_sampler(config, UniformSource(seed + i))
+        values = np.array([draw() for _ in range(n)])
+        kept[kind] = (config, values)
+        reports.append(ks_test(np.sort(values), cdf, alpha, f"ks_{kind}"))
+
+    # run-length histogram at g = 1 against the closed-form law
+    src = UniformSource(seed + 10, recycling=False)
+    counts = [0] * 9
+    for _ in range(n):
+        counts[min(run_test(1.0, src).n, 9) - 1] += 1
+    probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
+    probs.append(1.0 - sum(probs))
+    reports.append(chi_square_test(counts, probs, n, alpha,
+                                   "chi_square_run_length_g1"))
+
+    # geometric index frequencies against 2^-k
+    src = UniformSource(seed + 11, recycling=False)
+    kmax = 16
+    counts = [0] * kmax
+    for _ in range(n):
+        counts[min(src.geometric_index(), kmax) - 1] += 1
+    probs = [2.0 ** -k for k in range(1, kmax)]
+    probs.append(2.0 ** -(kmax - 1))
+    reports.append(chi_square_test(counts, probs, n, alpha,
+                                   "chi_square_geometric_index"))
+
+    # uniformity of recycled leftovers from live run tests: n per g, each g
+    # on its own source, so a g-dependent bias cannot average away.  One
+    # line reports the largest D against a Bonferroni-split critical value.
+    g_values = (0.2, 0.5, 0.9, 1.0)
+    worst = 0.0
+    for j, g in enumerate(g_values):
+        src = UniformSource(seed + 12 + j, recycling=True)
+        recycled = []
+        while len(recycled) < n:
+            run_test(g, src)
+            recycled.extend(src.recycled)
+            src.recycled.clear()
+        worst = max(worst,
+                    ks_test(np.sort(recycled[:n]), uniform_cdf).statistic)
+    crit = ks_critical(alpha / len(g_values), n)
+    reports.append(TestReport("ks_recycled_uniformity", worst, crit, n,
+                              worst < crit < 1.0))
+
+    # dyadic interval occupancy on the kept sample arrays
+    for kind in (samplers.EXP_BRENT, samplers.NORMAL_GRAND):
+        config, values = kept[kind]
+        table = config.table
+        counts = [0] * table.K
+        for v in values.tolist():
+            counts[samplers.interval_index(table, v) - 1] += 1
+        probs = [2.0 ** -k for k in range(1, table.K)]
+        probs.append(2.0 ** -(table.K - 1))
+        reports.append(chi_square_test(counts, probs, n, alpha,
+                                       f"chi_square_occupancy_{kind}"))
+    return reports
 
 
 def moments(samples) -> tuple[float, float, float, float]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvn import bitstream
+from fvn import bitstream, samplers
 from fvn.bitstream import DEFAULT_WORD_BITS, UniformSource
 from fvn.comparison import run_test
 
@@ -288,3 +288,54 @@ def test_descending_run_cap_also_holds_on_recycled_values():
     with pytest.raises(RuntimeError, match="run length exceeded"):
         src.descending_run(1.0)
     assert src.draws == 0
+
+
+class FailOnceEngine:
+    """PCG64 whose ``fail_on``-th ``random_raw`` call raises before it
+    draws anything, as a device or entropy source might fail."""
+
+    def __init__(self, seed, fail_on):
+        self._engine = np.random.PCG64(seed)
+        self._calls = 0
+        self._fail_on = fail_on
+
+    def random_raw(self, size):
+        self._calls += 1
+        if self._calls == self._fail_on:
+            raise OSError("engine failed")
+        return self._engine.random_raw(size)
+
+
+_EXP_BRENT = samplers.default_config(samplers.EXP_BRENT).table
+
+# Each step with the words left in the buffer before it, so that its
+# refill comes where named: at once, inside the run (g = 1 reads at least
+# two values), or at the run's first value after selection and position.
+REFILL_STEPS = {
+    "next_uniform": (0, lambda src: src.next_uniform()),
+    "next_word": (0, lambda src: src.next_word()),
+    "descending_run": (1, lambda src: src.descending_run(1.0)),
+    "comparison_draw": (2, lambda src: src.comparison_draw(_EXP_BRENT, False)),
+}
+
+
+@pytest.mark.parametrize("step", sorted(REFILL_STEPS))
+def test_failed_refill_leaves_draws_at_the_words_consumed(step):
+    """An engine that raises once costs no word and skips none: draws
+    counts the whole used-up buffer, and once the engine recovers the
+    stream goes on where a twin whose engine never failed would."""
+    buffer_words = bitstream._BUFFER_WORDS
+    left, call = REFILL_STEPS[step]
+    src = UniformSource(0, engine=FailOnceEngine(31, fail_on=2),
+                        recycling=False)
+    for _ in range(buffer_words - left):
+        src.next_word()
+    with pytest.raises(OSError, match="engine failed"):
+        call(src)
+    assert src.draws == buffer_words
+    twin = UniformSource(31)
+    for _ in range(buffer_words):
+        twin.next_word()
+    assert [src.next_word() for _ in range(20)] == \
+           [twin.next_word() for _ in range(20)]
+    assert src.draws == twin.draws

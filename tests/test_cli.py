@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,18 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
-    """``python -m fvn`` on this checkout's sources, whatever is installed."""
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources, whatever is
+    installed."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "fvn", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """``python -m fvn``."""
+    return run_python("-m", "fvn", *args)
 
 
 def test_generate_repeats_byte_identically():
@@ -164,3 +171,41 @@ def test_bench_lists_every_sampler_exactly_once():
 
 def test_missing_subcommand_is_a_usage_error():
     assert run_cli().returncode == 2
+
+
+def test_import_and_generate_leave_scipy_unloaded():
+    """The sampling core needs no scipy: neither ``import fvn`` nor
+    ``fvn generate`` loads it."""
+    code = textwrap.dedent("""\
+        import runpy, sys
+        import fvn
+        assert "scipy" not in sys.modules, "import fvn loaded scipy"
+        sys.argv = ["fvn", "generate", "--sampler", "grand", "--n", "5"]
+        try:
+            runpy.run_module("fvn", run_name="__main__")
+        except SystemExit as stop:
+            assert stop.code == 0, stop.code
+        assert "scipy" not in sys.modules, "fvn generate loaded scipy"
+    """)
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("\n") == 6
+
+
+def test_every_public_name_resolves_and_unknown_ones_raise():
+    """The names of fvn.stats are served on first use; any other missing
+    name is an AttributeError."""
+    code = textwrap.dedent("""\
+        import fvn
+        for name in fvn.__all__:
+            getattr(fvn, name)
+        from fvn import ks_test
+        try:
+            fvn.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise SystemExit("fvn.no_such_name did not raise")
+    """)
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
