@@ -10,15 +10,18 @@ every run test, and a last-in-first-out store of recycled uniforms rebuilt
 from run-test leftovers.  Consuming a recycled value never touches
 ``draws``.
 
-``comparison_draw`` fuses those steps into one whole comparison-method
-variate in a single call; the samplers run it.
+``comparison_variates`` fuses those steps into one generator of whole
+comparison-method variates: it binds a table's constants once and reads the
+source's state afresh each time it resumes.  The samplers run it, a bound
+draw by resuming one generator, a one-shot call through
+``comparison_draw``.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -26,7 +29,11 @@ if TYPE_CHECKING:
     from .tables import IntervalTable
 
 DEFAULT_WORD_BITS = 53
-_BUFFER_WORDS = 8192
+# Engine words per refill.  Words are read in order, so the size changes
+# neither the stream nor ``draws``, only how a refill's cost is spread: the
+# floats of a 1024-word buffer stay cache-sized, where the refill blocks of
+# an 8192-word buffer set the slowest variates of a long run.
+_BUFFER_WORDS = 1024
 
 # Hard cap on a descending run; Prob(n > 64) < 1/64! even at g = 1, so
 # tripping it means a broken (e.g. NaN) input, not bad luck.
@@ -78,7 +85,7 @@ class UniformSource:
         # Only sign and selection words are read as ints: one word in two
         # or three on the dyadic schemes, under one in 200 on the mass-table
         # ones.  So they stay packed and each becomes a Python int when
-        # read; building all 8192 ints at every refill cost more.
+        # read; building every int at each refill cost more.
         ints = array("Q", words.tobytes())
         floats = (words * self._scale).tolist()
         self._spent += len(self._floats)
@@ -145,8 +152,8 @@ class UniformSource:
         Draws exactly as ``next_uniform`` would, recycled values first, and
         recycles the terminating pair as ``recycle_pair`` would.  The loop
         reads the buffer directly, which saves a method call per uniform.
-        ``comparison_draw`` runs the same loop inline; this method is the
-        run test on its own, behind ``comparison.run_test``.
+        ``comparison_variates`` runs the same loop inline; this method is
+        the run test on its own, behind ``comparison.run_test``.
         """
         rec = self.recycled
         prev = start
@@ -186,8 +193,9 @@ class UniformSource:
                 rec.append(r)
         return n, prev, u
 
-    def comparison_draw(self, table: IntervalTable, restart: bool) -> float:
-        """One finished comparison-method variate on ``table``'s scheme.
+    def comparison_variates(self, table: IntervalTable,
+                            restart: bool) -> Iterator[float]:
+        """Endless comparison-method variates on ``table``'s scheme.
 
         A normal scheme draws a pooled sign bit first.  Then an interval k
         is selected (a leading-zero count on one fresh word, or a bisection
@@ -201,109 +209,136 @@ class UniformSource:
         Each step draws exactly as ``random_sign``, ``tables.select_interval``,
         ``next_uniform`` and ``descending_run`` would, so the stream, the
         draw count and the recycled store match those calls made one by
-        one.  The whole variate runs in this one frame: the buffer index is
-        a local, reset by a refill, and only ``_pos`` is written back, on
-        every exit; ``draws`` follows from it.
+        one.  A selection leftover or a rejected trial's recycled value that
+        the next step would pop straight back off the store is used
+        directly instead; the store is the same after every variate.
+
+        The table's constants are bound once.  The source's state (buffer,
+        position, recycled store, recycling flag, sign pool) is read afresh
+        on every resume, and ``_pos`` is written back before each value is
+        yielded, also when the variate raises.  So ``draws`` is exact after
+        every variate, direct calls on the source may come between two
+        variates, and a suspended generator that is closed or collected
+        writes nothing.  An exception ends the generator.
         """
-        lows, widths, tops = table.lows, table.widths, table.tops
-        lows_sq, cum, last = table.lows_sq, table.cum_probs, table.K - 1
-        rec = self.recycled
-        recycling = self.recycling
-        floats, ints = self._floats, self._ints
-        end = len(floats)
-        i = self._pos
-        try:
-            if lows_sq is None:
-                sign = 1
-            else:
-                nb = self._sign_bits
-                if nb == 0:
-                    if i >= end:
-                        floats, ints = self._refill()
-                        i, end = 0, len(floats)
-                    self._sign_word = ints[i]
-                    i += 1
-                    nb = self.word_bits
-                nb -= 1
-                self._sign_bits = nb
-                sign = 1 if (self._sign_word >> nb) & 1 else -1
-            while True:
-                if cum is None:
-                    if i >= end:
-                        floats, ints = self._refill()
-                        i, end = 0, len(floats)
-                    word = ints[i]
-                    i += 1
-                    w = self.word_bits
-                    if word == 0:
-                        k = w
-                    else:
-                        k = w - word.bit_length() + 1
-                        if k < w and recycling:
-                            rec.append(((word << k) & self._mask) * self._scale)
+        by_k, cum = table.by_k, table.cum_probs
+        normal = table.lows_sq is not None
+        w, mask, scale = self.word_bits, self._mask, self._scale
+        while True:
+            rec, recycling = self.recycled, self.recycling
+            floats, ints = self._floats, self._ints
+            end = len(floats)
+            i = self._pos
+            try:
+                if normal:
+                    nb = self._sign_bits
+                    if nb == 0:
+                        if i >= end:
+                            floats, ints = self._refill()
+                            i, end = 0, len(floats)
+                        self._sign_word = ints[i]
+                        i += 1
+                        nb = w
+                    nb -= 1
+                    self._sign_bits = nb
+                    sign = 1 if (self._sign_word >> nb) & 1 else -1
                 else:
-                    if rec:
-                        u = rec.pop()
-                    else:
-                        if i >= end:
-                            floats, ints = self._refill()
-                            i, end = 0, len(floats)
-                        u = floats[i]
-                        i += 1
-                    k = bisect_right(cum, u) + 1
-                j = k - 1 if k <= last else last
-                lo, width, top = lows[j], widths[j], tops[j]
+                    sign = 1
+                # The value the recycled store would serve next, kept here
+                # instead of pushed and popped straight back.
+                held = None
                 while True:
-                    if rec:
-                        u = rec.pop()
-                    else:
+                    if cum is None:
+                        if held is not None:    # a restart: a word selects
+                            rec.append(held)
                         if i >= end:
                             floats, ints = self._refill()
                             i, end = 0, len(floats)
-                        u = floats[i]
+                        word = ints[i]
                         i += 1
-                    if lows_sq is None:
-                        g = width * u
-                        x = lo + g
+                        # j = k - 1; an all-zero word clamps to k = word_bits
+                        j = w - (word.bit_length() or 1)
+                        if recycling and j < w - 1:
+                            held = ((word << j + 1) & mask) * scale
+                        else:
+                            held = None
                     else:
-                        x = lo + width * u
-                        g = (x * x - lows_sq[j]) * 0.5
-                    if not 0.0 <= g <= top:
-                        g = 0.0 if g < 0.0 else top
-                    # The run test, drawn as descending_run draws it.
-                    prev = g
-                    n = 0
-                    while rec:
-                        u = rec.pop()
-                        n += 1
-                        if not u < prev:
-                            break
-                        if n >= MAX_RUN_LENGTH:
-                            raise self._run_overflow()
-                        prev = u
-                    else:
-                        while True:
+                        if held is not None:
+                            u, held = held, None
+                        elif rec:
+                            u = rec.pop()
+                        else:
                             if i >= end:
                                 floats, ints = self._refill()
                                 i, end = 0, len(floats)
                             u = floats[i]
                             i += 1
+                        j = bisect_right(cum, u)
+                    lo, width, top, lo_sq = by_k[j]
+                    while True:
+                        if held is not None:
+                            u = held
+                        elif rec:
+                            u = rec.pop()
+                        else:
+                            if i >= end:
+                                floats, ints = self._refill()
+                                i, end = 0, len(floats)
+                            u = floats[i]
+                            i += 1
+                        if normal:
+                            x = lo + width * u
+                            g = (x * x - lo_sq) * 0.5
+                        else:
+                            g = width * u
+                            x = lo + g
+                        if not 0.0 <= g <= top:
+                            g = 0.0 if g < 0.0 else top
+                        # The run test, drawn as descending_run draws it.
+                        prev = g
+                        n = 0
+                        while rec:
+                            u = rec.pop()
                             n += 1
                             if not u < prev:
                                 break
                             if n >= MAX_RUN_LENGTH:
                                 raise self._run_overflow()
                             prev = u
-                    if recycling and prev < 1.0:
-                        r = (u - prev) / (1.0 - prev)
-                        if r < 1.0:
-                            rec.append(r)
+                        else:
+                            while True:
+                                if i >= end:
+                                    floats, ints = self._refill()
+                                    i, end = 0, len(floats)
+                                u = floats[i]
+                                i += 1
+                                n += 1
+                                if not u < prev:
+                                    break
+                                if n >= MAX_RUN_LENGTH:
+                                    raise self._run_overflow()
+                                prev = u
+                        held = None
+                        if recycling and prev < 1.0:
+                            r = (u - prev) / (1.0 - prev)
+                            if r < 1.0:
+                                held = r
+                        if n & 1 or restart:
+                            break
                     if n & 1:
-                        return sign * x
-                    if restart:
                         break
-        finally:
-            self._pos = i
+                if held is not None:
+                    rec.append(held)
+            finally:
+                self._pos = i
+            yield sign * x
+
+    def comparison_draw(self, table: IntervalTable, restart: bool) -> float:
+        """One finished comparison-method variate on ``table``'s scheme:
+        the first value of a fresh ``comparison_variates(table, restart)``,
+        which is then dropped.  The public samplers call this; a bound draw
+        from ``samplers.make_sampler`` resumes one generator instead."""
+        return next(self.comparison_variates(table, restart))
 
     @staticmethod
     def _run_overflow() -> RuntimeError:

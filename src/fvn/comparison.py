@@ -36,8 +36,8 @@ def run_test(g_value: float, src: UniformSource) -> RunResult:
     pair.
 
     The loop itself lives in ``UniformSource.descending_run`` (the samplers
-    run the same loop inline in ``UniformSource.comparison_draw``); this
-    adds the range check on g and the result record."""
+    run the same loop inline in ``UniformSource.comparison_variates``);
+    this adds the range check on g and the result record."""
     _check_g(g_value)
     n, u_n, u_next = src.descending_run(g_value)
     return RunResult(n & 1 == 1, n, (u_n, u_next))

@@ -2,10 +2,13 @@
 
 Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
-sampling path.  All four check their table's scheme and run one kernel,
-``UniformSource.comparison_draw``.  The textbook baselines (inversion,
-Box-Muller, polar) are here for distribution cross-checks and speed
-comparison only.
+sampling path.  There is one kernel, the generator
+``UniformSource.comparison_variates``: the four public functions check
+their table's scheme and take one value from it with
+``UniformSource.comparison_draw``, and ``make_sampler`` binds one
+generator that it resumes for every draw.  The textbook baselines
+(inversion, Box-Muller, polar) are here for distribution cross-checks and
+speed comparison only.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Callable
 
 from . import tables
 from .bitstream import UniformSource
-# Not called here: the samplers run UniformSource.comparison_draw.  Kept as
-# a module attribute because perfbench/tracing.py wraps samplers.run_test.
+# Not called here: the samplers run UniformSource.comparison_variates.  Kept
+# as a module attribute because perfbench/tracing.py wraps samplers.run_test.
 from .comparison import run_test  # noqa: F401
 # The scheme names double as the names of the samplers built on them.
 from .tables import EXP_BRENT, EXP_VN, NORMAL_FORSYTHE
@@ -183,14 +186,18 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     draw function.  The source's recycling flag is set from the config.
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
-    returns ``src.comparison_draw`` with its table bound, with no call to
-    the public sampler functions or ``tables.select_interval``.  The pair
-    samplers return the ``__next__`` of a pair iterator: it yields the
-    first value of each pair and then the second, and draws a new pair only
-    when the first is due.  Wallace returns the ``__next__`` of
-    ``wallace.emit_passes``, an iterator over one whole pass at a time that
-    begins the next pass on the call after the last value.  Each draw
-    returns a Python float.
+    returns the ``__next__`` of a chain over ``src.comparison_variates``
+    generators with the table bound: each draw resumes the one generator,
+    with no call to the public sampler functions or
+    ``tables.select_interval``.  An exception (the run-length cap, a
+    failing engine) ends that generator, and the next draw starts a fresh
+    one, so the draw goes on working.  The pair samplers return the
+    ``__next__`` of a pair iterator: it yields the first value of each pair
+    and then the second, and draws a new pair only when the first is due.
+    Wallace returns the ``__next__`` of ``wallace.emit_passes``, an
+    iterator over one whole pass at a time that begins the next pass on
+    the call after the last value.  Each draw returns a Python float, and
+    ``src.draws`` is exact after every draw.
     """
     src.recycling = config.recycling_enabled
     kind = config.kind
@@ -205,8 +212,9 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
         return wallace.emit_passes(pool, src).__next__
     # SamplerConfig has checked the table's scheme, so the kernel is bound
-    # once and each draw is a single call with no check.
-    return partial(src.comparison_draw, config.table, kind == EXP_VN)
+    # once and each draw resumes it with no check.
+    variates = partial(src.comparison_variates, config.table, kind == EXP_VN)
+    return chain.from_iterable(iter(variates, None)).__next__
 
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:

@@ -81,6 +81,11 @@ class IntervalTable:
     The per-interval constants are computed once, indexed by k - 1:
     ``lows`` (a_{k-1}), ``widths`` (a_k - a_{k-1}), ``lows_sq``
     (the squared a_{k-1}, normal schemes only) and ``tops`` (gmax(k)).
+    ``by_k`` holds them once more as one ``(low, width, top, low_sq)``
+    row for every index a selection can give, k = 1..MAX_TABLE_LEN + 1
+    (also indexed by k - 1), with every k > K folded into K and low_sq
+    None on the exponential schemes.  The sampling kernel reads one row
+    per interval.
     """
 
     scheme: str
@@ -94,10 +99,13 @@ class IntervalTable:
     lows_sq: tuple[float, ...] | None = field(init=False, repr=False,
                                               compare=False)
     tops: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    by_k: tuple[tuple[float, float, float, float | None], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        _check_len(self.K)
         b = self.boundaries
         if len(b) != self.K + 1 or b[0] != 0.0:
             raise ValueError("boundaries must be (a_0 = 0, ..., a_K)")
@@ -114,8 +122,12 @@ class IntervalTable:
         # the run test accepts with probability exp(-g) only for g <= 1
         if not all(0.0 < top <= 1.0 for top in tops):
             raise ValueError("every shifted exponent must top out in (0, 1]")
+        rows = tuple(zip(lows, widths, tops,
+                         (None,) * self.K if lows_sq is None else lows_sq))
+        by_k = rows + rows[-1:] * (MAX_TABLE_LEN + 1 - self.K)
         for name, value in (("lows", lows), ("widths", widths),
-                            ("lows_sq", lows_sq), ("tops", tops)):
+                            ("lows_sq", lows_sq), ("tops", tops),
+                            ("by_k", by_k)):
             object.__setattr__(self, name, value)
 
     @property

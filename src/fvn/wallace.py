@@ -80,12 +80,15 @@ def _block_permutation(n: int, word: int) -> np.ndarray:
 
 
 def init_pool(size: int, src: UniformSource) -> NormalPool:
-    """Bootstrap a pool of ``size`` comparison-method normals."""
+    """Bootstrap a pool of ``size`` comparison-method normals: the values
+    ``samplers.normal_grand`` would give, drawn from one
+    ``src.comparison_variates`` generator."""
     if size < MIN_POOL_SIZE or size % BLOCK != 0:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")
     table = samplers.default_config(samplers.NORMAL_GRAND).table
-    values = np.array([samplers.normal_grand(table, src) for _ in range(size)])
+    values = np.fromiter(src.comparison_variates(table, False), dtype=float,
+                         count=size)
     pool = NormalPool(values=values, pass_count=0,
                       norm_sq=float(values @ values), read_cursor=0,
                       emit_scale=1.0)

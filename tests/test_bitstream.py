@@ -238,14 +238,14 @@ def _reference_run(src, start):
 @pytest.mark.parametrize("recycling", [False, True])
 def test_descending_run_matches_a_next_uniform_loop(recycling):
     """Same n, terminal pair, recycled store and draws after every run,
-    over runs that cross several 8192-word refills."""
+    over 24,576 words of runs that cross many engine refills."""
     buffer_words = bitstream._BUFFER_WORDS
     fast = UniformSource(2468, recycling=recycling)
     slow = UniformSource(2468, recycling=recycling)
     straddles = 0
     g_cycle = (0.2, 0.5, 0.9, 1.0)
     i = 0
-    while fast.draws < 3 * buffer_words:
+    while fast.draws < 24 * buffer_words:
         g = g_cycle[i % len(g_cycle)]
         i += 1
         before = fast.draws

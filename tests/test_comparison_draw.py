@@ -1,6 +1,7 @@
 """The fused comparison kernel against the same draw composed from the
 source's public steps, value by value and state by state."""
 
+import gc
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fvn import bitstream, samplers, tables
 from fvn.bitstream import MAX_RUN_LENGTH, UniformSource
 from fvn.samplers import default_config, make_sampler
-from tests.test_bitstream import FakeEngine, raw_from_word
+from tests.test_bitstream import FailOnceEngine, FakeEngine, raw_from_word
 
 KINDS = (samplers.EXP_VN, samplers.EXP_BRENT, samplers.NORMAL_FORSYTHE,
          samplers.NORMAL_GRAND)
@@ -63,10 +64,10 @@ def kernel_and_reference(kind, recycling, make_source):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_matches_the_composed_draw(kind, recycling, word_bits, seed):
     """Same value, draws, recycled store and sign pool after every variate,
-    until the source has crossed an engine refill."""
+    over 8,256 words and the engine refills among them."""
     draw, fast, reference, slow = kernel_and_reference(
         kind, recycling, lambda: UniformSource(seed, word_bits=word_bits))
-    while fast.draws < bitstream._BUFFER_WORDS + 64:
+    while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
         assert draw() == reference()
         assert state(fast) == state(slow)
 
@@ -173,3 +174,108 @@ def test_kernel_cap_raises_where_the_composed_draw_does(kind):
     assert fast.draws == fast._pos == len(sign) + 2 + MAX_RUN_LENGTH
     assert draw() == reference()
     assert state(fast) == state(slow)
+
+
+PUBLIC_SAMPLERS = {
+    samplers.EXP_VN: lambda table, src: samplers.exp_vn(src, table),
+    samplers.EXP_BRENT: samplers.exp_brent,
+    samplers.NORMAL_FORSYTHE: samplers.normal_forsythe,
+    samplers.NORMAL_GRAND: samplers.normal_grand,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_public_samplers_match_the_bound_draw(kind):
+    """A one-shot public call gives the bound draw's value and leaves the
+    same draws, store and sign pool, variate by variate across refills."""
+    config = default_config(kind)
+    public, src, twin = PUBLIC_SAMPLERS[kind], UniformSource(90), UniformSource(90)
+    src.recycling = config.recycling_enabled
+    draw = make_sampler(config, twin)
+    while src.draws < 2 * bitstream._BUFFER_WORDS + 64:
+        assert public(config.table, src) == draw()
+        assert state(src) == state(twin)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
+    """An engine that raises once, on the refill a variate needs after its
+    first word: the bound draw raises, and its later draws match those of a
+    twin whose engine never failed, once the twin holds the same state."""
+    config = default_config(kind)
+    buffer_words = bitstream._BUFFER_WORDS
+    src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2))
+    twin = UniformSource(73)
+    draw, twin_draw = make_sampler(config, src), make_sampler(config, twin)
+    for _ in range(50):
+        assert draw() == twin_draw()
+    assert src.draws < buffer_words - 1        # still on the first buffer
+    # An empty store and, for the normal kinds, an empty sign pool: every
+    # variate then reads at least two fresh words.
+    for s in (src, twin):
+        s.recycled.clear()
+        s._sign_bits = 0
+        while s.draws < buffer_words - 1:
+            s.next_word()
+    with pytest.raises(OSError, match="engine failed"):
+        draw()
+    assert src.draws == buffer_words
+    twin.next_word()
+    twin._sign_word, twin._sign_bits = src._sign_word, src._sign_bits
+    twin.recycled[:] = src.recycled
+    assert state(src) == state(twin)
+    for _ in range(2000):
+        assert draw() == twin_draw()
+        assert state(src) == state(twin)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind):
+    """A suspended kernel that is collected writes nothing back: the
+    source keeps the position, store and sign pool that direct calls gave
+    it after the last variate."""
+    src, twin = UniformSource(58), UniformSource(58)
+    draw, twin_draw = (make_sampler(default_config(kind), s)
+                       for s in (src, twin))
+    for _ in range(20):
+        assert draw() == twin_draw()
+    moved = [src.next_uniform() for _ in range(30)]
+    before = state(src)
+    del draw
+    gc.collect()
+    assert state(src) == before
+    assert [twin.next_uniform() for _ in range(30)] == moved
+    assert [src.next_uniform() for _ in range(30)] == \
+           [twin.next_uniform() for _ in range(30)]
+
+
+@pytest.mark.parametrize("family", [
+    (samplers.NORMAL_GRAND, samplers.EXP_BRENT),
+    (samplers.NORMAL_FORSYTHE, samplers.EXP_VN),
+])
+def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family):
+    """Two kernels suspended on one source each read the other's moves on
+    resume: value by value and state by state against the composed draw."""
+    fast, slow = UniformSource(1234), UniformSource(1234)
+    configs = [default_config(kind) for kind in family]
+    draws = [make_sampler(config, fast) for config in configs]
+    slow.recycling = fast.recycling
+    ops = random.Random(9)
+    while fast.draws < 2 * bitstream._BUFFER_WORDS + 64:
+        pick = ops.randrange(2)
+        config = configs[pick]
+        assert draws[pick]() == reference_draw(
+            config.table, slow, config.kind == samplers.EXP_VN)
+        assert state(fast) == state(slow)
+
+
+@pytest.mark.parametrize("kind", (samplers.EXP_BRENT, samplers.NORMAL_GRAND))
+def test_restart_on_a_dyadic_table_matches_the_composed_draw(kind):
+    """With ``restart`` on a dyadic scheme a rejected trial's recycled value
+    goes back on the store before the next selection word is read."""
+    table = default_config(kind).table
+    fast, slow = UniformSource(66), UniformSource(66)
+    variates = fast.comparison_variates(table, True)
+    for _ in range(3000):
+        assert next(variates) == reference_draw(table, slow, True)
+        assert state(fast) == state(slow)

@@ -225,6 +225,15 @@ def test_per_interval_constants_match_the_boundaries(scheme):
         else:
             assert t.gmax(k) == hi - lo
     assert t.is_normal or t.lows_sq is None
+    # by_k: one row for every k a selection can give, k > K folded into K
+    for K in (1, 8, 53, 64):
+        t = build_table(scheme, K)
+        assert len(t.by_k) == tables.MAX_TABLE_LEN + 1
+        for k in range(1, tables.MAX_TABLE_LEN + 2):
+            j = min(k, K) - 1
+            low_sq = None if t.lows_sq is None else t.lows_sq[j]
+            row = (t.lows[j], t.widths[j], t.tops[j], low_sq)
+            assert t.by_k[k - 1] == row
 
 
 def test_select_interval_dyadic_frequency():
