@@ -12,9 +12,9 @@ from run-test leftovers.  Consuming a recycled value never touches
 
 ``comparison_variates`` fuses those steps into one generator of whole
 comparison-method variates: it binds a table's constants once and reads the
-source's state afresh each time it resumes.  The samplers run it, a bound
-draw by resuming one generator, a one-shot call through
-``comparison_draw``.
+source's state afresh each time it resumes.  The samplers run it: a bound
+draw resumes one generator, a one-shot call takes the first value of a
+fresh one.
 """
 
 from __future__ import annotations
@@ -193,8 +193,7 @@ class UniformSource:
                 rec.append(r)
         return n, prev, u
 
-    def comparison_variates(self, table: IntervalTable,
-                            restart: bool) -> Iterator[float]:
+    def comparison_variates(self, table: IntervalTable) -> Iterator[float]:
         """Endless comparison-method variates on ``table``'s scheme.
 
         A normal scheme draws a pooled sign bit first.  Then an interval k
@@ -202,9 +201,9 @@ class UniformSource:
         of the cumulative masses by one uniform), a position x in it is
         drawn with one uniform, and the run test accepts x with probability
         exp(-G_k(x)).  G_k is clamped into [0, gmax(k)] as in
-        ``IntervalTable.shifted_exponent``.  On a rejection ``restart``
-        selects a fresh interval (von Neumann's exp_vn); otherwise the
-        position is redrawn inside the chosen interval.
+        ``IntervalTable.shifted_exponent``.  On a rejection a table that
+        ``restarts`` (von Neumann's exp_vn) selects a fresh interval; every
+        other table redraws the position inside the chosen interval.
 
         Each step draws exactly as ``random_sign``, ``tables.select_interval``,
         ``next_uniform`` and ``descending_run`` would, so the stream, the
@@ -222,7 +221,7 @@ class UniformSource:
         writes nothing.  An exception ends the generator.
         """
         by_k, cum = table.by_k, table.cum_probs
-        normal = table.lows_sq is not None
+        normal, restart = table.is_normal, table.restarts
         w, mask, scale = self.word_bits, self._mask, self._scale
         while True:
             rec, recycling = self.recycled, self.recycling
@@ -249,8 +248,6 @@ class UniformSource:
                 held = None
                 while True:
                     if cum is None:
-                        if held is not None:    # a restart: a word selects
-                            rec.append(held)
                         if i >= end:
                             floats, ints = self._refill()
                             i, end = 0, len(floats)
@@ -263,7 +260,7 @@ class UniformSource:
                         else:
                             held = None
                     else:
-                        if held is not None:
+                        if held is not None:    # a restart
                             u, held = held, None
                         elif rec:
                             u = rec.pop()
@@ -332,13 +329,6 @@ class UniformSource:
             finally:
                 self._pos = i
             yield sign * x
-
-    def comparison_draw(self, table: IntervalTable, restart: bool) -> float:
-        """One finished comparison-method variate on ``table``'s scheme:
-        the first value of a fresh ``comparison_variates(table, restart)``,
-        which is then dropped.  The public samplers call this; a bound draw
-        from ``samplers.make_sampler`` resumes one generator instead."""
-        return next(self.comparison_variates(table, restart))
 
     @staticmethod
     def _run_overflow() -> RuntimeError:

@@ -22,8 +22,6 @@ _ALIASES = {
 }
 _SAMPLER_CHOICES = tuple(samplers.SAMPLER_KINDS) + tuple(sorted(_ALIASES))
 
-_EXP_CDF_KINDS = set(samplers.EXPONENTIAL_KINDS)
-
 
 def _parse_seed(text: str) -> int:
     # base 0 accepts decimal and 0x-prefixed hex

@@ -3,10 +3,11 @@
 Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
 sampling path.  There is one kernel, the generator
-``UniformSource.comparison_variates``: the four public functions check
-their table's scheme and take one value from it with
-``UniformSource.comparison_draw``, and ``make_sampler`` binds one
-generator that it resumes for every draw.  The textbook baselines
+``UniformSource.comparison_variates``, and the table tells it how to
+select and whether a rejection restarts the trial.  The four public
+functions, all ``(table, src)``, check their table's scheme and take the
+first value of a fresh generator; ``make_sampler`` binds one generator
+that it resumes for every draw.  The textbook baselines
 (inversion, Box-Muller, polar) are here for distribution cross-checks and
 speed comparison only.
 """
@@ -45,15 +46,6 @@ TABLE_SCHEMES = {
     NORMAL_GRAND: tables.NORMAL_BRENT,
 }
 
-# The historical algorithms spend fresh uniforms everywhere; only the
-# dyadic samplers reuse leftovers by default.
-DEFAULT_RECYCLING = {
-    EXP_BRENT: True,
-    NORMAL_GRAND: True,
-}
-
-EXPONENTIAL_KINDS = (EXP_VN, EXP_BRENT, EXP_LOG)
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -61,7 +53,9 @@ _TWO_PI = 2.0 * math.pi
 class SamplerConfig:
     kind: str
     table: tables.IntervalTable | None = None
-    recycling_enabled: bool = False
+    # None: on for a dyadic table only.  The historical algorithms spend
+    # fresh uniforms everywhere; the dyadic samplers reuse leftovers.
+    recycling_enabled: bool | None = None
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -75,6 +69,9 @@ class SamplerConfig:
                 raise ValueError(f"{self.kind} requires a {scheme} table")
             if self.table.scheme != scheme:
                 raise _scheme_error(self.kind, self.table)
+        if self.recycling_enabled is None:
+            object.__setattr__(self, "recycling_enabled",
+                               self.table is not None and self.table.is_dyadic)
 
 
 @lru_cache(maxsize=None)
@@ -85,14 +82,10 @@ def _cached_table(scheme: str, K: int) -> tables.IntervalTable:
 def default_config(kind: str, K: int | None = None,
                    recycling: bool | None = None) -> SamplerConfig:
     """Config with the scheme-appropriate table and recycling default."""
-    if kind not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}")
     scheme = TABLE_SCHEMES.get(kind)
     table = None
     if scheme is not None:
         table = _cached_table(scheme, tables.DEFAULT_TABLE_LEN if K is None else K)
-    if recycling is None:
-        recycling = DEFAULT_RECYCLING.get(kind, False)
     return SamplerConfig(kind, table, recycling)
 
 
@@ -101,7 +94,7 @@ def _scheme_error(kind: str, table: tables.IntervalTable) -> ValueError:
                       f"got {table.scheme}")
 
 
-def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> float:
+def exp_vn(table: tables.IntervalTable, src: UniformSource) -> float:
     """Exp(1) on unit intervals with mass (e-1)/e^k.
 
     Every trial pays one uniform to locate the interval in the cumulative
@@ -109,11 +102,9 @@ def exp_vn(src: UniformSource, table: tables.IntervalTable | None = None) -> flo
     on the position; a rejection restarts the whole trial.  Averages
     (1+e)e/(e-1) ~ 5.88 uniforms per sample.
     """
-    if table is None:
-        table = _cached_table(tables.EXP_VN, tables.DEFAULT_TABLE_LEN)
-    elif table.scheme != tables.EXP_VN:
+    if table.scheme != tables.EXP_VN:
         raise _scheme_error(EXP_VN, table)
-    return src.comparison_draw(table, True)
+    return next(src.comparison_variates(table))
 
 
 def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -123,7 +114,7 @@ def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.EXP_BRENT:
         raise _scheme_error(EXP_BRENT, table)
-    return src.comparison_draw(table, False)
+    return next(src.comparison_variates(table))
 
 
 def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -135,7 +126,7 @@ def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.NORMAL_FORSYTHE:
         raise _scheme_error(NORMAL_FORSYTHE, table)
-    return src.comparison_draw(table, False)
+    return next(src.comparison_variates(table))
 
 
 def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
@@ -148,7 +139,7 @@ def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
     """
     if table.scheme != tables.NORMAL_BRENT:
         raise _scheme_error(NORMAL_GRAND, table)
-    return src.comparison_draw(table, False)
+    return next(src.comparison_variates(table))
 
 
 def exp_log_baseline(src: UniformSource) -> float:
@@ -213,7 +204,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
         return wallace.emit_passes(pool, src).__next__
     # SamplerConfig has checked the table's scheme, so the kernel is bound
     # once and each draw resumes it with no check.
-    variates = partial(src.comparison_variates, config.table, kind == EXP_VN)
+    variates = partial(src.comparison_variates, config.table)
     return chain.from_iterable(iter(variates, None)).__next__
 
 

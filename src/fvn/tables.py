@@ -70,35 +70,31 @@ def _invert_tail(target: float) -> float:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Immutable boundaries a_0 < ... < a_K plus the selection rule.
+    """Immutable boundaries a_0 < ... < a_K plus what a scheme needs to
+    sample from them; every field is checked against the scheme.
 
-    ``select_probs`` is present only for the schemes that store masses;
-    dyadic schemes select by leading-zero counting.  Normal schemes carry
-    ``boundaries_sq`` so the shifted exponent (x^2 - a^2)/2 uses the exact
-    squared boundary (2k-1 is exact for the sqrt(2k-1) scheme, where the
-    float square of a_k would not be).
+    The mass-table schemes carry ``cum_probs``, the cumulative masses that
+    selection bisects, and derive ``select_probs`` from them; dyadic
+    schemes carry neither and select by leading-zero counting.  Normal
+    schemes carry ``boundaries_sq`` so the shifted exponent (x^2 - a^2)/2
+    uses the exact squared boundary (2k-1 is exact for the sqrt(2k-1)
+    scheme, where the float square of a_k would not be).
 
-    The per-interval constants are computed once, indexed by k - 1:
-    ``lows`` (a_{k-1}), ``widths`` (a_k - a_{k-1}), ``lows_sq``
-    (the squared a_{k-1}, normal schemes only) and ``tops`` (gmax(k)).
-    ``by_k`` holds them once more as one ``(low, width, top, low_sq)``
-    row for every index a selection can give, k = 1..MAX_TABLE_LEN + 1
-    (also indexed by k - 1), with every k > K folded into K and low_sq
-    None on the exponential schemes.  The sampling kernel reads one row
-    per interval.
+    The per-interval constants are computed once, as one ``(low, width,
+    top, low_sq)`` row in ``by_k`` for every index a selection can give,
+    k = 1..MAX_TABLE_LEN + 1, indexed by k - 1: a_{k-1}, a_k - a_{k-1},
+    gmax(k) and the squared a_{k-1} (None on the exponential schemes).
+    Every k > K folds into K.  ``shifted_exponent``, ``gmax`` and the
+    sampling kernel all read these rows.
     """
 
     scheme: str
     boundaries: tuple[float, ...]
     K: int
-    select_probs: tuple[float, ...] | None = None
     boundaries_sq: tuple[float, ...] | None = None
     cum_probs: tuple[float, ...] | None = field(default=None, repr=False)
-    lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    widths: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    lows_sq: tuple[float, ...] | None = field(init=False, repr=False,
-                                              compare=False)
-    tops: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    select_probs: tuple[float, ...] | None = field(init=False, repr=False,
+                                                   compare=False)
     by_k: tuple[tuple[float, float, float, float | None], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -111,32 +107,43 @@ class IntervalTable:
             raise ValueError("boundaries must be (a_0 = 0, ..., a_K)")
         if any(lo >= hi for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        lows = b[:-1]
+        cum, sq = self.cum_probs, self.boundaries_sq
+        for name, value, wanted, length in (
+                ("cum_probs", cum, not self.is_dyadic, self.K),
+                ("boundaries_sq", sq, self.is_normal, self.K + 1)):
+            if wanted and (value is None or len(value) != length):
+                raise ValueError(f"{self.scheme} needs {length} {name}")
+            if not wanted and value is not None:
+                raise ValueError(f"{self.scheme} takes no {name}")
         widths = tuple(hi - lo for lo, hi in zip(b, b[1:]))
-        sq = self.boundaries_sq
         if sq is None:
-            lows_sq, tops = None, widths
+            lows_sq, tops = (None,) * self.K, widths
         else:
             lows_sq = sq[:-1]
             tops = tuple((hi - lo) * 0.5 for lo, hi in zip(sq, sq[1:]))
         # the run test accepts with probability exp(-g) only for g <= 1
         if not all(0.0 < top <= 1.0 for top in tops):
             raise ValueError("every shifted exponent must top out in (0, 1]")
-        rows = tuple(zip(lows, widths, tops,
-                         (None,) * self.K if lows_sq is None else lows_sq))
-        by_k = rows + rows[-1:] * (MAX_TABLE_LEN + 1 - self.K)
-        for name, value in (("lows", lows), ("widths", widths),
-                            ("lows_sq", lows_sq), ("tops", tops),
-                            ("by_k", by_k)):
-            object.__setattr__(self, name, value)
+        rows = tuple(zip(b[:-1], widths, tops, lows_sq))
+        object.__setattr__(self, "by_k",
+                           rows + rows[-1:] * (MAX_TABLE_LEN + 1 - self.K))
+        object.__setattr__(self, "select_probs",
+                           None if cum is None else _masses_from_cumulative(cum))
 
     @property
     def is_dyadic(self) -> bool:
-        return self.select_probs is None
+        return self.scheme in (EXP_BRENT, NORMAL_BRENT)
 
     @property
     def is_normal(self) -> bool:
-        return self.boundaries_sq is not None
+        return self.scheme in (NORMAL_FORSYTHE, NORMAL_BRENT)
+
+    @property
+    def restarts(self) -> bool:
+        """Whether a rejected position restarts the whole trial with a new
+        interval (von Neumann's exp_vn) instead of being redrawn inside
+        the chosen interval."""
+        return self.scheme == EXP_VN
 
     def interval(self, k: int) -> tuple[float, float]:
         return self.boundaries[k - 1], self.boundaries[k]
@@ -154,18 +161,15 @@ class IntervalTable:
         This is not the silent clipping that DensitySpec forbids: on I_k
         the exact G_k already lies in [0, gmax(k)].
         """
-        if self.lows_sq is not None:
-            g = (x * x - self.lows_sq[k - 1]) * 0.5
-        else:
-            g = x - self.lows[k - 1]
-        top = self.tops[k - 1]
+        lo, _, top, lo_sq = self.by_k[k - 1]
+        g = x - lo if lo_sq is None else (x * x - lo_sq) * 0.5
         if 0.0 <= g <= top:
             return g
         return 0.0 if g < 0.0 else top
 
     def gmax(self, k: int) -> float:
         """Supremum of G_k on I_k (attained at the right endpoint)."""
-        return self.tops[k - 1]
+        return self.by_k[k - 1][2]
 
     def selection_probability(self, k: int) -> float:
         """Mass used to select I_k (implicit 2^-k for dyadic schemes)."""
@@ -197,9 +201,7 @@ def build_exp_vn(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     boundaries = tuple(float(k) for k in range(K + 1))
     # cumulative mass telescopes to 1 - e^-k; expm1 keeps it exact
     cum = tuple(-math.expm1(-k) for k in range(1, K + 1))
-    return IntervalTable(EXP_VN, boundaries, K,
-                         select_probs=_masses_from_cumulative(cum),
-                         cum_probs=cum)
+    return IntervalTable(EXP_VN, boundaries, K, cum_probs=cum)
 
 
 def build_exp_brent(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
@@ -218,7 +220,6 @@ def build_normal_forsythe(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     boundaries_sq = (0.0,) + tuple(float(2 * k - 1) for k in range(1, K + 1))
     cum = tuple(1.0 - half_normal_tail(b) for b in boundaries[1:])
     return IntervalTable(NORMAL_FORSYTHE, boundaries, K,
-                         select_probs=_masses_from_cumulative(cum),
                          boundaries_sq=boundaries_sq, cum_probs=cum)
 
 
@@ -247,7 +248,7 @@ def build_table(scheme: str, K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
 
 def select_interval(table: IntervalTable, src: UniformSource) -> int:
     """Pick k in [1, K]; mass beyond the table folds into the last interval."""
-    if table.cum_probs is None:
+    if table.is_dyadic:
         k = src.geometric_index()
     else:
         k = bisect_right(table.cum_probs, src.next_uniform()) + 1

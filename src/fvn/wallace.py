@@ -87,7 +87,7 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")
     table = samplers.default_config(samplers.NORMAL_GRAND).table
-    values = np.fromiter(src.comparison_variates(table, False), dtype=float,
+    values = np.fromiter(src.comparison_variates(table), dtype=float,
                          count=size)
     pool = NormalPool(values=values, pass_count=0,
                       norm_sq=float(values @ values), read_cursor=0,

@@ -315,7 +315,7 @@ REFILL_STEPS = {
     "next_uniform": (0, lambda src: src.next_uniform()),
     "next_word": (0, lambda src: src.next_word()),
     "descending_run": (1, lambda src: src.descending_run(1.0)),
-    "comparison_draw": (2, lambda src: src.comparison_draw(_EXP_BRENT, False)),
+    "comparison_draw": (2, lambda src: next(src.comparison_variates(_EXP_BRENT))),
 }
 
 

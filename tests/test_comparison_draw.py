@@ -15,27 +15,27 @@ KINDS = (samplers.EXP_VN, samplers.EXP_BRENT, samplers.NORMAL_FORSYTHE,
          samplers.NORMAL_GRAND)
 
 
-def reference_draw(table, src, restart):
+def reference_draw(table, src):
     """The comparison method as separate calls: a pooled sign bit, the
-    interval selection, a position uniform and the descending run."""
-    lows, widths, tops = table.lows, table.widths, table.tops
-    lows_sq = table.lows_sq
-    sign = 1 if lows_sq is None else src.random_sign()
+    interval selection, a position uniform and the descending run, with the
+    shifted exponent from the table's own method."""
+    sign = src.random_sign() if table.is_normal else 1
     while True:
-        j = tables.select_interval(table, src) - 1
-        lo, width, top = lows[j], widths[j], tops[j]
+        k = tables.select_interval(table, src)
+        lo, hi = table.interval(k)
+        width = hi - lo
         while True:
-            if lows_sq is None:
+            if table.is_normal:
+                x = lo + width * src.next_uniform()
+                g = table.shifted_exponent(k, x)
+            else:
+                # the kernel's arithmetic, x = lo + g, not g = x - lo;
+                # g < width = gmax(k) needs no clamp
                 g = width * src.next_uniform()
                 x = lo + g
-            else:
-                x = lo + width * src.next_uniform()
-                g = (x * x - lows_sq[j]) * 0.5
-            if not 0.0 <= g <= top:
-                g = 0.0 if g < 0.0 else top
             if src.descending_run(g)[0] & 1:
                 return sign * x
-            if restart:
+            if table.restarts:
                 break
 
 
@@ -50,10 +50,9 @@ def kernel_and_reference(kind, recycling, make_source):
     fast, slow = make_source(), make_source()
     draw = make_sampler(config, fast)
     slow.recycling = config.recycling_enabled
-    restart = kind == samplers.EXP_VN
 
     def reference():
-        return reference_draw(config.table, slow, restart)
+        return reference_draw(config.table, slow)
 
     return draw, fast, reference, slow
 
@@ -177,7 +176,7 @@ def test_kernel_cap_raises_where_the_composed_draw_does(kind):
 
 
 PUBLIC_SAMPLERS = {
-    samplers.EXP_VN: lambda table, src: samplers.exp_vn(src, table),
+    samplers.EXP_VN: samplers.exp_vn,
     samplers.EXP_BRENT: samplers.exp_brent,
     samplers.NORMAL_FORSYTHE: samplers.normal_forsythe,
     samplers.NORMAL_GRAND: samplers.normal_grand,
@@ -263,19 +262,6 @@ def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family):
     ops = random.Random(9)
     while fast.draws < 2 * bitstream._BUFFER_WORDS + 64:
         pick = ops.randrange(2)
-        config = configs[pick]
-        assert draws[pick]() == reference_draw(
-            config.table, slow, config.kind == samplers.EXP_VN)
+        assert draws[pick]() == reference_draw(configs[pick].table, slow)
         assert state(fast) == state(slow)
 
-
-@pytest.mark.parametrize("kind", (samplers.EXP_BRENT, samplers.NORMAL_GRAND))
-def test_restart_on_a_dyadic_table_matches_the_composed_draw(kind):
-    """With ``restart`` on a dyadic scheme a rejected trial's recycled value
-    goes back on the store before the next selection word is read."""
-    table = default_config(kind).table
-    fast, slow = UniformSource(66), UniformSource(66)
-    variates = fast.comparison_variates(table, True)
-    for _ in range(3000):
-        assert next(variates) == reference_draw(table, slow, True)
-        assert state(fast) == state(slow)

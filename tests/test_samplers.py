@@ -41,6 +41,12 @@ def test_default_recycling_flags():
     assert default_config(samplers.NORMAL_GRAND).recycling_enabled
     assert not default_config(samplers.EXP_VN).recycling_enabled
     assert not default_config(samplers.NORMAL_FORSYTHE).recycling_enabled
+    # a config built directly gets the same default as default_config
+    grand = default_config(samplers.NORMAL_GRAND)
+    assert SamplerConfig(samplers.NORMAL_GRAND, grand.table).recycling_enabled
+    assert not SamplerConfig(samplers.EXP_LOG).recycling_enabled
+    assert not default_config(samplers.NORMAL_GRAND,
+                              recycling=False).recycling_enabled
 
 
 def test_sampler_functions_reject_wrong_scheme():
@@ -53,7 +59,7 @@ def test_sampler_functions_reject_wrong_scheme():
     with pytest.raises(ValueError):
         normal_grand(wrong, src)
     with pytest.raises(ValueError):
-        exp_vn(src, tables.build_exp_brent(8))
+        exp_vn(tables.build_exp_brent(8), src)
 
 
 def test_exp_vn_sample_mean():

@@ -204,6 +204,28 @@ def test_raw_table_construction_is_validated():
         IntervalTable("exp_brent", (0.0, 1.0, 0.5), 2)
     with pytest.raises(ValueError):
         IntervalTable("nope", (0.0, 1.0), 1)
+    # every field must agree with the scheme: masses on the mass-table
+    # schemes only, squared boundaries on the normal schemes only
+    built = {scheme: build_table(scheme, 8) for scheme in tables.SCHEMES}
+    cum, sq = built["exp_vn"].cum_probs, built["normal_brent"].boundaries_sq
+    forsythe = built["normal_forsythe"]
+    for scheme, extra in (
+            ("exp_vn", {}),
+            ("exp_vn", {"cum_probs": cum[:-1]}),
+            ("exp_vn", {"cum_probs": cum, "boundaries_sq": sq}),
+            ("exp_brent", {"cum_probs": cum}),
+            ("exp_brent", {"boundaries_sq": sq}),
+            ("normal_forsythe", {"boundaries_sq": forsythe.boundaries_sq}),
+            ("normal_forsythe", {"cum_probs": forsythe.cum_probs}),
+            ("normal_brent", {}),
+            ("normal_brent", {"boundaries_sq": sq[:-1]}),
+            ("normal_brent", {"boundaries_sq": sq, "cum_probs": cum})):
+        with pytest.raises(ValueError, match="cum_probs|boundaries_sq"):
+            IntervalTable(scheme, built[scheme].boundaries, 8, **extra)
+    # the fields the builders pass are accepted
+    for scheme, t in built.items():
+        assert IntervalTable(scheme, t.boundaries, 8, cum_probs=t.cum_probs,
+                             boundaries_sq=t.boundaries_sq) == t
 
 
 def test_raw_table_rejects_a_shifted_exponent_above_one():
@@ -214,26 +236,20 @@ def test_raw_table_rejects_a_shifted_exponent_above_one():
 
 @pytest.mark.parametrize("scheme", tables.SCHEMES)
 def test_per_interval_constants_match_the_boundaries(scheme):
-    t = build_table(scheme, 53)
-    sq = t.boundaries_sq
-    for k in range(1, 54):
-        lo, hi = t.interval(k)
-        assert t.lows[k - 1] == lo and t.widths[k - 1] == hi - lo
-        if t.is_normal:
-            assert t.lows_sq[k - 1] == sq[k - 1]
-            assert t.gmax(k) == (sq[k] - sq[k - 1]) * 0.5
-        else:
-            assert t.gmax(k) == hi - lo
-    assert t.is_normal or t.lows_sq is None
     # by_k: one row for every k a selection can give, k > K folded into K
     for K in (1, 8, 53, 64):
         t = build_table(scheme, K)
+        sq = t.boundaries_sq
         assert len(t.by_k) == tables.MAX_TABLE_LEN + 1
         for k in range(1, tables.MAX_TABLE_LEN + 2):
-            j = min(k, K) - 1
-            low_sq = None if t.lows_sq is None else t.lows_sq[j]
-            row = (t.lows[j], t.widths[j], t.tops[j], low_sq)
+            kk = min(k, K)
+            lo, hi = t.interval(kk)
+            if t.is_normal:
+                row = (lo, hi - lo, (sq[kk] - sq[kk - 1]) * 0.5, sq[kk - 1])
+            else:
+                row = (lo, hi - lo, hi - lo, None)
             assert t.by_k[k - 1] == row
+            assert t.gmax(kk) == row[2]
 
 
 def test_select_interval_dyadic_frequency():
