@@ -1,26 +1,26 @@
 """Deterministic uniform bit/real stream with exact draw accounting.
 
 Fresh uniforms are ``word_bits``-bit fixed-point reals in [0, 1), cut from
-the top bits of buffered 64-bit engine words: one engine word per fresh
-uniform.  ``draws`` is derived, not counted step by step: it is the words
-of the buffers already used up plus the position in the current one.  On
-top of the raw stream the source offers leading-zero geometric indices,
-single sign bits served from a pooled word, the descending run behind
-every run test, and a last-in-first-out store of recycled uniforms rebuilt
-from run-test leftovers.  Consuming a recycled value never touches
-``draws``.
+the top bits of 64-bit engine words: one engine word per fresh uniform.
+Only the reals are buffered; a word is read back from its real exactly.
+``draws`` is derived, not counted step by step: it is the words of the
+buffers already used up plus the position in the current one.  On top of
+the raw stream the source offers leading-zero geometric indices, single
+sign bits served from a pooled word, the descending run behind every run
+test, and a last-in-first-out store of recycled uniforms rebuilt from
+run-test leftovers.  Consuming a recycled value never touches ``draws``.
 
 ``comparison_variates`` fuses those steps into one generator of whole
-comparison-method variates: it binds a table's constants once and reads the
-source's state afresh each time it resumes.  The samplers run it: a bound
-draw resumes one generator, a one-shot call takes the first value of a
-fresh one.
+comparison-method variates.  It reads the source's state afresh on each
+resume, commits it once per variate, and redraws a variate that ran off the
+buffer's end from its first word.  A bound draw resumes one generator, a
+one-shot call takes the first value of a fresh one.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
+from math import frexp
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -46,7 +46,7 @@ class UniformSource:
     The engine is injectable: anything with ``random_raw(size) -> uint64
     array`` works (every numpy ``BitGenerator`` does).  Defaults to PCG64.
     ``word_bits`` is capped at 53 so every uniform is an exact multiple of
-    ``2**-word_bits`` in a float64.
+    ``2**-word_bits`` in a float64; word reads are served from those floats.
     """
 
     def __init__(self, seed: int, word_bits: int = DEFAULT_WORD_BITS,
@@ -62,7 +62,6 @@ class UniformSource:
         self._scale = 2.0 ** -word_bits
         self._shift = 64 - word_bits
         self._mask = (1 << word_bits) - 1
-        self._ints = array("Q")
         self._floats: list[float] = []
         self._pos = 0
         self._spent = 0         # words in the buffers already used up
@@ -74,32 +73,26 @@ class UniformSource:
         """Fresh engine words spent so far."""
         return self._spent + self._pos
 
-    def _refill(self) -> tuple[list[float], array]:
-        """Replace the used-up buffer; returns the new ``(floats, ints)``.
+    def _refill(self) -> list[float]:
+        """Replace the used-up buffer with fresh floats and return them.
+        ``comparison_variates`` puts a rolled-back variate's words in front.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises leaves ``draws`` at the words consumed.
         """
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
-        words = raw >> np.uint64(self._shift)
-        # Only sign and selection words are read as ints: one word in two
-        # or three on the dyadic schemes, under one in 200 on the mass-table
-        # ones.  So they stay packed and each becomes a Python int when
-        # read; building every int at each refill cost more.
-        ints = array("Q", words.tobytes())
-        floats = (words * self._scale).tolist()
+        floats = ((raw >> np.uint64(self._shift)) * self._scale).tolist()
         self._spent += len(self._floats)
-        self._floats, self._ints, self._pos = floats, ints, 0
-        return floats, ints
+        self._floats, self._pos = floats, 0
+        return floats
 
     def next_word(self) -> int:
-        """One fresh word_bits-bit integer; always counts one draw."""
-        i = self._pos
-        if i >= len(self._ints):
-            self._refill()
-            i = 0
+        """One fresh word_bits-bit integer, read from its float; one draw."""
+        floats, i = self._floats, self._pos
+        if i >= len(floats):
+            floats, i = self._refill(), 0
         self._pos = i + 1
-        return self._ints[i]
+        return int(floats[i] * 2.0 ** self.word_bits)
 
     def next_uniform(self) -> float:
         """Uniform in [0, 1): recycled value if one is stored (no draw
@@ -175,7 +168,7 @@ class UniformSource:
             try:
                 while True:
                     if i >= end:
-                        floats, _ = self._refill()
+                        floats = self._refill()
                         i, end = 0, len(floats)
                     u = floats[i]
                     i += 1
@@ -214,33 +207,32 @@ class UniformSource:
 
         The table's constants are bound once.  The source's state (buffer,
         position, recycled store, recycling flag, sign pool) is read afresh
-        on every resume, and ``_pos`` is written back before each value is
-        yielded, also when the variate raises.  So ``draws`` is exact after
-        every variate, direct calls on the source may come between two
-        variates, and a suspended generator that is closed or collected
-        writes nothing.  An exception ends the generator.
+        on every resume and committed once per variate, before its value is
+        yielded or its exception raised.  So ``draws`` is exact after every
+        variate, direct calls on the source may come between two variates,
+        and a suspended generator that is closed or collected writes
+        nothing.  An exception ends the generator.
+
+        Reads are not checked against the buffer's end.  A variate that runs
+        off it is undone, its words are carried to the front of a refill,
+        and it is drawn again from its first word.  If that refill raises,
+        the partial variate is committed as a step-by-step draw leaves it.
         """
         by_k, cum = table.by_k, table.cum_probs
         normal, restart = table.is_normal, table.restarts
-        w, mask, scale = self.word_bits, self._mask, self._scale
+        w, unit = self.word_bits, 2.0 ** self.word_bits
         while True:
             rec, recycling = self.recycled, self.recycling
-            floats, ints = self._floats, self._ints
-            end = len(floats)
-            i = self._pos
+            floats, i, r = self._floats, self._pos, len(rec)
+            nb, sign_word = self._sign_bits, self._sign_word
             try:
                 if normal:
-                    nb = self._sign_bits
                     if nb == 0:
-                        if i >= end:
-                            floats, ints = self._refill()
-                            i, end = 0, len(floats)
-                        self._sign_word = ints[i]
+                        sign_word = int(floats[i] * unit)
                         i += 1
                         nb = w
                     nb -= 1
-                    self._sign_bits = nb
-                    sign = 1 if (self._sign_word >> nb) & 1 else -1
+                    sign = 1 if (sign_word >> nb) & 1 else -1
                 else:
                     sign = 1
                 # The value the recycled store would serve next, kept here
@@ -248,26 +240,22 @@ class UniformSource:
                 held = None
                 while True:
                     if cum is None:
-                        if i >= end:
-                            floats, ints = self._refill()
-                            i, end = 0, len(floats)
-                        word = ints[i]
+                        # j = k - 1 from u = m * 2**-j, m in [1/2, 1); the
+                        # leftover is 2m - 1.  A zero word clamps k to w.
+                        m, e = frexp(floats[i])
                         i += 1
-                        # j = k - 1; an all-zero word clamps to k = word_bits
-                        j = w - (word.bit_length() or 1)
+                        j = -e if m else w - 1
                         if recycling and j < w - 1:
-                            held = ((word << j + 1) & mask) * scale
+                            held = m + m - 1.0
                         else:
                             held = None
                     else:
                         if held is not None:    # a restart
                             u, held = held, None
-                        elif rec:
-                            u = rec.pop()
+                        elif r:
+                            r -= 1
+                            u = rec[r]
                         else:
-                            if i >= end:
-                                floats, ints = self._refill()
-                                i, end = 0, len(floats)
                             u = floats[i]
                             i += 1
                         j = bisect_right(cum, u)
@@ -275,12 +263,10 @@ class UniformSource:
                     while True:
                         if held is not None:
                             u = held
-                        elif rec:
-                            u = rec.pop()
+                        elif r:
+                            r -= 1
+                            u = rec[r]
                         else:
-                            if i >= end:
-                                floats, ints = self._refill()
-                                i, end = 0, len(floats)
                             u = floats[i]
                             i += 1
                         if normal:
@@ -294,8 +280,9 @@ class UniformSource:
                         # The run test, drawn as descending_run draws it.
                         prev = g
                         n = 0
-                        while rec:
-                            u = rec.pop()
+                        while r:
+                            r -= 1
+                            u = rec[r]
                             n += 1
                             if not u < prev:
                                 break
@@ -304,9 +291,6 @@ class UniformSource:
                             prev = u
                         else:
                             while True:
-                                if i >= end:
-                                    floats, ints = self._refill()
-                                    i, end = 0, len(floats)
                                 u = floats[i]
                                 i += 1
                                 n += 1
@@ -317,17 +301,32 @@ class UniformSource:
                                 prev = u
                         held = None
                         if recycling and prev < 1.0:
-                            r = (u - prev) / (1.0 - prev)
-                            if r < 1.0:
-                                held = r
+                            v = (u - prev) / (1.0 - prev)
+                            if v < 1.0:
+                                held = v
                         if n & 1 or restart:
                             break
                     if n & 1:
                         break
-                if held is not None:
-                    rec.append(held)
+            except IndexError:
+                if i < len(floats):
+                    raise
+                # Off the buffer's end: undo the variate, carry its words to
+                # the front of a refill, and draw it again from there.
+                tail = floats[self._pos:]
+                self._refill()[:0] = tail
+                self._spent -= len(tail)
+                i, r = 0, len(rec)
+                nb, sign_word = self._sign_bits, self._sign_word
+                continue
             finally:
                 self._pos = i
+                if r < len(rec):
+                    del rec[r:]
+                if normal:
+                    self._sign_bits, self._sign_word = nb, sign_word
+            if held is not None:
+                rec.append(held)
             yield sign * x
 
     @staticmethod

@@ -307,31 +307,39 @@ class FailOnceEngine:
 
 
 _EXP_BRENT = samplers.default_config(samplers.EXP_BRENT).table
+_FORSYTHE = samplers.default_config(samplers.NORMAL_FORSYTHE).table
 
 # Each step with the words left in the buffer before it, so that its
 # refill comes where named: at once, inside the run (g = 1 reads at least
-# two values), or at the run's first value after selection and position.
+# two values), at the run's first value after selection and position, or
+# at the selection right after a fresh sign word.  Last, the sign bits
+# the step leaves in the pool.
 REFILL_STEPS = {
-    "next_uniform": (0, lambda src: src.next_uniform()),
-    "next_word": (0, lambda src: src.next_word()),
-    "descending_run": (1, lambda src: src.descending_run(1.0)),
-    "comparison_draw": (2, lambda src: next(src.comparison_variates(_EXP_BRENT))),
+    "next_uniform": (0, lambda src: src.next_uniform(), 0),
+    "next_word": (0, lambda src: src.next_word(), 0),
+    "descending_run": (1, lambda src: src.descending_run(1.0), 0),
+    "comparison_draw": (
+        2, lambda src: next(src.comparison_variates(_EXP_BRENT)), 0),
+    "comparison_draw_after_sign": (
+        1, lambda src: next(src.comparison_variates(_FORSYTHE)), W - 1),
 }
 
 
 @pytest.mark.parametrize("step", sorted(REFILL_STEPS))
 def test_failed_refill_leaves_draws_at_the_words_consumed(step):
     """An engine that raises once costs no word and skips none: draws
-    counts the whole used-up buffer, and once the engine recovers the
-    stream goes on where a twin whose engine never failed would."""
+    counts the whole used-up buffer, a sign bit drawn before the failure
+    stays spent, and once the engine recovers the stream goes on where a
+    twin whose engine never failed would."""
     buffer_words = bitstream._BUFFER_WORDS
-    left, call = REFILL_STEPS[step]
+    left, call, sign_bits = REFILL_STEPS[step]
     src = UniformSource(0, engine=FailOnceEngine(31, fail_on=2),
                         recycling=False)
     for _ in range(buffer_words - left):
         src.next_word()
     with pytest.raises(OSError, match="engine failed"):
         call(src)
+    assert src._sign_bits == sign_bits
     assert src.draws == buffer_words
     twin = UniformSource(31)
     for _ in range(buffer_words):

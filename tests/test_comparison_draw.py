@@ -40,8 +40,10 @@ def reference_draw(table, src):
 
 
 def state(src):
-    return (src.draws, src._pos, list(src.recycled), src._sign_bits,
-            src._sign_word)
+    # Not the buffer offset: a variate rolled back at a buffer's end starts
+    # the next buffer at its own first word, so the offsets of two sources
+    # in the same state can differ.  ``draws`` counts the words either way.
+    return (src.draws, list(src.recycled), src._sign_bits, src._sign_word)
 
 
 def kernel_and_reference(kind, recycling, make_source):
@@ -91,6 +93,26 @@ def test_kernel_variate_straddling_a_refill(kind, recycling):
                [slow.next_uniform() for _ in range(10)]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_variate_longer_than_two_buffers(kind):
+    """About 800 rejected trials in interval 1, each a position of 0.5 and
+    an even run (2^-33, 0.75), then an accepted one (0.75 ends the run at
+    once): the variate runs off the end of two or three buffers in turn
+    and is carried into the next each time."""
+    table = default_config(kind).table
+    sign = [1 << 52] if table.is_normal else []
+    select = [1 << 52 if table.is_dyadic else 0]
+    # exp_vn selects afresh in every trial, the others once per variate
+    per_trial, once = (select, []) if table.restarts else ([], select)
+    reject, accept = [1 << 52, 1 << 20, 3 << 51], [1 << 52, 3 << 51]
+    words = sign + once + (per_trial + reject) * 800 + per_trial + accept
+    draw, fast, reference, slow = kernel_and_reference(
+        kind, False, _edge_source(words))
+    assert draw() == reference()
+    assert state(fast) == state(slow)
+    assert fast.draws > 2 * bitstream._BUFFER_WORDS
+
+
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_interleaved_with_direct_source_calls(kind, recycling):
@@ -117,18 +139,24 @@ def _edge_source(words):
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_on_an_all_zero_selection_word(kind, recycling):
-    """A zero word selects the last interval on the dyadic schemes (the
-    leading-zero count clamps to K) and the first on the mass tables."""
+    """The all-zero selection word and the other edges of the leading-zero
+    count: 0 and 1 clamp to k = word_bits with no leftover, 2^52 and
+    2^53 - 1 give k = 1 with an all-zero and an all-ones leftover.  The
+    mass tables read them as uniforms at both ends of [0, 1)."""
     table = default_config(kind).table
     sign = [1 << 52] if table.is_normal else []
-    words = sign + [0, 1 << 52, 2 ** 53 - 1]      # selection, 0.5, run stop
-    draw, fast, reference, slow = kernel_and_reference(
-        kind, recycling, _edge_source(words))
-    value = draw()
-    assert value == reference()
-    assert state(fast) == state(slow)
-    lo, hi = table.interval(table.K if table.is_dyadic else 1)
-    assert lo <= value < hi
+    for select in (0, 1, 1 << 52, 2 ** 53 - 1):
+        words = sign + [select, 1 << 52, 2 ** 53 - 1]   # then 0.5, run stop
+        draw, fast, reference, slow = kernel_and_reference(
+            kind, recycling, _edge_source(words))
+        value = draw()
+        assert value == reference(), select
+        assert state(fast) == state(slow), select
+        twin = _edge_source(words)()
+        if table.is_normal:
+            twin.random_sign()
+        lo, hi = table.interval(tables.select_interval(table, twin))
+        assert lo <= value < hi, select
 
 
 @pytest.mark.parametrize("recycling", [False, True])
