@@ -13,7 +13,7 @@ needs scipy; its names are served from here but loaded on first use, so
 
 __version__ = "0.1.0"
 
-from .bitstream import DEFAULT_WORD_BITS, UniformSource
+from .bitstream import WORD_BITS, UniformSource
 from .comparison import (DensitySpec, RunResult, expected_run_length,
                          odd_parity_probability, run_length_pmf, run_test,
                          sample_density)
@@ -32,7 +32,7 @@ _STATS_NAMES = ("TestReport", "ConsumptionReport", "ks_test",
 
 __all__ = [
     "__version__",
-    "DEFAULT_WORD_BITS", "UniformSource",
+    "WORD_BITS", "UniformSource",
     "RunResult", "DensitySpec", "run_test", "run_length_pmf",
     "expected_run_length", "odd_parity_probability", "sample_density",
     "IntervalTable", "build_exp_vn", "build_exp_brent",

@@ -1,6 +1,6 @@
 """Deterministic uniform bit/real stream with exact draw accounting.
 
-Fresh uniforms are ``word_bits``-bit fixed-point reals in [0, 1), cut from
+Fresh uniforms are ``WORD_BITS``-bit fixed-point reals in [0, 1), cut from
 the top bits of 64-bit engine words: one engine word per fresh uniform.
 Only the reals are buffered; a word is read back from its real exactly.
 ``draws`` is derived, not counted step by step: it is the words of the
@@ -28,7 +28,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .tables import IntervalTable
 
-DEFAULT_WORD_BITS = 53
+# Bits per fresh uniform: the most a float64 holds exactly, so every uniform
+# is a multiple of 2**-WORD_BITS and its word is read back from it exactly.
+WORD_BITS = 53
+_UNIT = 2.0 ** WORD_BITS
 # Engine words per refill.  Words are read in order, so the size changes
 # neither the stream nor ``draws``, only how a refill's cost is spread: the
 # floats of a 1024-word buffer stay cache-sized, where the refill blocks of
@@ -45,23 +48,16 @@ class UniformSource:
 
     The engine is injectable: anything with ``random_raw(size) -> uint64
     array`` works (every numpy ``BitGenerator`` does).  Defaults to PCG64.
-    ``word_bits`` is capped at 53 so every uniform is an exact multiple of
-    ``2**-word_bits`` in a float64; word reads are served from those floats.
+    ``recycling`` says whether run-test and selection leftovers are stored
+    for reuse; it is set here, by the owner, and no sampler changes it.
     """
 
-    def __init__(self, seed: int, word_bits: int = DEFAULT_WORD_BITS,
-                 engine=None, recycling: bool = True):
+    def __init__(self, seed: int, *, engine=None, recycling: bool = True):
         if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if not 1 <= word_bits <= 53:
-            raise ValueError(f"word_bits must be in [1, 53], got {word_bits}")
-        self.word_bits = word_bits
         self.recycled: list[float] = []
         self.recycling = recycling
         self._engine = engine if engine is not None else np.random.PCG64(seed)
-        self._scale = 2.0 ** -word_bits
-        self._shift = 64 - word_bits
-        self._mask = (1 << word_bits) - 1
         self._floats: list[float] = []
         self._pos = 0
         self._spent = 0         # words in the buffers already used up
@@ -81,18 +77,18 @@ class UniformSource:
         so an engine that raises leaves ``draws`` at the words consumed.
         """
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
-        floats = ((raw >> np.uint64(self._shift)) * self._scale).tolist()
+        floats = ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tolist()
         self._spent += len(self._floats)
         self._floats, self._pos = floats, 0
         return floats
 
     def next_word(self) -> int:
-        """One fresh word_bits-bit integer, read from its float; one draw."""
+        """One fresh WORD_BITS-bit integer, read from its float; one draw."""
         floats, i = self._floats, self._pos
         if i >= len(floats):
             floats, i = self._refill(), 0
         self._pos = i + 1
-        return int(floats[i] * 2.0 ** self.word_bits)
+        return int(floats[i] * _UNIT)
 
     def next_uniform(self) -> float:
         """Uniform in [0, 1): recycled value if one is stored (no draw
@@ -109,30 +105,31 @@ class UniformSource:
 
     def geometric_index(self) -> int:
         """Index k >= 1 with Prob(k) = 2**-k, from the leading zero bits of
-        one fresh word (an all-zero word clamps to k = word_bits).
+        one fresh word (an all-zero word clamps to k = WORD_BITS).
 
-        The word_bits - k bits below the leading one-bit are left-justified
+        The WORD_BITS - k bits below the leading one-bit are left-justified
         into a recycled uniform, so selection costs one draw and wastes
         nothing.
         """
-        w = self.word_bits
+        w = WORD_BITS
         word = self.next_word()
         if word == 0:
             return w
         k = w - word.bit_length() + 1
         if k < w and self.recycling:
-            self.recycled.append(((word << k) & self._mask) * self._scale)
+            # word << k carries the leading one-bit at bit w: drop it
+            self.recycled.append(((word << k) - (1 << w)) / _UNIT)
         return k
 
     def random_sign(self) -> int:
         """+1 or -1, each with probability 1/2, from a pooled bit word.
 
-        Costs one draw per word_bits calls, not one per call.
+        Costs one draw per WORD_BITS calls, not one per call.
         """
         nb = self._sign_bits
         if nb == 0:
             self._sign_word = self.next_word()
-            nb = self.word_bits
+            nb = WORD_BITS
         nb -= 1
         self._sign_bits = nb
         return 1 if (self._sign_word >> nb) & 1 else -1
@@ -220,7 +217,7 @@ class UniformSource:
         """
         by_k, cum = table.by_k, table.cum_probs
         normal, restart = table.is_normal, table.restarts
-        w, unit = self.word_bits, 2.0 ** self.word_bits
+        w, unit = WORD_BITS, _UNIT
         while True:
             rec, recycling = self.recycled, self.recycling
             floats, i, r = self._floats, self._pos, len(rec)

@@ -59,8 +59,8 @@ def cmd_generate(args, parser) -> int:
     kind = _ALIASES.get(args.sampler, args.sampler)
     _check_table_len(parser, args.K)
     config = samplers.default_config(kind, K=args.K)
-    src = UniformSource(args.seed)
-    draw = samplers.make_sampler(config, src)
+    draw = samplers.make_sampler(
+        config, UniformSource(args.seed, recycling=config.recycling_enabled))
 
     header = (f"# fvn {__version__} generate sampler={kind} seed={args.seed} "
               f"n={args.n} format={args.format}")
@@ -125,8 +125,9 @@ def cmd_bench(args, parser) -> int:
              "(timings are machine-dependent; nothing here is asserted)",
              "sampler,n,seconds,rate"]
     for kind in samplers.SAMPLER_KINDS:
-        draw = samplers.make_sampler(samplers.default_config(kind),
-                                     UniformSource(args.seed))
+        config = samplers.default_config(kind)
+        draw = samplers.make_sampler(
+            config, UniformSource(args.seed, recycling=config.recycling_enabled))
         start = time.perf_counter()
         for _ in range(args.n):
             draw()

@@ -174,7 +174,9 @@ def polar(src: UniformSource) -> tuple[float, float]:
 
 def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], float]:
     """Bind a config to a source it will own and return a zero-argument
-    draw function.  The source's recycling flag is set from the config.
+    draw function.  The source must be built with
+    ``recycling=config.recycling_enabled``: one that disagrees raises
+    ValueError before it is touched, since a sampler never changes it.
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
     returns the ``__next__`` of a chain over ``src.comparison_variates``
@@ -190,8 +192,10 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     the call after the last value.  Each draw returns a Python float, and
     ``src.draws`` is exact after every draw.
     """
-    src.recycling = config.recycling_enabled
     kind = config.kind
+    if src.recycling != config.recycling_enabled:
+        raise ValueError(f"{kind} needs a source built with recycling="
+                         f"{config.recycling_enabled}, got {src.recycling}")
     if kind == EXP_LOG:
         return lambda: exp_log_baseline(src)
     if kind in (BOX_MULLER, POLAR):

@@ -120,7 +120,7 @@ def measure_consumption(config: samplers.SamplerConfig, n: int,
     """
     if n < 100_000:
         raise ValueError(f"consumption runs need n >= 100000, got {n}")
-    src = UniformSource(seed)
+    src = UniformSource(seed, recycling=config.recycling_enabled)
     sampler = samplers.make_sampler(config, src)
     costs = np.empty(n, dtype=np.int64)
     before = src.draws
@@ -148,7 +148,8 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
     kept = {}
     for i, (kind, cdf) in enumerate(cdf_for.items()):
         config = samplers.default_config(kind)
-        draw = samplers.make_sampler(config, UniformSource(seed + i))
+        draw = samplers.make_sampler(
+            config, UniformSource(seed + i, recycling=config.recycling_enabled))
         values = np.array([draw() for _ in range(n)])
         kept[kind] = (config, values)
         reports.append(ks_test(np.sort(values), cdf, alpha, f"ks_{kind}"))

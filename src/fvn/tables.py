@@ -26,7 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .bitstream import UniformSource
+from .bitstream import WORD_BITS, UniformSource
 
 EXP_VN = "exp_vn"
 EXP_BRENT = "exp_brent"
@@ -35,8 +35,8 @@ NORMAL_BRENT = "normal_brent"
 SCHEMES = (EXP_VN, EXP_BRENT, NORMAL_FORSYTHE, NORMAL_BRENT)
 
 MAX_TABLE_LEN = 64
-# Matches the default source wordlength: selection never resolves finer.
-DEFAULT_TABLE_LEN = 53
+# Dyadic selection never resolves finer than one word.
+DEFAULT_TABLE_LEN = WORD_BITS
 
 _LN2 = math.log(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -74,11 +74,11 @@ class IntervalTable:
     sample from them; every field is checked against the scheme.
 
     The mass-table schemes carry ``cum_probs``, the cumulative masses that
-    selection bisects, and derive ``select_probs`` from them; dyadic
-    schemes carry neither and select by leading-zero counting.  Normal
-    schemes carry ``boundaries_sq`` so the shifted exponent (x^2 - a^2)/2
-    uses the exact squared boundary (2k-1 is exact for the sqrt(2k-1)
-    scheme, where the float square of a_k would not be).
+    selection bisects; dyadic schemes carry none and select by
+    leading-zero counting.  Normal schemes carry ``boundaries_sq`` so the
+    shifted exponent (x^2 - a^2)/2 uses the exact squared boundary (2k-1
+    is exact for the sqrt(2k-1) scheme, where the float square of a_k
+    would not be).
 
     The per-interval constants are computed once, as one ``(low, width,
     top, low_sq)`` row in ``by_k`` for every index a selection can give,
@@ -93,8 +93,6 @@ class IntervalTable:
     K: int
     boundaries_sq: tuple[float, ...] | None = None
     cum_probs: tuple[float, ...] | None = field(default=None, repr=False)
-    select_probs: tuple[float, ...] | None = field(init=False, repr=False,
-                                                   compare=False)
     by_k: tuple[tuple[float, float, float, float | None], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -127,8 +125,6 @@ class IntervalTable:
         rows = tuple(zip(b[:-1], widths, tops, lows_sq))
         object.__setattr__(self, "by_k",
                            rows + rows[-1:] * (MAX_TABLE_LEN + 1 - self.K))
-        object.__setattr__(self, "select_probs",
-                           None if cum is None else _masses_from_cumulative(cum))
 
     @property
     def is_dyadic(self) -> bool:
@@ -172,10 +168,18 @@ class IntervalTable:
         return self.by_k[k - 1][2]
 
     def selection_probability(self, k: int) -> float:
-        """Mass used to select I_k (implicit 2^-k for dyadic schemes)."""
-        if self.select_probs is None:
+        """Mass used to select I_k (implicit 2^-k for dyadic schemes).
+
+        On the mass-table schemes it is cum[k-1] - cum[k-2].  Every
+        cumulative entry is above 1/2, so the difference is exact
+        (Sterbenz) and the masses sum to exactly cum[-1] <= 1.  It is the
+        mass select_interval really gives, 0 for an interval past the
+        point where the cumulative mass rounds to 1.0.
+        """
+        cum = self.cum_probs
+        if cum is None:
             return 2.0 ** -k
-        return self.select_probs[k - 1]
+        return cum[k - 1] - (cum[k - 2] if k > 1 else 0.0)
 
 
 def _check_len(K: int) -> None:
@@ -183,19 +187,8 @@ def _check_len(K: int) -> None:
         raise ValueError(f"table length must be in [1, {MAX_TABLE_LEN}], got {K}")
 
 
-def _masses_from_cumulative(cum: tuple[float, ...]) -> tuple[float, ...]:
-    """Interval masses as successive differences of the cumulative masses.
-
-    Every cumulative entry is above 1/2, so each difference is exact
-    (Sterbenz) and the masses sum to exactly cum[-1] <= 1.  A mass is the
-    one select_interval really gives, 0 for an interval past the point
-    where the cumulative mass rounds to 1.0.
-    """
-    return tuple(b - a for a, b in zip((0.0,) + cum, cum))
-
-
 def build_exp_vn(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
-    """Unit intervals [k-1, k) with selection mass (e-1)/e^k, stored as
+    """Unit intervals [k-1, k) with selection mass (e-1)/e^k, taken as
     differences of the cumulative masses 1 - e^-k."""
     _check_len(K)
     boundaries = tuple(float(k) for k in range(K + 1))

@@ -80,9 +80,11 @@ def _block_permutation(n: int, word: int) -> np.ndarray:
 
 
 def init_pool(size: int, src: UniformSource) -> NormalPool:
-    """Bootstrap a pool of ``size`` comparison-method normals: the values
-    ``samplers.normal_grand`` would give, drawn from one
-    ``src.comparison_variates`` generator."""
+    """Bootstrap a pool of ``size`` comparison-method normals: normal_grand's
+    stream under ``src``'s own recycling flag, drawn from one
+    ``src.comparison_variates`` generator.  A wallace config has recycling
+    off, so a pool bound by ``make_sampler`` is normal_grand's stream with
+    recycling off."""
     if size < MIN_POOL_SIZE or size % BLOCK != 0:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")

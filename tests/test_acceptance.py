@@ -60,7 +60,9 @@ def million_draws():
     start = time.perf_counter()
     data = {}
     for i, kind in enumerate(KS_KINDS):
-        draw = make_sampler(default_config(kind), UniformSource(SEED + 10 + i))
+        config = default_config(kind)
+        draw = make_sampler(config, UniformSource(
+            SEED + 10 + i, recycling=config.recycling_enabled))
         data[kind] = np.array([draw() for _ in range(N_RUNS)])
     return data, time.perf_counter() - start
 

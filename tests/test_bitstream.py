@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvn import bitstream, samplers
-from fvn.bitstream import DEFAULT_WORD_BITS, UniformSource
+from fvn.bitstream import WORD_BITS, UniformSource
 from fvn.comparison import run_test
 
-W = DEFAULT_WORD_BITS
+W = WORD_BITS
 
 
 class FakeEngine:
@@ -75,10 +75,9 @@ def test_seed_validation():
         UniformSource(-1)
     with pytest.raises(ValueError):
         UniformSource(2 ** 64)
-    with pytest.raises(ValueError):
-        UniformSource(0, word_bits=0)
-    with pytest.raises(ValueError):
-        UniformSource(0, word_bits=60)
+    # the word length is fixed: a second positional argument is refused
+    with pytest.raises(TypeError):
+        UniformSource(0, W)
 
 
 def test_geometric_index_top_bit_set_gives_one():
@@ -143,7 +142,7 @@ def test_recycle_pair_skips_degenerate_and_disabled():
     src = UniformSource(0)
     src.recycle_pair(1.0, 1.0)
     assert src.recycled == []
-    src.recycling = False
+    src = UniformSource(0, recycling=False)
     src.recycle_pair(0.25, 0.625)
     assert src.recycled == []
 
@@ -185,7 +184,7 @@ def test_random_sign_deterministic_and_bit_pooled():
     b = UniformSource(5)
     assert [a.random_sign() for _ in range(n)] == \
            [b.random_sign() for _ in range(n)]
-    # one word serves word_bits calls
+    # one word serves WORD_BITS calls
     assert a.draws == math.ceil(n / W)
 
 

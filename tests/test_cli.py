@@ -10,15 +10,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     """A fresh interpreter on this checkout's sources, whatever is
     installed."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args],
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           capture_output=True, text=True, env=env)
 
 
@@ -209,3 +210,13 @@ def test_every_public_name_resolves_and_unknown_ones_raise():
     """)
     r = run_python("-c", code)
     assert r.returncode == 0, r.stderr
+
+
+def test_traced_benchmark_run_still_binds_the_package():
+    """perfbench binds every kind through make_sampler and its tracing
+    shims wrap package names by path, so a renamed or removed name they
+    use fails this short traced run."""
+    out = run_python("perfbench/run.py", "--workload", "wallace", "--seed",
+                     "1", "--seconds", "1", "--trace", "1", cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True

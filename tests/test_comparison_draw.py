@@ -4,6 +4,7 @@ source's public steps, value by value and state by state."""
 import gc
 import random
 
+import numpy as np
 import pytest
 
 from fvn import bitstream, samplers, tables
@@ -47,11 +48,11 @@ def state(src):
 
 
 def kernel_and_reference(kind, recycling, make_source):
-    """A bound kernel on one source and the reference draw on a twin."""
+    """A bound kernel on one source and the reference draw on a twin, each
+    built by ``make_source(recycling)``."""
     config = default_config(kind, recycling=recycling)
-    fast, slow = make_source(), make_source()
+    fast, slow = (make_source(config.recycling_enabled) for _ in range(2))
     draw = make_sampler(config, fast)
-    slow.recycling = config.recycling_enabled
 
     def reference():
         return reference_draw(config.table, slow)
@@ -59,15 +60,29 @@ def kernel_and_reference(kind, recycling, make_source):
     return draw, fast, reference, slow
 
 
+class GridEngine:
+    """PCG64 words with only their top ``bits`` bits kept: an injected
+    engine whose uniforms lie on a 2**-bits grid.  At 53 bits the source
+    gives exactly the stream of ``UniformSource(seed)``."""
+
+    def __init__(self, seed, bits):
+        self._pcg = np.random.PCG64(seed)
+        self._mask = np.uint64(((1 << bits) - 1) << (64 - bits))
+
+    def random_raw(self, size):
+        return self._pcg.random_raw(size) & self._mask
+
+
 @pytest.mark.parametrize("seed", [3, 1009, 2 ** 63 + 11])
-@pytest.mark.parametrize("word_bits", [53, 24])
+@pytest.mark.parametrize("engine_bits", [53, 24])
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
-def test_kernel_matches_the_composed_draw(kind, recycling, word_bits, seed):
+def test_kernel_matches_the_composed_draw(kind, recycling, engine_bits, seed):
     """Same value, draws, recycled store and sign pool after every variate,
     over 8,256 words and the engine refills among them."""
     draw, fast, reference, slow = kernel_and_reference(
-        kind, recycling, lambda: UniformSource(seed, word_bits=word_bits))
+        kind, recycling, lambda r: UniformSource(
+            0, engine=GridEngine(seed, engine_bits), recycling=r))
     while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
         assert draw() == reference()
         assert state(fast) == state(slow)
@@ -82,7 +97,7 @@ def test_kernel_variate_straddling_a_refill(kind, recycling):
     buffer_words = bitstream._BUFFER_WORDS
     for left in range(1, 8):
         draw, fast, reference, slow = kernel_and_reference(
-            kind, recycling, lambda: UniformSource(41 + left))
+            kind, recycling, lambda r: UniformSource(41 + left, recycling=r))
         for src in (fast, slow):
             for _ in range(buffer_words - left):
                 src.next_word()
@@ -119,7 +134,7 @@ def test_kernel_interleaved_with_direct_source_calls(kind, recycling):
     """Draws mixed with next_uniform, random_sign, geometric_index and
     next_word on the same source share its buffer, store and sign pool."""
     draw, fast, reference, slow = kernel_and_reference(
-        kind, recycling, lambda: UniformSource(777))
+        kind, recycling, lambda r: UniformSource(777, recycling=r))
     ops = random.Random(5)
     names = ("next_uniform", "random_sign", "geometric_index", "next_word")
     for _ in range(3000):
@@ -132,15 +147,16 @@ def test_kernel_interleaved_with_direct_source_calls(kind, recycling):
 
 
 def _edge_source(words):
-    return lambda: UniformSource(
-        0, engine=FakeEngine([raw_from_word(w) for w in words]))
+    return lambda recycling: UniformSource(
+        0, engine=FakeEngine([raw_from_word(w) for w in words]),
+        recycling=recycling)
 
 
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_on_an_all_zero_selection_word(kind, recycling):
     """The all-zero selection word and the other edges of the leading-zero
-    count: 0 and 1 clamp to k = word_bits with no leftover, 2^52 and
+    count: 0 and 1 clamp to k = WORD_BITS with no leftover, 2^52 and
     2^53 - 1 give k = 1 with an all-zero and an all-ones leftover.  The
     mass tables read them as uniforms at both ends of [0, 1)."""
     table = default_config(kind).table
@@ -152,7 +168,7 @@ def test_kernel_on_an_all_zero_selection_word(kind, recycling):
         value = draw()
         assert value == reference(), select
         assert state(fast) == state(slow), select
-        twin = _edge_source(words)()
+        twin = _edge_source(words)(recycling)
         if table.is_normal:
             twin.random_sign()
         lo, hi = table.interval(tables.select_interval(table, twin))
@@ -216,8 +232,9 @@ def test_public_samplers_match_the_bound_draw(kind):
     """A one-shot public call gives the bound draw's value and leaves the
     same draws, store and sign pool, variate by variate across refills."""
     config = default_config(kind)
-    public, src, twin = PUBLIC_SAMPLERS[kind], UniformSource(90), UniformSource(90)
-    src.recycling = config.recycling_enabled
+    public = PUBLIC_SAMPLERS[kind]
+    src, twin = (UniformSource(90, recycling=config.recycling_enabled)
+                 for _ in range(2))
     draw = make_sampler(config, twin)
     while src.draws < 2 * bitstream._BUFFER_WORDS + 64:
         assert public(config.table, src) == draw()
@@ -231,8 +248,9 @@ def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
     twin whose engine never failed, once the twin holds the same state."""
     config = default_config(kind)
     buffer_words = bitstream._BUFFER_WORDS
-    src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2))
-    twin = UniformSource(73)
+    src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2),
+                        recycling=config.recycling_enabled)
+    twin = UniformSource(73, recycling=config.recycling_enabled)
     draw, twin_draw = make_sampler(config, src), make_sampler(config, twin)
     for _ in range(50):
         assert draw() == twin_draw()
@@ -261,9 +279,10 @@ def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind):
     """A suspended kernel that is collected writes nothing back: the
     source keeps the position, store and sign pool that direct calls gave
     it after the last variate."""
-    src, twin = UniformSource(58), UniformSource(58)
-    draw, twin_draw = (make_sampler(default_config(kind), s)
-                       for s in (src, twin))
+    config = default_config(kind)
+    src, twin = (UniformSource(58, recycling=config.recycling_enabled)
+                 for _ in range(2))
+    draw, twin_draw = (make_sampler(config, s) for s in (src, twin))
     for _ in range(20):
         assert draw() == twin_draw()
     moved = [src.next_uniform() for _ in range(30)]
@@ -283,10 +302,11 @@ def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind):
 def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family):
     """Two kernels suspended on one source each read the other's moves on
     resume: value by value and state by state against the composed draw."""
-    fast, slow = UniformSource(1234), UniformSource(1234)
     configs = [default_config(kind) for kind in family]
+    # one recycling flag per family: on for the dyadic pair, off for the other
+    fast, slow = (UniformSource(1234, recycling=configs[0].recycling_enabled)
+                  for _ in range(2))
     draws = [make_sampler(config, fast) for config in configs]
-    slow.recycling = fast.recycling
     ops = random.Random(9)
     while fast.draws < 2 * bitstream._BUFFER_WORDS + 64:
         pick = ops.randrange(2)

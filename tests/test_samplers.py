@@ -21,7 +21,8 @@ from tests.test_bitstream import FakeEngine, raw_from_word
 
 def draw_many(kind, n, seed, recycling=None):
     config = default_config(kind, recycling=recycling)
-    sampler = make_sampler(config, UniformSource(seed))
+    sampler = make_sampler(
+        config, UniformSource(seed, recycling=config.recycling_enabled))
     return np.array([sampler() for _ in range(n)])
 
 
@@ -93,12 +94,10 @@ def test_normal_forsythe_moments():
 
 
 def _occupancy_counts(kind, n, seed):
-    config = default_config(kind)
-    sampler = make_sampler(config, UniformSource(seed))
-    table = config.table
+    table = default_config(kind).table
     counts = [0] * table.K
-    for _ in range(n):
-        counts[interval_index(table, sampler()) - 1] += 1
+    for value in draw_many(kind, n, seed).tolist():
+        counts[interval_index(table, value) - 1] += 1
     return counts, table.K
 
 
@@ -111,10 +110,8 @@ def test_exp_brent_interval_occupancy():
 
 def _conditional_chi_square(kind, cdf, n, seed, k):
     """Within interval k, the sample law must match the renormalized target."""
-    config = default_config(kind)
-    table = config.table
-    sampler = make_sampler(config, UniformSource(seed))
-    values = np.array([sampler() for _ in range(n)])
+    table = default_config(kind).table
+    values = draw_many(kind, n, seed)
     if table.is_normal:
         values = np.abs(values)
     lo, hi = table.interval(k)
@@ -166,7 +163,7 @@ def test_normal_grand_beats_normal_forsythe():
 
 
 def test_box_muller_consumes_exactly_one_uniform_per_output():
-    src = UniformSource(517)
+    src = UniformSource(517, recycling=False)
     draw = make_sampler(default_config(samplers.BOX_MULLER), src)
     costs = []
     before = src.draws
@@ -261,8 +258,9 @@ STREAM_PINS = {
 
 @pytest.mark.parametrize("kind", sorted(STREAM_PINS))
 def test_stream_and_draws_are_pinned(kind):
-    src = UniformSource(20240)
-    draw = make_sampler(default_config(kind), src)
+    config = default_config(kind)
+    src = UniformSource(20240, recycling=config.recycling_enabled)
+    draw = make_sampler(config, src)
     sha = hashlib.sha256()
     for _ in range(20_000):
         sha.update(struct.pack("<d", draw()))
@@ -273,14 +271,26 @@ def test_stream_and_draws_are_pinned(kind):
 def test_every_bound_draw_returns_a_python_float(kind):
     # `fvn generate --format csv` writes repr(value); an np.float64 would
     # print as np.float64(...) and change the bytes.
-    draw = make_sampler(default_config(kind), UniformSource(611))
+    config = default_config(kind)
+    draw = make_sampler(
+        config, UniformSource(611, recycling=config.recycling_enabled))
     for _ in range(4_097):                  # past a Wallace pass boundary
         assert type(draw()) is float
 
 
+@pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+def test_make_sampler_refuses_a_source_with_the_other_recycling_flag(kind):
+    config = default_config(kind)
+    src = UniformSource(613, recycling=not config.recycling_enabled)
+    with pytest.raises(ValueError, match="recycling"):
+        make_sampler(config, src)
+    assert src.recycling is not config.recycling_enabled
+    assert (src.draws, src.recycled) == (0, [])
+
+
 @pytest.mark.parametrize("pair_fn", [box_muller, polar])
 def test_pair_draws_are_the_pairs_flattened(pair_fn):
-    src, twin = UniformSource(612), UniformSource(612, recycling=False)
+    src, twin = (UniformSource(612, recycling=False) for _ in range(2))
     draw = make_sampler(default_config(pair_fn.__name__), src)
     for _ in range(2_500):
         a, b = pair_fn(twin)

@@ -155,7 +155,7 @@ def test_consumption_meter_matches_source_draws_exactly():
     config = default_config(samplers.NORMAL_GRAND)
     n = 100_000
     report = measure_consumption(config, n, 704)
-    src = UniformSource(704)
+    src = UniformSource(704, recycling=config.recycling_enabled)
     sampler = make_sampler(config, src)
     for _ in range(n):
         sampler()

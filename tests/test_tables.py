@@ -91,12 +91,14 @@ def test_exp_brent_gmax_is_ln2_everywhere():
 
 def test_exp_vn_selection_masses():
     t = build_exp_vn(8)
-    assert t.select_probs[0] == pytest.approx(0.6321205588285577, abs=1e-15)
-    assert t.select_probs[0] == pytest.approx((math.e - 1.0) / math.e, abs=1e-15)
+    q1 = t.selection_probability(1)
+    assert q1 == pytest.approx(0.6321205588285577, abs=1e-15)
+    assert q1 == pytest.approx((math.e - 1.0) / math.e, abs=1e-15)
     # cumulative mass telescopes to 1 - e^-k
     for k in range(1, 9):
         assert t.cum_probs[k - 1] == pytest.approx(1.0 - math.exp(-k), abs=1e-15)
-        assert t.cum_probs[k - 1] == pytest.approx(sum(t.select_probs[:k]), abs=1e-14)
+        masses = sum(t.selection_probability(j) for j in range(1, k + 1))
+        assert t.cum_probs[k - 1] == pytest.approx(masses, abs=1e-14)
 
 
 def test_exp_vn_shift():
@@ -115,7 +117,7 @@ def test_forsythe_boundaries_and_exact_square_gaps():
 
 def test_forsythe_first_mass_against_two_oracles():
     t = build_normal_forsythe(8)
-    q1 = t.select_probs[0]
+    q1 = t.selection_probability(1)
     assert q1 == pytest.approx(0.6826894921370859, abs=1e-14)
     assert q1 == pytest.approx(_erf_series(1.0 / math.sqrt(2.0)), abs=1e-14)
     assert q1 == pytest.approx(1.0 - _tail_by_quadrature(1.0), abs=1e-10)
@@ -157,10 +159,10 @@ def test_brent_squared_gaps_below_two_ln_two():
 
 
 def test_dyadic_schemes_store_no_probability_table():
-    assert build_exp_brent(8).select_probs is None
-    assert build_normal_brent(8).select_probs is None
-    assert build_exp_vn(8).select_probs is not None
-    assert build_normal_forsythe(8).select_probs is not None
+    assert build_exp_brent(8).cum_probs is None
+    assert build_normal_brent(8).cum_probs is None
+    assert build_exp_vn(8).cum_probs is not None
+    assert build_normal_forsythe(8).cum_probs is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +268,7 @@ def test_select_interval_explicit_frequency():
     src = UniformSource(434343, recycling=False)
     n = 1_000_000
     hits = sum(1 for _ in range(n) if select_interval(t, src) == 1)
-    p = t.select_probs[0]
+    p = t.selection_probability(1)
     assert abs(hits - n * p) < 4 * math.sqrt(p * (1 - p) * n)
 
 

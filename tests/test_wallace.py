@@ -128,7 +128,7 @@ def test_amortized_uniform_cost_is_tiny():
 @pytest.mark.parametrize("size", [256, DEFAULT_POOL_SIZE])
 def test_bound_draw_matches_next_normal_across_passes(size, monkeypatch):
     monkeypatch.setattr(wallace, "DEFAULT_POOL_SIZE", size)
-    src, twin = UniformSource(612), UniformSource(612, recycling=False)
+    src, twin = (UniformSource(612, recycling=False) for _ in range(2))
     draw = samplers.make_sampler(samplers.default_config(samplers.WALLACE), src)
     pool = init_pool(size, twin)
     assert src.draws == twin.draws
