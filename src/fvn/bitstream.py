@@ -49,20 +49,24 @@ class UniformSource:
     The engine is injectable: anything with ``random_raw(size) -> uint64
     array`` works (every numpy ``BitGenerator`` does).  Defaults to PCG64.
     ``recycling`` says whether run-test and selection leftovers are stored
-    for reuse; it is set here, by the owner, and no sampler changes it.
+    for reuse; it is set here, by the owner, and is read-only after.
     """
 
     def __init__(self, seed: int, *, engine=None, recycling: bool = True):
         if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.recycled: list[float] = []
-        self.recycling = recycling
+        self._recycling = recycling
         self._engine = engine if engine is not None else np.random.PCG64(seed)
         self._floats: list[float] = []
         self._pos = 0
         self._spent = 0         # words in the buffers already used up
         self._sign_word = 0
         self._sign_bits = 0
+
+    @property
+    def recycling(self) -> bool:
+        return self._recycling
 
     @property
     def draws(self) -> int:
@@ -116,7 +120,7 @@ class UniformSource:
         if word == 0:
             return w
         k = w - word.bit_length() + 1
-        if k < w and self.recycling:
+        if k < w and self._recycling:
             # word << k carries the leading one-bit at bit w: drop it
             self.recycled.append(((word << k) - (1 << w)) / _UNIT)
         return k
@@ -177,7 +181,7 @@ class UniformSource:
                     prev = u
             finally:
                 self._pos = i
-        if self.recycling and prev < 1.0:
+        if self._recycling and prev < 1.0:
             r = (u - prev) / (1.0 - prev)
             if r < 1.0:
                 rec.append(r)
@@ -202,13 +206,13 @@ class UniformSource:
         the next step would pop straight back off the store is used
         directly instead; the store is the same after every variate.
 
-        The table's constants are bound once.  The source's state (buffer,
-        position, recycled store, recycling flag, sign pool) is read afresh
-        on every resume and committed once per variate, before its value is
-        yielded or its exception raised.  So ``draws`` is exact after every
-        variate, direct calls on the source may come between two variates,
-        and a suspended generator that is closed or collected writes
-        nothing.  An exception ends the generator.
+        The table's constants and the recycling flag are bound once.  The
+        source's state (buffer, position, recycled store, sign pool) is read
+        afresh on every resume and committed once per variate, before its
+        value is yielded or its exception raised.  So ``draws`` is exact
+        after every variate, direct calls on the source may come between two
+        variates, and a suspended generator that is closed or collected
+        writes nothing.  An exception ends the generator.
 
         Reads are not checked against the buffer's end.  A variate that runs
         off it is undone, its words are carried to the front of a refill,
@@ -217,9 +221,9 @@ class UniformSource:
         """
         by_k, cum = table.by_k, table.cum_probs
         normal, restart = table.is_normal, table.restarts
-        w, unit = WORD_BITS, _UNIT
+        w, unit, recycling = WORD_BITS, _UNIT, self._recycling
         while True:
-            rec, recycling = self.recycled, self.recycling
+            rec = self.recycled
             floats, i, r = self._floats, self._pos, len(rec)
             nb, sign_word = self._sign_bits, self._sign_word
             try:
@@ -342,7 +346,7 @@ class UniformSource:
         if u_n > u_next:
             raise ValueError(f"terminating pair must satisfy u_n <= u_next, "
                              f"got ({u_n}, {u_next})")
-        if not self.recycling or u_n >= 1.0:
+        if not self._recycling or u_n >= 1.0:
             return
         r = (u_next - u_n) / (1.0 - u_n)
         if r < 1.0:

@@ -50,15 +50,9 @@ def _write(args, lines) -> None:
         sys.stdout.write(text)
 
 
-def _check_table_len(parser, K: int) -> None:
-    if not 1 <= K <= tables.MAX_TABLE_LEN:
-        parser.error(f"--K must be in [1, {tables.MAX_TABLE_LEN}], got {K}")
-
-
 def cmd_generate(args, parser) -> int:
     kind = _ALIASES.get(args.sampler, args.sampler)
-    _check_table_len(parser, args.K)
-    config = samplers.default_config(kind, K=args.K)
+    config = samplers.default_config(kind)
     draw = samplers.make_sampler(
         config, UniformSource(args.seed, recycling=config.recycling_enabled))
 
@@ -82,7 +76,8 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_tables(args, parser) -> int:
-    _check_table_len(parser, args.K)
+    if not 1 <= args.K <= tables.MAX_TABLE_LEN:
+        parser.error(f"--K must be in [1, {tables.MAX_TABLE_LEN}], got {args.K}")
     table = tables.build_table(args.scheme, args.K)
     _write(args, tables.dump_table(table).splitlines())
     return 0
@@ -154,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit variates")
     p.add_argument("--sampler", required=True, choices=_SAMPLER_CHOICES)
-    p.add_argument("--K", type=int, default=tables.DEFAULT_TABLE_LEN,
-                   help="interval table length (default %(default)s)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     common(p, 10)
     p.set_defaults(func=cmd_generate)

@@ -4,19 +4,20 @@ Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
 sampling path.  There is one kernel, the generator
 ``UniformSource.comparison_variates``, and the table tells it how to
-select and whether a rejection restarts the trial.  The four public
-functions, all ``(table, src)``, check their table's scheme and take the
-first value of a fresh generator; ``make_sampler`` binds one generator
-that it resumes for every draw.  The textbook baselines
-(inversion, Box-Muller, polar) are here for distribution cross-checks and
-speed comparison only.
+select and whether a rejection restarts the trial.  Each kind has one
+table, the K = DEFAULT_TABLE_LEN table of its scheme, which its
+``SamplerConfig`` holds.  The four public functions, all ``(table, src)``,
+check their table's scheme and take the first value of a fresh generator;
+``make_sampler`` binds one generator that it resumes for every draw.  The
+textbook baselines (inversion, Box-Muller, polar) are here for
+distribution cross-checks and speed comparison only.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable
@@ -52,7 +53,9 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class SamplerConfig:
     kind: str
-    table: tables.IntervalTable | None = None
+    # set from the kind: its scheme's cached DEFAULT_TABLE_LEN table, or None
+    table: tables.IntervalTable | None = field(init=False)
+    _: KW_ONLY
     # None: on for a dyadic table only.  The historical algorithms spend
     # fresh uniforms everywhere; the dyadic samplers reuse leftovers.
     recycling_enabled: bool | None = None
@@ -61,32 +64,21 @@ class SamplerConfig:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         scheme = TABLE_SCHEMES.get(self.kind)
-        if scheme is None:
-            if self.table is not None:
-                raise ValueError(f"{self.kind} does not take an interval table")
-        else:
-            if self.table is None:
-                raise ValueError(f"{self.kind} requires a {scheme} table")
-            if self.table.scheme != scheme:
-                raise _scheme_error(self.kind, self.table)
+        table = None if scheme is None else _cached_table(scheme)
+        object.__setattr__(self, "table", table)
         if self.recycling_enabled is None:
             object.__setattr__(self, "recycling_enabled",
-                               self.table is not None and self.table.is_dyadic)
+                               table is not None and table.is_dyadic)
 
 
 @lru_cache(maxsize=None)
-def _cached_table(scheme: str, K: int) -> tables.IntervalTable:
-    return tables.build_table(scheme, K)
+def _cached_table(scheme: str) -> tables.IntervalTable:
+    return tables.build_table(scheme)
 
 
-def default_config(kind: str, K: int | None = None,
-                   recycling: bool | None = None) -> SamplerConfig:
-    """Config with the scheme-appropriate table and recycling default."""
-    scheme = TABLE_SCHEMES.get(kind)
-    table = None
-    if scheme is not None:
-        table = _cached_table(scheme, tables.DEFAULT_TABLE_LEN if K is None else K)
-    return SamplerConfig(kind, table, recycling)
+def default_config(kind: str, *, recycling: bool | None = None) -> SamplerConfig:
+    """Config with the kind's one table and its recycling default."""
+    return SamplerConfig(kind, recycling_enabled=recycling)
 
 
 def _scheme_error(kind: str, table: tables.IntervalTable) -> ValueError:
@@ -180,13 +172,15 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
     returns the ``__next__`` of a chain over ``src.comparison_variates``
-    generators with the table bound: each draw resumes the one generator,
-    with no call to the public sampler functions or
-    ``tables.select_interval``.  An exception (the run-length cap, a
-    failing engine) ends that generator, and the next draw starts a fresh
-    one, so the draw goes on working.  The pair samplers return the
-    ``__next__`` of a pair iterator: it yields the first value of each pair
-    and then the second, and draws a new pair only when the first is due.
+    generators with the config's table bound, whose K is always
+    DEFAULT_TABLE_LEN: each draw resumes the one generator, with no call
+    to the public sampler functions or ``tables.select_interval``.  An
+    exception (the run-length cap, a failing engine) ends that generator,
+    and the next draw starts a fresh one, so the draw goes on working.
+    exp_log returns the ``__next__`` of an iterator that calls
+    ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
+    pair iterator: it yields the first value of each pair and then the
+    second, and draws a new pair only when the first is due.
     Wallace returns the ``__next__`` of ``wallace.emit_passes``, an
     iterator over one whole pass at a time that begins the next pass on
     the call after the last value.  Each draw returns a Python float, and
@@ -197,7 +191,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
         raise ValueError(f"{kind} needs a source built with recycling="
                          f"{config.recycling_enabled}, got {src.recycling}")
     if kind == EXP_LOG:
-        return lambda: exp_log_baseline(src)
+        return iter(partial(exp_log_baseline, src), None).__next__
     if kind in (BOX_MULLER, POLAR):
         pair_fn = box_muller if kind == BOX_MULLER else polar
         return chain.from_iterable(iter(partial(pair_fn, src), None)).__next__
@@ -206,8 +200,6 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
         return wallace.emit_passes(pool, src).__next__
-    # SamplerConfig has checked the table's scheme, so the kernel is bound
-    # once and each draw resumes it with no check.
     variates = partial(src.comparison_variates, config.table)
     return chain.from_iterable(iter(variates, None)).__next__
 

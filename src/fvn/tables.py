@@ -13,18 +13,21 @@ The dyadic schemes store no probability table: selection is one
 leading-zero count on a fresh word.
 
 Every scheme truncates its tail: the mass beyond a_K (2^-K for the dyadic
-schemes) folds into interval K.  The mass-table schemes truncate earlier,
-because their cumulative mass rounds to 1.0 before k = K.  With K = 53 that
-happens from k = 38 for exp_vn and k = 36 for normal_forsythe, so intervals
-39..53 and 37..53 have mass 0 and are never selected: exp_vn never returns
-a value >= 38, and normal_forsythe never one of magnitude >= sqrt(71).
+schemes) folds into interval K.  The samplers use K = DEFAULT_TABLE_LEN =
+WORD_BITS, since a dyadic selection reads one word and never gives k > 53;
+other lengths are built for dumps and checks.  The mass-table schemes
+truncate earlier, because their cumulative mass rounds to 1.0 before k = K.
+With K = 53 that happens from k = 38 for exp_vn and k = 36 for
+normal_forsythe, so intervals 39..53 and 37..53 have mass 0 and are never
+selected: exp_vn never returns a value >= 38, and normal_forsythe never one
+of magnitude >= sqrt(71).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from .bitstream import WORD_BITS, UniformSource
 
@@ -90,7 +93,7 @@ class IntervalTable:
 
     scheme: str
     boundaries: tuple[float, ...]
-    K: int
+    _: KW_ONLY
     boundaries_sq: tuple[float, ...] | None = None
     cum_probs: tuple[float, ...] | None = field(default=None, repr=False)
     by_k: tuple[tuple[float, float, float, float | None], ...] = field(
@@ -99,23 +102,24 @@ class IntervalTable:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        _check_len(self.K)
+        K = self.K
+        _check_len(K)
         b = self.boundaries
-        if len(b) != self.K + 1 or b[0] != 0.0:
-            raise ValueError("boundaries must be (a_0 = 0, ..., a_K)")
+        if b[0] != 0.0:
+            raise ValueError("boundaries must start at a_0 = 0")
         if any(lo >= hi for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
         cum, sq = self.cum_probs, self.boundaries_sq
         for name, value, wanted, length in (
-                ("cum_probs", cum, not self.is_dyadic, self.K),
-                ("boundaries_sq", sq, self.is_normal, self.K + 1)):
+                ("cum_probs", cum, not self.is_dyadic, K),
+                ("boundaries_sq", sq, self.is_normal, K + 1)):
             if wanted and (value is None or len(value) != length):
                 raise ValueError(f"{self.scheme} needs {length} {name}")
             if not wanted and value is not None:
                 raise ValueError(f"{self.scheme} takes no {name}")
         widths = tuple(hi - lo for lo, hi in zip(b, b[1:]))
         if sq is None:
-            lows_sq, tops = (None,) * self.K, widths
+            lows_sq, tops = (None,) * K, widths
         else:
             lows_sq = sq[:-1]
             tops = tuple((hi - lo) * 0.5 for lo, hi in zip(sq, sq[1:]))
@@ -124,7 +128,11 @@ class IntervalTable:
             raise ValueError("every shifted exponent must top out in (0, 1]")
         rows = tuple(zip(b[:-1], widths, tops, lows_sq))
         object.__setattr__(self, "by_k",
-                           rows + rows[-1:] * (MAX_TABLE_LEN + 1 - self.K))
+                           rows + rows[-1:] * (MAX_TABLE_LEN + 1 - K))
+
+    @property
+    def K(self) -> int:
+        return len(self.boundaries) - 1
 
     @property
     def is_dyadic(self) -> bool:
@@ -194,14 +202,14 @@ def build_exp_vn(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     boundaries = tuple(float(k) for k in range(K + 1))
     # cumulative mass telescopes to 1 - e^-k; expm1 keeps it exact
     cum = tuple(-math.expm1(-k) for k in range(1, K + 1))
-    return IntervalTable(EXP_VN, boundaries, K, cum_probs=cum)
+    return IntervalTable(EXP_VN, boundaries, cum_probs=cum)
 
 
 def build_exp_brent(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     """Intervals [(k-1) ln 2, k ln 2), selected dyadically."""
     _check_len(K)
     boundaries = tuple(k * _LN2 for k in range(K + 1))
-    return IntervalTable(EXP_BRENT, boundaries, K)
+    return IntervalTable(EXP_BRENT, boundaries)
 
 
 def build_normal_forsythe(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
@@ -212,7 +220,7 @@ def build_normal_forsythe(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     boundaries = (0.0,) + tuple(math.sqrt(2 * k - 1) for k in range(1, K + 1))
     boundaries_sq = (0.0,) + tuple(float(2 * k - 1) for k in range(1, K + 1))
     cum = tuple(1.0 - half_normal_tail(b) for b in boundaries[1:])
-    return IntervalTable(NORMAL_FORSYTHE, boundaries, K,
+    return IntervalTable(NORMAL_FORSYTHE, boundaries,
                          boundaries_sq=boundaries_sq, cum_probs=cum)
 
 
@@ -222,7 +230,7 @@ def build_normal_brent(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
     _check_len(K)
     boundaries = (0.0,) + tuple(_invert_tail(2.0 ** -k) for k in range(1, K + 1))
     boundaries_sq = tuple(b * b for b in boundaries)
-    return IntervalTable(NORMAL_BRENT, boundaries, K, boundaries_sq=boundaries_sq)
+    return IntervalTable(NORMAL_BRENT, boundaries, boundaries_sq=boundaries_sq)
 
 
 _BUILDERS = {

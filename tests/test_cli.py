@@ -44,6 +44,12 @@ def test_generate_header_records_reproduction_parameters():
         assert token in header
 
 
+def test_generate_takes_no_table_length():
+    # every sampler runs on its one K = 53 table; only `tables` takes --K
+    r = run_cli("generate", "--sampler", "exp_brent", "--K", "6")
+    assert r.returncode == 2
+
+
 def test_generate_hex_and_decimal_seeds_agree():
     a = run_cli("generate", "--sampler", "exp_brent", "--n", "8",
                 "--seed", "0x2A")

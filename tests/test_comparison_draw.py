@@ -224,10 +224,11 @@ PUBLIC_SAMPLERS = {
     samplers.EXP_BRENT: samplers.exp_brent,
     samplers.NORMAL_FORSYTHE: samplers.normal_forsythe,
     samplers.NORMAL_GRAND: samplers.normal_grand,
+    samplers.EXP_LOG: lambda table, src: samplers.exp_log_baseline(src),
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", PUBLIC_SAMPLERS)
 def test_public_samplers_match_the_bound_draw(kind):
     """A one-shot public call gives the bound draw's value and leaves the
     same draws, store and sign pool, variate by variate across refills."""

@@ -27,14 +27,30 @@ def draw_many(kind, n, seed, recycling=None):
 
 
 def test_config_requires_matching_table():
-    with pytest.raises(ValueError):
-        SamplerConfig(samplers.EXP_BRENT)                      # table missing
-    with pytest.raises(ValueError):
-        SamplerConfig(samplers.EXP_BRENT, tables.build_exp_vn(8))
-    with pytest.raises(ValueError):
-        SamplerConfig(samplers.BOX_MULLER, tables.build_exp_vn(8))
+    # a config sets its own table: a stale table or K is refused, and is
+    # never taken as the recycling flag
+    table = default_config(samplers.EXP_BRENT).table
+    with pytest.raises(TypeError):
+        SamplerConfig(samplers.EXP_BRENT, table)
+    with pytest.raises(TypeError):
+        SamplerConfig(samplers.EXP_BRENT, table=table)
+    with pytest.raises(TypeError):
+        default_config(samplers.EXP_BRENT, 53)
+    with pytest.raises(TypeError):
+        default_config(samplers.EXP_BRENT, K=53)
     with pytest.raises(ValueError):
         SamplerConfig("nope")
+
+
+@pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
+def test_every_kind_has_one_table(kind):
+    table = SamplerConfig(kind).table
+    if kind in samplers.TABLE_SCHEMES:
+        assert table is default_config(kind).table
+        assert table.scheme == samplers.TABLE_SCHEMES[kind]
+        assert table.K == tables.DEFAULT_TABLE_LEN
+    else:
+        assert table is None and default_config(kind).table is None
 
 
 def test_default_recycling_flags():
@@ -43,8 +59,7 @@ def test_default_recycling_flags():
     assert not default_config(samplers.EXP_VN).recycling_enabled
     assert not default_config(samplers.NORMAL_FORSYTHE).recycling_enabled
     # a config built directly gets the same default as default_config
-    grand = default_config(samplers.NORMAL_GRAND)
-    assert SamplerConfig(samplers.NORMAL_GRAND, grand.table).recycling_enabled
+    assert SamplerConfig(samplers.NORMAL_GRAND).recycling_enabled
     assert not SamplerConfig(samplers.EXP_LOG).recycling_enabled
     assert not default_config(samplers.NORMAL_GRAND,
                               recycling=False).recycling_enabled
@@ -286,6 +301,19 @@ def test_make_sampler_refuses_a_source_with_the_other_recycling_flag(kind):
         make_sampler(config, src)
     assert src.recycling is not config.recycling_enabled
     assert (src.draws, src.recycled) == (0, [])
+
+
+def test_recycling_flag_cannot_change_under_a_bound_sampler():
+    config = default_config(samplers.NORMAL_GRAND)
+    src, twin = (UniformSource(5, recycling=True) for _ in range(2))
+    draw, twin_draw = make_sampler(config, src), make_sampler(config, twin)
+    for _ in range(1_000):
+        assert draw() == twin_draw()
+    with pytest.raises(AttributeError):
+        src.recycling = False
+    assert src.recycling
+    for _ in range(1_000):
+        assert draw() == twin_draw() and src.draws == twin.draws
 
 
 @pytest.mark.parametrize("pair_fn", [box_muller, polar])

@@ -203,9 +203,12 @@ def test_build_length_validation():
 
 def test_raw_table_construction_is_validated():
     with pytest.raises(ValueError):
-        IntervalTable("exp_brent", (0.0, 1.0, 0.5), 2)
+        IntervalTable("exp_brent", (0.0, 1.0, 0.5))
     with pytest.raises(ValueError):
-        IntervalTable("nope", (0.0, 1.0), 1)
+        IntervalTable("nope", (0.0, 1.0))
+    # K is read off the boundaries: a stale positional K is refused
+    with pytest.raises(TypeError):
+        IntervalTable("exp_brent", (0.0, 0.5, 1.0), 2)
     # every field must agree with the scheme: masses on the mass-table
     # schemes only, squared boundaries on the normal schemes only
     built = {scheme: build_table(scheme, 8) for scheme in tables.SCHEMES}
@@ -223,17 +226,17 @@ def test_raw_table_construction_is_validated():
             ("normal_brent", {"boundaries_sq": sq[:-1]}),
             ("normal_brent", {"boundaries_sq": sq, "cum_probs": cum})):
         with pytest.raises(ValueError, match="cum_probs|boundaries_sq"):
-            IntervalTable(scheme, built[scheme].boundaries, 8, **extra)
+            IntervalTable(scheme, built[scheme].boundaries, **extra)
     # the fields the builders pass are accepted
     for scheme, t in built.items():
-        assert IntervalTable(scheme, t.boundaries, 8, cum_probs=t.cum_probs,
+        assert IntervalTable(scheme, t.boundaries, cum_probs=t.cum_probs,
                              boundaries_sq=t.boundaries_sq) == t
 
 
 def test_raw_table_rejects_a_shifted_exponent_above_one():
     # the run test needs g <= 1: an exponential interval wider than 1
     with pytest.raises(ValueError):
-        IntervalTable("exp_brent", (0.0, 1.5), 1)
+        IntervalTable("exp_brent", (0.0, 1.5))
 
 
 @pytest.mark.parametrize("scheme", tables.SCHEMES)
