@@ -22,8 +22,8 @@ from .samplers import (SAMPLER_KINDS, SamplerConfig, box_muller,
                        interval_index, make_sampler, normal_forsythe,
                        normal_grand, polar)
 from .tables import (IntervalTable, build_exp_brent, build_exp_vn,
-                     build_normal_brent, build_normal_forsythe, build_table,
-                     dump_table, half_normal_tail, select_interval)
+                     build_normal_brent, build_normal_forsythe, dump_table,
+                     half_normal_tail, select_interval)
 from .wallace import NormalPool, init_pool, next_normal, refresh
 
 # Served by __getattr__ on first use: fvn.stats imports scipy.
@@ -36,8 +36,8 @@ __all__ = [
     "RunResult", "DensitySpec", "run_test", "run_length_pmf",
     "expected_run_length", "odd_parity_probability", "sample_density",
     "IntervalTable", "build_exp_vn", "build_exp_brent",
-    "build_normal_forsythe", "build_normal_brent", "build_table",
-    "half_normal_tail", "select_interval", "dump_table",
+    "build_normal_forsythe", "build_normal_brent", "half_normal_tail",
+    "select_interval", "dump_table",
     "SamplerConfig", "SAMPLER_KINDS", "default_config", "make_sampler",
     "exp_vn", "exp_brent", "exp_log_baseline", "normal_forsythe",
     "normal_grand", "box_muller", "polar", "interval_index",

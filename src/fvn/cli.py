@@ -78,7 +78,7 @@ def cmd_generate(args, parser) -> int:
 def cmd_tables(args, parser) -> int:
     if not 1 <= args.K <= tables.MAX_TABLE_LEN:
         parser.error(f"--K must be in [1, {tables.MAX_TABLE_LEN}], got {args.K}")
-    table = tables.build_table(args.scheme, args.K)
+    table = tables.IntervalTable(args.scheme, args.K)
     _write(args, tables.dump_table(table).splitlines())
     return 0
 

@@ -5,9 +5,9 @@ selection plus a run test, with no logarithm or trigonometric call on the
 sampling path.  There is one kernel, the generator
 ``UniformSource.comparison_variates``, and the table tells it how to
 select and whether a rejection restarts the trial.  Each kind has one
-table, the K = DEFAULT_TABLE_LEN table of its scheme, which its
-``SamplerConfig`` holds.  The four public functions, all ``(table, src)``,
-check their table's scheme and take the first value of a fresh generator;
+table, the cached K = DEFAULT_TABLE_LEN table of its scheme, which its
+``SamplerConfig`` holds.  The four public functions take only ``src`` and
+the first value of a fresh generator on their kind's table;
 ``make_sampler`` binds one generator that it resumes for every draw.  The
 textbook baselines (inversion, Box-Muller, polar) are here for
 distribution cross-checks and speed comparison only.
@@ -73,7 +73,7 @@ class SamplerConfig:
 
 @lru_cache(maxsize=None)
 def _cached_table(scheme: str) -> tables.IntervalTable:
-    return tables.build_table(scheme)
+    return tables.IntervalTable(scheme)
 
 
 def default_config(kind: str, *, recycling: bool | None = None) -> SamplerConfig:
@@ -81,12 +81,7 @@ def default_config(kind: str, *, recycling: bool | None = None) -> SamplerConfig
     return SamplerConfig(kind, recycling_enabled=recycling)
 
 
-def _scheme_error(kind: str, table: tables.IntervalTable) -> ValueError:
-    return ValueError(f"{kind} requires scheme {TABLE_SCHEMES[kind]}, "
-                      f"got {table.scheme}")
-
-
-def exp_vn(table: tables.IntervalTable, src: UniformSource) -> float:
+def exp_vn(src: UniformSource) -> float:
     """Exp(1) on unit intervals with mass (e-1)/e^k.
 
     Every trial pays one uniform to locate the interval in the cumulative
@@ -94,34 +89,28 @@ def exp_vn(table: tables.IntervalTable, src: UniformSource) -> float:
     on the position; a rejection restarts the whole trial.  Averages
     (1+e)e/(e-1) ~ 5.88 uniforms per sample.
     """
-    if table.scheme != tables.EXP_VN:
-        raise _scheme_error(EXP_VN, table)
-    return next(src.comparison_variates(table))
+    return next(src.comparison_variates(_cached_table(tables.EXP_VN)))
 
 
-def exp_brent(table: tables.IntervalTable, src: UniformSource) -> float:
+def exp_brent(src: UniformSource) -> float:
     """Exp(1) on ln-2-wide intervals selected by leading-zero counting.
 
     The interval is chosen once; rejected positions are redrawn inside it.
     """
-    if table.scheme != tables.EXP_BRENT:
-        raise _scheme_error(EXP_BRENT, table)
-    return next(src.comparison_variates(table))
+    return next(src.comparison_variates(_cached_table(tables.EXP_BRENT)))
 
 
-def normal_forsythe(table: tables.IntervalTable, src: UniformSource) -> float:
+def normal_forsythe(src: UniformSource) -> float:
     """N(0, 1) via sqrt(2k-1) intervals and a stored mass table.
 
     One pooled sign bit, one uniform against the cumulative masses, then
     run tests inside the chosen interval.  Averages about 4.04 fresh
     uniforms per sample (plus the amortized sign bit).
     """
-    if table.scheme != tables.NORMAL_FORSYTHE:
-        raise _scheme_error(NORMAL_FORSYTHE, table)
-    return next(src.comparison_variates(table))
+    return next(src.comparison_variates(_cached_table(tables.NORMAL_FORSYTHE)))
 
 
-def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
+def normal_grand(src: UniformSource) -> float:
     """N(0, 1) via dyadic tail intervals, built not to waste random bits.
 
     Selection is a leading-zero count whose leftover bits are recycled, the
@@ -129,9 +118,7 @@ def normal_grand(table: tables.IntervalTable, src: UniformSource) -> float:
     terminating pair.  With recycling on this runs near 1.4 fresh uniforms
     per sample.
     """
-    if table.scheme != tables.NORMAL_BRENT:
-        raise _scheme_error(NORMAL_GRAND, table)
-    return next(src.comparison_variates(table))
+    return next(src.comparison_variates(_cached_table(tables.NORMAL_BRENT)))
 
 
 def exp_log_baseline(src: UniformSource) -> float:
@@ -196,7 +183,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
         pair_fn = box_muller if kind == BOX_MULLER else polar
         return chain.from_iterable(iter(partial(pair_fn, src), None)).__next__
     if kind == WALLACE:
-        from . import wallace   # deferred: wallace bootstraps via normal_grand
+        from . import wallace   # deferred: wallace imports samplers
 
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
         return wallace.emit_passes(pool, src).__next__

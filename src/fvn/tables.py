@@ -9,8 +9,10 @@ constant so it starts at 0.  Four schemes are built here:
   normal_forsythe  a_k = sqrt(2k-1), stored half-normal masses
   normal_brent     half-normal tail beyond a_k equals 2^-k, dyadic selection
 
-The dyadic schemes store no probability table: selection is one
-leading-zero count on a fresh word.
+A table is set by its scheme and length alone: ``IntervalTable(scheme, K)``
+computes its boundaries and masses from the scheme's layout function.  The
+dyadic schemes store no probability table: selection is one leading-zero
+count on a fresh word.
 
 Every scheme truncates its tail: the mass beyond a_K (2^-K for the dyadic
 schemes) folds into interval K.  The samplers use K = DEFAULT_TABLE_LEN =
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
+from functools import partial
 
 from .bitstream import WORD_BITS, UniformSource
 
@@ -73,8 +76,9 @@ def _invert_tail(target: float) -> float:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Immutable boundaries a_0 < ... < a_K plus what a scheme needs to
-    sample from them; every field is checked against the scheme.
+    """The K-interval table of a scheme: boundaries a_0 = 0 < ... < a_K
+    plus what the scheme needs to sample from them, all computed from
+    ``(scheme, K)`` by the scheme's layout function.
 
     The mass-table schemes carry ``cum_probs``, the cumulative masses that
     selection bisects; dyadic schemes carry none and select by
@@ -92,31 +96,21 @@ class IntervalTable:
     """
 
     scheme: str
-    boundaries: tuple[float, ...]
-    _: KW_ONLY
-    boundaries_sq: tuple[float, ...] | None = None
-    cum_probs: tuple[float, ...] | None = field(default=None, repr=False)
+    K: int = DEFAULT_TABLE_LEN
+    boundaries: tuple[float, ...] = field(init=False)
+    boundaries_sq: tuple[float, ...] | None = field(init=False)
+    cum_probs: tuple[float, ...] | None = field(init=False, repr=False)
     by_k: tuple[tuple[float, float, float, float | None], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme not in _LAYOUTS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         K = self.K
-        _check_len(K)
-        b = self.boundaries
-        if b[0] != 0.0:
-            raise ValueError("boundaries must start at a_0 = 0")
-        if any(lo >= hi for lo, hi in zip(b, b[1:])):
-            raise ValueError("boundaries must be strictly increasing")
-        cum, sq = self.cum_probs, self.boundaries_sq
-        for name, value, wanted, length in (
-                ("cum_probs", cum, not self.is_dyadic, K),
-                ("boundaries_sq", sq, self.is_normal, K + 1)):
-            if wanted and (value is None or len(value) != length):
-                raise ValueError(f"{self.scheme} needs {length} {name}")
-            if not wanted and value is not None:
-                raise ValueError(f"{self.scheme} takes no {name}")
+        if not isinstance(K, int) or not 1 <= K <= MAX_TABLE_LEN:
+            raise ValueError(
+                f"table length must be in [1, {MAX_TABLE_LEN}], got {K}")
+        b, sq, cum = _LAYOUTS[self.scheme](K)
         widths = tuple(hi - lo for lo, hi in zip(b, b[1:]))
         if sq is None:
             lows_sq, tops = (None,) * K, widths
@@ -127,12 +121,10 @@ class IntervalTable:
         if not all(0.0 < top <= 1.0 for top in tops):
             raise ValueError("every shifted exponent must top out in (0, 1]")
         rows = tuple(zip(b[:-1], widths, tops, lows_sq))
-        object.__setattr__(self, "by_k",
-                           rows + rows[-1:] * (MAX_TABLE_LEN + 1 - K))
-
-    @property
-    def K(self) -> int:
-        return len(self.boundaries) - 1
+        for name, value in (("boundaries", b), ("boundaries_sq", sq),
+                            ("cum_probs", cum),
+                            ("by_k", rows + rows[-1:] * (MAX_TABLE_LEN + 1 - K))):
+            object.__setattr__(self, name, value)
 
     @property
     def is_dyadic(self) -> bool:
@@ -180,9 +172,12 @@ class IntervalTable:
 
         On the mass-table schemes it is cum[k-1] - cum[k-2].  Every
         cumulative entry is above 1/2, so the difference is exact
-        (Sterbenz) and the masses sum to exactly cum[-1] <= 1.  It is the
-        mass select_interval really gives, 0 for an interval past the
-        point where the cumulative mass rounds to 1.0.
+        (Sterbenz) and the masses sum to exactly cum[-1] <= 1.  Below K it
+        is the mass select_interval really gives, 0 for an interval past
+        the point where the cumulative mass rounds to 1.0.  At k = K it
+        leaves out the folded tail: select_interval gives K with the mass
+        q_K plus all the mass beyond a_K (on a K = 53 dyadic table,
+        2^-52 against the 2^-53 returned here).
         """
         cum = self.cum_probs
         if cum is None:
@@ -190,61 +185,51 @@ class IntervalTable:
         return cum[k - 1] - (cum[k - 2] if k > 1 else 0.0)
 
 
-def _check_len(K: int) -> None:
-    if not isinstance(K, int) or not 1 <= K <= MAX_TABLE_LEN:
-        raise ValueError(f"table length must be in [1, {MAX_TABLE_LEN}], got {K}")
-
-
-def build_exp_vn(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
+def _exp_vn_layout(K: int) -> tuple:
     """Unit intervals [k-1, k) with selection mass (e-1)/e^k, taken as
     differences of the cumulative masses 1 - e^-k."""
-    _check_len(K)
     boundaries = tuple(float(k) for k in range(K + 1))
     # cumulative mass telescopes to 1 - e^-k; expm1 keeps it exact
     cum = tuple(-math.expm1(-k) for k in range(1, K + 1))
-    return IntervalTable(EXP_VN, boundaries, cum_probs=cum)
+    return boundaries, None, cum
 
 
-def build_exp_brent(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
+def _exp_brent_layout(K: int) -> tuple:
     """Intervals [(k-1) ln 2, k ln 2), selected dyadically."""
-    _check_len(K)
-    boundaries = tuple(k * _LN2 for k in range(K + 1))
-    return IntervalTable(EXP_BRENT, boundaries)
+    return tuple(k * _LN2 for k in range(K + 1)), None, None
 
 
-def build_normal_forsythe(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
+def _normal_forsythe_layout(K: int) -> tuple:
     """Boundaries sqrt(2k-1), so consecutive squared boundaries differ by
     exactly 2 and every shifted exponent tops out at 1.  The masses are
     differences of the cumulative half-normal masses 1 - tail(a_k)."""
-    _check_len(K)
     boundaries = (0.0,) + tuple(math.sqrt(2 * k - 1) for k in range(1, K + 1))
     boundaries_sq = (0.0,) + tuple(float(2 * k - 1) for k in range(1, K + 1))
     cum = tuple(1.0 - half_normal_tail(b) for b in boundaries[1:])
-    return IntervalTable(NORMAL_FORSYTHE, boundaries,
-                         boundaries_sq=boundaries_sq, cum_probs=cum)
+    return boundaries, boundaries_sq, cum
 
 
-def build_normal_brent(K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
+def _normal_brent_layout(K: int) -> tuple:
     """Boundaries with half-normal tail mass exactly 2^-k beyond a_k, so the
     k-th interval holds mass 2^-k and selection is one leading-zero count."""
-    _check_len(K)
     boundaries = (0.0,) + tuple(_invert_tail(2.0 ** -k) for k in range(1, K + 1))
-    boundaries_sq = tuple(b * b for b in boundaries)
-    return IntervalTable(NORMAL_BRENT, boundaries, boundaries_sq=boundaries_sq)
+    return boundaries, tuple(b * b for b in boundaries), None
 
 
-_BUILDERS = {
-    EXP_VN: build_exp_vn,
-    EXP_BRENT: build_exp_brent,
-    NORMAL_FORSYTHE: build_normal_forsythe,
-    NORMAL_BRENT: build_normal_brent,
+# each layout gives (boundaries, boundaries_sq, cum_probs) for a length K
+_LAYOUTS = {
+    EXP_VN: _exp_vn_layout,
+    EXP_BRENT: _exp_brent_layout,
+    NORMAL_FORSYTHE: _normal_forsythe_layout,
+    NORMAL_BRENT: _normal_brent_layout,
 }
 
 
-def build_table(scheme: str, K: int = DEFAULT_TABLE_LEN) -> IntervalTable:
-    if scheme not in _BUILDERS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return _BUILDERS[scheme](K)
+# build_<scheme>(K=DEFAULT_TABLE_LEN): the K-interval table of a scheme
+build_exp_vn = partial(IntervalTable, EXP_VN)
+build_exp_brent = partial(IntervalTable, EXP_BRENT)
+build_normal_forsythe = partial(IntervalTable, NORMAL_FORSYTHE)
+build_normal_brent = partial(IntervalTable, NORMAL_BRENT)
 
 
 def select_interval(table: IntervalTable, src: UniformSource) -> int:
@@ -259,7 +244,9 @@ def select_interval(table: IntervalTable, src: UniformSource) -> int:
 
 def dump_table(table: IntervalTable) -> str:
     """Plain-text dump: one `k a_{k-1} a_k q_k gmax_k` row per interval,
-    17 significant digits, after a `#scheme=<tag> K=<K>` header."""
+    17 significant digits, after a `#scheme=<tag> K=<K>` header.  The
+    q_K row is ``selection_probability(K)``, which leaves out the tail
+    folded into interval K."""
     lines = [f"#scheme={table.scheme} K={table.K}"]
     for k in range(1, table.K + 1):
         lo, hi = table.interval(k)

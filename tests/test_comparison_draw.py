@@ -224,7 +224,7 @@ PUBLIC_SAMPLERS = {
     samplers.EXP_BRENT: samplers.exp_brent,
     samplers.NORMAL_FORSYTHE: samplers.normal_forsythe,
     samplers.NORMAL_GRAND: samplers.normal_grand,
-    samplers.EXP_LOG: lambda table, src: samplers.exp_log_baseline(src),
+    samplers.EXP_LOG: samplers.exp_log_baseline,
 }
 
 
@@ -238,7 +238,7 @@ def test_public_samplers_match_the_bound_draw(kind):
                  for _ in range(2))
     draw = make_sampler(config, twin)
     while src.draws < 2 * bitstream._BUFFER_WORDS + 64:
-        assert public(config.table, src) == draw()
+        assert public(src) == draw()
         assert state(src) == state(twin)
 
 

@@ -66,16 +66,15 @@ def test_default_recycling_flags():
 
 
 def test_sampler_functions_reject_wrong_scheme():
-    wrong = tables.build_exp_vn(8)
+    # a one-shot sampler draws its kind's one table and takes no table:
+    # neither its own nor one of another scheme can be passed in
     src = UniformSource(0)
-    with pytest.raises(ValueError):
-        exp_brent(wrong, src)
-    with pytest.raises(ValueError):
-        normal_forsythe(wrong, src)
-    with pytest.raises(ValueError):
-        normal_grand(wrong, src)
-    with pytest.raises(ValueError):
-        exp_vn(tables.build_exp_brent(8), src)
+    wrong = tables.build_exp_vn(8)
+    for sampler in (exp_vn, exp_brent, normal_forsythe, normal_grand):
+        for table in (wrong, default_config(sampler.__name__).table):
+            with pytest.raises(TypeError):
+                sampler(table, src)
+    assert src.draws == 0
 
 
 def test_exp_vn_sample_mean():
@@ -213,7 +212,7 @@ def test_normal_samplers_survive_extreme_positions_in_interval_3(
     words = [1 << 52, select_word, position_word] + run_words
     src = UniformSource(0, engine=FakeEngine([raw_from_word(w) for w in words]),
                         recycling=False)
-    value = sampler(table, src)
+    value = sampler(src)
     lo, hi = table.interval(3)
     assert lo <= value <= hi
     if sampler is normal_forsythe:

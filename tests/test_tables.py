@@ -4,6 +4,8 @@ Half-normal quantities are cross-checked against two oracles that share no
 code with the package: a Taylor series for erf and adaptive quadrature.
 """
 
+import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -16,8 +18,7 @@ from fvn import tables
 from fvn.bitstream import UniformSource
 from fvn.tables import (IntervalTable, build_exp_brent, build_exp_vn,
                         build_normal_brent, build_normal_forsythe,
-                        build_table, dump_table, half_normal_tail,
-                        select_interval)
+                        dump_table, half_normal_tail, select_interval)
 from tests.test_bitstream import FakeEngine, raw_from_word
 
 LN2 = 0.69314718055994531
@@ -168,7 +169,7 @@ def test_dyadic_schemes_store_no_probability_table():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(tables.SCHEMES), st.integers(1, 64))
 def test_table_invariants_for_any_length(scheme, K):
-    t = build_table(scheme, K)
+    t = IntervalTable(scheme, K)
     assert t.K == K and t.boundaries[0] == 0.0
     assert all(a < b for a, b in zip(t.boundaries, t.boundaries[1:]))
     total = sum(t.selection_probability(k) for k in range(1, K + 1))
@@ -182,7 +183,7 @@ def test_table_invariants_for_any_length(scheme, K):
 
 def test_shifted_exponent_grid_audit_dense():
     for scheme in tables.SCHEMES:
-        t = build_table(scheme, 53)
+        t = IntervalTable(scheme, 53)
         for k in range(1, 54):
             lo, hi = t.interval(k)
             xs = np.linspace(lo, hi, 1000)
@@ -192,7 +193,7 @@ def test_shifted_exponent_grid_audit_dense():
 
 def test_builds_are_deterministic():
     for scheme in tables.SCHEMES:
-        assert build_table(scheme, 32) == build_table(scheme, 32)
+        assert IntervalTable(scheme, 32) == IntervalTable(scheme, 32)
 
 
 def test_build_length_validation():
@@ -206,44 +207,51 @@ def test_raw_table_construction_is_validated():
         IntervalTable("exp_brent", (0.0, 1.0, 0.5))
     with pytest.raises(ValueError):
         IntervalTable("nope", (0.0, 1.0))
-    # K is read off the boundaries: a stale positional K is refused
+    with pytest.raises(ValueError):
+        IntervalTable("nope")
+    for bad in (0, 65, 2.5):
+        with pytest.raises(ValueError):
+            IntervalTable("exp_brent", bad)
+    # a table is its scheme and K: every other field is computed, so no
+    # boundaries or masses of another law can be passed in
+    assert list(inspect.signature(IntervalTable).parameters) == ["scheme", "K"]
+    vn = IntervalTable("exp_vn", 8)
+    wrong_masses = tuple(0.1 * k for k in range(1, 9))
+    half_wide = tuple(0.5 * k for k in range(9))
+    with pytest.raises(TypeError):
+        IntervalTable("exp_vn", vn.boundaries, cum_probs=wrong_masses)
+    with pytest.raises(ValueError):
+        IntervalTable("exp_brent", half_wide)
+    with pytest.raises(ValueError):
+        IntervalTable("exp_vn", vn.boundaries)
+    for keyword, value in (("cum_probs", vn.cum_probs),
+                           ("boundaries_sq", (0.0, 1.0)),
+                           ("boundaries", vn.boundaries)):
+        with pytest.raises(TypeError):
+            IntervalTable("exp_vn", 8, **{keyword: value})
+    # a stale positional K after the boundaries is refused too
     with pytest.raises(TypeError):
         IntervalTable("exp_brent", (0.0, 0.5, 1.0), 2)
-    # every field must agree with the scheme: masses on the mass-table
-    # schemes only, squared boundaries on the normal schemes only
-    built = {scheme: build_table(scheme, 8) for scheme in tables.SCHEMES}
-    cum, sq = built["exp_vn"].cum_probs, built["normal_brent"].boundaries_sq
-    forsythe = built["normal_forsythe"]
-    for scheme, extra in (
-            ("exp_vn", {}),
-            ("exp_vn", {"cum_probs": cum[:-1]}),
-            ("exp_vn", {"cum_probs": cum, "boundaries_sq": sq}),
-            ("exp_brent", {"cum_probs": cum}),
-            ("exp_brent", {"boundaries_sq": sq}),
-            ("normal_forsythe", {"boundaries_sq": forsythe.boundaries_sq}),
-            ("normal_forsythe", {"cum_probs": forsythe.cum_probs}),
-            ("normal_brent", {}),
-            ("normal_brent", {"boundaries_sq": sq[:-1]}),
-            ("normal_brent", {"boundaries_sq": sq, "cum_probs": cum})):
-        with pytest.raises(ValueError, match="cum_probs|boundaries_sq"):
-            IntervalTable(scheme, built[scheme].boundaries, **extra)
-    # the fields the builders pass are accepted
-    for scheme, t in built.items():
-        assert IntervalTable(scheme, t.boundaries, cum_probs=t.cum_probs,
-                             boundaries_sq=t.boundaries_sq) == t
+    # the named builders give the same tables
+    for scheme in tables.SCHEMES:
+        builder = getattr(tables, f"build_{scheme}")
+        assert builder(8) == IntervalTable(scheme, 8)
+        assert builder() == IntervalTable(scheme, tables.DEFAULT_TABLE_LEN)
 
 
-def test_raw_table_rejects_a_shifted_exponent_above_one():
+def test_raw_table_rejects_a_shifted_exponent_above_one(monkeypatch):
     # the run test needs g <= 1: an exponential interval wider than 1
-    with pytest.raises(ValueError):
-        IntervalTable("exp_brent", (0.0, 1.5))
+    monkeypatch.setitem(tables._LAYOUTS, tables.EXP_BRENT,
+                        lambda K: ((0.0, 1.5), None, None))
+    with pytest.raises(ValueError, match="shifted exponent"):
+        IntervalTable("exp_brent", 1)
 
 
 @pytest.mark.parametrize("scheme", tables.SCHEMES)
 def test_per_interval_constants_match_the_boundaries(scheme):
     # by_k: one row for every k a selection can give, k > K folded into K
     for K in (1, 8, 53, 64):
-        t = build_table(scheme, K)
+        t = IntervalTable(scheme, K)
         sq = t.boundaries_sq
         assert len(t.by_k) == tables.MAX_TABLE_LEN + 1
         for k in range(1, tables.MAX_TABLE_LEN + 2):
@@ -304,3 +312,31 @@ def test_dump_format_round_trips():
         prev_hi = hi
     # 17 significant digits round-trip bit-exactly
     assert float(lines[1].split(" ")[2]) == t.boundaries[1]
+
+
+# SHA-256 of the dump of each scheme's table at K = 8 and K = 53.  Any
+# change to a boundary, mass or gmax formula shows here.
+DUMP_PINS = {
+    ("exp_vn", 8):
+        "b046af8ef5f45066a19c2b82e7eddf9d951e7cc6c089372af09afbc612548467",
+    ("exp_vn", 53):
+        "beca0e8dd8c924bef1674aa4a81270e8718fc8bd012763401b455f606b71d0a5",
+    ("exp_brent", 8):
+        "907279f8736489bef89a5da9d1eb50e0e2d805a41304bf978059ce77cde3c589",
+    ("exp_brent", 53):
+        "3d76465b1f9b32cc37c34e6293b92c553df0d4d5f46e15e0c9f8fdfad0a2cc31",
+    ("normal_forsythe", 8):
+        "cc2e02ee365001885aeb30dc8b927e433746d98ef4215abc02a54b6ac8c85e7f",
+    ("normal_forsythe", 53):
+        "a40bdf99567784528eae0a0af09d5ee6e354f149e4f918e822d591e66d52ad42",
+    ("normal_brent", 8):
+        "45e4ebadf24bb51e6f01184dea6125c7de652cf32fe7b0a2c3f30823bbbfd262",
+    ("normal_brent", 53):
+        "2b9da9bfd60f3c37b3d81ad3e1c68fbc421ce0c8fe9c4ebb090840b366a58adc",
+}
+
+
+@pytest.mark.parametrize(("scheme", "K"), sorted(DUMP_PINS))
+def test_table_dumps_are_pinned(scheme, K):
+    text = dump_table(IntervalTable(scheme, K))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_PINS[scheme, K]
