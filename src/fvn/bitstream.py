@@ -143,44 +143,37 @@ class UniformSource:
         at the first non-decrease.  Returns ``(n, u_n, u_next)``: the run
         length and the terminating pair, with u_n = start when n = 1.
 
-        Draws exactly as ``next_uniform`` would, recycled values first, and
-        recycles the terminating pair as ``recycle_pair`` would.  The loop
-        reads the buffer directly, which saves a method call per uniform.
+        Each uniform is popped off the recycled store while it holds one,
+        and read from the buffer otherwise, exactly as ``next_uniform``
+        would; the terminating pair is recycled as ``recycle_pair`` would.
+        Reading the buffer directly saves a method call per uniform.
         ``comparison_variates`` runs the same loop inline; this method is
         the run test on its own, behind ``comparison.run_test``.
         """
         rec = self.recycled
+        floats = self._floats
+        end = len(floats)
+        i = self._pos
         prev = start
         n = 0
-        # Recycled values first.  The store only grows after the run, so
-        # once it is empty every further value is fresh (the else branch).
-        while rec:
-            u = rec.pop()
-            n += 1
-            if not u < prev:
-                break
-            if n >= MAX_RUN_LENGTH:
-                raise self._run_overflow()
-            prev = u
-        else:
-            floats = self._floats
-            end = len(floats)
-            i = self._pos
-            try:
-                while True:
+        try:
+            while True:
+                if rec:
+                    u = rec.pop()
+                else:
                     if i >= end:
                         floats = self._refill()
                         i, end = 0, len(floats)
                     u = floats[i]
                     i += 1
-                    n += 1
-                    if not u < prev:
-                        break
-                    if n >= MAX_RUN_LENGTH:
-                        raise self._run_overflow()
-                    prev = u
-            finally:
-                self._pos = i
+                n += 1
+                if not u < prev:
+                    break
+                if n >= MAX_RUN_LENGTH:
+                    raise self._run_overflow()
+                prev = u
+        finally:
+            self._pos = i
         if self._recycling and prev < 1.0:
             r = (u - prev) / (1.0 - prev)
             if r < 1.0:
@@ -202,7 +195,9 @@ class UniformSource:
         Each step draws exactly as ``random_sign``, ``tables.select_interval``,
         ``next_uniform`` and ``descending_run`` would, so the stream, the
         draw count and the recycled store match those calls made one by
-        one.  A selection leftover or a rejected trial's recycled value that
+        one.  A uniform comes off the recycled store while it holds one and
+        from the buffer otherwise, in one loop per run test; sign and
+        leading-zero words are always fresh.  A selection leftover or a rejected trial's recycled value that
         the next step would pop straight back off the store is used
         directly instead; the store is the same after every variate.
 
@@ -248,8 +243,6 @@ class UniformSource:
                         j = -e if m else w - 1
                         if recycling and j < w - 1:
                             held = m + m - 1.0
-                        else:
-                            held = None
                     else:
                         if held is not None:    # a restart
                             u, held = held, None
@@ -281,25 +274,19 @@ class UniformSource:
                         # The run test, drawn as descending_run draws it.
                         prev = g
                         n = 0
-                        while r:
-                            r -= 1
-                            u = rec[r]
+                        while True:
+                            if r:
+                                r -= 1
+                                u = rec[r]
+                            else:
+                                u = floats[i]
+                                i += 1
                             n += 1
                             if not u < prev:
                                 break
                             if n >= MAX_RUN_LENGTH:
                                 raise self._run_overflow()
                             prev = u
-                        else:
-                            while True:
-                                u = floats[i]
-                                i += 1
-                                n += 1
-                                if not u < prev:
-                                    break
-                                if n >= MAX_RUN_LENGTH:
-                                    raise self._run_overflow()
-                                prev = u
                         held = None
                         if recycling and prev < 1.0:
                             v = (u - prev) / (1.0 - prev)

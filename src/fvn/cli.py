@@ -41,6 +41,13 @@ def _nonneg(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:       # also rejects nan
+        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
+    return value
+
+
 def _write(args, lines) -> None:
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -161,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run the statistical battery")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=_alpha, default=0.01,
+                   help="significance level in (0, 1) (default 0.01)")
     common(p, 100_000)
     p.set_defaults(func=cmd_verify)
 

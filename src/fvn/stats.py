@@ -78,9 +78,10 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> TestReport:
     return TestReport(name, d, crit, n, d < crit < 1.0)
 
 
-def chi_square_test(observed, expected, n: int, alpha: float = 0.01,
+def chi_square_test(observed, expected, *, alpha: float = 0.01,
                     name: str = "chi_square") -> TestReport:
-    """Pearson test of counts against a probability vector.
+    """Pearson test of counts against a probability vector; the sample
+    size n is the total of the counts.
 
     Bins of zero mass are handled first.  An empty one carries no
     information and is dropped, so it adds no degree of freedom.  An
@@ -90,6 +91,7 @@ def chi_square_test(observed, expected, n: int, alpha: float = 0.01,
     rightward into their predecessor before computing the statistic.
     """
     obs = [float(c) for c in observed]
+    n = int(sum(obs))
     probs = [float(p) for p in expected]
     if len(obs) != len(probs):
         raise ValueError("observed and expected lengths differ")
@@ -161,8 +163,8 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
         counts[min(run_test(1.0, src).n, 9) - 1] += 1
     probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
     probs.append(1.0 - sum(probs))
-    reports.append(chi_square_test(counts, probs, n, alpha,
-                                   "chi_square_run_length_g1"))
+    reports.append(chi_square_test(counts, probs, alpha=alpha,
+                                   name="chi_square_run_length_g1"))
 
     # geometric index frequencies against 2^-k
     src = UniformSource(seed + 11, recycling=False)
@@ -172,8 +174,8 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
         counts[min(src.geometric_index(), kmax) - 1] += 1
     probs = [2.0 ** -k for k in range(1, kmax)]
     probs.append(2.0 ** -(kmax - 1))
-    reports.append(chi_square_test(counts, probs, n, alpha,
-                                   "chi_square_geometric_index"))
+    reports.append(chi_square_test(counts, probs, alpha=alpha,
+                                   name="chi_square_geometric_index"))
 
     # uniformity of recycled leftovers from live run tests: n per g, each g
     # on its own source, so a g-dependent bias cannot average away.  One
@@ -202,8 +204,8 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
             counts[samplers.interval_index(table, v) - 1] += 1
         probs = [2.0 ** -k for k in range(1, table.K)]
         probs.append(2.0 ** -(table.K - 1))
-        reports.append(chi_square_test(counts, probs, n, alpha,
-                                       f"chi_square_occupancy_{kind}"))
+        reports.append(chi_square_test(counts, probs, alpha=alpha,
+                                       name=f"chi_square_occupancy_{kind}"))
     return reports
 
 

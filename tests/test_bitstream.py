@@ -259,18 +259,23 @@ def test_descending_run_matches_a_next_uniform_loop(recycling):
 @pytest.mark.parametrize("recycling", [False, True])
 def test_descending_run_straddling_a_refill(recycling):
     """At g = 1 the run has n >= 2, so one started on the last word of the
-    buffer always reads into the next one."""
+    buffer always reads into the next one.  The second input pre-fills the
+    recycled store on both twins with values that descend just below 1:
+    the run drains the store, then reads on through the last word into
+    the refill."""
     buffer_words = bitstream._BUFFER_WORDS
-    fast = UniformSource(97, recycling=recycling)
-    slow = UniformSource(97, recycling=recycling)
-    for src in (fast, slow):
-        for _ in range(buffer_words - 1):
-            src.next_uniform()
-    assert fast.descending_run(1.0) == _reference_run(slow, 1.0)
-    assert fast.draws == slow.draws > buffer_words
-    assert fast.recycled == slow.recycled
-    assert [fast.next_uniform() for _ in range(10)] == \
-           [slow.next_uniform() for _ in range(10)]
+    for stored in ([], [1.0 - 2.0 ** -30, 1.0 - 2.0 ** -40]):
+        fast = UniformSource(97, recycling=recycling)
+        slow = UniformSource(97, recycling=recycling)
+        for src in (fast, slow):
+            for _ in range(buffer_words - 1):
+                src.next_uniform()
+            src.recycled.extend(stored)
+        assert fast.descending_run(1.0) == _reference_run(slow, 1.0)
+        assert fast.draws == slow.draws > buffer_words
+        assert fast.recycled == slow.recycled
+        assert [fast.next_uniform() for _ in range(10)] == \
+               [slow.next_uniform() for _ in range(10)]
 
 
 def test_descending_run_spends_recycled_values_first():

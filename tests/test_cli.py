@@ -1,5 +1,6 @@
 """Command-line contract: reproducibility, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+from fvn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -147,6 +150,71 @@ def test_verify_repeats_byte_identically():
     a = run_cli("verify", "--n", "20000", "--seed", "7")
     b = run_cli("verify", "--n", "20000", "--seed", "7")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.1", "1", "1.5", "nan"])
+def test_verify_alpha_outside_the_unit_interval_is_a_usage_error(alpha):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["verify", "--n", "10", f"--alpha={alpha}"])
+    assert stop.value.code == 2
+
+
+# sha256 of each command's --out file.  The generated values, the run_test
+# stream behind verify's run-length and recycled-uniformity lines, and every
+# consumption mean feed these bytes, so any change to a stream shows here.
+_GENERATE_SHA256 = {     # --n 3000 --seed 77
+    ("exp_vn", "csv"):
+        "8e3d7fa0d28181581530ac4fd532e1c54fe6fbe3ee6b7f90699fa5d1cfa347f7",
+    ("exp_vn", "jsonl"):
+        "500dfe9f0c0e49c69ab17730b008ca129375c9acf829e7c737d2ea49f8d6e489",
+    ("exp_brent", "csv"):
+        "09cf7ad8c55e8f2ca64bd9893e2ddbd4ae1c10126681f85033e940920593cea1",
+    ("exp_brent", "jsonl"):
+        "6ea52e4a401e2e9f6ed08bfe035430f61c1931e7fa317f86ac5a58f8f88c2d25",
+    ("exp_log", "csv"):
+        "51b53da12980db3fc8a43c7fb81d3fba07be27d2b74209beeaffbf220db3e67e",
+    ("exp_log", "jsonl"):
+        "0115ca7b69b78eae61d3a397f0d9de947d8c74421feb41c7a066dd5fb78b5c7b",
+    ("normal_forsythe", "csv"):
+        "708473b1bac87c0965303182d6866445e8f5ab09b4747fd0d09df9f8abd17690",
+    ("normal_forsythe", "jsonl"):
+        "946637dddc69f3070f1992f932b933ef1e8af254f3ee56f42dd1ea78d579fa74",
+    ("normal_grand", "csv"):
+        "a211df4fadb0f59712099ff6489b92a648340b6ab5005ca681f09fea6eb1b12e",
+    ("normal_grand", "jsonl"):
+        "b4ad3469047694496fd00dee5b387e947faea08776ff66cc5e7b0febd0efac5c",
+    ("box_muller", "csv"):
+        "06af496509cebf5dbb79c6c1d8204a7aa48bc46f1c94061ddde60d98c4b82572",
+    ("box_muller", "jsonl"):
+        "ba4d233f8108ce658e38f382382449f85fd1083d88b2a0ef74b3b4826e3c208a",
+    ("polar", "csv"):
+        "aa656f9295f5b716bb9296f82fb84168986210eb7fc54e6d0f58c99325360b92",
+    ("polar", "jsonl"):
+        "cf692181fb727a14795dd9763878e524d30f914e3cd17a3f6f138f98aec8ff33",
+    ("wallace", "csv"):
+        "54a09fcb8d91744f72ab0bef6e62840a4234576d9cee21b8d3a20aac1a510c30",
+    ("wallace", "jsonl"):
+        "b531a04eeccdd44b0ecccf595278bdf8a83d9fade92d6f6c8542278d658bc99e",
+}
+_PINNED_OUTPUTS = [
+    *(pytest.param(("generate", "--sampler", kind, "--format", fmt,
+                    "--n", "3000", "--seed", "77"), digest,
+                   id=f"generate-{kind}-{fmt}")
+      for (kind, fmt), digest in _GENERATE_SHA256.items()),
+    pytest.param(("verify", "--n", "20000", "--seed", "7"),
+                 "1b8288ae1dc80742b628686a40fa889e44f89f8385bf4e50b3a4bb70811df257",
+                 id="verify"),
+    pytest.param(("consumption", "--n", "100000", "--seed", "7"),
+                 "dce5b3f41dbc905c241c38e7674e532f967062e2781e19ccc62a4caadee48844",
+                 id="consumption"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_consumption_csv_shape_and_determinism():

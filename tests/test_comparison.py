@@ -173,7 +173,7 @@ def test_run_length_histogram_matches_pmf():
         counts[min(run_test(1.0, src).n, 9) - 1] += 1
     probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
     probs.append(1.0 - sum(probs))
-    assert chi_square_test(counts, probs, n).passed
+    assert chi_square_test(counts, probs).passed
 
 
 def test_density_spec_audits_g_on_a_grid():
@@ -224,7 +224,7 @@ def test_sample_density_gaussian_kernel_histogram():
     norm = integrate.quad(lambda t: math.exp(-t * t / 2), 0.0, 1.0)[0]
     probs = [integrate.quad(lambda t: math.exp(-t * t / 2), a, b)[0] / norm
              for a, b in zip(edges, edges[1:])]
-    assert chi_square_test(counts.tolist(), probs, n).passed
+    assert chi_square_test(counts.tolist(), probs).passed
 
 
 def test_sample_density_seed_independent_distribution():

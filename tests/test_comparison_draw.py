@@ -91,21 +91,30 @@ def test_kernel_matches_the_composed_draw(kind, recycling, engine_bits, seed):
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_variate_straddling_a_refill(kind, recycling):
-    """Variates started on each of the last words of a buffer: the refill
-    lands in turn on the sign word, the selection, the position and the
-    run."""
+    """Variates started on each of the last words of a buffer, and on a
+    buffer just used up: the refill lands in turn on the sign word, the
+    selection, the position and the run.
+
+    The second input pre-fills the recycled store on both twins.  Its
+    values fall fast enough that, for every kind, the first run drains
+    the store and goes on into the buffer.  When ``left`` equals the
+    fresh words read before the run (none, a sign word or a leading-zero
+    selection word, or both), that first buffer read runs off the end."""
     buffer_words = bitstream._BUFFER_WORDS
-    for left in range(1, 8):
-        draw, fast, reference, slow = kernel_and_reference(
-            kind, recycling, lambda r: UniformSource(41 + left, recycling=r))
-        for src in (fast, slow):
-            for _ in range(buffer_words - left):
-                src.next_word()
-        while fast.draws <= buffer_words:
-            assert draw() == reference()
-            assert state(fast) == state(slow)
-        assert [fast.next_uniform() for _ in range(10)] == \
-               [slow.next_uniform() for _ in range(10)]
+    for stored in ([], [2.0 ** -49, 2.0 ** -48, 2.0 ** -23, 2.0 ** -10]):
+        for left in range(8):
+            draw, fast, reference, slow = kernel_and_reference(
+                kind, recycling,
+                lambda r: UniformSource(41 + left, recycling=r))
+            for src in (fast, slow):
+                for _ in range(buffer_words - left):
+                    src.next_word()
+                src.recycled.extend(stored)
+            while fast.draws <= buffer_words:
+                assert draw() == reference()
+                assert state(fast) == state(slow)
+            assert [fast.next_uniform() for _ in range(10)] == \
+                   [slow.next_uniform() for _ in range(10)]
 
 
 @pytest.mark.parametrize("kind", KINDS)

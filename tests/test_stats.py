@@ -67,7 +67,7 @@ def test_ks_calibration_under_the_null():
 
 
 def test_chi_square_exact_proportions_give_zero():
-    report = chi_square_test([50, 30, 20], [0.5, 0.3, 0.2], 100)
+    report = chi_square_test([50, 30, 20], [0.5, 0.3, 0.2])
     assert report.statistic == 0.0 and report.passed
 
 
@@ -76,7 +76,7 @@ def test_chi_square_merges_sparse_tail_bins():
 
     probs = [0.5, 0.3, 0.15, 0.04, 0.009, 0.001]
     obs = [55, 28, 13, 4, 0, 0]
-    report = chi_square_test(obs, probs, 100)
+    report = chi_square_test(obs, probs)
     # the three tail bins merge into one: 4 bins remain, 3 dof
     assert report.critical_value == pytest.approx(chi2.ppf(0.99, 3))
 
@@ -85,22 +85,24 @@ def test_chi_square_zero_mass_bins():
     from scipy.stats import chi2
 
     # an empty zero-mass bin is dropped: three bins remain, two dof
-    report = chi_square_test([0, 50, 30, 20], [0.0, 0.5, 0.3, 0.2], 100)
+    report = chi_square_test([0, 50, 30, 20], [0.0, 0.5, 0.3, 0.2])
     assert report.statistic == 0.0 and report.passed
     assert report.critical_value == pytest.approx(chi2.ppf(0.99, 2))
     # an occupied zero-mass bin is impossible under the null
-    report = chi_square_test([1, 49, 30, 20], [0.0, 0.5, 0.3, 0.2], 100)
+    report = chi_square_test([1, 49, 30, 20], [0.0, 0.5, 0.3, 0.2])
     assert report.statistic == math.inf
     assert report.passed is False
 
 
 def test_chi_square_errors():
     with pytest.raises(ValueError):
-        chi_square_test([1, 2], [0.9, 0.2], 3)          # probs sum > 1
+        chi_square_test([1, 2], [0.9, 0.2])             # probs sum > 1
     with pytest.raises(ValueError):
-        chi_square_test([1], [1.0], 1)                  # single sparse bin
+        chi_square_test([1], [1.0])                     # single sparse bin
     with pytest.raises(ValueError):
-        chi_square_test([1, 2, 3], [0.5, 0.5], 6)       # length mismatch
+        chi_square_test([1, 2, 3], [0.5, 0.5])          # length mismatch
+    with pytest.raises(TypeError):
+        chi_square_test([50, 50], [0.5, 0.5], 100)      # n is the total
 
 
 def test_chi_square_calibration_under_the_null():
@@ -110,7 +112,7 @@ def test_chi_square_calibration_under_the_null():
     rejections = 0
     for i in range(reps):
         counts = np.random.default_rng(2000 + i).multinomial(n, probs)
-        if not chi_square_test(counts.tolist(), probs, n, alpha).passed:
+        if not chi_square_test(counts.tolist(), probs, alpha=alpha).passed:
             rejections += 1
     lo = binom.ppf(0.005, reps, alpha)
     hi = binom.ppf(0.995, reps, alpha)
@@ -125,7 +127,7 @@ def test_geometric_index_counts_pass_chi_square():
     for _ in range(n):
         counts[min(src.geometric_index(), kmax) - 1] += 1
     probs = [2.0 ** -k for k in range(1, kmax)] + [2.0 ** -(kmax - 1)]
-    assert chi_square_test(counts, probs, n).passed
+    assert chi_square_test(counts, probs).passed
 
 
 def test_run_length_counts_pass_chi_square():
@@ -136,7 +138,7 @@ def test_run_length_counts_pass_chi_square():
         counts[min(run_test(1.0, src).n, 9) - 1] += 1
     probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
     probs.append(1.0 - sum(probs))
-    assert chi_square_test(counts, probs, n).passed
+    assert chi_square_test(counts, probs).passed
 
 
 def test_consumption_of_log_baseline_is_exactly_one():
