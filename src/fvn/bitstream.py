@@ -6,9 +6,9 @@ Only the reals are buffered; a word is read back from its real exactly.
 ``draws`` is derived, not counted step by step: it is the words of the
 buffers already used up plus the position in the current one.  On top of
 the raw stream the source offers leading-zero geometric indices, single
-sign bits served from a pooled word, the descending run behind every run
-test, and a last-in-first-out store of recycled uniforms rebuilt from
-run-test leftovers.  Consuming a recycled value never touches ``draws``.
+sign bits served from a pooled word, and a last-in-first-out store of
+recycled uniforms rebuilt from run-test leftovers.  Consuming a recycled
+value never touches ``draws``.
 
 ``comparison_variates`` fuses those steps into one generator of whole
 comparison-method variates.  It reads the source's state afresh on each
@@ -19,6 +19,7 @@ one-shot call takes the first value of a fresh one.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from math import frexp
 from typing import TYPE_CHECKING, Iterator
@@ -41,6 +42,7 @@ _BUFFER_WORDS = 1024
 # Hard cap on a descending run; Prob(n > 64) < 1/64! even at g = 1, so
 # tripping it means a broken (e.g. NaN) input, not bad luck.
 MAX_RUN_LENGTH = 64
+RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
 
 
 class UniformSource:
@@ -53,11 +55,13 @@ class UniformSource:
     """
 
     def __init__(self, seed: int, *, engine=None, recycling: bool = True):
-        if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        if (isinstance(seed, bool) or not hasattr(seed, "__index__")
+                or not 0 <= operator.index(seed) < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.recycled: list[float] = []
         self._recycling = recycling
-        self._engine = engine if engine is not None else np.random.PCG64(seed)
+        self._engine = (engine if engine is not None
+                        else np.random.PCG64(operator.index(seed)))
         self._floats: list[float] = []
         self._pos = 0
         self._spent = 0         # words in the buffers already used up
@@ -138,48 +142,6 @@ class UniformSource:
         self._sign_bits = nb
         return 1 if (self._sign_word >> nb) & 1 else -1
 
-    def descending_run(self, start: float) -> tuple[int, float, float]:
-        """Draw uniforms while they strictly decrease below ``start``; stop
-        at the first non-decrease.  Returns ``(n, u_n, u_next)``: the run
-        length and the terminating pair, with u_n = start when n = 1.
-
-        Each uniform is popped off the recycled store while it holds one,
-        and read from the buffer otherwise, exactly as ``next_uniform``
-        would; the terminating pair is recycled as ``recycle_pair`` would.
-        Reading the buffer directly saves a method call per uniform.
-        ``comparison_variates`` runs the same loop inline; this method is
-        the run test on its own, behind ``comparison.run_test``.
-        """
-        rec = self.recycled
-        floats = self._floats
-        end = len(floats)
-        i = self._pos
-        prev = start
-        n = 0
-        try:
-            while True:
-                if rec:
-                    u = rec.pop()
-                else:
-                    if i >= end:
-                        floats = self._refill()
-                        i, end = 0, len(floats)
-                    u = floats[i]
-                    i += 1
-                n += 1
-                if not u < prev:
-                    break
-                if n >= MAX_RUN_LENGTH:
-                    raise self._run_overflow()
-                prev = u
-        finally:
-            self._pos = i
-        if self._recycling and prev < 1.0:
-            r = (u - prev) / (1.0 - prev)
-            if r < 1.0:
-                rec.append(r)
-        return n, prev, u
-
     def comparison_variates(self, table: IntervalTable) -> Iterator[float]:
         """Endless comparison-method variates on ``table``'s scheme.
 
@@ -193,12 +155,12 @@ class UniformSource:
         other table redraws the position inside the chosen interval.
 
         Each step draws exactly as ``random_sign``, ``tables.select_interval``,
-        ``next_uniform`` and ``descending_run`` would, so the stream, the
-        draw count and the recycled store match those calls made one by
+        ``next_uniform`` and ``comparison.run_test`` would, so the stream,
+        the draw count and the recycled store match those calls made one by
         one.  A uniform comes off the recycled store while it holds one and
-        from the buffer otherwise, in one loop per run test; sign and
-        leading-zero words are always fresh.  A selection leftover or a rejected trial's recycled value that
-        the next step would pop straight back off the store is used
+        from the buffer otherwise; sign and leading-zero words are always
+        fresh.  A selection leftover or a rejected trial's recycled value
+        that the next step would pop straight back off the store is used
         directly instead; the store is the same after every variate.
 
         The table's constants and the recycling flag are bound once.  The
@@ -271,7 +233,7 @@ class UniformSource:
                             x = lo + g
                         if not 0.0 <= g <= top:
                             g = 0.0 if g < 0.0 else top
-                        # The run test, drawn as descending_run draws it.
+                        # The run test, drawn as comparison.run_test would.
                         prev = g
                         n = 0
                         while True:
@@ -285,7 +247,7 @@ class UniformSource:
                             if not u < prev:
                                 break
                             if n >= MAX_RUN_LENGTH:
-                                raise self._run_overflow()
+                                raise RuntimeError(RUN_OVERFLOW)
                             prev = u
                         held = None
                         if recycling and prev < 1.0:
@@ -317,13 +279,9 @@ class UniformSource:
                 rec.append(held)
             yield sign * x
 
-    @staticmethod
-    def _run_overflow() -> RuntimeError:
-        return RuntimeError(f"run length exceeded {MAX_RUN_LENGTH}; "
-                            "uniform source is broken")
-
     def recycle_pair(self, u_n: float, u_next: float) -> None:
-        """Store (u_next - u_n) / (1 - u_n) for reuse.
+        """Store (u_next - u_n) / (1 - u_n) for reuse: the last step of
+        ``comparison.run_test``, which ``comparison_variates`` makes inline.
 
         The pair must be the terminating pair of a run test (u_n <= u_next),
         which makes the stored value uniform on [0, 1) and independent of

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -34,11 +35,20 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("count must be >= 0")
-    return value
+def _count(lo: int, hi: float = math.inf):
+    """An argparse type for an integer count in [lo, hi]."""
+    def count(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
+        return value
+    return count
+
+
+# The least n the verify battery can bin (n / 2 >= stats.MIN_EXPECTED_COUNT)
+# and that stats.measure_consumption takes; here so parsing loads no scipy.
+VERIFY_MIN_N = 10
+CONSUMPTION_MIN_N = 100_000
 
 
 def _alpha(text: str) -> float:
@@ -57,7 +67,7 @@ def _write(args, lines) -> None:
         sys.stdout.write(text)
 
 
-def cmd_generate(args, parser) -> int:
+def cmd_generate(args) -> int:
     kind = _ALIASES.get(args.sampler, args.sampler)
     config = samplers.default_config(kind)
     draw = samplers.make_sampler(
@@ -82,15 +92,13 @@ def cmd_generate(args, parser) -> int:
     return 0
 
 
-def cmd_tables(args, parser) -> int:
-    if not 1 <= args.K <= tables.MAX_TABLE_LEN:
-        parser.error(f"--K must be in [1, {tables.MAX_TABLE_LEN}], got {args.K}")
+def cmd_tables(args) -> int:
     table = tables.IntervalTable(args.scheme, args.K)
     _write(args, tables.dump_table(table).splitlines())
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     from . import stats     # deferred: scipy loads only for the battery
 
     lines = [f"# fvn {__version__} verify seed={args.seed} n={args.n} "
@@ -104,7 +112,7 @@ def cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_consumption(args, parser) -> int:
+def cmd_consumption(args) -> int:
     from . import stats     # deferred: scipy loads only for the meter
 
     if args.sampler:
@@ -122,7 +130,7 @@ def cmd_consumption(args, parser) -> int:
     return 0
 
 
-def cmd_bench(args, parser) -> int:
+def cmd_bench(args) -> int:
     lines = [f"# fvn {__version__} bench seed={args.seed} n={args.n} "
              "(timings are machine-dependent; nothing here is asserted)",
              "sampler,n,seconds,rate"]
@@ -147,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "generators with bit-level uniform accounting.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, n_default):
+    def common(p, n_default, n_min=0):
         p.add_argument("--seed", type=_parse_seed, default=2024,
                        help="64-bit seed, decimal or 0x-hex (default 2024)")
-        p.add_argument("--n", type=_nonneg, default=n_default,
+        p.add_argument("--n", type=_count(n_min), default=n_default,
                        help=f"number of samples (default {n_default})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -162,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="dump an interval table")
     p.add_argument("--scheme", required=True, choices=tables.SCHEMES)
-    p.add_argument("--K", type=int, default=tables.DEFAULT_TABLE_LEN,
+    p.add_argument("--K", type=_count(1, tables.MAX_TABLE_LEN),
+                   default=tables.DEFAULT_TABLE_LEN,
                    help="interval table length (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_tables)
@@ -170,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the statistical battery")
     p.add_argument("--alpha", type=_alpha, default=0.01,
                    help="significance level in (0, 1) (default 0.01)")
-    common(p, 100_000)
+    common(p, 100_000, VERIFY_MIN_N)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("consumption", help="measure uniforms per sample")
     p.add_argument("--sampler", action="append", choices=_SAMPLER_CHOICES,
                    help="restrict to a sampler (repeatable; default: all)")
-    common(p, 100_000)
+    common(p, 100_000, CONSUMPTION_MIN_N)
     p.set_defaults(func=cmd_consumption)
 
     p = sub.add_parser("bench", help="samples/second per sampler")
@@ -189,7 +198,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except Exception as exc:                     # noqa: BLE001
         print(f"fvn: error: {exc}", file=sys.stderr)
         return 1

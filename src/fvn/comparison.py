@@ -1,10 +1,11 @@
-"""Descending-run kernel: accept a candidate with probability exp(-g)
-using only order comparisons among uniforms.
+"""The run test: accept a candidate with probability exp(-g) using only
+order comparisons among uniforms.
 
 A run test starts a strictly decreasing chain at g and draws uniforms until
 the first non-decrease; the stopping index n is odd with probability
-exp(-g).  The closed-form run-length law lives here too, as the analytic
-oracle for everything downstream.
+exp(-g).  The samplers run the loop of ``run_test`` inline in
+``UniformSource.comparison_variates``.  The closed-form run-length law
+lives here too, as the analytic oracle for everything downstream.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .bitstream import MAX_RUN_LENGTH, UniformSource  # noqa: F401 (re-export)
+from .bitstream import MAX_RUN_LENGTH, RUN_OVERFLOW, UniformSource
 
 _GRID_POINTS = 10_000
 
@@ -32,15 +33,22 @@ def _check_g(g_value: float) -> None:
 def run_test(g_value: float, src: UniformSource) -> RunResult:
     """Draw uniforms while they strictly decrease below g_value; stop at the
     first non-decrease.  Accepts iff the run length n is odd, which happens
-    with probability exp(-g_value).  The source recycles the terminating
-    pair.
-
-    The loop itself lives in ``UniformSource.descending_run`` (the samplers
-    run the same loop inline in ``UniformSource.comparison_variates``);
-    this adds the range check on g and the result record."""
+    with probability exp(-g_value).  Each uniform is one
+    ``src.next_uniform()``; the terminating pair (u_n, u_{n+1}), with
+    u_n = g_value when n = 1, goes to ``src.recycle_pair``.  Only a broken
+    source makes a run longer than MAX_RUN_LENGTH, which raises."""
     _check_g(g_value)
-    n, u_n, u_next = src.descending_run(g_value)
-    return RunResult(n & 1 == 1, n, (u_n, u_next))
+    prev, n = g_value, 0
+    while True:
+        u = src.next_uniform()
+        n += 1
+        if not u < prev:
+            break
+        if n >= MAX_RUN_LENGTH:
+            raise RuntimeError(RUN_OVERFLOW)
+        prev = u
+    src.recycle_pair(prev, u)
+    return RunResult(n & 1 == 1, n, (prev, u))
 
 
 def run_length_pmf(g_value: float, n: int) -> float:

@@ -78,6 +78,14 @@ def test_seed_validation():
     # the word length is fixed: a second positional argument is refused
     with pytest.raises(TypeError):
         UniformSource(0, W)
+    # a numpy integer seed is its value; a bool is not a seed
+    plain = UniformSource(5)
+    stream = [plain.next_uniform() for _ in range(10)]
+    for seed in (np.uint64(5), np.int64(5)):
+        src = UniformSource(seed)
+        assert [src.next_uniform() for _ in range(10)] == stream
+    with pytest.raises(ValueError):
+        UniformSource(True)
 
 
 def test_geometric_index_top_bit_set_gives_one():
@@ -222,7 +230,8 @@ def test_draw_accounting_matches_declared_costs(ops, seed):
 
 
 def _reference_run(src, start):
-    """The descending run spelled out with one next_uniform call per value."""
+    """The descending run spelled out with one next_uniform call per value,
+    as ``(n, u_n, u_next)``."""
     prev, n = start, 0
     while True:
         u = src.next_uniform()
@@ -236,8 +245,9 @@ def _reference_run(src, start):
 
 @pytest.mark.parametrize("recycling", [False, True])
 def test_descending_run_matches_a_next_uniform_loop(recycling):
-    """Same n, terminal pair, recycled store and draws after every run,
-    over 24,576 words of runs that cross many engine refills."""
+    """run_test against the loop above: same n, terminal pair, recycled
+    store and draws after every run, over 24,576 words of runs that cross
+    many engine refills."""
     buffer_words = bitstream._BUFFER_WORDS
     fast = UniformSource(2468, recycling=recycling)
     slow = UniformSource(2468, recycling=recycling)
@@ -248,7 +258,8 @@ def test_descending_run_matches_a_next_uniform_loop(recycling):
         g = g_cycle[i % len(g_cycle)]
         i += 1
         before = fast.draws
-        assert fast.descending_run(g) == _reference_run(slow, g)
+        r = run_test(g, fast)
+        assert (r.n, *r.terminal_pair) == _reference_run(slow, g)
         assert fast.recycled == slow.recycled
         assert fast.draws == slow.draws
         if before // buffer_words < (fast.draws - 1) // buffer_words:
@@ -258,7 +269,7 @@ def test_descending_run_matches_a_next_uniform_loop(recycling):
 
 @pytest.mark.parametrize("recycling", [False, True])
 def test_descending_run_straddling_a_refill(recycling):
-    """At g = 1 the run has n >= 2, so one started on the last word of the
+    """At g = 1 run_test has n >= 2, so one started on the last word of the
     buffer always reads into the next one.  The second input pre-fills the
     recycled store on both twins with values that descend just below 1:
     the run drains the store, then reads on through the last word into
@@ -271,7 +282,8 @@ def test_descending_run_straddling_a_refill(recycling):
             for _ in range(buffer_words - 1):
                 src.next_uniform()
             src.recycled.extend(stored)
-        assert fast.descending_run(1.0) == _reference_run(slow, 1.0)
+        r = run_test(1.0, fast)
+        assert (r.n, *r.terminal_pair) == _reference_run(slow, 1.0)
         assert fast.draws == slow.draws > buffer_words
         assert fast.recycled == slow.recycled
         assert [fast.next_uniform() for _ in range(10)] == \
@@ -281,7 +293,8 @@ def test_descending_run_straddling_a_refill(recycling):
 def test_descending_run_spends_recycled_values_first():
     src = UniformSource(5)
     src.recycled.extend([0.6, 0.3, 0.75])      # popped last-in first
-    assert src.descending_run(1.0) == (3, 0.3, 0.6)
+    r = run_test(1.0, src)
+    assert (r.n, *r.terminal_pair) == (3, 0.3, 0.6)
     assert src.draws == 0
     assert src.recycled == [(0.6 - 0.3) / (1.0 - 0.3)]
 
@@ -290,7 +303,7 @@ def test_descending_run_cap_also_holds_on_recycled_values():
     src = UniformSource(0)
     src.recycled.extend((k + 1) / 128 for k in range(64))   # 0.5 popped first
     with pytest.raises(RuntimeError, match="run length exceeded"):
-        src.descending_run(1.0)
+        run_test(1.0, src)
     assert src.draws == 0
 
 
@@ -321,7 +334,7 @@ _FORSYTHE = samplers.default_config(samplers.NORMAL_FORSYTHE).table
 REFILL_STEPS = {
     "next_uniform": (0, lambda src: src.next_uniform(), 0),
     "next_word": (0, lambda src: src.next_word(), 0),
-    "descending_run": (1, lambda src: src.descending_run(1.0), 0),
+    "run_test": (1, lambda src: run_test(1.0, src), 0),
     "comparison_draw": (
         2, lambda src: next(src.comparison_variates(_EXP_BRENT)), 0),
     "comparison_draw_after_sign": (

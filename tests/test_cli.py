@@ -159,6 +159,41 @@ def test_verify_alpha_outside_the_unit_interval_is_a_usage_error(alpha):
     assert stop.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "0"),
+    ("verify", "--n", str(cli.VERIFY_MIN_N - 1)),
+    ("consumption", "--n", str(cli.CONSUMPTION_MIN_N - 1)),
+    ("generate", "--sampler", "grand", "--n", "-1"),
+    ("verify", "--n", "ten"),
+])
+def test_count_below_the_command_minimum_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(argv))
+    assert stop.value.code == 2
+
+
+def test_verify_at_its_minimum_count_reports_every_line(tmp_path):
+    out = tmp_path / "out"
+    cli.main(["verify", "--n", str(cli.VERIFY_MIN_N), "--out", str(out)])
+    body = out.read_text().splitlines()[1:]
+    assert len(body) == 10
+    assert all(f" n={cli.VERIFY_MIN_N} " in line for line in body)
+
+
+def test_cli_count_minimums_are_the_library_minimums():
+    """The parse-time bounds are the smallest n the library accepts."""
+    from fvn import samplers, stats
+
+    with pytest.raises(ValueError):
+        stats.verify_battery(7, cli.VERIFY_MIN_N - 1, 0.01)
+    assert len(stats.verify_battery(7, cli.VERIFY_MIN_N, 0.01)) == 10
+    config = samplers.default_config(samplers.EXP_LOG)
+    with pytest.raises(ValueError):
+        stats.measure_consumption(config, cli.CONSUMPTION_MIN_N - 1, 7)
+    assert stats.measure_consumption(
+        config, cli.CONSUMPTION_MIN_N, 7).samples == cli.CONSUMPTION_MIN_N
+
+
 # sha256 of each command's --out file.  The generated values, the run_test
 # stream behind verify's run-length and recycled-uniformity lines, and every
 # consumption mean feed these bytes, so any change to a stream shows here.

@@ -5,7 +5,9 @@ frozen from independent oracles (power series, brute-force integration
 over ordered uniform tuples) coded alongside the tests.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -99,6 +101,37 @@ def test_run_test_length_capped_on_broken_input():
     src = UniformSource(0, engine=FakeEngine(words), recycling=False)
     with pytest.raises(RuntimeError):
         run_test(1.0, src)
+
+
+# SHA-256 of 20,000 run tests at seed 4242: each run's (n, u_n, u_next) as
+# little-endian float64, then the final draws and recycled store.  Any
+# change to the run_test stream or its recycling shows here.
+RUN_TEST_PINS = {
+    (0.25, False):
+        "63df242d1b98bbeccf31403145c29203128a6bdcda65650adbd60c950ed239c3",
+    (0.25, True):
+        "1f5ffbb3f789d7895e685d6cf3a73d2fa0704e72f6ae5ce77df1866e743eaf8e",
+    (0.5, False):
+        "104ad499511ccf30f7cac5bbcddfa1d51774ade1e6ce44f1dd5222fb5072db6e",
+    (0.5, True):
+        "87e4d6ee0e7af06d22e8d2f66698be1cfe29e1c8cc8ea157e7936794ec291378",
+    (1.0, False):
+        "6660c3e8eb7d1c660ffc22366396eee2b89d0df529208313814089035ab842dd",
+    (1.0, True):
+        "e6f8ef02f861ae0d2f0b625f4c7071864175bbb8f1abdfe5f7c2cc53ee88731b",
+}
+
+
+@pytest.mark.parametrize("g, recycling", sorted(RUN_TEST_PINS))
+def test_run_test_stream_is_pinned(g, recycling):
+    src = UniformSource(4242, recycling=recycling)
+    sha = hashlib.sha256()
+    for _ in range(20_000):
+        r = run_test(g, src)
+        sha.update(struct.pack("<3d", r.n, *r.terminal_pair))
+    sha.update(struct.pack("<q", src.draws))
+    sha.update(struct.pack(f"<{len(src.recycled)}d", *src.recycled))
+    assert sha.hexdigest() == RUN_TEST_PINS[g, recycling]
 
 
 def test_pmf_boundary_values():

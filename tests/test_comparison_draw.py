@@ -1,5 +1,6 @@
 """The fused comparison kernel against the same draw composed from the
-source's public steps, value by value and state by state."""
+source's public steps and ``comparison.run_test``, value by value and
+state by state."""
 
 import gc
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from fvn import bitstream, samplers, tables
 from fvn.bitstream import MAX_RUN_LENGTH, UniformSource
+from fvn.comparison import run_test
 from fvn.samplers import default_config, make_sampler
 from tests.test_bitstream import FailOnceEngine, FakeEngine, raw_from_word
 
@@ -18,7 +20,7 @@ KINDS = (samplers.EXP_VN, samplers.EXP_BRENT, samplers.NORMAL_FORSYTHE,
 
 def reference_draw(table, src):
     """The comparison method as separate calls: a pooled sign bit, the
-    interval selection, a position uniform and the descending run, with the
+    interval selection, a position uniform and the run test, with the
     shifted exponent from the table's own method."""
     sign = src.random_sign() if table.is_normal else 1
     while True:
@@ -34,7 +36,7 @@ def reference_draw(table, src):
                 # g < width = gmax(k) needs no clamp
                 g = width * src.next_uniform()
                 x = lo + g
-            if src.descending_run(g)[0] & 1:
+            if run_test(g, src).accepted:
                 return sign * x
             if table.restarts:
                 break
