@@ -14,9 +14,8 @@ needs scipy; its names are served from here but loaded on first use, so
 __version__ = "0.1.0"
 
 from .bitstream import WORD_BITS, UniformSource
-from .comparison import (DensitySpec, RunResult, expected_run_length,
-                         odd_parity_probability, run_length_pmf, run_test,
-                         sample_density)
+from .comparison import (RunResult, expected_run_length,
+                         odd_parity_probability, run_length_pmf, run_test)
 from .samplers import (SAMPLER_KINDS, SamplerConfig, box_muller,
                        default_config, exp_brent, exp_log_baseline, exp_vn,
                        interval_index, make_sampler, normal_forsythe,
@@ -33,8 +32,8 @@ _STATS_NAMES = ("TestReport", "ConsumptionReport", "ks_test",
 __all__ = [
     "__version__",
     "WORD_BITS", "UniformSource",
-    "RunResult", "DensitySpec", "run_test", "run_length_pmf",
-    "expected_run_length", "odd_parity_probability", "sample_density",
+    "RunResult", "run_test", "run_length_pmf",
+    "expected_run_length", "odd_parity_probability",
     "IntervalTable", "build_exp_vn", "build_exp_brent",
     "build_normal_forsythe", "build_normal_brent", "half_normal_tail",
     "select_interval", "dump_table",

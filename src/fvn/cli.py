@@ -1,9 +1,8 @@
 """Command-line front end: reproducible generation, table dumps, the
-verification battery, consumption metering, and throughput benchmarks.
+verification battery and consumption metering.
 
 Every artifact starts with a comment header carrying the seed and the
-parameters needed to reproduce it byte for byte (benchmark timings are the
-documented exception: they are machine-dependent by nature).
+parameters needed to reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 from . import __version__, samplers, tables
 from .bitstream import UniformSource
@@ -130,24 +128,6 @@ def cmd_consumption(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    lines = [f"# fvn {__version__} bench seed={args.seed} n={args.n} "
-             "(timings are machine-dependent; nothing here is asserted)",
-             "sampler,n,seconds,rate"]
-    for kind in samplers.SAMPLER_KINDS:
-        config = samplers.default_config(kind)
-        draw = samplers.make_sampler(
-            config, UniformSource(args.seed, recycling=config.recycling_enabled))
-        start = time.perf_counter()
-        for _ in range(args.n):
-            draw()
-        elapsed = time.perf_counter() - start
-        rate = args.n / elapsed if elapsed > 0 else float("inf")
-        lines.append(f"{kind},{args.n},{elapsed:.6f},{rate:.1f}")
-    _write(args, lines)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fvn",
@@ -187,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to a sampler (repeatable; default: all)")
     common(p, 100_000, CONSUMPTION_MIN_N)
     p.set_defaults(func=cmd_consumption)
-
-    p = sub.add_parser("bench", help="samples/second per sampler")
-    common(p, 20_000)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -11,12 +11,9 @@ lives here too, as the analytic oracle for everything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .bitstream import MAX_RUN_LENGTH, RUN_OVERFLOW, UniformSource
-
-_GRID_POINTS = 10_000
 
 
 class RunResult(NamedTuple):
@@ -86,44 +83,3 @@ def odd_parity_probability(g_value: float) -> float:
     1 - g + g^2/2! - ...  (the odd-n terms of the run-length law)."""
     _check_g(g_value)
     return _exp_series(-g_value)
-
-
-@dataclass(frozen=True)
-class DensitySpec:
-    """A target density proportional to exp(-g(x)) on [lo, hi].
-
-    Construction audits g over a dense grid; the run test re-checks each
-    evaluation, so an out-of-range g is always a hard error, never a silent
-    clip (clipping would corrupt the acceptance probability).
-    """
-
-    g: Callable[[float], float]
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        g = self.g
-        lo, hi = self.lo, self.hi
-        step = (hi - lo) / (_GRID_POINTS - 1)
-        for i in range(_GRID_POINTS):
-            v = g(lo + i * step)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"g out of [0, 1] on the interval: "
-                                 f"g({lo + i * step}) = {v}")
-
-
-def sample_density(spec: DensitySpec, src: UniformSource) -> float:
-    """One draw with density proportional to exp(-g(x)) on [lo, hi].
-
-    Candidates rejected by the run test are redrawn in the same interval;
-    re-selecting an interval is the business of the full samplers.
-    """
-    g = spec.g
-    lo = spec.lo
-    width = spec.hi - spec.lo
-    while True:
-        w = lo + width * src.next_uniform()
-        if run_test(g(w), src).accepted:
-            return w

@@ -10,7 +10,8 @@ table, the cached K = DEFAULT_TABLE_LEN table of its scheme, which its
 the first value of a fresh generator on their kind's table;
 ``make_sampler`` binds one generator that it resumes for every draw.  The
 textbook baselines (inversion, Box-Muller, polar) are here for
-distribution cross-checks and speed comparison only.
+distribution cross-checks and for perfbench's ``samplers.*_ns`` timings
+only.
 """
 
 from __future__ import annotations

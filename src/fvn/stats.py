@@ -109,7 +109,7 @@ def chi_square_test(observed, expected, *, alpha: float = 0.01,
     stat = math.inf if impossible else sum((o - p * n) ** 2 / (p * n)
                                            for o, p in zip(obs, probs))
     dof = len(probs) - 1
-    crit = float(_scipy_stats.chi2.ppf(1.0 - alpha, dof))
+    crit = float(_scipy_stats.chi2.isf(alpha, dof))
     return TestReport(name, stat, crit, n, stat < crit)
 
 
@@ -138,7 +138,11 @@ def measure_consumption(config: samplers.SamplerConfig, n: int,
 
 def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
     """The statistical battery behind ``fvn verify``: a deterministic list
-    of reports, one per test.  Sub-runs use seed offsets from ``seed``."""
+    of reports, one per test.  Sub-runs use seed offsets from ``seed``,
+    wrapped modulo 2^64 so that every 64-bit seed runs."""
+    def sub_seed(offset: int) -> int:
+        return (seed + offset) % 2 ** 64
+
     reports = []
     cdf_for = {
         samplers.EXP_VN: exp1_cdf,
@@ -151,13 +155,13 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
     for i, (kind, cdf) in enumerate(cdf_for.items()):
         config = samplers.default_config(kind)
         draw = samplers.make_sampler(
-            config, UniformSource(seed + i, recycling=config.recycling_enabled))
+            config, UniformSource(sub_seed(i), recycling=config.recycling_enabled))
         values = np.array([draw() for _ in range(n)])
         kept[kind] = (config, values)
         reports.append(ks_test(np.sort(values), cdf, alpha, f"ks_{kind}"))
 
     # run-length histogram at g = 1 against the closed-form law
-    src = UniformSource(seed + 10, recycling=False)
+    src = UniformSource(sub_seed(10), recycling=False)
     counts = [0] * 9
     for _ in range(n):
         counts[min(run_test(1.0, src).n, 9) - 1] += 1
@@ -167,7 +171,7 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
                                    name="chi_square_run_length_g1"))
 
     # geometric index frequencies against 2^-k
-    src = UniformSource(seed + 11, recycling=False)
+    src = UniformSource(sub_seed(11), recycling=False)
     kmax = 16
     counts = [0] * kmax
     for _ in range(n):
@@ -183,7 +187,7 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
     g_values = (0.2, 0.5, 0.9, 1.0)
     worst = 0.0
     for j, g in enumerate(g_values):
-        src = UniformSource(seed + 12 + j, recycling=True)
+        src = UniformSource(sub_seed(12 + j), recycling=True)
         recycled = []
         while len(recycled) < n:
             run_test(g, src)

@@ -28,6 +28,7 @@ of magnitude >= sqrt(71).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -107,9 +108,11 @@ class IntervalTable:
         if self.scheme not in _LAYOUTS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         K = self.K
-        if not isinstance(K, int) or not 1 <= K <= MAX_TABLE_LEN:
+        if (isinstance(K, bool) or not hasattr(K, "__index__")
+                or not 1 <= operator.index(K) <= MAX_TABLE_LEN):
             raise ValueError(
-                f"table length must be in [1, {MAX_TABLE_LEN}], got {K}")
+                f"table length must be in [1, {MAX_TABLE_LEN}], got {K!r}")
+        K = operator.index(K)
         b, sq, cum = _LAYOUTS[self.scheme](K)
         widths = tuple(hi - lo for lo, hi in zip(b, b[1:]))
         if sq is None:
@@ -121,8 +124,8 @@ class IntervalTable:
         if not all(0.0 < top <= 1.0 for top in tops):
             raise ValueError("every shifted exponent must top out in (0, 1]")
         rows = tuple(zip(b[:-1], widths, tops, lows_sq))
-        for name, value in (("boundaries", b), ("boundaries_sq", sq),
-                            ("cum_probs", cum),
+        for name, value in (("K", K), ("boundaries", b),
+                            ("boundaries_sq", sq), ("cum_probs", cum),
                             ("by_k", rows + rows[-1:] * (MAX_TABLE_LEN + 1 - K))):
             object.__setattr__(self, name, value)
 
@@ -154,7 +157,7 @@ class IntervalTable:
         x = fl(a_k) the formula can leave [0, gmax(k)] by a few ulps: in
         normal_forsythe it reaches -7.1e-15 and 1 + 7.1e-15.  Those
         excursions would make the run test raise on a valid position.
-        This is not the silent clipping that DensitySpec forbids: on I_k
+        Clamping them biases no acceptance probability, because on I_k
         the exact G_k already lies in [0, gmax(k)].
         """
         lo, _, top, lo_sq = self.by_k[k - 1]

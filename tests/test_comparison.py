@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvn.bitstream import UniformSource
-from fvn.comparison import (MAX_RUN_LENGTH, DensitySpec, expected_run_length,
-                            odd_parity_probability, run_length_pmf, run_test,
-                            sample_density)
+from fvn.comparison import (MAX_RUN_LENGTH, expected_run_length,
+                            odd_parity_probability, run_length_pmf, run_test)
 from tests.test_bitstream import FakeEngine, raw_from_word
 
 # sum of x^k/k!, the oracle for everything exp-shaped in this file
@@ -207,65 +206,3 @@ def test_run_length_histogram_matches_pmf():
     probs = [run_length_pmf(1.0, m) for m in range(1, 9)]
     probs.append(1.0 - sum(probs))
     assert chi_square_test(counts, probs).passed
-
-
-def test_density_spec_audits_g_on_a_grid():
-    with pytest.raises(ValueError):
-        DensitySpec(lambda x: 1.2 * x, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        DensitySpec(lambda x: x - 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        DensitySpec(lambda x: 0.0, 1.0, 1.0)
-
-
-def test_sample_density_flat_g_is_uniform_with_unit_acceptance():
-    spec = DensitySpec(lambda x: 0.0, 2.0, 5.0)
-    src = UniformSource(105, recycling=False)
-    n = 100_000
-    values = np.array([sample_density(spec, src) for _ in range(n)])
-    # every trial accepts at n = 1: candidate plus one run draw
-    assert src.draws == 2 * n
-    x = np.sort((values - 2.0) / 3.0)
-    d = max(np.max(np.arange(1, n + 1) / n - x),
-            np.max(x - np.arange(0, n) / n))
-    assert d < 1.6276 / math.sqrt(n)
-
-
-def test_sample_density_truncated_exponential():
-    ln2 = math.log(2.0)
-    spec = DensitySpec(lambda x: x, 0.0, ln2)
-    src = UniformSource(106)
-    n = 1_000_000
-    x = np.sort([sample_density(spec, src) for _ in range(n)])
-    cdf = -np.expm1(-x) / -math.expm1(-ln2)
-    steps = np.arange(1, n + 1) / n
-    d = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
-    assert d < 1.6276 / math.sqrt(n)
-
-
-def test_sample_density_gaussian_kernel_histogram():
-    from scipy import integrate
-
-    from fvn.stats import chi_square_test
-
-    spec = DensitySpec(lambda x: 0.5 * x * x, 0.0, 1.0)
-    src = UniformSource(107)
-    n = 200_000
-    values = [sample_density(spec, src) for _ in range(n)]
-    edges = np.linspace(0.0, 1.0, 11)
-    counts, _ = np.histogram(values, bins=edges)
-    norm = integrate.quad(lambda t: math.exp(-t * t / 2), 0.0, 1.0)[0]
-    probs = [integrate.quad(lambda t: math.exp(-t * t / 2), a, b)[0] / norm
-             for a, b in zip(edges, edges[1:])]
-    assert chi_square_test(counts.tolist(), probs).passed
-
-
-def test_sample_density_seed_independent_distribution():
-    from scipy.stats import ks_2samp
-
-    spec = DensitySpec(lambda x: x, 0.0, math.log(2.0))
-    n = 100_000
-    src_a, src_b = UniformSource(108), UniformSource(208)
-    a = [sample_density(spec, src_a) for _ in range(n)]
-    b = [sample_density(spec, src_b) for _ in range(n)]
-    assert ks_2samp(a, b).pvalue > 0.01

@@ -12,7 +12,7 @@ from fvn.comparison import run_length_pmf, run_test
 from fvn.samplers import default_config, make_sampler
 from fvn.stats import (chi_square_test, exp1_cdf, ks_critical, ks_test,
                        measure_consumption, moments, std_normal_cdf,
-                       uniform_cdf)
+                       uniform_cdf, verify_battery)
 
 
 def test_ks_single_point_at_median():
@@ -103,6 +103,25 @@ def test_chi_square_errors():
         chi_square_test([1, 2, 3], [0.5, 0.5])          # length mismatch
     with pytest.raises(TypeError):
         chi_square_test([50, 50], [0.5, 0.5], 100)      # n is the total
+
+
+def test_chi_square_critical_value_stays_finite_at_tiny_alpha():
+    from scipy.stats import chi2
+
+    # 1 - 1e-17 rounds to 1.0, where the upper quantile would be inf
+    alpha = 1e-17
+    report = chi_square_test([50, 30, 20], [0.5, 0.3, 0.2], alpha=alpha)
+    assert math.isfinite(report.critical_value)
+    assert report.critical_value == chi2.isf(alpha, 2)
+    assert report.passed
+    report = chi_square_test([1000, 0, 0], [0.5, 0.3, 0.2], alpha=alpha)
+    assert report.statistic > report.critical_value
+    assert report.passed is False
+
+
+def test_verify_battery_runs_at_the_largest_seed():
+    # sub-run seeds wrap modulo 2^64 instead of overflowing
+    assert len(verify_battery(2 ** 64 - 1, 10, 0.01)) == 10
 
 
 def test_chi_square_calibration_under_the_null():

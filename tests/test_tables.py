@@ -197,9 +197,13 @@ def test_builds_are_deterministic():
 
 
 def test_build_length_validation():
-    for bad in (0, 65, -3):
+    for bad in (0, 65, -3, True, 8.0):
         with pytest.raises(ValueError):
             build_exp_brent(bad)
+    # any integer type is read as its value, as the seed is
+    table = IntervalTable("exp_vn", np.int64(8))
+    assert table == IntervalTable("exp_vn", 8) and type(table.K) is int
+    assert dump_table(table) == dump_table(IntervalTable("exp_vn", 8))
 
 
 def test_raw_table_construction_is_validated():
