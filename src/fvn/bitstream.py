@@ -82,9 +82,12 @@ class UniformSource:
         ``comparison_variates`` puts a rolled-back variate's words in front.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
-        so an engine that raises leaves ``draws`` at the words consumed.
+        so an engine that raises, or returns no words, leaves ``draws`` at
+        the words consumed.
         """
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
+        if not raw.size:
+            raise RuntimeError("engine returned no words")
         floats = ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tolist()
         self._spent += len(self._floats)
         self._floats, self._pos = floats, 0

@@ -2,14 +2,19 @@
 verification battery and consumption metering.
 
 Every artifact starts with a comment header carrying the seed and the
-parameters needed to reproduce it byte for byte.
+parameters needed to reproduce it byte for byte.  ``main`` opens the one
+destination, ``--out`` or stdout, and each line is written as it is made.
+With ``--out``, a failed run leaves the lines written before the error and
+exits 1; a reader that closes the pipe early ends the run with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 from . import __version__, samplers, tables
@@ -56,16 +61,7 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _write(args, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args, out) -> int:
     kind = _ALIASES.get(args.sampler, args.sampler)
     config = samplers.default_config(kind)
     draw = samplers.make_sampler(
@@ -75,56 +71,48 @@ def cmd_generate(args) -> int:
               f"n={args.n} format={args.format}")
     if config.table is not None:
         header += f" K={config.table.K} recycling={config.recycling_enabled}"
-    lines = [header]
+    out.write(header + "\n")
     table = config.table
     for _ in range(args.n):
         value = draw()
         if args.format == "csv":
-            lines.append(repr(value))
+            out.write(repr(value) + "\n")
         else:
             record = {"value": value}
             if table is not None:
                 record["interval_k"] = samplers.interval_index(table, value)
-            lines.append(json.dumps(record))
-    _write(args, lines)
+            out.write(json.dumps(record) + "\n")
     return 0
 
 
-def cmd_tables(args) -> int:
-    table = tables.IntervalTable(args.scheme, args.K)
-    _write(args, tables.dump_table(table).splitlines())
+def cmd_tables(args, out) -> int:
+    out.write(tables.dump_table(tables.IntervalTable(args.scheme, args.K)))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     from . import stats     # deferred: scipy loads only for the battery
 
-    lines = [f"# fvn {__version__} verify seed={args.seed} n={args.n} "
-             f"alpha={args.alpha}"]
+    out.write(f"# fvn {__version__} verify seed={args.seed} n={args.n} "
+              f"alpha={args.alpha}\n")
     reports = stats.verify_battery(args.seed, args.n, args.alpha)
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
-        lines.append(f"{r.test_name} statistic={r.statistic:.8g} "
-                     f"critical={r.critical_value:.8g} n={r.n} {verdict}")
-    _write(args, lines)
+        out.write(f"{r.test_name} statistic={r.statistic:.8g} "
+                  f"critical={r.critical_value:.8g} n={r.n} {verdict}\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_consumption(args) -> int:
+def cmd_consumption(args, out) -> int:
     from . import stats     # deferred: scipy loads only for the meter
 
-    if args.sampler:
-        kinds = [_ALIASES.get(k, k) for k in args.sampler]
-    else:
-        kinds = list(samplers.SAMPLER_KINDS)
-    lines = [f"# fvn {__version__} consumption seed={args.seed} n={args.n}",
-             "sampler,n,mean,ci95"]
-    for kind in kinds:
-        report = stats.measure_consumption(samplers.default_config(kind),
-                                           args.n, args.seed)
-        lines.append(f"{report.sampler_kind},{report.samples},"
-                     f"{report.mean_per_sample:.6f},{report.ci95_halfwidth:.6f}")
-    _write(args, lines)
+    out.write(f"# fvn {__version__} consumption seed={args.seed} n={args.n}\n"
+              "sampler,n,mean,ci95\n")
+    for kind in args.sampler or samplers.SAMPLER_KINDS:
+        config = samplers.default_config(_ALIASES.get(kind, kind))
+        report = stats.measure_consumption(config, args.n, args.seed)
+        out.write(f"{report.sampler_kind},{report.samples},"
+                  f"{report.mean_per_sample:.6f},{report.ci95_halfwidth:.6f}\n")
     return 0
 
 
@@ -174,7 +162,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            return args.func(args, out)
+    except BrokenPipeError:
+        # the reader left early; send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:                     # noqa: BLE001
         print(f"fvn: error: {exc}", file=sys.stderr)
         return 1

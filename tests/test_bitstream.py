@@ -309,16 +309,20 @@ def test_descending_run_cap_also_holds_on_recycled_values():
 
 class FailOnceEngine:
     """PCG64 whose ``fail_on``-th ``random_raw`` call raises before it
-    draws anything, as a device or entropy source might fail."""
+    draws anything, as a device or entropy source might fail, or, with
+    ``empty``, returns no words at all."""
 
-    def __init__(self, seed, fail_on):
+    def __init__(self, seed, fail_on, empty=False):
         self._engine = np.random.PCG64(seed)
         self._calls = 0
         self._fail_on = fail_on
+        self._empty = empty
 
     def random_raw(self, size):
         self._calls += 1
         if self._calls == self._fail_on:
+            if self._empty:
+                return np.empty(0, dtype=np.uint64)
             raise OSError("engine failed")
         return self._engine.random_raw(size)
 
@@ -342,19 +346,32 @@ REFILL_STEPS = {
 }
 
 
-@pytest.mark.parametrize("step", sorted(REFILL_STEPS))
-def test_failed_refill_leaves_draws_at_the_words_consumed(step):
-    """An engine that raises once costs no word and skips none: draws
+# Each step under an engine that raises once and, with ids of their own,
+# under one that returns no words once.
+_REFILL_FAULTS = [
+    *(pytest.param(step, False, OSError, "engine failed", id=step)
+      for step in sorted(REFILL_STEPS)),
+    *(pytest.param(step, True, RuntimeError, "engine returned no words",
+                   id=f"{step}-empty")
+      for step in sorted(REFILL_STEPS)),
+]
+
+
+@pytest.mark.parametrize("step, empty, error, message", _REFILL_FAULTS)
+def test_failed_refill_leaves_draws_at_the_words_consumed(step, empty, error,
+                                                          message):
+    """An engine that fails once costs no word and skips none: draws
     counts the whole used-up buffer, a sign bit drawn before the failure
     stays spent, and once the engine recovers the stream goes on where a
-    twin whose engine never failed would."""
+    twin whose engine never failed would.  An engine that returns no
+    words fails the same way, with a ``RuntimeError``."""
     buffer_words = bitstream._BUFFER_WORDS
     left, call, sign_bits = REFILL_STEPS[step]
-    src = UniformSource(0, engine=FailOnceEngine(31, fail_on=2),
+    src = UniformSource(0, engine=FailOnceEngine(31, fail_on=2, empty=empty),
                         recycling=False)
     for _ in range(buffer_words - left):
         src.next_word()
-    with pytest.raises(OSError, match="engine failed"):
+    with pytest.raises(error, match=message):
         call(src)
     assert src._sign_bits == sign_bits
     assert src.draws == buffer_words

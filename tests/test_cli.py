@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def run_python(*args, cwd=None):
-    """A fresh interpreter on this checkout's sources, whatever is
+def source_env():
+    """The environment that runs this checkout's sources, whatever is
     installed."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter on this checkout's sources."""
     return subprocess.run([sys.executable, *args], cwd=cwd,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=source_env())
 
 
 def run_cli(*args):
@@ -250,6 +255,40 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_generate_stdout_bytes_are_the_pinned_out_bytes(capsys):
+    argv = ("generate", "--sampler", "normal_grand", "--format", "csv",
+            "--n", "3000", "--seed", "77")
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+           _GENERATE_SHA256[("normal_grand", "csv")]
+
+
+def test_generate_memory_does_not_grow_with_n(tmp_path):
+    """Each line is written as it is made: 100,000 variates stay well
+    under the megabytes their text would take in memory."""
+    tracemalloc.start()
+    try:
+        assert cli.main(["generate", "--sampler", "exp_log", "--n", "100000",
+                         "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_generate_ends_quietly_when_the_reader_closes_the_pipe():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fvn", "generate", "--sampler", "exp_log",
+         "--n", "300000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+    assert proc.stdout.readline().startswith(b"# fvn")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_consumption_csv_shape_and_determinism():
