@@ -6,9 +6,9 @@ calls on the sampling path), three interval-subdivision schemes, a
 pool-based normal generator refreshed by orthogonal transforms, and the
 statistical machinery that verifies all of it.
 
-The sampling core needs only numpy.  The verification layer, ``fvn.stats``,
-needs scipy; its names are served from here but loaded on first use, so
-``import fvn`` alone does not import scipy.
+The sampling core needs only numpy.  The verification layer is the
+submodule ``fvn.stats``; it is not imported here, and it loads scipy only
+inside the two functions that call it.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +25,6 @@ from .tables import (IntervalTable, build_exp_brent, build_exp_vn,
                      half_normal_tail, select_interval)
 from .wallace import NormalPool, init_pool, next_normal, refresh
 
-# Served by __getattr__ on first use: fvn.stats imports scipy.
-_STATS_NAMES = ("TestReport", "ConsumptionReport", "ks_test",
-                "chi_square_test", "measure_consumption", "moments")
-
 __all__ = [
     "__version__",
     "WORD_BITS", "UniformSource",
@@ -41,12 +37,4 @@ __all__ = [
     "exp_vn", "exp_brent", "exp_log_baseline", "normal_forsythe",
     "normal_grand", "box_muller", "polar", "interval_index",
     "NormalPool", "init_pool", "refresh", "next_normal",
-    *_STATS_NAMES,
 ]
-
-
-def __getattr__(name):
-    if name in _STATS_NAMES:
-        from . import stats
-        return getattr(stats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,7 +49,9 @@ class UniformSource:
     """Seedable uniform source.  Single-owner: never share across workers.
 
     The engine is injectable: anything with ``random_raw(size) -> uint64
-    array`` works (every numpy ``BitGenerator`` does).  Defaults to PCG64.
+    array`` of 64-bit words works, as numpy's PCG64, PCG64DXSM, Philox and
+    SFC64 do.  MT19937's words are 32-bit, which would put every uniform
+    below 2**-32, so it is refused.  Defaults to PCG64.
     ``recycling`` says whether run-test and selection leftovers are stored
     for reuse; it is set here, by the owner, and is read-only after.
     """
@@ -58,6 +60,9 @@ class UniformSource:
         if (isinstance(seed, bool) or not hasattr(seed, "__index__")
                 or not 0 <= operator.index(seed) < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        if isinstance(engine, np.random.MT19937):
+            raise ValueError("MT19937 returns 32-bit words; the engine must "
+                             "return 64-bit words")
         self.recycled: list[float] = []
         self._recycling = recycling
         self._engine = (engine if engine is not None

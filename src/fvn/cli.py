@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from . import __version__, samplers, tables
+from . import __version__, samplers, stats, tables
 from .bitstream import UniformSource
 
 _ALIASES = {
@@ -46,12 +46,6 @@ def _count(lo: int, hi: float = math.inf):
             raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
         return value
     return count
-
-
-# The least n the verify battery can bin (n / 2 >= stats.MIN_EXPECTED_COUNT)
-# and that stats.measure_consumption takes; here so parsing loads no scipy.
-VERIFY_MIN_N = 10
-CONSUMPTION_MIN_N = 100_000
 
 
 def _alpha(text: str) -> float:
@@ -91,8 +85,6 @@ def cmd_tables(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    from . import stats     # deferred: scipy loads only for the battery
-
     out.write(f"# fvn {__version__} verify seed={args.seed} n={args.n} "
               f"alpha={args.alpha}\n")
     reports = stats.verify_battery(args.seed, args.n, args.alpha)
@@ -104,8 +96,6 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_consumption(args, out) -> int:
-    from . import stats     # deferred: scipy loads only for the meter
-
     out.write(f"# fvn {__version__} consumption seed={args.seed} n={args.n}\n"
               "sampler,n,mean,ci95\n")
     for kind in args.sampler or samplers.SAMPLER_KINDS:
@@ -147,13 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the statistical battery")
     p.add_argument("--alpha", type=_alpha, default=0.01,
                    help="significance level in (0, 1) (default 0.01)")
-    common(p, 100_000, VERIFY_MIN_N)
+    common(p, 100_000, stats.VERIFY_MIN_N)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("consumption", help="measure uniforms per sample")
     p.add_argument("--sampler", action="append", choices=_SAMPLER_CHOICES,
                    help="restrict to a sampler (repeatable; default: all)")
-    common(p, 100_000, CONSUMPTION_MIN_N)
+    common(p, 100_000, stats.CONSUMPTION_MIN_N)
     p.set_defaults(func=cmd_consumption)
     return parser
 

@@ -57,29 +57,14 @@ def run_length_pmf(g_value: float, n: int) -> float:
             - g_value ** n / math.factorial(n))
 
 
-def _exp_series(x: float) -> float:
-    """exp(x) as the power series sum(x^k / k!), summed until a term no
-    longer changes the total."""
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= x / k
-        updated = total + term
-        if updated == total:
-            return total
-        total = updated
-
-
 def expected_run_length(g_value: float) -> float:
-    """E[n] = exp(g_value), summed as the power series sum(g^k / k!)."""
+    """E[n] = exp(g_value)."""
     _check_g(g_value)
-    return _exp_series(g_value)
+    return math.exp(g_value)
 
 
 def odd_parity_probability(g_value: float) -> float:
-    """Prob(n odd) = exp(-g_value), summed as the alternating series
-    1 - g + g^2/2! - ...  (the odd-n terms of the run-length law)."""
+    """Prob(n odd) = exp(-g_value), the sum of the odd-n terms of the
+    run-length law."""
     _check_g(g_value)
-    return _exp_series(-g_value)
+    return math.exp(-g_value)

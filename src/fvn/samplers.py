@@ -10,8 +10,8 @@ table, the cached K = DEFAULT_TABLE_LEN table of its scheme, which its
 the first value of a fresh generator on their kind's table;
 ``make_sampler`` binds one generator that it resumes for every draw.  The
 textbook baselines (inversion, Box-Muller, polar) are here for
-distribution cross-checks and for perfbench's ``samplers.*_ns`` timings
-only.
+distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
+and for perfbench's ``samplers.*_ns`` timings.
 """
 
 from __future__ import annotations

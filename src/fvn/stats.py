@@ -2,7 +2,8 @@
 estimators, the uniform-consumption meter behind every efficiency claim,
 and the verification battery run by ``fvn verify``.
 
-This is the only module that imports scipy; the samplers never load it."""
+This is the only module that uses scipy, and it imports scipy inside the
+two functions that call it, so ``import fvn.stats`` loads no scipy."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
-from scipy import stats as _scipy_stats
 
 from . import samplers
 from .bitstream import UniformSource
@@ -19,6 +18,10 @@ from .comparison import run_length_pmf, run_test
 
 # Bins with expected count below this are merged into the tail.
 MIN_EXPECTED_COUNT = 5.0
+# The least n the verify battery can bin (n / 2 >= MIN_EXPECTED_COUNT) and
+# the least n measure_consumption takes.
+VERIFY_MIN_N = 10
+CONSUMPTION_MIN_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,8 @@ def exp1_cdf(x):
 
 
 def std_normal_cdf(x):
-    return _special.ndtr(np.asarray(x, dtype=float))
+    from scipy.special import ndtr
+    return ndtr(np.asarray(x, dtype=float))
 
 
 def uniform_cdf(x):
@@ -109,7 +113,8 @@ def chi_square_test(observed, expected, *, alpha: float = 0.01,
     stat = math.inf if impossible else sum((o - p * n) ** 2 / (p * n)
                                            for o, p in zip(obs, probs))
     dof = len(probs) - 1
-    crit = float(_scipy_stats.chi2.isf(alpha, dof))
+    from scipy.stats import chi2
+    crit = float(chi2.isf(alpha, dof))
     return TestReport(name, stat, crit, n, stat < crit)
 
 
@@ -120,8 +125,9 @@ def measure_consumption(config: samplers.SamplerConfig, n: int,
     Any setup cost (e.g. pool bootstrap) is amortized into the mean; the
     confidence halfwidth comes from the per-sample cost variance.
     """
-    if n < 100_000:
-        raise ValueError(f"consumption runs need n >= 100000, got {n}")
+    if n < CONSUMPTION_MIN_N:
+        raise ValueError(
+            f"consumption runs need n >= {CONSUMPTION_MIN_N}, got {n}")
     src = UniformSource(seed, recycling=config.recycling_enabled)
     sampler = samplers.make_sampler(config, src)
     costs = np.empty(n, dtype=np.int64)
@@ -140,6 +146,9 @@ def verify_battery(seed: int, n: int, alpha: float) -> list[TestReport]:
     """The statistical battery behind ``fvn verify``: a deterministic list
     of reports, one per test.  Sub-runs use seed offsets from ``seed``,
     wrapped modulo 2^64 so that every 64-bit seed runs."""
+    if n < VERIFY_MIN_N:
+        raise ValueError(f"the verify battery needs n >= {VERIFY_MIN_N}, got {n}")
+
     def sub_seed(offset: int) -> int:
         return (seed + offset) % 2 ** 64
 

@@ -201,6 +201,22 @@ def test_injected_engine_is_used():
     assert src.next_uniform() == 0.5
 
 
+@pytest.mark.parametrize("engine", ["PCG64", "PCG64DXSM", "Philox", "SFC64",
+                                    "MT19937"])
+def test_numpy_engines_give_full_range_uniforms(engine):
+    """An engine of 64-bit words fills [0, 1); MT19937's 32-bit words
+    would put every uniform below 2**-32, so it is refused."""
+    bit_generator = getattr(np.random, engine)(5)
+    if engine == "MT19937":
+        with pytest.raises(ValueError, match="64-bit words"):
+            UniformSource(0, engine=bit_generator)
+        return
+    src = UniformSource(0, engine=bit_generator)
+    u = np.array([src.next_uniform() for _ in range(10_000)])
+    assert u.max() > 0.99
+    assert 0.49 <= u.mean() <= 0.51
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["uniform", "word", "geometric", "sign"]),
                 min_size=1, max_size=300),

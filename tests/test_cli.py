@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fvn import cli
+from fvn import cli, stats
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -166,8 +166,8 @@ def test_verify_alpha_outside_the_unit_interval_is_a_usage_error(alpha):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--n", "0"),
-    ("verify", "--n", str(cli.VERIFY_MIN_N - 1)),
-    ("consumption", "--n", str(cli.CONSUMPTION_MIN_N - 1)),
+    ("verify", "--n", str(stats.VERIFY_MIN_N - 1)),
+    ("consumption", "--n", str(stats.CONSUMPTION_MIN_N - 1)),
     ("generate", "--sampler", "grand", "--n", "-1"),
     ("verify", "--n", "ten"),
 ])
@@ -179,24 +179,24 @@ def test_count_below_the_command_minimum_is_a_usage_error(argv):
 
 def test_verify_at_its_minimum_count_reports_every_line(tmp_path):
     out = tmp_path / "out"
-    cli.main(["verify", "--n", str(cli.VERIFY_MIN_N), "--out", str(out)])
+    cli.main(["verify", "--n", str(stats.VERIFY_MIN_N), "--out", str(out)])
     body = out.read_text().splitlines()[1:]
     assert len(body) == 10
-    assert all(f" n={cli.VERIFY_MIN_N} " in line for line in body)
+    assert all(f" n={stats.VERIFY_MIN_N} " in line for line in body)
 
 
 def test_cli_count_minimums_are_the_library_minimums():
     """The parse-time bounds are the smallest n the library accepts."""
-    from fvn import samplers, stats
+    from fvn import samplers
 
-    with pytest.raises(ValueError):
-        stats.verify_battery(7, cli.VERIFY_MIN_N - 1, 0.01)
-    assert len(stats.verify_battery(7, cli.VERIFY_MIN_N, 0.01)) == 10
+    with pytest.raises(ValueError, match=f"n >= {stats.VERIFY_MIN_N}"):
+        stats.verify_battery(7, stats.VERIFY_MIN_N - 1, 0.01)
+    assert len(stats.verify_battery(7, stats.VERIFY_MIN_N, 0.01)) == 10
     config = samplers.default_config(samplers.EXP_LOG)
     with pytest.raises(ValueError):
-        stats.measure_consumption(config, cli.CONSUMPTION_MIN_N - 1, 7)
+        stats.measure_consumption(config, stats.CONSUMPTION_MIN_N - 1, 7)
     assert stats.measure_consumption(
-        config, cli.CONSUMPTION_MIN_N, 7).samples == cli.CONSUMPTION_MIN_N
+        config, stats.CONSUMPTION_MIN_N, 7).samples == stats.CONSUMPTION_MIN_N
 
 
 # sha256 of each command's --out file.  The generated values, the run_test
@@ -327,14 +327,30 @@ def test_import_and_generate_leave_scipy_unloaded():
     assert r.stdout.count("\n") == 6
 
 
+def test_consumption_leaves_scipy_unloaded():
+    """The meter needs no scipy: ``fvn consumption`` runs without it."""
+    code = textwrap.dedent("""\
+        import runpy, sys
+        sys.argv = ["fvn", "consumption", "--sampler", "exp_log",
+                    "--n", "100000"]
+        try:
+            runpy.run_module("fvn", run_name="__main__")
+        except SystemExit as stop:
+            assert stop.code == 0, stop.code
+        assert "scipy" not in sys.modules, "fvn consumption loaded scipy"
+    """)
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("\n") == 3
+
+
 def test_every_public_name_resolves_and_unknown_ones_raise():
-    """The names of fvn.stats are served on first use; any other missing
-    name is an AttributeError."""
+    """Every name in ``fvn.__all__`` resolves; any other name is an
+    AttributeError."""
     code = textwrap.dedent("""\
         import fvn
         for name in fvn.__all__:
             getattr(fvn, name)
-        from fvn import ks_test
         try:
             fvn.no_such_name
         except AttributeError:

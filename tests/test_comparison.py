@@ -8,6 +8,7 @@ over ordered uniform tuples) coded alongside the tests.
 import hashlib
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -163,9 +164,22 @@ def test_pmf_telescopes_exactly(g, big_n):
                                   abs=1e-12)
 
 
+def _within_one_ulp(value, exact):
+    return abs(Decimal(value) - exact) <= Decimal(math.ulp(float(exact)))
+
+
+# g = 0, 0.01, ..., 1: the oracles against exp in 60-digit arithmetic
+_G_GRID = [k / 100 for k in range(101)]
+
+
 def test_expected_run_length_values():
     assert expected_run_length(0.0) == 1.0
     assert expected_run_length(1.0) == pytest.approx(E_SERIES, abs=1e-15)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        off = [g for g in _G_GRID if not _within_one_ulp(
+            expected_run_length(g), Decimal(g).exp())]
+    assert off == []
 
 
 def test_expected_run_length_matches_simulation():
@@ -180,6 +194,11 @@ def test_odd_parity_probability_values():
     assert odd_parity_probability(0.0) == 1.0
     assert odd_parity_probability(1.0) == pytest.approx(EXP_MINUS_1_SERIES,
                                                         abs=1e-15)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        off = [g for g in _G_GRID if not _within_one_ulp(
+            odd_parity_probability(g), (-Decimal(g)).exp())]
+    assert off == []
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.0])
