@@ -6,9 +6,12 @@ calls on the sampling path), three interval-subdivision schemes, a
 pool-based normal generator refreshed by orthogonal transforms, and the
 statistical machinery that verifies all of it.
 
-The sampling core needs only numpy.  The verification layer is the
-submodule ``fvn.stats``; it is not imported here, and it loads scipy only
-inside the two functions that call it.
+The sampling core needs only numpy.  Where gcc is installed, the
+comparison-method samplers run a block fill compiled on first use
+(``fvn/_fill.c``) that makes the same values as their Python kernel.
+The verification layer is the submodule ``fvn.stats``; it is not
+imported here, and it loads scipy only inside the two functions that
+call it.
 """
 
 __version__ = "0.1.0"

@@ -13,18 +13,28 @@ value never touches ``draws``.
 ``comparison_variates`` fuses those steps into one generator of whole
 comparison-method variates.  It reads the source's state afresh on each
 resume, commits it once per variate, and redraws a variate that ran off the
-buffer's end from its first word.  A bound draw resumes one generator, a
-one-shot call takes the first value of a fresh one.
+buffer's end from its first word.  It is the spec of the comparison
+kernel, and the one-shot public samplers take the first value of a fresh
+one.  ``fill_variates`` makes the same values with the compiled block fill
+of ``_fill.c`` (the generator, when the fill does not load) and reads
+nothing ahead; ``wallace.init_pool`` bootstraps through it.
+``bind_variates``, which a bound sampler draws from, fills blocks ahead of
+its caller and keeps ``draws`` exact at the value it has reached.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from bisect import bisect_right
+from functools import partial
+from itertools import chain, islice
 from math import frexp
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+from . import _fill
 
 if TYPE_CHECKING:
     from .tables import IntervalTable
@@ -43,6 +53,26 @@ _BUFFER_WORDS = 1024
 # tripping it means a broken (e.g. NaN) input, not bad luck.
 MAX_RUN_LENGTH = 64
 RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
+
+# Variates per compiled fill of a bound sampler.  A fill lands inside one
+# caller's loop iteration, so the block trades the fixed cost of a fill
+# call against the longest pause it puts between two values.
+FILL_BLOCK = 512
+
+
+def _raising(exc: BaseException) -> Iterator[float]:
+    raise exc
+    yield   # makes this a generator, so that ``chain`` raises from it
+
+
+class _ReadAhead:
+    """What a bound sampler has read ahead of its caller: the iterator over
+    the block being emitted, None while nothing is read ahead, and the
+    draws before the block and after each of its variates."""
+
+    def __init__(self):
+        self.it: Iterator[float] | None = None
+        self.counts: array | None = None
 
 
 class UniformSource:
@@ -67,22 +97,33 @@ class UniformSource:
         self._recycling = recycling
         self._engine = (engine if engine is not None
                         else np.random.PCG64(operator.index(seed)))
-        self._floats: list[float] = []
+        self._floats = array("d")
         self._pos = 0
         self._spent = 0         # words in the buffers already used up
         self._sign_word = 0
         self._sign_bits = 0
+        self._bound: _ReadAhead | None = None
 
     @property
     def recycling(self) -> bool:
         return self._recycling
 
     @property
-    def draws(self) -> int:
-        """Fresh engine words spent so far."""
-        return self._spent + self._pos
+    def bound(self) -> bool:
+        """Whether ``bind_variates`` has bound a sampler to this source."""
+        return self._bound is not None
 
-    def _refill(self) -> list[float]:
+    @property
+    def draws(self) -> int:
+        """Fresh engine words spent so far; under a bound sampler, by the
+        variates it has returned, not by those it has read ahead."""
+        ahead = self._bound
+        if ahead is None or ahead.it is None:
+            return self._spent + self._pos
+        # the array iterator's pickle state is its position in the block
+        return ahead.counts[ahead.it.__reduce__()[2]]
+
+    def _refill(self) -> array:
         """Replace the used-up buffer with fresh floats and return them.
         ``comparison_variates`` puts a rolled-back variate's words in front.
 
@@ -93,7 +134,7 @@ class UniformSource:
         raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
         if not raw.size:
             raise RuntimeError("engine returned no words")
-        floats = ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tolist()
+        floats = array("d", ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tobytes())
         self._spent += len(self._floats)
         self._floats, self._pos = floats, 0
         return floats
@@ -286,6 +327,112 @@ class UniformSource:
             if held is not None:
                 rec.append(held)
             yield sign * x
+
+    def fill_variates(self, table: IntervalTable, n: int) -> array:
+        """The next ``n`` values of ``comparison_variates(table)``, made by
+        the compiled fill when it loads and by that generator otherwise.
+        Nothing is read ahead: the source is left as ``n`` draws of the
+        generator leave it, and an error is raised as it raises it, after
+        the same draws.  The values made before an error are lost."""
+        fill = _fill.library()
+        if fill is None:
+            return array("d", islice(self.comparison_variates(table), n))
+        values = array("d", bytes(8 * n))
+        counts = array("q", bytes(8 * (n + 1)))
+        _, exc = self._fill_into(fill, _fill.kernel(table, self._recycling),
+                                 values, counts, n)
+        if exc is not None:
+            raise exc
+        return values
+
+    def _fill_into(self, fill, kernel, values: array, counts: array,
+                   n: int) -> tuple[int, BaseException | None]:
+        """Make up to ``n`` variates with the compiled fill into ``values``,
+        with ``draws`` before them in ``counts[0]`` and after each in
+        ``counts[1:]``.  Returns how many were made and the error that
+        stopped the fill, if one did; the source is committed as
+        ``comparison_variates`` commits it by then.
+
+        A variate that runs off the buffer's end is carried to the front
+        of a refill and drawn again, as ``comparison_variates`` does.
+        """
+        rec = self.recycled
+        store = array("d", rec)
+        store.frombytes(bytes(8 * n))       # a variate pushes at most one
+        floats = self._floats
+        st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
+                         store.buffer_info()[0], len(rec),
+                         self._sign_bits, self._sign_word)
+        vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
+        counts[0] = self._spent + self._pos
+        made, exc = 0, None
+        while True:
+            made += fill(kernel, st, vaddr + 8 * made, caddr + 8 * (made + 1),
+                         n - made)
+            if st.status != _fill.FILL_EMPTY:
+                break
+            tail = floats[st.pos:]
+            try:
+                floats = self._refill()
+            # Whatever the engine raises is the error of this variate: it
+            # is passed on, not handled, once the variate is committed.
+            except Exception as error:
+                st.pos = len(floats)
+                st.nstore = st.part_nstore
+                st.sign_bits, st.sign_word = st.part_sign_bits, st.part_sign_word
+                exc = error
+                break
+            floats[:0] = tail
+            self._spent -= len(tail)
+            st.buf, st.nbuf = floats.buffer_info()
+            st.pos, st.spent = 0, self._spent
+        self._pos = st.pos
+        rec[:] = store[:st.nstore]
+        self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
+        if st.status == _fill.FILL_OVERFLOW:
+            exc = RuntimeError(RUN_OVERFLOW)
+        return made, exc
+
+    def bind_variates(self, table: IntervalTable) -> Iterator[float]:
+        """Endless values of ``comparison_variates(table)`` for a bound
+        sampler, which owns the source from now on: a second bind raises
+        ValueError, and nothing else may draw from it.
+
+        With the compiled fill the iterator reads ahead: it fills a block
+        of FILL_BLOCK variates and emits it through C-level iterators, with
+        no Python frame per value.  ``draws`` is exact after every value;
+        the buffer position, the recycled store and the sign pool are
+        those of the block's end.  An error is raised at the variate where
+        the generator raises it, with the same ``draws``, and the values go
+        on after it as the generator's would.  Without the fill, the
+        iterator resumes ``comparison_variates`` generators, starting a
+        fresh one after an error.
+        """
+        if self._bound is not None:
+            raise ValueError("the source already feeds a bound sampler")
+        self._bound = ahead = _ReadAhead()
+        fill = _fill.library()
+        if fill is None:
+            return chain.from_iterable(
+                iter(partial(self.comparison_variates, table), None))
+        return chain.from_iterable(self._blocks(
+            fill, _fill.kernel(table, self._recycling), ahead))
+
+    def _blocks(self, fill, kernel, ahead: _ReadAhead) -> Iterator[Iterator[float]]:
+        values = array("d", bytes(8 * FILL_BLOCK))
+        ahead.counts = array("q", bytes(8 * (FILL_BLOCK + 1)))
+        while True:
+            made, exc = self._fill_into(fill, kernel, values, ahead.counts,
+                                        FILL_BLOCK)
+            if made:
+                ahead.it = it = iter(values if made == FILL_BLOCK
+                                     else values[:made])
+                yield it
+            if exc is not None:
+                # Raised by the iterator being emitted: an exception out of
+                # this generator would end the chain for good.
+                ahead.it = None
+                yield _raising(exc)
 
     def recycle_pair(self, u_n: float, u_next: float) -> None:
         """Store (u_next - u_n) / (1 - u_n) for reuse: the last step of

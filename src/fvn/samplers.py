@@ -2,16 +2,18 @@
 
 Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
-sampling path.  There is one kernel, the generator
-``UniformSource.comparison_variates``, and the table tells it how to
-select and whether a rejection restarts the trial.  Each kind has one
-table, the cached K = DEFAULT_TABLE_LEN table of its scheme, which its
-``SamplerConfig`` holds.  The four public functions take only ``src`` and
-the first value of a fresh generator on their kind's table;
-``make_sampler`` binds one generator that it resumes for every draw.  The
-textbook baselines (inversion, Box-Muller, polar) are here for
-distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
-and for perfbench's ``samplers.*_ns`` timings.
+sampling path.  The table tells the kernel how to select and whether a
+rejection restarts the trial.  Each kind has one table, the cached
+K = DEFAULT_TABLE_LEN table of its scheme, which its ``SamplerConfig``
+holds.  There are two kernels that make the same values bit for bit: the
+Python generator ``UniformSource.comparison_variates``, which is the spec,
+and the compiled block fill ``UniformSource.fill_variates``.  The four
+public functions take only ``src`` and the first value of a fresh
+generator on their kind's table.  ``make_sampler`` binds the compiled fill,
+which reads ahead in blocks, and falls back to resuming the generator when
+the fill does not load.  The textbook baselines (inversion, Box-Muller,
+polar) are here for distribution cross-checks, for ``fvn generate`` and
+``fvn consumption``, and for perfbench's ``samplers.*_ns`` timings.
 """
 
 from __future__ import annotations
@@ -159,22 +161,31 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     ValueError before it is touched, since a sampler never changes it.
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
-    returns the ``__next__`` of a chain over ``src.comparison_variates``
-    generators with the config's table bound, whose K is always
-    DEFAULT_TABLE_LEN: each draw resumes the one generator, with no call
-    to the public sampler functions or ``tables.select_interval``.  An
-    exception (the run-length cap, a failing engine) ends that generator,
-    and the next draw starts a fresh one, so the draw goes on working.
+    returns the ``__next__`` of ``src.bind_variates`` on the config's table,
+    whose K is always DEFAULT_TABLE_LEN.  It reads ahead on the source it
+    owns: each compiled fill makes a block of variates, and the draws
+    emit it.  So the source's buffer position, recycled store and sign
+    pool run ahead of the draws, and the source must not be drawn from
+    otherwise, nor bound again: a second ``make_sampler`` on it raises
+    ValueError before it is touched.  ``src.draws`` stays exact after
+    every draw.  An exception (the run-length cap, a failing engine) is
+    raised by the draw where the Python kernel raises it, with the same
+    ``draws``, and the draws after it go on as the kernel's would.  When
+    the fill does not load, the iterator resumes ``comparison_variates``
+    generators instead and reads nothing ahead.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the
     second, and draws a new pair only when the first is due.
     Wallace returns the ``__next__`` of ``wallace.emit_passes``, an
     iterator over one whole pass at a time that begins the next pass on
-    the call after the last value.  Each draw returns a Python float, and
-    ``src.draws`` is exact after every draw.
+    the call after the last value; its 4096-value bootstrap is one exact
+    ``src.fill_variates`` of normal_grand's table.  Each draw returns a
+    Python float, and ``src.draws`` is exact after every draw.
     """
     kind = config.kind
+    if src.bound:
+        raise ValueError("the source already feeds a bound sampler")
     if src.recycling != config.recycling_enabled:
         raise ValueError(f"{kind} needs a source built with recycling="
                          f"{config.recycling_enabled}, got {src.recycling}")
@@ -188,8 +199,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
         pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
         return wallace.emit_passes(pool, src).__next__
-    variates = partial(src.comparison_variates, config.table)
-    return chain.from_iterable(iter(variates, None)).__next__
+    return src.bind_variates(config.table).__next__
 
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:

@@ -81,16 +81,16 @@ def _block_permutation(n: int, word: int) -> np.ndarray:
 
 def init_pool(size: int, src: UniformSource) -> NormalPool:
     """Bootstrap a pool of ``size`` comparison-method normals: normal_grand's
-    stream under ``src``'s own recycling flag, drawn from one
-    ``src.comparison_variates`` generator.  A wallace config has recycling
-    off, so a pool bound by ``make_sampler`` is normal_grand's stream with
-    recycling off."""
+    stream under ``src``'s own recycling flag, made by one exact
+    ``src.fill_variates``, the compiled fill when it loads.  It reads
+    nothing ahead, so ``src`` is left as ``size`` draws of the Python
+    kernel leave it.  A wallace config has recycling off, so a pool bound
+    by ``make_sampler`` is normal_grand's stream with recycling off."""
     if size < MIN_POOL_SIZE or size % BLOCK != 0:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")
     table = samplers.default_config(samplers.NORMAL_GRAND).table
-    values = np.fromiter(src.comparison_variates(table), dtype=float,
-                         count=size)
+    values = np.array(src.fill_variates(table, size))
     pool = NormalPool(values=values, pass_count=0,
                       norm_sq=float(values @ values), read_cursor=0,
                       emit_scale=1.0)

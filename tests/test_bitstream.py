@@ -359,6 +359,9 @@ REFILL_STEPS = {
         2, lambda src: next(src.comparison_variates(_EXP_BRENT)), 0),
     "comparison_draw_after_sign": (
         1, lambda src: next(src.comparison_variates(_FORSYTHE)), W - 1),
+    "comparison_fill": (2, lambda src: src.fill_variates(_EXP_BRENT, 1), 0),
+    "comparison_fill_after_sign": (
+        1, lambda src: src.fill_variates(_FORSYTHE, 1), W - 1),
 }
 
 
