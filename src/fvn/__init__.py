@@ -8,8 +8,8 @@ statistical machinery that verifies all of it.
 
 The sampling core needs only numpy.  Where gcc is installed, the
 comparison-method samplers run a block fill compiled on first use
-(``fvn/_fill.c``) that makes the same values as their Python kernel.
-The verification layer is the submodule ``fvn.stats``; it is not
+(``fvn/_fill.c``) that makes the same values as their composed draw,
+``fvn.samplers.comparison_draw``.  The verification layer is the submodule ``fvn.stats``; it is not
 imported here, and it loads scipy only inside the two functions that
 call it.
 """

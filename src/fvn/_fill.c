@@ -1,10 +1,10 @@
 /* Block fill of comparison-method variates.
 
-   fvn_fill is UniformSource.comparison_variates (bitstream.py) step for
-   step: the pooled sign word, the frexp selection or the bisection of
-   the cumulative masses, the position, the run test with its
-   MAX_RUN_LENGTH cap, the last-in-first-out recycled store and the
-   exp_vn restart.  It reads the same doubles in the same order and does
+   fvn_fill is samplers.comparison_draw step for step: the pooled sign
+   word, the frexp selection or the bisection of the cumulative masses,
+   the position, the run test with its MAX_RUN_LENGTH cap, the
+   last-in-first-out recycled store, the exp_vn restart and the
+   MAX_TRIALS cap.  It reads the same doubles in the same order and does
    the same IEEE operations, so built with -ffp-contract=off (no fused
    multiply-add) it makes the same values bit for bit.
 
@@ -17,7 +17,9 @@
                     part_* fields hold what the partial variate had
                     reached, which a failing refill commits.
      FILL_OVERFLOW  a run reached MAX_RUN_LENGTH.  The state is committed
-                    as the Python kernel commits it before it raises.
+                    as the composed draw leaves it when it raises.
+     FILL_TRIALS    a variate's MAX_TRIALS-th trial was rejected.  The
+                    state is committed as for FILL_OVERFLOW.
    The store must have room for nstore + n values: a variate pushes at
    most one. */
 
@@ -28,8 +30,9 @@
 #define WORD_BITS 53
 #define UNIT 9007199254740992.0 /* 2**WORD_BITS */
 #define MAX_RUN_LENGTH 64
+#define MAX_TRIALS 1024
 
-enum { FILL_DONE = 0, FILL_EMPTY = 1, FILL_OVERFLOW = 2 };
+enum { FILL_DONE = 0, FILL_EMPTY = 1, FILL_OVERFLOW = 2, FILL_TRIALS = 3 };
 
 typedef struct {
     const double *rows; /* IntervalTable.by_k, 4 per index: lo, width, top, lo_sq */
@@ -73,7 +76,7 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
     for (made = 0; made < n; made++) {
         double sign = 1.0, x = 0.0, held = 0.0, u;
         int has_held = 0;
-        int64_t run;
+        int64_t run, trials = 0;
 
         if (normal) {
             if (nb == 0) {
@@ -151,6 +154,12 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                         has_held = 1;
                     }
                 }
+                if (!(run & 1) && ++trials >= MAX_TRIALS) {
+                    if (has_held)
+                        store[r++] = held;
+                    s->status = FILL_TRIALS;
+                    goto commit;
+                }
                 if ((run & 1) || restart)
                     break;
             }
@@ -178,6 +187,7 @@ empty:
 
 overflow:
     s->status = FILL_OVERFLOW;
+commit:
     s->pos = i;
     s->nstore = r;
     s->sign_bits = nb;

@@ -7,8 +7,8 @@ sha256 of the source, the flags and the compiler, in this package's
 under ``tempfile.gettempdir()``.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, cache or
-library works, ``library()`` is None and the samplers run the Python
-kernel ``UniformSource.comparison_variates``.
+library works, ``library()`` is None and the samplers run the composed
+draw ``samplers.comparison_draw``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
 # fvn_state.status, as _fill.c sets it
-FILL_EMPTY, FILL_OVERFLOW = 1, 2
+FILL_EMPTY, FILL_OVERFLOW, FILL_TRIALS = 1, 2, 3
 
 
 class Kernel(ctypes.Structure):

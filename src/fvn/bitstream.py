@@ -10,13 +10,11 @@ sign bits served from a pooled word, and a last-in-first-out store of
 recycled uniforms rebuilt from run-test leftovers.  Consuming a recycled
 value never touches ``draws``.
 
-``comparison_variates`` fuses those steps into one generator of whole
-comparison-method variates.  It reads the source's state afresh on each
-resume, commits it once per variate, and redraws a variate that ran off the
-buffer's end from its first word.  It is the spec of the comparison
-kernel, and the one-shot public samplers take the first value of a fresh
-one.  ``fill_variates`` makes the same values with the compiled block fill
-of ``_fill.c`` (the generator, when the fill does not load) and reads
+``samplers.comparison_draw`` composes those steps, with
+``tables.select_interval`` and ``comparison.run_test``, into one
+comparison-method variate; it is the spec of the comparison kernel.
+``fill_variates`` makes the same values with the compiled block fill of
+``_fill.c`` (the composed draw, when the fill does not load) and reads
 nothing ahead; ``wallace.init_pool`` bootstraps through it.
 ``bind_variates``, which a bound sampler draws from, fills blocks ahead of
 its caller and keeps ``draws`` exact at the value it has reached.
@@ -26,10 +24,8 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_right
 from functools import partial
-from itertools import chain, islice
-from math import frexp
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -53,6 +49,12 @@ _BUFFER_WORDS = 1024
 # tripping it means a broken (e.g. NaN) input, not bad luck.
 MAX_RUN_LENGTH = 64
 RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
+# Hard cap on the rejected trials of one variate.  A trial accepts with
+# probability at least exp(-gmax(k)) >= 1/e, so a working source trips it
+# with probability below (1 - 1/e)**1024 < 2**-670; a periodic source whose
+# words keep rejecting would otherwise loop, and grow the buffer, for ever.
+MAX_TRIALS = 1024
+TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 
 # Variates per compiled fill of a bound sampler.  A fill lands inside one
 # caller's loop iteration, so the block trades the fixed cost of a fill
@@ -125,7 +127,8 @@ class UniformSource:
 
     def _refill(self) -> array:
         """Replace the used-up buffer with fresh floats and return them.
-        ``comparison_variates`` puts a rolled-back variate's words in front.
+        ``_fill_into`` puts a rolled-back variate's words in front; the
+        composed draw, which reads step by step, just goes on into them.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises, or returns no words, leaves ``draws`` at
@@ -191,152 +194,19 @@ class UniformSource:
         self._sign_bits = nb
         return 1 if (self._sign_word >> nb) & 1 else -1
 
-    def comparison_variates(self, table: IntervalTable) -> Iterator[float]:
-        """Endless comparison-method variates on ``table``'s scheme.
-
-        A normal scheme draws a pooled sign bit first.  Then an interval k
-        is selected (a leading-zero count on one fresh word, or a bisection
-        of the cumulative masses by one uniform), a position x in it is
-        drawn with one uniform, and the run test accepts x with probability
-        exp(-G_k(x)).  G_k is clamped into [0, gmax(k)] as in
-        ``IntervalTable.shifted_exponent``.  On a rejection a table that
-        ``restarts`` (von Neumann's exp_vn) selects a fresh interval; every
-        other table redraws the position inside the chosen interval.
-
-        Each step draws exactly as ``random_sign``, ``tables.select_interval``,
-        ``next_uniform`` and ``comparison.run_test`` would, so the stream,
-        the draw count and the recycled store match those calls made one by
-        one.  A uniform comes off the recycled store while it holds one and
-        from the buffer otherwise; sign and leading-zero words are always
-        fresh.  A selection leftover or a rejected trial's recycled value
-        that the next step would pop straight back off the store is used
-        directly instead; the store is the same after every variate.
-
-        The table's constants and the recycling flag are bound once.  The
-        source's state (buffer, position, recycled store, sign pool) is read
-        afresh on every resume and committed once per variate, before its
-        value is yielded or its exception raised.  So ``draws`` is exact
-        after every variate, direct calls on the source may come between two
-        variates, and a suspended generator that is closed or collected
-        writes nothing.  An exception ends the generator.
-
-        Reads are not checked against the buffer's end.  A variate that runs
-        off it is undone, its words are carried to the front of a refill,
-        and it is drawn again from its first word.  If that refill raises,
-        the partial variate is committed as a step-by-step draw leaves it.
-        """
-        by_k, cum = table.by_k, table.cum_probs
-        normal, restart = table.is_normal, table.restarts
-        w, unit, recycling = WORD_BITS, _UNIT, self._recycling
-        while True:
-            rec = self.recycled
-            floats, i, r = self._floats, self._pos, len(rec)
-            nb, sign_word = self._sign_bits, self._sign_word
-            try:
-                if normal:
-                    if nb == 0:
-                        sign_word = int(floats[i] * unit)
-                        i += 1
-                        nb = w
-                    nb -= 1
-                    sign = 1 if (sign_word >> nb) & 1 else -1
-                else:
-                    sign = 1
-                # The value the recycled store would serve next, kept here
-                # instead of pushed and popped straight back.
-                held = None
-                while True:
-                    if cum is None:
-                        # j = k - 1 from u = m * 2**-j, m in [1/2, 1); the
-                        # leftover is 2m - 1.  A zero word clamps k to w.
-                        m, e = frexp(floats[i])
-                        i += 1
-                        j = -e if m else w - 1
-                        if recycling and j < w - 1:
-                            held = m + m - 1.0
-                    else:
-                        if held is not None:    # a restart
-                            u, held = held, None
-                        elif r:
-                            r -= 1
-                            u = rec[r]
-                        else:
-                            u = floats[i]
-                            i += 1
-                        j = bisect_right(cum, u)
-                    lo, width, top, lo_sq = by_k[j]
-                    while True:
-                        if held is not None:
-                            u = held
-                        elif r:
-                            r -= 1
-                            u = rec[r]
-                        else:
-                            u = floats[i]
-                            i += 1
-                        if normal:
-                            x = lo + width * u
-                            g = (x * x - lo_sq) * 0.5
-                        else:
-                            g = width * u
-                            x = lo + g
-                        if not 0.0 <= g <= top:
-                            g = 0.0 if g < 0.0 else top
-                        # The run test, drawn as comparison.run_test would.
-                        prev = g
-                        n = 0
-                        while True:
-                            if r:
-                                r -= 1
-                                u = rec[r]
-                            else:
-                                u = floats[i]
-                                i += 1
-                            n += 1
-                            if not u < prev:
-                                break
-                            if n >= MAX_RUN_LENGTH:
-                                raise RuntimeError(RUN_OVERFLOW)
-                            prev = u
-                        held = None
-                        if recycling and prev < 1.0:
-                            v = (u - prev) / (1.0 - prev)
-                            if v < 1.0:
-                                held = v
-                        if n & 1 or restart:
-                            break
-                    if n & 1:
-                        break
-            except IndexError:
-                if i < len(floats):
-                    raise
-                # Off the buffer's end: undo the variate, carry its words to
-                # the front of a refill, and draw it again from there.
-                tail = floats[self._pos:]
-                self._refill()[:0] = tail
-                self._spent -= len(tail)
-                i, r = 0, len(rec)
-                nb, sign_word = self._sign_bits, self._sign_word
-                continue
-            finally:
-                self._pos = i
-                if r < len(rec):
-                    del rec[r:]
-                if normal:
-                    self._sign_bits, self._sign_word = nb, sign_word
-            if held is not None:
-                rec.append(held)
-            yield sign * x
-
     def fill_variates(self, table: IntervalTable, n: int) -> array:
-        """The next ``n`` values of ``comparison_variates(table)``, made by
-        the compiled fill when it loads and by that generator otherwise.
-        Nothing is read ahead: the source is left as ``n`` draws of the
-        generator leave it, and an error is raised as it raises it, after
-        the same draws.  The values made before an error are lost."""
+        """The next ``n`` values of ``samplers.comparison_draw(table,
+        self)``, made by the compiled fill when it loads and by that draw
+        otherwise.  Nothing is read ahead: the source is left as ``n``
+        composed draws leave it, and an error is raised as the draw raises
+        it, after the same draws.  The values made before an error are
+        lost."""
         fill = _fill.library()
         if fill is None:
-            return array("d", islice(self.comparison_variates(table), n))
+            # deferred: samplers imports bitstream
+            from .samplers import comparison_draw
+
+            return array("d", (comparison_draw(table, self) for _ in range(n)))
         values = array("d", bytes(8 * n))
         counts = array("q", bytes(8 * (n + 1)))
         _, exc = self._fill_into(fill, _fill.kernel(table, self._recycling),
@@ -350,11 +220,13 @@ class UniformSource:
         """Make up to ``n`` variates with the compiled fill into ``values``,
         with ``draws`` before them in ``counts[0]`` and after each in
         ``counts[1:]``.  Returns how many were made and the error that
-        stopped the fill, if one did; the source is committed as
-        ``comparison_variates`` commits it by then.
+        stopped the fill, if one did; the source is left as the composed
+        draw leaves it by then.
 
-        A variate that runs off the buffer's end is carried to the front
-        of a refill and drawn again, as ``comparison_variates`` does.
+        A variate that runs off the buffer's end is undone, its words are
+        carried to the front of a refill, and it is drawn again from its
+        first word.  If that refill raises, the partial variate is
+        committed as the composed draw leaves it.
         """
         rec = self.recycled
         store = array("d", rec)
@@ -391,30 +263,34 @@ class UniformSource:
         self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
         if st.status == _fill.FILL_OVERFLOW:
             exc = RuntimeError(RUN_OVERFLOW)
+        elif st.status == _fill.FILL_TRIALS:
+            exc = RuntimeError(TRIAL_OVERFLOW)
         return made, exc
 
     def bind_variates(self, table: IntervalTable) -> Iterator[float]:
-        """Endless values of ``comparison_variates(table)`` for a bound
-        sampler, which owns the source from now on: a second bind raises
-        ValueError, and nothing else may draw from it.
+        """Endless values of ``samplers.comparison_draw(table, self)`` for a
+        bound sampler, which owns the source from now on: a second bind
+        raises ValueError, and nothing else may draw from it.
 
         With the compiled fill the iterator reads ahead: it fills a block
         of FILL_BLOCK variates and emits it through C-level iterators, with
         no Python frame per value.  ``draws`` is exact after every value;
         the buffer position, the recycled store and the sign pool are
         those of the block's end.  An error is raised at the variate where
-        the generator raises it, with the same ``draws``, and the values go
-        on after it as the generator's would.  Without the fill, the
-        iterator resumes ``comparison_variates`` generators, starting a
-        fresh one after an error.
+        the composed draw raises it, with the same ``draws``, and the
+        values go on after it as the draw's would.  Without the fill, the
+        iterator calls the composed draw once per value, reads nothing
+        ahead, and is not ended by an error.
         """
         if self._bound is not None:
             raise ValueError("the source already feeds a bound sampler")
         self._bound = ahead = _ReadAhead()
         fill = _fill.library()
         if fill is None:
-            return chain.from_iterable(
-                iter(partial(self.comparison_variates, table), None))
+            # deferred: samplers imports bitstream
+            from .samplers import comparison_draw
+
+            return iter(partial(comparison_draw, table, self), None)
         return chain.from_iterable(self._blocks(
             fill, _fill.kernel(table, self._recycling), ahead))
 
@@ -436,7 +312,7 @@ class UniformSource:
 
     def recycle_pair(self, u_n: float, u_next: float) -> None:
         """Store (u_next - u_n) / (1 - u_n) for reuse: the last step of
-        ``comparison.run_test``, which ``comparison_variates`` makes inline.
+        ``comparison.run_test``, and so of each trial of the composed draw.
 
         The pair must be the terminating pair of a run test (u_n <= u_next),
         which makes the stored value uniform on [0, 1) and independent of

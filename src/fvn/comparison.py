@@ -3,9 +3,10 @@ order comparisons among uniforms.
 
 A run test starts a strictly decreasing chain at g and draws uniforms until
 the first non-decrease; the stopping index n is odd with probability
-exp(-g).  The samplers run the loop of ``run_test`` inline in
-``UniformSource.comparison_variates``.  The closed-form run-length law
-lives here too, as the analytic oracle for everything downstream.
+exp(-g).  ``samplers.comparison_draw`` calls ``run_test`` once per
+trial, and the compiled fill runs the same loop inline.  The closed-form
+run-length law lives here too, as the analytic oracle for everything
+downstream.
 """
 
 from __future__ import annotations

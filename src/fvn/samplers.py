@@ -2,16 +2,17 @@
 
 Comparison-method samplers build an Exp(1) or N(0, 1) draw from an interval
 selection plus a run test, with no logarithm or trigonometric call on the
-sampling path.  The table tells the kernel how to select and whether a
+sampling path.  The table tells the draw how to select and whether a
 rejection restarts the trial.  Each kind has one table, the cached
 K = DEFAULT_TABLE_LEN table of its scheme, which its ``SamplerConfig``
-holds.  There are two kernels that make the same values bit for bit: the
-Python generator ``UniformSource.comparison_variates``, which is the spec,
-and the compiled block fill ``UniformSource.fill_variates``.  The four
-public functions take only ``src`` and the first value of a fresh
-generator on their kind's table.  ``make_sampler`` binds the compiled fill,
-which reads ahead in blocks, and falls back to resuming the generator when
-the fill does not load.  The textbook baselines (inversion, Box-Muller,
+holds.  The method is spelled twice, to the same values bit for bit:
+``comparison_draw``, the spec, composes the source's public steps with
+``tables.select_interval`` and ``comparison.run_test``, and the compiled
+block fill of ``UniformSource.fill_variates`` does the same steps inline.
+The four public functions take only ``src`` and return one composed draw
+on their kind's table.  ``make_sampler`` binds the compiled fill, which
+reads ahead in blocks, and falls back to the composed draw when the fill
+does not load.  The textbook baselines (inversion, Box-Muller,
 polar) are here for distribution cross-checks, for ``fvn generate`` and
 ``fvn consumption``, and for perfbench's ``samplers.*_ns`` timings.
 """
@@ -26,10 +27,8 @@ from itertools import chain
 from typing import Callable
 
 from . import tables
-from .bitstream import UniformSource
-# Not called here: the samplers run UniformSource.comparison_variates.  Kept
-# as a module attribute because perfbench/tracing.py wraps samplers.run_test.
-from .comparison import run_test  # noqa: F401
+from .bitstream import MAX_TRIALS, TRIAL_OVERFLOW, UniformSource
+from .comparison import run_test
 # The scheme names double as the names of the samplers built on them.
 from .tables import EXP_BRENT, EXP_VN, NORMAL_FORSYTHE
 
@@ -84,6 +83,37 @@ def default_config(kind: str, *, recycling: bool | None = None) -> SamplerConfig
     return SamplerConfig(kind, recycling_enabled=recycling)
 
 
+def comparison_draw(table: tables.IntervalTable, src: UniformSource) -> float:
+    """One comparison-method variate on ``table``: a pooled sign bit on a
+    normal scheme, the interval selection, a position uniform in it and
+    the run test on the position's shifted exponent.  A rejection
+    restarts the trial with a new interval on a table that ``restarts``
+    (von Neumann's exp_vn) and redraws the position otherwise.  After
+    MAX_TRIALS rejected trials of one variate the source must be broken,
+    and RuntimeError is raised."""
+    sign = src.random_sign() if table.is_normal else 1
+    trials = 0
+    while True:
+        k = tables.select_interval(table, src)
+        lo, hi = table.interval(k)
+        width = hi - lo
+        while True:
+            if table.is_normal:
+                x = lo + width * src.next_uniform()
+                g = table.shifted_exponent(k, x)
+            else:
+                # x = lo + g, as the fill rounds it; g <= width = gmax(k)
+                g = width * src.next_uniform()
+                x = lo + g
+            if run_test(g, src).accepted:
+                return sign * x
+            trials += 1
+            if trials >= MAX_TRIALS:
+                raise RuntimeError(TRIAL_OVERFLOW)
+            if table.restarts:
+                break
+
+
 def exp_vn(src: UniformSource) -> float:
     """Exp(1) on unit intervals with mass (e-1)/e^k.
 
@@ -92,7 +122,7 @@ def exp_vn(src: UniformSource) -> float:
     on the position; a rejection restarts the whole trial.  Averages
     (1+e)e/(e-1) ~ 5.88 uniforms per sample.
     """
-    return next(src.comparison_variates(_cached_table(tables.EXP_VN)))
+    return comparison_draw(_cached_table(tables.EXP_VN), src)
 
 
 def exp_brent(src: UniformSource) -> float:
@@ -100,7 +130,7 @@ def exp_brent(src: UniformSource) -> float:
 
     The interval is chosen once; rejected positions are redrawn inside it.
     """
-    return next(src.comparison_variates(_cached_table(tables.EXP_BRENT)))
+    return comparison_draw(_cached_table(tables.EXP_BRENT), src)
 
 
 def normal_forsythe(src: UniformSource) -> float:
@@ -110,7 +140,7 @@ def normal_forsythe(src: UniformSource) -> float:
     run tests inside the chosen interval.  Averages about 4.04 fresh
     uniforms per sample (plus the amortized sign bit).
     """
-    return next(src.comparison_variates(_cached_table(tables.NORMAL_FORSYTHE)))
+    return comparison_draw(_cached_table(tables.NORMAL_FORSYTHE), src)
 
 
 def normal_grand(src: UniformSource) -> float:
@@ -121,7 +151,7 @@ def normal_grand(src: UniformSource) -> float:
     terminating pair.  With recycling on this runs near 1.4 fresh uniforms
     per sample.
     """
-    return next(src.comparison_variates(_cached_table(tables.NORMAL_BRENT)))
+    return comparison_draw(_cached_table(tables.NORMAL_BRENT), src)
 
 
 def exp_log_baseline(src: UniformSource) -> float:
@@ -168,11 +198,11 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     pool run ahead of the draws, and the source must not be drawn from
     otherwise, nor bound again: a second ``make_sampler`` on it raises
     ValueError before it is touched.  ``src.draws`` stays exact after
-    every draw.  An exception (the run-length cap, a failing engine) is
-    raised by the draw where the Python kernel raises it, with the same
-    ``draws``, and the draws after it go on as the kernel's would.  When
-    the fill does not load, the iterator resumes ``comparison_variates``
-    generators instead and reads nothing ahead.
+    every draw.  An exception (the run-length or trial cap, a failing
+    engine) is raised by the draw where ``comparison_draw`` raises it,
+    with the same ``draws``, and the draws after it go on as the composed
+    draw's would.  When the fill does not load, the iterator calls
+    ``comparison_draw`` once per draw instead and reads nothing ahead.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the

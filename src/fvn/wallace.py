@@ -83,9 +83,10 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
     """Bootstrap a pool of ``size`` comparison-method normals: normal_grand's
     stream under ``src``'s own recycling flag, made by one exact
     ``src.fill_variates``, the compiled fill when it loads.  It reads
-    nothing ahead, so ``src`` is left as ``size`` draws of the Python
-    kernel leave it.  A wallace config has recycling off, so a pool bound
-    by ``make_sampler`` is normal_grand's stream with recycling off."""
+    nothing ahead, so ``src`` is left as ``size`` composed draws
+    (``samplers.comparison_draw``) leave it.  A wallace config has
+    recycling off, so a pool bound by ``make_sampler`` is normal_grand's
+    stream with recycling off."""
     if size < MIN_POOL_SIZE or size % BLOCK != 0:
         raise ValueError(f"pool size must be a multiple of {BLOCK} and "
                          f">= {MIN_POOL_SIZE}, got {size}")

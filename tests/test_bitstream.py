@@ -356,9 +356,9 @@ REFILL_STEPS = {
     "next_word": (0, lambda src: src.next_word(), 0),
     "run_test": (1, lambda src: run_test(1.0, src), 0),
     "comparison_draw": (
-        2, lambda src: next(src.comparison_variates(_EXP_BRENT)), 0),
+        2, lambda src: samplers.comparison_draw(_EXP_BRENT, src), 0),
     "comparison_draw_after_sign": (
-        1, lambda src: next(src.comparison_variates(_FORSYTHE)), W - 1),
+        1, lambda src: samplers.comparison_draw(_FORSYTHE, src), W - 1),
     "comparison_fill": (2, lambda src: src.fill_variates(_EXP_BRENT, 1), 0),
     "comparison_fill_after_sign": (
         1, lambda src: src.fill_variates(_FORSYTHE, 1), W - 1),

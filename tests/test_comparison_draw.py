@@ -1,77 +1,57 @@
-"""The comparison kernels against the same draw composed from the
-source's public steps and ``comparison.run_test``, value by value and
-state by state: the Python generator ``comparison_variates`` and the
-compiled fill, each through an entry point that reads nothing ahead.
-Then the bound sampler, which fills blocks ahead of its caller, against
-the Python kernel, value by value and draw count by draw count."""
+"""The compiled fill against the composed draw ``samplers.comparison_draw``,
+value by value and state by state, through ``fill_variates``, the entry
+point that reads nothing ahead; each such test runs again with the fill
+forced off, where ``fill_variates`` calls the composed draw.  Then the
+bound sampler, which fills blocks ahead of its caller, or calls the
+composed draw when the fill does not load, against the composed draw,
+value by value and draw count by draw count."""
 
 import gc
 import random
 from functools import partial
-from itertools import chain
 
 import numpy as np
 import pytest
 
 from fvn import _fill, bitstream, samplers, tables
-from fvn.bitstream import MAX_RUN_LENGTH, UniformSource
-from fvn.comparison import run_test
-from fvn.samplers import default_config, make_sampler
+from fvn.bitstream import MAX_RUN_LENGTH, MAX_TRIALS, UniformSource
+from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_bitstream import FailOnceEngine, FakeEngine, raw_from_word
 
 KINDS = (samplers.EXP_VN, samplers.EXP_BRENT, samplers.NORMAL_FORSYTHE,
          samplers.NORMAL_GRAND)
 
-PYTHON, FILL = "python", "fill"
+FILL, NO_FILL = "fill", "no-fill"
 
 
-def with_kernels(values, ids=None):
-    """``(value, kernel)`` params: each value on the Python kernel, under
-    its own id, and on the compiled fill, under its id and ``-fill``."""
-    ids = ids or [str(v) for v in values]
-    return ([pytest.param(v, PYTHON, id=i) for v, i in zip(values, ids)]
-            + [pytest.param(v, FILL, id=f"{i}-fill")
-               for v, i in zip(values, ids)])
-
-
-KERNEL_KINDS = with_kernels(KINDS)
-
-
-def kernel_draw(kernel, table, src):
-    """One variate per call from ``kernel``, reading nothing ahead: the
-    Python kernel resumes one generator and starts a fresh one after an
-    error, as a bound sampler does when the fill does not load; the fill
-    makes one variate per call."""
-    if kernel == PYTHON:
-        variates = partial(src.comparison_variates, table)
-        return chain.from_iterable(iter(variates, None)).__next__
-    if _fill.library() is None:
+@pytest.fixture(params=[FILL, NO_FILL])
+def binding(request, monkeypatch):
+    """Runs a test on the compiled fill and again with ``_fill.library``
+    returning None, as on a host with no compiler, where ``fill_variates``
+    and ``make_sampler`` call the composed draw."""
+    if request.param == NO_FILL:
+        monkeypatch.setattr(_fill, "library", lambda: None)
+    elif _fill.library() is None:
         pytest.skip("the compiled fill did not load")
+    return request.param
+
+
+def over_entries(argname, values, ids=None, entries=(FILL, NO_FILL)):
+    """Parametrizes ``argname`` by ``values`` on each ``binding`` entry:
+    each value under its id and ``-fill``, then ``-no-fill``."""
+    ids = ids or [str(v) for v in values]
+    params = pytest.mark.parametrize(
+        f"{argname}, binding",
+        [pytest.param(v, entry, id=f"{i}-{entry}")
+         for entry in entries for v, i in zip(values, ids)],
+        indirect=["binding"])
+    return lambda test: pytest.mark.usefixtures("binding")(params(test))
+
+
+def fill_draw(table, src):
+    """One variate per call from ``fill_variates``, reading nothing
+    ahead."""
     return lambda: src.fill_variates(table, 1)[0]
-
-
-def reference_draw(table, src):
-    """The comparison method as separate calls: a pooled sign bit, the
-    interval selection, a position uniform and the run test, with the
-    shifted exponent from the table's own method."""
-    sign = src.random_sign() if table.is_normal else 1
-    while True:
-        k = tables.select_interval(table, src)
-        lo, hi = table.interval(k)
-        width = hi - lo
-        while True:
-            if table.is_normal:
-                x = lo + width * src.next_uniform()
-                g = table.shifted_exponent(k, x)
-            else:
-                # the kernel's arithmetic, x = lo + g, not g = x - lo;
-                # g < width = gmax(k) needs no clamp
-                g = width * src.next_uniform()
-                x = lo + g
-            if run_test(g, src).accepted:
-                return sign * x
-            if table.restarts:
-                break
 
 
 def state(src):
@@ -81,17 +61,13 @@ def state(src):
     return (src.draws, list(src.recycled), src._sign_bits, src._sign_word)
 
 
-def kernel_and_reference(kind, recycling, make_source, kernel):
-    """A kernel's draw on one source and the reference draw on a twin,
-    each built by ``make_source(recycling)``."""
+def fill_and_reference(kind, recycling, make_source):
+    """The fill's draw on one source and the composed draw on a twin, each
+    built by ``make_source(recycling)``."""
     config = default_config(kind, recycling=recycling)
     fast, slow = (make_source(config.recycling_enabled) for _ in range(2))
-    draw = kernel_draw(kernel, config.table, fast)
-
-    def reference():
-        return reference_draw(config.table, slow)
-
-    return draw, fast, reference, slow
+    draw = fill_draw(config.table, fast)
+    return draw, fast, partial(comparison_draw, config.table, slow), slow
 
 
 class GridEngine:
@@ -110,22 +86,21 @@ class GridEngine:
 @pytest.mark.parametrize("seed", [3, 1009, 2 ** 63 + 11])
 @pytest.mark.parametrize("engine_bits", [53, 24])
 @pytest.mark.parametrize("recycling", [False, True])
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_matches_the_composed_draw(kind, kernel, recycling, engine_bits,
-                                          seed):
+@over_entries("kind", KINDS)
+def test_kernel_matches_the_composed_draw(kind, recycling, engine_bits, seed):
     """Same value, draws, recycled store and sign pool after every variate,
     over 8,256 words and the engine refills among them."""
-    draw, fast, reference, slow = kernel_and_reference(
+    draw, fast, reference, slow = fill_and_reference(
         kind, recycling, lambda r: UniformSource(
-            0, engine=GridEngine(seed, engine_bits), recycling=r), kernel)
+            0, engine=GridEngine(seed, engine_bits), recycling=r))
     while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
         assert draw() == reference()
         assert state(fast) == state(slow)
 
 
 @pytest.mark.parametrize("recycling", [False, True])
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_variate_straddling_a_refill(kind, kernel, recycling):
+@over_entries("kind", KINDS)
+def test_kernel_variate_straddling_a_refill(kind, recycling):
     """Variates started on each of the last words of a buffer, and on a
     buffer just used up: the refill lands in turn on the sign word, the
     selection, the position and the run.
@@ -138,9 +113,9 @@ def test_kernel_variate_straddling_a_refill(kind, kernel, recycling):
     buffer_words = bitstream._BUFFER_WORDS
     for stored in ([], [2.0 ** -49, 2.0 ** -48, 2.0 ** -23, 2.0 ** -10]):
         for left in range(8):
-            draw, fast, reference, slow = kernel_and_reference(
+            draw, fast, reference, slow = fill_and_reference(
                 kind, recycling,
-                lambda r: UniformSource(41 + left, recycling=r), kernel)
+                lambda r: UniformSource(41 + left, recycling=r))
             for src in (fast, slow):
                 for _ in range(buffer_words - left):
                     src.next_word()
@@ -152,33 +127,78 @@ def test_kernel_variate_straddling_a_refill(kind, kernel, recycling):
                    [slow.next_uniform() for _ in range(10)]
 
 
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_variate_longer_than_two_buffers(kind, kernel):
-    """About 800 rejected trials in interval 1, each a position of 0.5 and
-    an even run (2^-33, 0.75), then an accepted one (0.75 ends the run at
-    once): the variate runs off the end of two or three buffers in turn
-    and is carried into the next each time."""
-    table = default_config(kind).table
+def _rejecting_trials(table, trials):
+    """Words for ``trials`` rejected trials in interval 1, each a position
+    of 0.5 and an even run (2^-33, 0.75), after the sign and the
+    selection they need, and the selection word on its own."""
     sign = [1 << 52] if table.is_normal else []
     select = [1 << 52 if table.is_dyadic else 0]
     # exp_vn selects afresh in every trial, the others once per variate
     per_trial, once = (select, []) if table.restarts else ([], select)
-    reject, accept = [1 << 52, 1 << 20, 3 << 51], [1 << 52, 3 << 51]
-    words = sign + once + (per_trial + reject) * 800 + per_trial + accept
-    draw, fast, reference, slow = kernel_and_reference(
-        kind, False, _edge_source(words), kernel)
+    reject = [1 << 52, 1 << 20, 3 << 51]
+    return sign + once + (per_trial + reject) * trials, select
+
+
+@over_entries("kind", KINDS)
+def test_kernel_variate_longer_than_two_buffers(kind):
+    """About 800 rejected trials, then an accepted one (0.75 ends the run
+    at once): the variate runs off the end of two or three buffers in
+    turn and is carried into the next each time."""
+    table = default_config(kind).table
+    words, select = _rejecting_trials(table, 800)
+    words += (select if table.restarts else []) + [1 << 52, 3 << 51]
+    draw, fast, reference, slow = fill_and_reference(
+        kind, False, _edge_source(words))
     assert draw() == reference()
     assert state(fast) == state(slow)
     assert fast.draws > 2 * bitstream._BUFFER_WORDS
 
 
+@over_entries("kind", KINDS)
+def test_kernel_trial_cap_raises_where_the_composed_draw_does(kind):
+    """MAX_TRIALS rejected trials: the fill raises right after the last
+    one's run test, with the draws and state of the composed draw, having
+    carried the variate across refills; both then go on to the same next
+    variate (its sign from the pool)."""
+    table = default_config(kind).table
+    words, select = _rejecting_trials(table, MAX_TRIALS)
+    draw, fast, reference, slow = fill_and_reference(
+        kind, False, _edge_source(words + select + [1 << 52, 3 << 51]))
+    for call in (draw, reference):
+        with pytest.raises(RuntimeError, match="no trial accepted"):
+            call()
+    assert state(fast) == state(slow)
+    assert fast.draws == len(words)
+    assert draw() == reference()
+    assert state(fast) == state(slow)
+    assert fast.draws == len(words) + 3
+
+
+@pytest.mark.usefixtures("binding")
+def test_kernel_trial_cap_keeps_the_recycled_store():
+    """A cycling engine on which exp_vn's third variate never accepts,
+    with recycling on: the fill raises the trial cap with the composed
+    draw's draws and state, the last run's leftover on the store, and
+    goes on alike."""
+    draw, fast, reference, slow = fill_and_reference(
+        samplers.EXP_VN, True, _edge_source([0, 1 << 52, 2 ** 53 - 1]))
+    for _ in range(2):
+        assert draw() == reference()
+    for _ in range(3):
+        for call in (draw, reference):
+            with pytest.raises(RuntimeError, match="no trial accepted"):
+                call()
+        assert state(fast) == state(slow)
+        assert fast.recycled
+
+
 @pytest.mark.parametrize("recycling", [False, True])
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_interleaved_with_direct_source_calls(kind, kernel, recycling):
+@over_entries("kind", KINDS)
+def test_kernel_interleaved_with_direct_source_calls(kind, recycling):
     """Draws mixed with next_uniform, random_sign, geometric_index and
     next_word on the same source share its buffer, store and sign pool."""
-    draw, fast, reference, slow = kernel_and_reference(
-        kind, recycling, lambda r: UniformSource(777, recycling=r), kernel)
+    draw, fast, reference, slow = fill_and_reference(
+        kind, recycling, lambda r: UniformSource(777, recycling=r))
     ops = random.Random(5)
     names = ("next_uniform", "random_sign", "geometric_index", "next_word")
     for _ in range(3000):
@@ -197,8 +217,8 @@ def _edge_source(words):
 
 
 @pytest.mark.parametrize("recycling", [False, True])
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_on_an_all_zero_selection_word(kind, kernel, recycling):
+@over_entries("kind", KINDS)
+def test_kernel_on_an_all_zero_selection_word(kind, recycling):
     """The all-zero selection word and the other edges of the leading-zero
     count: 0 and 1 clamp to k = WORD_BITS with no leftover, 2^52 and
     2^53 - 1 give k = 1 with an all-zero and an all-ones leftover.  The
@@ -207,8 +227,8 @@ def test_kernel_on_an_all_zero_selection_word(kind, kernel, recycling):
     sign = [1 << 52] if table.is_normal else []
     for select in (0, 1, 1 << 52, 2 ** 53 - 1):
         words = sign + [select, 1 << 52, 2 ** 53 - 1]   # then 0.5, run stop
-        draw, fast, reference, slow = kernel_and_reference(
-            kind, recycling, _edge_source(words), kernel)
+        draw, fast, reference, slow = fill_and_reference(
+            kind, recycling, _edge_source(words))
         value = draw()
         assert value == reference(), select
         assert state(fast) == state(slow), select
@@ -219,10 +239,10 @@ def test_kernel_on_an_all_zero_selection_word(kind, kernel, recycling):
         assert lo <= value < hi, select
 
 
-@pytest.mark.parametrize("recycling, kernel", with_kernels([False, True]))
+@over_entries("recycling", [False, True])
 @pytest.mark.parametrize("position_word", [0, 2 ** 53 - 1])
 def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
-                                                           recycling, kernel):
+                                                           recycling):
     """Positions 0 and 1 - 2^-53 sit on the rounded boundaries sqrt(3) and
     sqrt(5), where the unclamped shifted exponent leaves [0, 1].  With
     recycling on, the clamped exponent also shapes the recycled value."""
@@ -230,16 +250,16 @@ def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
     select_word = int(0.5 * (table.cum_probs[1] + table.cum_probs[2]) * 2 ** 53)
     run_words = [1 << 52, 1 << 51, 3 << 51]    # 0.5, 0.25, 0.75
     words = [1 << 52, select_word, position_word] + run_words
-    draw, fast, reference, slow = kernel_and_reference(
-        samplers.NORMAL_FORSYTHE, recycling, _edge_source(words), kernel)
+    draw, fast, reference, slow = fill_and_reference(
+        samplers.NORMAL_FORSYTHE, recycling, _edge_source(words))
     value = draw()
     assert value == reference()
     assert state(fast) == state(slow)
     assert table.boundaries[2] <= value <= table.boundaries[3]
 
 
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_kernel_cap_raises_where_the_composed_draw_does(kind, kernel):
+@over_entries("kind", KINDS)
+def test_kernel_cap_raises_where_the_composed_draw_does(kind):
     """A run of MAX_RUN_LENGTH strictly descending words trips the cap with
     the same draws and buffer position as the composed draw; the source
     then goes on to the same next variate."""
@@ -252,8 +272,8 @@ def test_kernel_cap_raises_where_the_composed_draw_does(kind, kernel):
     descending = [top - (i << 33) for i in range(MAX_RUN_LENGTH)]
     words = (sign + [select, 2 ** 53 - 1] + descending
              + [select, 1 << 52, 2 ** 53 - 1])
-    draw, fast, reference, slow = kernel_and_reference(
-        kind, False, _edge_source(words), kernel)
+    draw, fast, reference, slow = fill_and_reference(
+        kind, False, _edge_source(words))
     for call in (draw, reference):
         with pytest.raises(RuntimeError, match="run length exceeded"):
             call()
@@ -276,29 +296,30 @@ PUBLIC_SAMPLERS = {
 def test_public_samplers_match_the_bound_draw(kind):
     """A one-shot public call gives the bound draw's value and draws,
     variate by variate across refills, and leaves the store and sign pool
-    of the Python kernel resumed on a twin: a bound sampler that reads
-    nothing ahead, or the bound draw itself for exp_log."""
+    of the composed draw on the kind's table on a twin (for exp_log, of
+    the bound draw itself, which reads nothing ahead)."""
     config = default_config(kind)
     public = PUBLIC_SAMPLERS[kind]
-    src, twin, kernel_twin = (
+    src, twin, composed_twin = (
         UniformSource(90, recycling=config.recycling_enabled)
         for _ in range(3))
     draw = make_sampler(config, twin)
     if config.table is None:
-        kernel_twin, kernel = twin, draw
+        composed_twin, composed = twin, draw
     else:
-        kernel = kernel_draw(PYTHON, config.table, kernel_twin)
+        composed = partial(comparison_draw, config.table, composed_twin)
     while src.draws < 2 * bitstream._BUFFER_WORDS + 64:
         value = public(src)
-        assert value == draw() == (kernel() if kernel is not draw else value)
+        assert value == draw() == (composed() if composed is not draw
+                                   else value)
         assert src.draws == twin.draws
-        assert state(src) == state(kernel_twin)
+        assert state(src) == state(composed_twin)
 
 
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind, kernel):
+@over_entries("kind", KINDS)
+def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
     """An engine that raises once, on the refill a variate needs after its
-    first word: the kernel's draw raises, and its later draws match those
+    first word: the fill's draw raises, and its later draws match those
     of a twin whose engine never failed, once the twin holds the same
     state."""
     config = default_config(kind)
@@ -306,8 +327,7 @@ def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind, kernel):
     src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2),
                         recycling=config.recycling_enabled)
     twin = UniformSource(73, recycling=config.recycling_enabled)
-    draw, twin_draw = (kernel_draw(kernel, config.table, s)
-                       for s in (src, twin))
+    draw, twin_draw = (fill_draw(config.table, s) for s in (src, twin))
     for _ in range(50):
         assert draw() == twin_draw()
     assert src.draws < buffer_words - 1        # still on the first buffer
@@ -330,17 +350,15 @@ def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind, kernel):
         assert state(src) == state(twin)
 
 
-@pytest.mark.parametrize("kind, kernel", KERNEL_KINDS)
-def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind,
-                                                                     kernel):
-    """A suspended kernel that is collected writes nothing back: the
-    source keeps the position, store and sign pool that direct calls gave
-    it after the last variate."""
+@over_entries("kind", KINDS, entries=(FILL,))
+def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind):
+    """A fill draw that is collected writes nothing back: the source keeps
+    the position, store and sign pool that direct calls gave it after the
+    last variate."""
     config = default_config(kind)
     src, twin = (UniformSource(58, recycling=config.recycling_enabled)
                  for _ in range(2))
-    draw, twin_draw = (kernel_draw(kernel, config.table, s)
-                       for s in (src, twin))
+    draw, twin_draw = (fill_draw(config.table, s) for s in (src, twin))
     for _ in range(20):
         assert draw() == twin_draw()
     moved = [src.next_uniform() for _ in range(30)]
@@ -353,27 +371,26 @@ def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind,
            [twin.next_uniform() for _ in range(30)]
 
 
-@pytest.mark.parametrize("family, kernel", with_kernels([
+@over_entries("family", [
     (samplers.NORMAL_GRAND, samplers.EXP_BRENT),
     (samplers.NORMAL_FORSYTHE, samplers.EXP_VN),
-], ids=["family0", "family1"]))
-def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family,
-                                                                      kernel):
-    """Two kernels on one source, each suspended between its draws, read
-    the other's moves: value by value and state by state against the
-    composed draw."""
+], ids=["family0", "family1"])
+def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family):
+    """Fill draws of two kinds on one source read each other's moves:
+    value by value and state by state against the composed draw."""
     configs = [default_config(kind) for kind in family]
     # one recycling flag per family: on for the dyadic pair, off for the other
     fast, slow = (UniformSource(1234, recycling=configs[0].recycling_enabled)
                   for _ in range(2))
-    draws = [kernel_draw(kernel, config.table, fast) for config in configs]
+    draws = [fill_draw(config.table, fast) for config in configs]
     ops = random.Random(9)
     while fast.draws < 2 * bitstream._BUFFER_WORDS + 64:
         pick = ops.randrange(2)
-        assert draws[pick]() == reference_draw(configs[pick].table, slow)
+        assert draws[pick]() == comparison_draw(configs[pick].table, slow)
         assert state(fast) == state(slow)
 
 
+@pytest.mark.usefixtures("binding")
 @pytest.mark.parametrize("engine_bits", [53, 24])
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
@@ -383,9 +400,9 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
     the state after each fill, over 8,256 words: the store and sign pool
     carried from variate to variate inside one fill, and refills inside
     it."""
-    draw, fast, reference, slow = kernel_and_reference(
+    draw, fast, reference, slow = fill_and_reference(
         kind, recycling, lambda r: UniformSource(
-            0, engine=GridEngine(5, engine_bits), recycling=r), FILL)
+            0, engine=GridEngine(5, engine_bits), recycling=r))
     table = default_config(kind, recycling=recycling).table
     sizes = random.Random(11)
     while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
@@ -396,18 +413,19 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
     assert state(fast) == state(slow)
 
 
-# The bound sampler: blocks filled ahead, emitted value by value.
+# The bound sampler: blocks filled ahead, emitted value by value, or the
+# composed draw called once per value when the fill does not load.
 
 BLOCK = bitstream.FILL_BLOCK
 
 
-def bound_and_kernel(kind, recycling, make_source):
-    """A bound sampler on one source, and the Python kernel, reading
-    nothing ahead, on a twin; each source built by ``make_source``."""
+def bound_and_reference(kind, recycling, make_source):
+    """A bound sampler on one source, and the composed draw on a twin;
+    each source built by ``make_source``."""
     config = default_config(kind, recycling=recycling)
     src, twin = (make_source(config.recycling_enabled) for _ in range(2))
     return (make_sampler(config, src), src,
-            kernel_draw(PYTHON, config.table, twin), twin)
+            partial(comparison_draw, config.table, twin), twin)
 
 
 def outcome(draw, src):
@@ -420,18 +438,23 @@ def outcome(draw, src):
 
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
-def test_bound_sampler_matches_the_python_kernel_across_blocks(kind,
-                                                               recycling):
+def test_bound_sampler_matches_the_composed_draw_across_blocks(kind,
+                                                               recycling,
+                                                               binding):
     """Value and ``draws`` after every variate, through the ends of three
-    read-ahead blocks (B - 1, B, B + 1 and on)."""
-    draw, src, kernel, twin = bound_and_kernel(
+    read-ahead blocks (B - 1, B, B + 1 and on).  Without the fill nothing
+    is read ahead, so the whole state matches."""
+    draw, src, reference, twin = bound_and_reference(
         kind, recycling, lambda r: UniformSource(314, recycling=r))
     assert src.draws == 0
     for _ in range(3 * BLOCK + 2):
-        assert draw() == kernel()
+        assert draw() == reference()
         assert src.draws == twin.draws
+        if binding == NO_FILL:
+            assert state(src) == state(twin)
 
 
+@pytest.mark.usefixtures("binding")
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_bound_source_cannot_be_bound_again(kind):
     """A second make_sampler on a source that a bound sampler owns raises
@@ -473,37 +496,57 @@ class StretchEngine:
         return out
 
 
+@pytest.mark.usefixtures("binding")
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
-def test_bound_sampler_raises_where_the_python_kernel_raises(kind, recycling):
+def test_bound_sampler_raises_where_the_composed_draw_raises(kind, recycling):
     """Run-cap errors inside read-ahead blocks, at many positions in them:
-    each raised by the draw where the Python kernel raises it, with the
+    each raised by the draw where the composed draw raises it, with the
     same ``draws``, and the draws after it go on alike.  The error comes
     from the iterator being emitted, so the sampler is not ended by it."""
-    draw, src, kernel, twin = bound_and_kernel(
+    draw, src, reference, twin = bound_and_reference(
         kind, recycling,
         lambda r: UniformSource(0, engine=StretchEngine(5), recycling=r))
     raised = set()
     for i in range(3 * BLOCK):
         got = outcome(draw, src)
-        assert got == outcome(kernel, twin)
+        assert got == outcome(reference, twin)
         if isinstance(got[0], str):
             raised.add(i)
     assert len({i % BLOCK for i in raised}) >= 5
 
 
+@pytest.mark.usefixtures("binding")
 @pytest.mark.parametrize("empty", [False, True])
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
-def test_bound_sampler_fails_where_the_python_kernel_fails(kind, recycling,
+def test_bound_sampler_fails_where_the_composed_draw_fails(kind, recycling,
                                                            empty):
     """An engine that fails once, on a refill inside a read-ahead block:
-    the draw that needs the refill raises with the kernel's ``draws``, and
-    the draws after it go on alike."""
-    draw, src, kernel, twin = bound_and_kernel(
+    the draw that needs the refill raises with the composed draw's
+    ``draws``, and the draws after it go on alike."""
+    draw, src, reference, twin = bound_and_reference(
         kind, recycling,
         lambda r: UniformSource(0, engine=FailOnceEngine(
             29, fail_on=3, empty=empty), recycling=r))
     outcomes = [outcome(draw, src) for _ in range(3 * BLOCK)]
-    assert outcomes == [outcome(kernel, twin) for _ in range(3 * BLOCK)]
+    assert outcomes == [outcome(reference, twin) for _ in range(3 * BLOCK)]
     assert sum(isinstance(value, str) for value, _ in outcomes) == 1
+
+
+@pytest.mark.usefixtures("binding")
+def test_bound_sampler_stops_a_variate_that_never_accepts():
+    """A cycling engine on which exp_vn's third variate never accepts:
+    the bound sampler returns two values and then raises the trial cap at
+    every draw, as the composed draw does, with the same ``draws``.  The
+    read-ahead meets that variate first, and the cap bounds the words it
+    carries to the front of each refill."""
+    draw, src, reference, twin = bound_and_reference(
+        samplers.EXP_VN, True, _edge_source([0, 1 << 52, 2 ** 53 - 1]))
+    outcomes = [outcome(draw, src) for _ in range(5)]
+    assert outcomes == [outcome(reference, twin) for _ in range(5)]
+    assert [isinstance(value, str) for value, _ in outcomes] == \
+           [False, False, True, True, True]
+    assert "no trial accepted" in outcomes[2][0]
+    # a carried variate of MAX_TRIALS three-word trials, and one refill
+    assert len(src._floats) <= 3 * MAX_TRIALS + bitstream._BUFFER_WORDS

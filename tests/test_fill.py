@@ -1,4 +1,4 @@
-"""Building and loading the compiled fill, and the Python kernel that runs
+"""Building and loading the compiled fill, and the composed draw that runs
 when it does not load."""
 
 import hashlib
@@ -73,9 +73,9 @@ def test_concurrent_first_uses_all_load_one_library(tmp_path):
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
 
-def test_make_sampler_falls_back_to_the_python_kernel(monkeypatch,
+def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
                                                       fresh_library):
-    """A build that fails leaves the samplers on the Python kernel, which
+    """A build that fails leaves the samplers on the composed draw, which
     reads nothing ahead and draws every pinned stream."""
     def fail():
         raise OSError("no compiler")
