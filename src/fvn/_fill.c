@@ -8,14 +8,20 @@
    the same IEEE operations, so built with -ffp-contract=off (no fused
    multiply-add) it makes the same values bit for bit.
 
+   Fresh words come from buf while pos < nbuf.  Past its end they come
+   from the engine, when there is one: numpy's bitgen_t, which fvn_bitgen
+   mirrors (numpy/random/bitgen.h), read with next_raw as random_raw reads
+   it, so the words and their order are the engine's stream.  pos then
+   counts on past nbuf, and the caller holds the engine's lock.
+
    It makes up to n variates, writing each value to out[v] and the fresh
    words spent by the end of it, spent + position, to counts[v].  It stops
-   early in two cases:
-     FILL_EMPTY     a variate ran off the buffer's end.  The state is left
-                    at the start of that variate, for the caller to refill
-                    with the words from pos carried to the front; the
-                    part_* fields hold what the partial variate had
-                    reached, which a failing refill commits.
+   early in these cases:
+     FILL_EMPTY     with no engine, a variate ran off the buffer's end.
+                    The state is left at the start of that variate, for
+                    the caller to refill with the words from pos carried
+                    to the front; the part_* fields hold what the partial
+                    variate had reached, which a failing refill commits.
      FILL_OVERFLOW  a run reached MAX_RUN_LENGTH.  The state is committed
                     as the composed draw leaves it when it raises.
      FILL_TRIALS    a variate's MAX_TRIALS-th trial was rejected.  The
@@ -43,6 +49,15 @@ typedef struct {
     int64_t recycling;
 } fvn_kernel;
 
+/* numpy/random/bitgen.h's bitgen_t, field for field */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} fvn_bitgen;
+
 typedef struct {
     const double *buf;
     int64_t nbuf;
@@ -56,12 +71,14 @@ typedef struct {
     int64_t part_nstore;
     int64_t part_sign_bits;
     int64_t part_sign_word;
+    const fvn_bitgen *engine;   /* NULL: stop with FILL_EMPTY */
 } fvn_state;
 
 int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                  int64_t *counts, int64_t n)
 {
     const double *buf = s->buf, *cum = kn->cum;
+    const fvn_bitgen *eng = s->engine;
     const int64_t nbuf = s->nbuf, ncum = kn->ncum, spent = s->spent;
     const int normal = kn->normal != 0, restart = kn->restart != 0;
     const int recycling = kn->recycling != 0;
@@ -70,7 +87,16 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
     int64_t made;
 
 /* A fresh word, or the recycled store's top and a fresh word once empty. */
-#define FRESH(dst) do { if (i >= nbuf) goto empty; (dst) = buf[i++]; } while (0)
+#define FRESH(dst) do {                                                 \
+        if (i < nbuf)                                                   \
+            (dst) = buf[i];                                             \
+        else if (eng != NULL)                                           \
+            (dst) = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS)) \
+                    / UNIT;                                             \
+        else                                                            \
+            goto empty;                                                 \
+        i++;                                                            \
+    } while (0)
 #define UNIFORM(dst) do { if (r) (dst) = store[--r]; else FRESH(dst); } while (0)
 
     for (made = 0; made < n; made++) {

@@ -45,7 +45,8 @@ class State(ctypes.Structure):
                 ("sign_bits", ctypes.c_int64), ("sign_word", ctypes.c_int64),
                 ("status", ctypes.c_int64), ("part_nstore", ctypes.c_int64),
                 ("part_sign_bits", ctypes.c_int64),
-                ("part_sign_word", ctypes.c_int64)]
+                ("part_sign_word", ctypes.c_int64),
+                ("engine", ctypes.c_void_p)]
 
 
 def compile_library(out: str, extra_flags: tuple[str, ...] = ()) -> None:

@@ -18,12 +18,18 @@ comparison-method variate; it is the spec of the comparison kernel.
 nothing ahead; ``wallace.init_pool`` bootstraps through it.
 ``bind_variates``, which a bound sampler draws from, fills blocks ahead of
 its caller and keeps ``draws`` exact at the value it has reached.
+
+The buffer is refilled by ``random_raw`` for the direct calls, the
+composed draw and an injected engine.  On a numpy engine the compiled fill
+reads on from the engine itself once the buffer is used up, so a bound
+sampler never goes back to Python for words.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
@@ -84,6 +90,12 @@ class UniformSource:
     array`` of 64-bit words works, as numpy's PCG64, PCG64DXSM, Philox and
     SFC64 do.  MT19937's words are 32-bit, which would put every uniform
     below 2**-32, so it is refused.  Defaults to PCG64.
+    The compiled fill reads a numpy engine's words itself, with the
+    ``next_raw`` that ``random_raw`` calls, once the buffer is used up: the
+    same words in the same order.  It holds ``engine.lock`` over each fill,
+    as ``random_raw`` does.  An engine whose class overrides
+    ``random_raw``, and any engine not of numpy, is read through its
+    ``random_raw`` only.
     ``recycling`` says whether run-test and selection leftovers are stored
     for reuse; it is set here, by the owner, and is read-only after.
     """
@@ -127,8 +139,10 @@ class UniformSource:
 
     def _refill(self) -> array:
         """Replace the used-up buffer with fresh floats and return them.
-        ``_fill_into`` puts a rolled-back variate's words in front; the
-        composed draw, which reads step by step, just goes on into them.
+        It serves the direct calls, the composed draw and, in the compiled
+        fill, an engine that the fill does not read itself.  ``_fill_into``
+        puts a rolled-back variate's words in front; the composed draw,
+        which reads step by step, just goes on into them.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises, or returns no words, leaves ``draws`` at
@@ -223,24 +237,28 @@ class UniformSource:
         stopped the fill, if one did; the source is left as the composed
         draw leaves it by then.
 
-        A variate that runs off the buffer's end is undone, its words are
-        carried to the front of a refill, and it is drawn again from its
-        first word.  If that refill raises, the partial variate is
-        committed as the composed draw leaves it.
+        On a numpy engine the fill reads on from the engine once the buffer
+        is used up, and the buffer is left empty for the next direct call
+        to refill.  On another engine a variate that runs off the buffer's
+        end is undone, its words are carried to the front of a refill, and
+        it is drawn again from its first word.  If that refill raises, the
+        partial variate is committed as the composed draw leaves it.
         """
+        bitgen, lock = self._engine_reader()
         rec = self.recycled
         store = array("d", rec)
         store.frombytes(bytes(8 * n))       # a variate pushes at most one
         floats = self._floats
         st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
                          store.buffer_info()[0], len(rec),
-                         self._sign_bits, self._sign_word)
+                         self._sign_bits, self._sign_word, engine=bitgen)
         vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
         counts[0] = self._spent + self._pos
         made, exc = 0, None
         while True:
-            made += fill(kernel, st, vaddr + 8 * made, caddr + 8 * (made + 1),
-                         n - made)
+            with lock:
+                made += fill(kernel, st, vaddr + 8 * made,
+                             caddr + 8 * (made + 1), n - made)
             if st.status != _fill.FILL_EMPTY:
                 break
             tail = floats[st.pos:]
@@ -258,6 +276,10 @@ class UniformSource:
             self._spent -= len(tail)
             st.buf, st.nbuf = floats.buffer_info()
             st.pos, st.spent = 0, self._spent
+        if st.pos > len(floats):
+            # read on from the engine: the buffer and those words are spent
+            self._spent += st.pos
+            self._floats, st.pos = array("d"), 0
         self._pos = st.pos
         rec[:] = store[:st.nstore]
         self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
@@ -266,6 +288,18 @@ class UniformSource:
         elif st.status == _fill.FILL_TRIALS:
             exc = RuntimeError(TRIAL_OVERFLOW)
         return made, exc
+
+    def _engine_reader(self):
+        """The address of the engine's numpy ``bitgen_t``, for the fill to
+        read its words itself, and the lock to hold while it does; None and
+        no lock for an engine read through ``random_raw`` only.  Looked up
+        at each fill and never stored, so building a source costs nothing
+        more, and a copied or unpickled source reads its own engine."""
+        engine = self._engine
+        if (getattr(type(engine), "random_raw", None)
+                is not np.random.BitGenerator.random_raw):
+            return None, nullcontext()
+        return engine.ctypes.bit_generator.value, engine.lock
 
     def bind_variates(self, table: IntervalTable) -> Iterator[float]:
         """Endless values of ``samplers.comparison_draw(table, self)`` for a

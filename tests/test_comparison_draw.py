@@ -4,10 +4,16 @@ point that reads nothing ahead; each such test runs again with the fill
 forced off, where ``fill_variates`` calls the composed draw.  Then the
 bound sampler, which fills blocks ahead of its caller, or calls the
 composed draw when the fill does not load, against the composed draw,
-value by value and draw count by draw count."""
+value by value and draw count by draw count.  On a numpy engine the fill
+reads the engine's words itself once the buffer is used up; on any other
+engine it carries a variate that runs off the buffer's end to the front of
+a ``random_raw`` refill."""
 
-import gc
+import copy
+import pickle
 import random
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -83,6 +89,18 @@ class GridEngine:
         return self._pcg.random_raw(size) & self._mask
 
 
+class RawOnly:
+    """A numpy engine seen through its ``random_raw`` alone: the same
+    words, which the fill takes from ``random_raw`` refills, as it does
+    from every engine not of numpy."""
+
+    def __init__(self, engine):
+        self._engine = engine
+
+    def random_raw(self, size):
+        return self._engine.random_raw(size)
+
+
 @pytest.mark.parametrize("seed", [3, 1009, 2 ** 63 + 11])
 @pytest.mark.parametrize("engine_bits", [53, 24])
 @pytest.mark.parametrize("recycling", [False, True])
@@ -98,12 +116,16 @@ def test_kernel_matches_the_composed_draw(kind, recycling, engine_bits, seed):
         assert state(fast) == state(slow)
 
 
+@pytest.mark.parametrize("wrap", [np.random.PCG64, lambda seed: RawOnly(
+    np.random.PCG64(seed))], ids=["numpy", "raw-only"])
 @pytest.mark.parametrize("recycling", [False, True])
 @over_entries("kind", KINDS)
-def test_kernel_variate_straddling_a_refill(kind, recycling):
+def test_kernel_variate_straddling_a_refill(kind, recycling, wrap):
     """Variates started on each of the last words of a buffer, and on a
     buffer just used up: the refill lands in turn on the sign word, the
-    selection, the position and the run.
+    selection, the position and the run.  On the numpy engine the fill
+    reads on from the engine there; on the ``random_raw``-only wrapper it
+    carries the variate to the front of a refill.
 
     The second input pre-fills the recycled store on both twins.  Its
     values fall fast enough that, for every kind, the first run drains
@@ -114,8 +136,8 @@ def test_kernel_variate_straddling_a_refill(kind, recycling):
     for stored in ([], [2.0 ** -49, 2.0 ** -48, 2.0 ** -23, 2.0 ** -10]):
         for left in range(8):
             draw, fast, reference, slow = fill_and_reference(
-                kind, recycling,
-                lambda r: UniformSource(41 + left, recycling=r))
+                kind, recycling, lambda r: UniformSource(
+                    0, engine=wrap(41 + left), recycling=r))
             for src in (fast, slow):
                 for _ in range(buffer_words - left):
                     src.next_word()
@@ -350,27 +372,6 @@ def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
         assert state(src) == state(twin)
 
 
-@over_entries("kind", KINDS, entries=(FILL,))
-def test_dropped_bound_draw_leaves_the_source_as_next_uniform_left_it(kind):
-    """A fill draw that is collected writes nothing back: the source keeps
-    the position, store and sign pool that direct calls gave it after the
-    last variate."""
-    config = default_config(kind)
-    src, twin = (UniformSource(58, recycling=config.recycling_enabled)
-                 for _ in range(2))
-    draw, twin_draw = (fill_draw(config.table, s) for s in (src, twin))
-    for _ in range(20):
-        assert draw() == twin_draw()
-    moved = [src.next_uniform() for _ in range(30)]
-    before = state(src)
-    del draw
-    gc.collect()
-    assert state(src) == before
-    assert [twin.next_uniform() for _ in range(30)] == moved
-    assert [src.next_uniform() for _ in range(30)] == \
-           [twin.next_uniform() for _ in range(30)]
-
-
 @over_entries("family", [
     (samplers.NORMAL_GRAND, samplers.EXP_BRENT),
     (samplers.NORMAL_FORSYTHE, samplers.EXP_VN),
@@ -411,6 +412,162 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
         assert state(fast) == state(slow)
     assert len(fast.fill_variates(table, 0)) == 0
     assert state(fast) == state(slow)
+
+
+# The fill on a numpy engine, which it reads itself past the buffer's end.
+
+NUMPY_ENGINES = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+
+
+def fill_only(test):
+    """Runs a test on the compiled fill alone, skipped when it does not
+    load."""
+    on_fill = pytest.mark.parametrize("binding", [FILL], indirect=True)
+    return pytest.mark.usefixtures("binding")(on_fill(test))
+
+
+def lock_is_free(lock):
+    """Whether another thread can take ``lock`` now: a reentrant lock
+    left held by this thread would let this thread take it again."""
+    taken = []
+
+    def probe():
+        if lock.acquire(blocking=False):
+            lock.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive()
+    return taken == [True]
+
+
+@pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.EXP_VN])
+@over_entries("engine", NUMPY_ENGINES, entries=(FILL,))
+def test_fill_reads_a_numpy_engine_as_random_raw_does(engine, kind):
+    """Fills on a numpy engine, which run on from the engine itself, and
+    on a twin that reads the same engine through ``random_raw`` alone:
+    the same values, state and next uniforms after each fill, and the
+    engine's lock free again."""
+    config = default_config(kind)
+    fast = UniformSource(0, engine=getattr(np.random, engine)(8),
+                         recycling=config.recycling_enabled)
+    slow = UniformSource(0, engine=RawOnly(getattr(np.random, engine)(8)),
+                         recycling=config.recycling_enabled)
+    for n in (1, 700, 5000, 3):
+        assert fast.fill_variates(config.table, n) == \
+               slow.fill_variates(config.table, n)
+        assert state(fast) == state(slow)
+        assert lock_is_free(fast._engine.lock)
+        if n == 5000:
+            # it read on from the engine, and left no buffer behind
+            assert len(fast._floats) == 0
+        assert [fast.next_uniform() for _ in range(10)] == \
+               [slow.next_uniform() for _ in range(10)]
+        assert state(fast) == state(slow)
+
+
+@fill_only
+def test_a_source_that_read_its_engine_copies_and_pickles():
+    """A source whose fill has read on from its numpy engine still deep
+    copies and round-trips through pickle, and the copies go on with the
+    source's values, each reading its own engine."""
+    table = default_config(samplers.EXP_VN).table
+    src = UniformSource(9, recycling=False)
+    src.fill_variates(table, 500)
+    copies = [copy.deepcopy(src), pickle.loads(pickle.dumps(src))]
+    values = src.fill_variates(table, 500)
+    for twin in copies:
+        assert twin.fill_variates(table, 500) == values
+        assert state(twin) == state(src)
+
+
+@fill_only
+def test_fill_calls_an_overriding_random_raw():
+    """A numpy engine whose class overrides ``random_raw`` is read through
+    that override, as an injected engine is."""
+    calls = []
+
+    class Counted(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            calls.append(size)
+            return super().random_raw(size, output)
+
+    table = default_config(samplers.EXP_VN).table
+    src = UniformSource(0, engine=Counted(12), recycling=False)
+    twin = UniformSource(12, recycling=False)
+    assert src.fill_variates(table, 500) == twin.fill_variates(table, 500)
+    assert src.draws == twin.draws > bitstream._BUFFER_WORDS
+    assert len(calls) >= 2 and set(calls) == {bitstream._BUFFER_WORDS}
+
+
+@fill_only
+def test_fill_waits_for_the_engine_lock():
+    """A fill on an engine whose lock another thread holds returns only
+    after that thread lets it go."""
+    engine = np.random.PCG64(4)
+    src = UniformSource(0, engine=engine)
+    table = default_config(samplers.NORMAL_GRAND).table
+    held, release, filled = (threading.Event() for _ in range(3))
+
+    def hold():
+        with engine.lock:
+            held.set()
+            release.wait(30)
+
+    def fill():
+        src.fill_variates(table, 100)
+        filled.set()
+
+    holder, filler = threading.Thread(target=hold), threading.Thread(target=fill)
+    holder.start()
+    assert held.wait(30)
+    filler.start()
+    try:
+        assert not filled.wait(0.5)
+    finally:
+        release.set()
+    assert filled.wait(30)
+    for thread in (holder, filler):
+        thread.join(30)
+        assert not thread.is_alive()
+    assert src.draws > 0 and lock_is_free(engine.lock)
+
+
+@fill_only
+def test_fills_and_random_raw_on_one_engine_lose_no_word():
+    """Fills that read a PCG64 themselves, and two threads that call
+    its ``random_raw``, which lets the interpreter lock go while it draws,
+    with thread switches forced often: under the engine's lock every word
+    is drawn once, so the engine ends as far on as all their words."""
+    engine = np.random.PCG64(6)
+    src = UniformSource(0, engine=engine, recycling=False)
+    table = default_config(samplers.EXP_VN).table
+    raw, stop = [], threading.Event()
+
+    def draw_raw():
+        while not stop.is_set():
+            raw.append(len(engine.random_raw(20_000)))
+
+    others = [threading.Thread(target=draw_raw) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in others:
+            thread.start()
+        for _ in range(50):
+            src.fill_variates(table, 500)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    for thread in others:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert len(src._floats) == 0        # every word of the fills was read in C
+    twin = np.random.PCG64(6)
+    twin.advance(src.draws + sum(raw))
+    assert engine.state == twin.state
 
 
 # The bound sampler: blocks filled ahead, emitted value by value, or the
