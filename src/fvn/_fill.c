@@ -19,9 +19,8 @@
    early in these cases:
      FILL_EMPTY     with no engine, a variate ran off the buffer's end.
                     The state is left at the start of that variate, for
-                    the caller to refill with the words from pos carried
-                    to the front; the part_* fields hold what the partial
-                    variate had reached, which a failing refill commits.
+                    the caller to make it with the composed draw, which
+                    refills the buffer, and fill on from there.
      FILL_OVERFLOW  a run reached MAX_RUN_LENGTH.  The state is committed
                     as the composed draw leaves it when it raises.
      FILL_TRIALS    a variate's MAX_TRIALS-th trial was rejected.  The
@@ -68,9 +67,6 @@ typedef struct {
     int64_t sign_bits;
     int64_t sign_word;
     int64_t status;
-    int64_t part_nstore;
-    int64_t part_sign_bits;
-    int64_t part_sign_word;
     const fvn_bitgen *engine;   /* NULL: stop with FILL_EMPTY */
 } fvn_state;
 
@@ -206,9 +202,6 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
 
 empty:
     s->status = FILL_EMPTY;
-    s->part_nstore = r;
-    s->part_sign_bits = nb;
-    s->part_sign_word = sw;
     return made;
 
 overflow:

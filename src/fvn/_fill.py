@@ -43,10 +43,7 @@ class State(ctypes.Structure):
                 ("pos", ctypes.c_int64), ("spent", ctypes.c_int64),
                 ("store", ctypes.c_void_p), ("nstore", ctypes.c_int64),
                 ("sign_bits", ctypes.c_int64), ("sign_word", ctypes.c_int64),
-                ("status", ctypes.c_int64), ("part_nstore", ctypes.c_int64),
-                ("part_sign_bits", ctypes.c_int64),
-                ("part_sign_word", ctypes.c_int64),
-                ("engine", ctypes.c_void_p)]
+                ("status", ctypes.c_int64), ("engine", ctypes.c_void_p)]
 
 
 def compile_library(out: str, extra_flags: tuple[str, ...] = ()) -> None:
@@ -127,7 +124,8 @@ def library():
 @functools.lru_cache(maxsize=32)
 def kernel(table, recycling: bool):
     """The ``Kernel`` of a table and recycling flag.  It keeps its row and
-    mass arrays alive, since it holds only their addresses."""
+    mass arrays alive, since it holds only their addresses, and its table,
+    on which the composed draw makes a variate that the fill stops at."""
     rows = array("d")
     for lo, width, top, lo_sq in table.by_k:
         rows.extend((lo, width, top, 0.0 if lo_sq is None else lo_sq))
@@ -136,4 +134,5 @@ def kernel(table, recycling: bool):
                 cum.buffer_info()[0] if table.cum_probs else None,
                 len(cum), table.is_normal, table.restarts, recycling)
     kn.arrays = (rows, cum)
+    kn.table = table
     return kn

@@ -19,10 +19,11 @@ nothing ahead; ``wallace.init_pool`` bootstraps through it.
 ``bind_variates``, which a bound sampler draws from, fills blocks ahead of
 its caller and keeps ``draws`` exact at the value it has reached.
 
-The buffer is refilled by ``random_raw`` for the direct calls, the
-composed draw and an injected engine.  On a numpy engine the compiled fill
-reads on from the engine itself once the buffer is used up, so a bound
-sampler never goes back to Python for words.
+The buffer is refilled by ``random_raw`` for the direct calls and the
+composed draw.  On a numpy engine the compiled fill reads on from the
+engine itself once the buffer is used up, so a bound sampler never goes
+back to Python for words; on any other, the composed draw makes the one
+variate that would run off the buffer's end.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
 # Hard cap on the rejected trials of one variate.  A trial accepts with
 # probability at least exp(-gmax(k)) >= 1/e, so a working source trips it
 # with probability below (1 - 1/e)**1024 < 2**-670; a periodic source whose
-# words keep rejecting would otherwise loop, and grow the buffer, for ever.
+# words keep rejecting would otherwise loop for ever.
 MAX_TRIALS = 1024
 TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 
@@ -138,11 +139,8 @@ class UniformSource:
         return ahead.counts[ahead.it.__reduce__()[2]]
 
     def _refill(self) -> array:
-        """Replace the used-up buffer with fresh floats and return them.
-        It serves the direct calls, the composed draw and, in the compiled
-        fill, an engine that the fill does not read itself.  ``_fill_into``
-        puts a rolled-back variate's words in front; the composed draw,
-        which reads step by step, just goes on into them.
+        """Replace the used-up buffer with fresh floats and return them,
+        for the direct calls and the composed draw.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises, or returns no words, leaves ``draws`` at
@@ -239,50 +237,48 @@ class UniformSource:
 
         On a numpy engine the fill reads on from the engine once the buffer
         is used up, and the buffer is left empty for the next direct call
-        to refill.  On another engine a variate that runs off the buffer's
-        end is undone, its words are carried to the front of a refill, and
-        it is drawn again from its first word.  If that refill raises, the
-        partial variate is committed as the composed draw leaves it.
+        to refill.  On another engine the fill stops at a variate that
+        would run off the buffer's end, and the composed draw makes that
+        one variate, refilling with ``random_raw`` as it goes; the fill then
+        goes on from where the draw left the source.
         """
         bitgen, lock = self._engine_reader()
         rec = self.recycled
         store = array("d", rec)
         store.frombytes(bytes(8 * n))       # a variate pushes at most one
-        floats = self._floats
-        st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
-                         store.buffer_info()[0], len(rec),
-                         self._sign_bits, self._sign_word, engine=bitgen)
         vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
         counts[0] = self._spent + self._pos
         made, exc = 0, None
         while True:
+            floats = self._floats
+            st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
+                             store.buffer_info()[0], len(rec),
+                             self._sign_bits, self._sign_word, engine=bitgen)
             with lock:
                 made += fill(kernel, st, vaddr + 8 * made,
                              caddr + 8 * (made + 1), n - made)
+            if st.pos > len(floats):
+                # read on from the engine: the buffer and those words are spent
+                self._spent += st.pos
+                self._floats, st.pos = array("d"), 0
+            self._pos = st.pos
+            rec[:] = store[:st.nstore]
+            self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
             if st.status != _fill.FILL_EMPTY:
                 break
-            tail = floats[st.pos:]
+            # deferred: samplers imports bitstream
+            from .samplers import comparison_draw
+
+            # Whatever the draw raises, a failing engine's error among it,
+            # is this variate's error: it is passed on, not handled.
             try:
-                floats = self._refill()
-            # Whatever the engine raises is the error of this variate: it
-            # is passed on, not handled, once the variate is committed.
+                values[made] = comparison_draw(kernel.table, self)
             except Exception as error:
-                st.pos = len(floats)
-                st.nstore = st.part_nstore
-                st.sign_bits, st.sign_word = st.part_sign_bits, st.part_sign_word
                 exc = error
                 break
-            floats[:0] = tail
-            self._spent -= len(tail)
-            st.buf, st.nbuf = floats.buffer_info()
-            st.pos, st.spent = 0, self._spent
-        if st.pos > len(floats):
-            # read on from the engine: the buffer and those words are spent
-            self._spent += st.pos
-            self._floats, st.pos = array("d"), 0
-        self._pos = st.pos
-        rec[:] = store[:st.nstore]
-        self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
+            made += 1
+            counts[made] = self._spent + self._pos
+            store[:len(rec)] = array("d", rec)
         if st.status == _fill.FILL_OVERFLOW:
             exc = RuntimeError(RUN_OVERFLOW)
         elif st.status == _fill.FILL_TRIALS:

@@ -344,6 +344,23 @@ def test_consumption_leaves_scipy_unloaded():
     assert r.stdout.count("\n") == 3
 
 
+def test_verify_leaves_scipy_stats_unloaded():
+    """The battery's critical values come from ``scipy.special``:
+    ``fvn verify`` runs without importing ``scipy.stats``."""
+    code = textwrap.dedent("""\
+        import runpy, sys
+        sys.argv = ["fvn", "verify", "--n", "1000"]
+        try:
+            runpy.run_module("fvn", run_name="__main__")
+        except SystemExit as stop:
+            assert stop.code == 0, stop.code
+        assert "scipy.stats" not in sys.modules, "fvn verify loaded scipy.stats"
+    """)
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("\n") == 11
+
+
 def test_every_public_name_resolves_and_unknown_ones_raise():
     """Every name in ``fvn.__all__`` resolves; any other name is an
     AttributeError."""

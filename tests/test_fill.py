@@ -1,6 +1,7 @@
-"""Building and loading the compiled fill, and the composed draw that runs
-when it does not load."""
+"""Building and loading the compiled fill, its ctypes mirrors of the C
+structs, and the composed draw that runs when it does not load."""
 
+import ctypes
 import hashlib
 import os
 import shutil
@@ -98,3 +99,25 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
     assert src.draws == src._spent + src._pos
     with pytest.raises(ValueError, match="already feeds a bound sampler"):
         make_sampler(config, src)
+
+
+@needs_compiler
+def test_ctypes_structs_match_the_c_layout(tmp_path):
+    """``_fill.Kernel`` and ``_fill.State`` have the size and the field
+    offsets of the C structs they mirror, as a program that includes
+    ``_fill.c`` prints them."""
+    expected = {}
+    for name, mirror in (("fvn_kernel", _fill.Kernel), ("fvn_state", _fill.State)):
+        expected[f"sizeof({name})"] = ctypes.sizeof(mirror)
+        for field, _ in mirror._fields_:
+            expected[f"offsetof({name}, {field})"] = getattr(mirror, field).offset
+    probe, exe = tmp_path / "probe.c", tmp_path / "probe"
+    probe.write_text(f'#include "{_fill._SOURCE}"\n#include <stdio.h>\n'
+                     "int main(void) {\n"
+                     + "".join(f'printf("%zu\\n", {expr});\n' for expr in expected)
+                     + "return 0;\n}\n")
+    subprocess.run([_fill.COMPILER, "-o", str(exe), str(probe), "-lm"],
+                   check=True, capture_output=True, timeout=_fill.BUILD_TIMEOUT_S)
+    out = subprocess.run([str(exe)], check=True, capture_output=True,
+                         text=True, timeout=60).stdout
+    assert dict(zip(expected, map(int, out.split()))) == expected
