@@ -7,8 +7,8 @@ sha256 of the source, the flags and the compiler, in this package's
 under ``tempfile.gettempdir()``.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, cache or
-library works, ``library()`` is None and the samplers run the composed
-draw ``samplers.comparison_draw``.
+library works, ``library()`` is None and ``UniformSource._fill_into``
+makes every variate with the composed draw ``samplers.comparison_draw``.
 """
 
 from __future__ import annotations
@@ -124,8 +124,10 @@ def library():
 @functools.lru_cache(maxsize=32)
 def kernel(table, recycling: bool):
     """The ``Kernel`` of a table and recycling flag.  It keeps its row and
-    mass arrays alive, since it holds only their addresses, and its table,
-    on which the composed draw makes a variate that the fill stops at."""
+    mass arrays alive, since it holds only their addresses, and its
+    composed draw ``draw``, which makes each variate the fill does not."""
+    from .samplers import comparison_draw   # deferred: an import cycle
+
     rows = array("d")
     for lo, width, top, lo_sq in table.by_k:
         rows.extend((lo, width, top, 0.0 if lo_sq is None else lo_sq))
@@ -134,5 +136,5 @@ def kernel(table, recycling: bool):
                 cum.buffer_info()[0] if table.cum_probs else None,
                 len(cum), table.is_normal, table.restarts, recycling)
     kn.arrays = (rows, cum)
-    kn.table = table
+    kn.draw = functools.partial(comparison_draw, table)
     return kn

@@ -14,16 +14,16 @@ value never touches ``draws``.
 ``tables.select_interval`` and ``comparison.run_test``, into one
 comparison-method variate; it is the spec of the comparison kernel.
 ``fill_variates`` makes the same values with the compiled block fill of
-``_fill.c`` (the composed draw, when the fill does not load) and reads
-nothing ahead; ``wallace.init_pool`` bootstraps through it.
-``bind_variates``, which a bound sampler draws from, fills blocks ahead of
-its caller and keeps ``draws`` exact at the value it has reached.
+``_fill.c`` and reads nothing ahead; ``wallace.init_pool`` bootstraps
+through it.  ``bind_variates``, which a bound sampler draws from, fills
+blocks ahead of its caller and keeps ``draws`` exact at the value it has
+reached.  In both, the composed draw makes each variate that the fill
+does not (see ``_fill_into``): every one when the fill does not load.
 
 The buffer is refilled by ``random_raw`` for the direct calls and the
 composed draw.  On a numpy engine the compiled fill reads on from the
 engine itself once the buffer is used up, so a bound sampler never goes
-back to Python for words; on any other, the composed draw makes the one
-variate that would run off the buffer's end.
+back to Python for words.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import operator
 from array import array
 from contextlib import nullcontext
-from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
@@ -125,8 +124,16 @@ class UniformSource:
 
     @property
     def bound(self) -> bool:
-        """Whether ``bind_variates`` has bound a sampler to this source."""
+        """Whether a bound sampler owns this source: see ``claim``."""
         return self._bound is not None
+
+    def claim(self) -> _ReadAhead:
+        """Give the source to a bound sampler, which owns it from now on:
+        a second claim raises ValueError.  Returns the read-ahead record."""
+        if self._bound is not None:
+            raise ValueError("the source already feeds a bound sampler")
+        self._bound = ahead = _ReadAhead()
+        return ahead
 
     @property
     def draws(self) -> int:
@@ -208,20 +215,14 @@ class UniformSource:
 
     def fill_variates(self, table: IntervalTable, n: int) -> array:
         """The next ``n`` values of ``samplers.comparison_draw(table,
-        self)``, made by the compiled fill when it loads and by that draw
-        otherwise.  Nothing is read ahead: the source is left as ``n``
-        composed draws leave it, and an error is raised as the draw raises
-        it, after the same draws.  The values made before an error are
-        lost."""
-        fill = _fill.library()
-        if fill is None:
-            # deferred: samplers imports bitstream
-            from .samplers import comparison_draw
-
-            return array("d", (comparison_draw(table, self) for _ in range(n)))
+        self)``, made by ``_fill_into``.  Nothing is read ahead: the source
+        is left as ``n`` composed draws leave it, and an error is raised as
+        the draw raises it, after the same draws.  The values made before
+        an error are lost."""
         values = array("d", bytes(8 * n))
         counts = array("q", bytes(8 * (n + 1)))
-        _, exc = self._fill_into(fill, _fill.kernel(table, self._recycling),
+        _, exc = self._fill_into(_fill.library(),
+                                 _fill.kernel(table, self._recycling),
                                  values, counts, n)
         if exc is not None:
             raise exc
@@ -229,59 +230,62 @@ class UniformSource:
 
     def _fill_into(self, fill, kernel, values: array, counts: array,
                    n: int) -> tuple[int, BaseException | None]:
-        """Make up to ``n`` variates with the compiled fill into ``values``,
-        with ``draws`` before them in ``counts[0]`` and after each in
+        """Make up to ``n`` variates of ``kernel`` into ``values``, with
+        ``draws`` before them in ``counts[0]`` and after each in
         ``counts[1:]``.  Returns how many were made and the error that
-        stopped the fill, if one did; the source is left as the composed
-        draw leaves it by then.
+        stopped them, if one did; the source is left as the composed draw
+        leaves it by then.
 
-        On a numpy engine the fill reads on from the engine once the buffer
-        is used up, and the buffer is left empty for the next direct call
-        to refill.  On another engine the fill stops at a variate that
-        would run off the buffer's end, and the composed draw makes that
-        one variate, refilling with ``random_raw`` as it goes; the fill then
-        goes on from where the draw left the source.
+        The compiled ``fill`` makes what it can and the composed draw
+        ``kernel.draw`` the rest: every variate when ``fill`` is None.  On
+        a numpy engine the fill reads on from the engine once the buffer
+        is used up, and leaves the buffer empty for the next direct call to
+        refill.  On another engine it stops at a variate that would run off
+        the buffer's end; the composed draw makes that one, refilling with
+        ``random_raw``, and the fill goes on from there.
         """
-        bitgen, lock = self._engine_reader()
-        rec = self.recycled
-        store = array("d", rec)
-        store.frombytes(bytes(8 * n))       # a variate pushes at most one
-        vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
         counts[0] = self._spent + self._pos
-        made, exc = 0, None
-        while True:
-            floats = self._floats
-            st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
-                             store.buffer_info()[0], len(rec),
-                             self._sign_bits, self._sign_word, engine=bitgen)
-            with lock:
-                made += fill(kernel, st, vaddr + 8 * made,
-                             caddr + 8 * (made + 1), n - made)
-            if st.pos > len(floats):
-                # read on from the engine: the buffer and those words are spent
-                self._spent += st.pos
-                self._floats, st.pos = array("d"), 0
-            self._pos = st.pos
-            rec[:] = store[:st.nstore]
-            self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
-            if st.status != _fill.FILL_EMPTY:
-                break
-            # deferred: samplers imports bitstream
-            from .samplers import comparison_draw
-
+        made, exc, status = 0, None, None
+        if fill is not None:
+            bitgen, lock = self._engine_reader()
+            rec = self.recycled
+            store = array("d", rec)
+            store.frombytes(bytes(8 * n))   # a variate pushes at most one
+            vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
+        while made < n:
+            if fill is not None:
+                floats = self._floats
+                st = _fill.State(*floats.buffer_info(), self._pos,
+                                 self._spent, store.buffer_info()[0],
+                                 len(rec), self._sign_bits, self._sign_word,
+                                 engine=bitgen)
+                with lock:
+                    made += fill(kernel, st, vaddr + 8 * made,
+                                 caddr + 8 * (made + 1), n - made)
+                if st.pos > len(floats):
+                    # read on from the engine: buffer and words are spent
+                    self._spent += st.pos
+                    self._floats, st.pos = array("d"), 0
+                self._pos = st.pos
+                rec[:] = store[:st.nstore]
+                self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
+                status = st.status
+                if status != _fill.FILL_EMPTY:
+                    break
             # Whatever the draw raises, a failing engine's error among it,
             # is this variate's error: it is passed on, not handled.
             try:
-                values[made] = comparison_draw(kernel.table, self)
+                values[made] = kernel.draw(self)
             except Exception as error:
                 exc = error
                 break
             made += 1
             counts[made] = self._spent + self._pos
-            store[:len(rec)] = array("d", rec)
-        if st.status == _fill.FILL_OVERFLOW:
+            if fill is not None:
+                store[:len(rec)] = array("d", rec)
+        if status == _fill.FILL_OVERFLOW:
             exc = RuntimeError(RUN_OVERFLOW)
-        elif st.status == _fill.FILL_TRIALS:
+        elif status == _fill.FILL_TRIALS:
             exc = RuntimeError(TRIAL_OVERFLOW)
         return made, exc
 
@@ -299,30 +303,19 @@ class UniformSource:
 
     def bind_variates(self, table: IntervalTable) -> Iterator[float]:
         """Endless values of ``samplers.comparison_draw(table, self)`` for a
-        bound sampler, which owns the source from now on: a second bind
-        raises ValueError, and nothing else may draw from it.
+        bound sampler, which ``claim``s the source.
 
-        With the compiled fill the iterator reads ahead: it fills a block
-        of FILL_BLOCK variates and emits it through C-level iterators, with
-        no Python frame per value.  ``draws`` is exact after every value;
-        the buffer position, the recycled store and the sign pool are
-        those of the block's end.  An error is raised at the variate where
-        the composed draw raises it, with the same ``draws``, and the
-        values go on after it as the draw's would.  Without the fill, the
-        iterator calls the composed draw once per value, reads nothing
-        ahead, and is not ended by an error.
+        The iterator reads ahead: ``_fill_into`` makes a block of
+        FILL_BLOCK variates, which is emitted through C-level iterators,
+        with no Python frame per value.  ``draws`` is exact after every
+        value; the buffer position, the recycled store and the sign pool
+        are those of the block's end.  An error is raised at the variate
+        where the composed draw raises it, with the same ``draws``, and the
+        values go on after it as the draw's would.
         """
-        if self._bound is not None:
-            raise ValueError("the source already feeds a bound sampler")
-        self._bound = ahead = _ReadAhead()
-        fill = _fill.library()
-        if fill is None:
-            # deferred: samplers imports bitstream
-            from .samplers import comparison_draw
-
-            return iter(partial(comparison_draw, table, self), None)
+        ahead = self.claim()
         return chain.from_iterable(self._blocks(
-            fill, _fill.kernel(table, self._recycling), ahead))
+            _fill.library(), _fill.kernel(table, self._recycling), ahead))
 
     def _blocks(self, fill, kernel, ahead: _ReadAhead) -> Iterator[Iterator[float]]:
         values = array("d", bytes(8 * FILL_BLOCK))

@@ -8,11 +8,12 @@ K = DEFAULT_TABLE_LEN table of its scheme, which its ``SamplerConfig``
 holds.  The method is spelled twice, to the same values bit for bit:
 ``comparison_draw``, the spec, composes the source's public steps with
 ``tables.select_interval`` and ``comparison.run_test``, and the compiled
-block fill of ``UniformSource.fill_variates`` does the same steps inline.
-The four public functions take only ``src`` and return one composed draw
-on their kind's table.  ``make_sampler`` binds the compiled fill, which
-reads ahead in blocks, and falls back to the composed draw when the fill
-does not load.  The textbook baselines (inversion, Box-Muller,
+block fill of ``UniformSource.fill_variates`` does the same steps inline,
+handing to the composed draw each variate it does not make (every one
+when the fill does not load).  The four public functions take only
+``src`` and return one composed draw on their kind's table.
+``make_sampler`` binds a comparison kind to ``src.bind_variates``, which
+reads ahead in blocks.  The textbook baselines (inversion, Box-Muller,
 polar) are here for distribution cross-checks, for ``fvn generate`` and
 ``fvn consumption``, and for perfbench's ``samplers.*_ns`` timings.
 """
@@ -189,20 +190,19 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     draw function.  The source must be built with
     ``recycling=config.recycling_enabled``: one that disagrees raises
     ValueError before it is touched, since a sampler never changes it.
+    Every kind then ``claim``s the source: it must not be drawn from
+    otherwise, nor bound again, and a second ``make_sampler`` on it raises
+    ValueError before it is touched.
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
     returns the ``__next__`` of ``src.bind_variates`` on the config's table,
     whose K is always DEFAULT_TABLE_LEN.  It reads ahead on the source it
-    owns: each compiled fill makes a block of variates, and the draws
-    emit it.  So the source's buffer position, recycled store and sign
-    pool run ahead of the draws, and the source must not be drawn from
-    otherwise, nor bound again: a second ``make_sampler`` on it raises
-    ValueError before it is touched.  ``src.draws`` stays exact after
-    every draw.  An exception (the run-length or trial cap, a failing
-    engine) is raised by the draw where ``comparison_draw`` raises it,
-    with the same ``draws``, and the draws after it go on as the composed
-    draw's would.  When the fill does not load, the iterator calls
-    ``comparison_draw`` once per draw instead and reads nothing ahead.
+    owns: each fill makes a block of variates, and the draws emit it.  So
+    the source's buffer position, recycled store and sign pool run ahead
+    of the draws, while ``src.draws`` stays exact after every draw.  An
+    exception (the run-length or trial cap, a failing engine) is raised by
+    the draw where ``comparison_draw`` raises it, with the same ``draws``,
+    and the draws after it go on as the composed draw's would.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the
@@ -214,22 +214,21 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     Python float, and ``src.draws`` is exact after every draw.
     """
     kind = config.kind
-    if src.bound:
-        raise ValueError("the source already feeds a bound sampler")
     if src.recycling != config.recycling_enabled:
         raise ValueError(f"{kind} needs a source built with recycling="
                          f"{config.recycling_enabled}, got {src.recycling}")
+    if config.table is not None:
+        return src.bind_variates(config.table).__next__
+    src.claim()
     if kind == EXP_LOG:
         return iter(partial(exp_log_baseline, src), None).__next__
     if kind in (BOX_MULLER, POLAR):
         pair_fn = box_muller if kind == BOX_MULLER else polar
         return chain.from_iterable(iter(partial(pair_fn, src), None)).__next__
-    if kind == WALLACE:
-        from . import wallace   # deferred: wallace imports samplers
+    from . import wallace   # deferred: wallace imports samplers
 
-        pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
-        return wallace.emit_passes(pool, src).__next__
-    return src.bind_variates(config.table).__next__
+    pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
+    return wallace.emit_passes(pool, src).__next__
 
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:

@@ -1,13 +1,13 @@
 """The compiled fill against the composed draw ``samplers.comparison_draw``,
 value by value and state by state, through ``fill_variates``, the entry
 point that reads nothing ahead; each such test runs again with the fill
-forced off, where ``fill_variates`` calls the composed draw.  Then the
-bound sampler, which fills blocks ahead of its caller, or calls the
-composed draw when the fill does not load, against the composed draw,
-value by value and draw count by draw count.  On a numpy engine the fill
-reads the engine's words itself once the buffer is used up; on any other
-engine it stops at a variate that would run off the buffer's end, and the
-composed draw makes that variate across a ``random_raw`` refill."""
+forced off, where the composed draw makes every variate.  Then the bound
+sampler, which fills blocks ahead of its caller with or without the
+compiled fill, against the composed draw, value by value and draw count by
+draw count.  On a numpy engine the fill reads the engine's words itself
+once the buffer is used up; on any other engine it stops at a variate that
+would run off the buffer's end, and the composed draw makes that variate
+across a ``random_raw`` refill."""
 
 import copy
 import pickle
@@ -33,8 +33,8 @@ FILL, NO_FILL = "fill", "no-fill"
 @pytest.fixture(params=[FILL, NO_FILL])
 def binding(request, monkeypatch):
     """Runs a test on the compiled fill and again with ``_fill.library``
-    returning None, as on a host with no compiler, where ``fill_variates``
-    and ``make_sampler`` call the composed draw."""
+    returning None, as on a host with no compiler, where the composed draw
+    makes every variate that ``fill_variates`` and ``make_sampler`` give."""
     if request.param == NO_FILL:
         monkeypatch.setattr(_fill, "library", lambda: None)
     elif _fill.library() is None:
@@ -575,8 +575,8 @@ def test_fills_and_random_raw_on_one_engine_lose_no_word():
     assert engine.state == twin.state
 
 
-# The bound sampler: blocks filled ahead, emitted value by value, or the
-# composed draw called once per value when the fill does not load.
+# The bound sampler: blocks filled ahead, by the compiled fill or by the
+# composed draw when the fill does not load, emitted value by value.
 
 BLOCK = bitstream.FILL_BLOCK
 
@@ -598,29 +598,30 @@ def outcome(draw, src):
         return repr(exc), src.draws
 
 
+@pytest.mark.usefixtures("binding")
 @pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_bound_sampler_matches_the_composed_draw_across_blocks(kind,
-                                                               recycling,
-                                                               binding):
+                                                               recycling):
     """Value and ``draws`` after every variate, through the ends of three
-    read-ahead blocks (B - 1, B, B + 1 and on).  Without the fill nothing
-    is read ahead, so the whole state matches."""
+    read-ahead blocks (B - 1, B, B + 1 and on), with the fill or without
+    it.  At each block's end nothing is read ahead, so the whole state
+    matches."""
     draw, src, reference, twin = bound_and_reference(
         kind, recycling, lambda r: UniformSource(314, recycling=r))
     assert src.draws == 0
-    for _ in range(3 * BLOCK + 2):
+    for i in range(1, 3 * BLOCK + 3):
         assert draw() == reference()
         assert src.draws == twin.draws
-        if binding == NO_FILL:
+        if i % BLOCK == 0:
             assert state(src) == state(twin)
 
 
 @pytest.mark.usefixtures("binding")
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", samplers.SAMPLER_KINDS)
 def test_a_bound_source_cannot_be_bound_again(kind):
-    """A second make_sampler on a source that a bound sampler owns raises
-    before it touches the source, for every kind it might bind."""
+    """A second make_sampler on a source that a sampler of any kind owns
+    raises before it touches the source, for every kind it might bind."""
     config = default_config(kind)
     src = UniformSource(17, recycling=config.recycling_enabled)
     draw = make_sampler(config, src)
@@ -635,7 +636,7 @@ def test_a_bound_source_cannot_be_bound_again(kind):
         assert (src.draws, list(src.recycled), src._sign_bits,
                 src._sign_word, src._pos) == before
     with pytest.raises(ValueError, match="already feeds a bound sampler"):
-        src.bind_variates(config.table)
+        src.bind_variates(default_config(samplers.NORMAL_GRAND).table)
     assert src.bound
 
 

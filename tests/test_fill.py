@@ -1,5 +1,6 @@
 """Building and loading the compiled fill, its ctypes mirrors of the C
-structs, and the composed draw that runs when it does not load."""
+structs and constants, and the composed draw that makes every variate
+when it does not load."""
 
 import ctypes
 import hashlib
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from fvn import _fill, samplers
+from fvn import _fill, bitstream, samplers
 from fvn.bitstream import UniformSource
-from fvn.samplers import default_config, make_sampler
+from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_samplers import STREAM_PINS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,7 +78,8 @@ def test_concurrent_first_uses_all_load_one_library(tmp_path):
 def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
                                                       fresh_library):
     """A build that fails leaves the samplers on the composed draw, which
-    reads nothing ahead and draws every pinned stream."""
+    draws every pinned stream and, as the fill does, reads a block
+    ahead of a bound sampler's draws."""
     def fail():
         raise OSError("no compiler")
 
@@ -91,12 +93,17 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
         for _ in range(20_000):
             sha.update(struct.pack("<d", draw()))
         assert (sha.hexdigest(), src.draws) == pin, kind
-    # nothing read ahead: the source's own position is the draws
+    # draws exact at the value reached, the source a block ahead of it
     config = default_config(samplers.NORMAL_GRAND)
-    src = UniformSource(3, recycling=True)
+    src, twin = (UniformSource(3, recycling=True) for _ in range(2))
     draw = make_sampler(config, src)
-    draw()
-    assert src.draws == src._spent + src._pos
+    assert draw() == comparison_draw(config.table, twin)
+    assert src.draws == twin.draws
+    for _ in range(bitstream.FILL_BLOCK - 1):
+        comparison_draw(config.table, twin)
+    assert (src._spent + src._pos, src.recycled, src._sign_bits,
+            src._sign_word) == (twin.draws, twin.recycled, twin._sign_bits,
+                                twin._sign_word)
     with pytest.raises(ValueError, match="already feeds a bound sampler"):
         make_sampler(config, src)
 
@@ -104,17 +111,22 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
 @needs_compiler
 def test_ctypes_structs_match_the_c_layout(tmp_path):
     """``_fill.Kernel`` and ``_fill.State`` have the size and the field
-    offsets of the C structs they mirror, as a program that includes
+    offsets of the C structs they mirror, and ``bitstream`` and ``_fill``
+    the constants that ``_fill.c`` repeats, as a program that includes
     ``_fill.c`` prints them."""
     expected = {}
     for name, mirror in (("fvn_kernel", _fill.Kernel), ("fvn_state", _fill.State)):
         expected[f"sizeof({name})"] = ctypes.sizeof(mirror)
         for field, _ in mirror._fields_:
             expected[f"offsetof({name}, {field})"] = getattr(mirror, field).offset
+    for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
+                          (_fill, ("FILL_EMPTY", "FILL_OVERFLOW", "FILL_TRIALS"))):
+        expected.update((name, getattr(module, name)) for name in names)
     probe, exe = tmp_path / "probe.c", tmp_path / "probe"
     probe.write_text(f'#include "{_fill._SOURCE}"\n#include <stdio.h>\n'
                      "int main(void) {\n"
-                     + "".join(f'printf("%zu\\n", {expr});\n' for expr in expected)
+                     + "".join(f'printf("%zu\\n", (size_t)({expr}));\n'
+                               for expr in expected)
                      + "return 0;\n}\n")
     subprocess.run([_fill.COMPILER, "-o", str(exe), str(probe), "-lm"],
                    check=True, capture_output=True, timeout=_fill.BUILD_TIMEOUT_S)
