@@ -9,7 +9,9 @@ statistical machinery that verifies all of it.
 The sampling core needs only numpy.  Where gcc is installed, the
 comparison-method samplers run a block fill compiled on first use
 (``fvn/_fill.c``) that makes the same values as their composed draw,
-``fvn.samplers.comparison_draw``.  The verification layer is the submodule ``fvn.stats``; it is not
+``fvn.samplers.comparison_draw``, and the Wallace pool refreshes with a
+regroup compiled into the same library that makes the same bytes as its
+numpy one.  The verification layer is the submodule ``fvn.stats``; it is not
 imported here, and it loads scipy only inside the two functions that
 call it.
 """

@@ -1,4 +1,6 @@
-/* Block fill of comparison-method variates.
+/* The two compiled kernels of fvn: fvn_fill, the block fill of
+   comparison-method variates, and fvn_refresh, one pass of the Wallace
+   pool's regroup.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the frexp selection or the bisection of the cumulative masses,
@@ -214,4 +216,38 @@ commit:
     return made;
 #undef FRESH
 #undef UNIFORM
+}
+
+
+/* wallace.refresh's regroup, as its numpy spelling does it: position i of
+   the permuted order is (stride * i + offset) mod n, stepped here as
+   p += step with one subtraction to wrap, step = stride mod n.  Each
+   block of 4 consecutive positions, x, is read and written back as x q^T
+   (numpy's blocks @ q.T), each output summed left to right as
+   ((x0 q0 + x1 q1) + x2 q2) + x3 q3.  The caller passes values as n
+   contiguous doubles with n a multiple of 4, 0 <= step, offset < n, and
+   q as 4 x 4 row-major doubles.  The permutation is a bijection, so the
+   blocks are disjoint and each is written in place. */
+void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
+                 const double *q)
+{
+    int64_t p = offset, b;
+
+    for (b = 0; b < n; b += 4) {
+        int64_t at[4];
+        double x[4];
+        int k;
+        for (k = 0; k < 4; k++) {
+            at[k] = p;
+            x[k] = values[p];
+            p += step;
+            if (p >= n)
+                p -= n;
+        }
+        for (k = 0; k < 4; k++) {
+            const double *row = q + 4 * k;
+            values[at[k]] = ((x[0] * row[0] + x[1] * row[1]) + x[2] * row[2])
+                            + x[3] * row[3];
+        }
+    }
 }

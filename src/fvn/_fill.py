@@ -1,5 +1,6 @@
-"""The compiled block fill: ``_fill.c``, built on first use and loaded with
-ctypes.
+"""The compiled kernels of ``_fill.c``, built on first use and loaded with
+ctypes: ``fvn_fill``, the block fill of comparison-method variates, and
+``fvn_refresh``, the regroup of one Wallace pass.
 
 The library is compiled by the installed gcc into a cache named by the
 sha256 of the source, the flags and the compiler, in this package's
@@ -7,8 +8,9 @@ sha256 of the source, the flags and the compiler, in this package's
 under ``tempfile.gettempdir()``.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, cache or
-library works, ``library()`` is None and ``UniformSource._fill_into``
-makes every variate with the composed draw ``samplers.comparison_draw``.
+library works, ``library()`` is None: ``UniformSource._fill_into`` makes
+every variate with the composed draw ``samplers.comparison_draw``, and
+``wallace.refresh`` regroups with numpy.
 """
 
 from __future__ import annotations
@@ -108,17 +110,19 @@ def _build() -> str:
 
 @functools.cache
 def library():
-    """``fvn_fill`` from the compiled library, or None when it cannot be
-    built or loaded."""
+    """The compiled library with ``fvn_fill`` and ``fvn_refresh`` typed, or
+    None when it cannot be built or loaded."""
     try:
         lib = ctypes.PyDLL(_build())
     except OSError:
         return None
-    fill = lib.fvn_fill
-    fill.argtypes = (ctypes.POINTER(Kernel), ctypes.POINTER(State),
-                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
-    fill.restype = ctypes.c_int64
-    return fill
+    lib.fvn_fill.argtypes = (ctypes.POINTER(Kernel), ctypes.POINTER(State),
+                             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+    lib.fvn_fill.restype = ctypes.c_int64
+    lib.fvn_refresh.argtypes = (ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    lib.fvn_refresh.restype = None
+    return lib
 
 
 @functools.lru_cache(maxsize=32)

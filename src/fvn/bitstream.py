@@ -228,7 +228,7 @@ class UniformSource:
             raise exc
         return values
 
-    def _fill_into(self, fill, kernel, values: array, counts: array,
+    def _fill_into(self, lib, kernel, values: array, counts: array,
                    n: int) -> tuple[int, BaseException | None]:
         """Make up to ``n`` variates of ``kernel`` into ``values``, with
         ``draws`` before them in ``counts[0]`` and after each in
@@ -236,8 +236,8 @@ class UniformSource:
         stopped them, if one did; the source is left as the composed draw
         leaves it by then.
 
-        The compiled ``fill`` makes what it can and the composed draw
-        ``kernel.draw`` the rest: every variate when ``fill`` is None.  On
+        The compiled fill of ``lib`` makes what it can and the composed
+        draw ``kernel.draw`` the rest: every variate when ``lib`` is None.  On
         a numpy engine the fill reads on from the engine once the buffer
         is used up, and leaves the buffer empty for the next direct call to
         refill.  On another engine it stops at a variate that would run off
@@ -246,6 +246,7 @@ class UniformSource:
         """
         counts[0] = self._spent + self._pos
         made, exc, status = 0, None, None
+        fill = None if lib is None else lib.fvn_fill
         if fill is not None:
             bitgen, lock = self._engine_reader()
             rec = self.recycled
@@ -317,11 +318,11 @@ class UniformSource:
         return chain.from_iterable(self._blocks(
             _fill.library(), _fill.kernel(table, self._recycling), ahead))
 
-    def _blocks(self, fill, kernel, ahead: _ReadAhead) -> Iterator[Iterator[float]]:
+    def _blocks(self, lib, kernel, ahead: _ReadAhead) -> Iterator[Iterator[float]]:
         values = array("d", bytes(8 * FILL_BLOCK))
         ahead.counts = array("q", bytes(8 * (FILL_BLOCK + 1)))
         while True:
-            made, exc = self._fill_into(fill, kernel, values, ahead.counts,
+            made, exc = self._fill_into(lib, kernel, values, ahead.counts,
                                         FILL_BLOCK)
             if made:
                 ahead.it = it = iter(values if made == FILL_BLOCK

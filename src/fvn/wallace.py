@@ -4,7 +4,10 @@ Keeps N pseudo-normal values and refreshes them in place with 4x4
 orthogonal transforms applied to randomly regrouped blocks.  Orthogonality
 preserves the pool's Euclidean norm, so refreshed values stay normal;
 uniforms are spent only on the block permutation and a per-pass variance
-correction, not per emitted variate.
+correction, not per emitted variate.  The regroup is spelled twice, bit
+for bit: ``fvn_refresh`` of the compiled library ``_fill.c`` runs it
+whenever that loads, and the numpy regroup in ``refresh`` is its spec and
+the path of a host with no compiler.
 
 A pass, not a single value, is the unit of emission.  When a pass begins,
 the pool is refreshed, the variance correction is redrawn and the
@@ -24,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import samplers
+from . import _fill, samplers
 from .bitstream import UniformSource
 
 BLOCK = 4
@@ -41,6 +44,8 @@ ORTHO_Q = 0.5 * np.array([
     [1.0,  1.0, -1.0, -1.0],
 ])
 _ORTHO_Q_T = np.ascontiguousarray(ORTHO_Q.T)
+# the transform of even and of odd passes, as fvn_refresh reads them
+_Q_ADDRESSES = (ORTHO_Q.ctypes.data, _ORTHO_Q_T.ctypes.data)
 
 
 @dataclass
@@ -70,12 +75,18 @@ def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
     return math.sqrt(s / pool.norm_sq)
 
 
-def _block_permutation(n: int, word: int) -> np.ndarray:
-    """Full-cycle stride permutation of range(n) derived from one word."""
+def _block_stride(n: int, word: int) -> tuple[int, int]:
+    """The stride, coprime to n, and the offset of the block permutation
+    that one word picks."""
     stride = (word & 0xFFFFFFFF) | 1
     while math.gcd(stride, n) != 1:
         stride += 2
-    offset = (word >> 32) % n
+    return stride, (word >> 32) % n
+
+
+def _block_permutation(n: int, word: int) -> np.ndarray:
+    """Full-cycle stride permutation of range(n) derived from one word."""
+    stride, offset = _block_stride(n, word)
     return (stride * np.arange(n) + offset) % n
 
 
@@ -102,21 +113,40 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
 
 def refresh(pool: NormalPool, src: UniformSource) -> None:
     """Regroup the pool into random 4-blocks and transform each, spending
-    one uniform word; the squared norm is preserved to rounding error."""
-    idx = _block_permutation(pool.values.size, src.next_word())
-    q = ORTHO_Q if pool.pass_count % 2 == 0 else _ORTHO_Q_T
-    blocks = pool.values[idx].reshape(-1, BLOCK)
-    pool.values[idx] = (blocks @ q.T).ravel()
+    one uniform word; the squared norm is preserved to rounding error.
+
+    ``fvn_refresh`` makes the same bytes as the numpy regroup below when
+    the compiled library loads and ``values`` is laid out as C reads it:
+    1-D, C-contiguous, aligned, writeable float64 with a size that is a
+    multiple of BLOCK.  Any other pool, one built by hand among them, takes
+    the numpy regroup, with its result or its error."""
+    values = pool.values
+    n = values.size
+    word = src.next_word()
+    odd = pool.pass_count % 2
+    lib = _fill.library()
+    if (lib is not None and values.ndim == 1 and values.flags.carray
+            and values.dtype == np.float64 and n % BLOCK == 0):
+        stride, offset = _block_stride(n, word)
+        lib.fvn_refresh(values.ctypes.data, n, stride % n, offset,
+                        _Q_ADDRESSES[odd])
+    else:
+        idx = _block_permutation(n, word)
+        q = _ORTHO_Q_T if odd else ORTHO_Q
+        blocks = values[idx].reshape(-1, BLOCK)
+        values[idx] = (blocks @ q.T).ravel()
     pool.pass_count += 1
 
 
 def _snapshot(pool: NormalPool) -> array:
     # values * emit_scale in float64 is the same IEEE multiply as
-    # emit_scale * float(values[i]).  An array("d") copy is close to a
-    # memcpy, and its iterator makes each Python float only as it is read;
-    # tolist() would build all N floats at the start of every pass.
-    pool.emitted = array("d", (pool.values * pool.emit_scale).tobytes())
-    return pool.emitted
+    # emit_scale * float(values[i]).  numpy writes the products straight
+    # into the array("d"), with no copy between, and the array's iterator
+    # makes each Python float only as it is read; tolist() would build all
+    # N floats at the start of every pass.
+    pool.emitted = emitted = array("d", [0.0]) * pool.values.size
+    np.multiply(pool.values, pool.emit_scale, out=np.frombuffer(emitted))
+    return emitted
 
 
 def _next_pass(pool: NormalPool, src: UniformSource) -> array:

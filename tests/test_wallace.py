@@ -1,18 +1,25 @@
-"""Pool generator: orthogonality, norm conservation, emitted distribution."""
+"""Pool generator: orthogonality, norm conservation, emitted distribution;
+the compiled regroup against the numpy one, with the fill and with it
+forced off, and the pools that only the numpy regroup may take."""
 
+import functools
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from fvn import samplers, wallace
+from fvn import _fill, samplers, wallace
 from fvn.bitstream import UniformSource
 from fvn.stats import ks_test, measure_consumption, moments
-from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q,
-                         _block_permutation, init_pool, next_normal, refresh)
+from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q, NormalPool,
+                         _block_permutation, emit_passes, init_pool,
+                         next_normal, refresh)
+from tests.test_comparison_draw import binding, over_entries  # noqa: F401
 
 
 def test_transform_is_orthogonal_to_machine_zero():
@@ -151,4 +158,121 @@ def test_emission_reads_the_snapshot_of_the_pass():
     tail = [next_normal(pool, src) for _ in range(246)]
     assert head + tail == snapshot.tolist()
     assert next_normal(pool, src) == pool.values[0] * pool.emit_scale
+    assert pool.pass_count == 2
+
+
+class WordSource:
+    """Hands ``refresh`` the words it is given, in order."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def next_word(self):
+        return next(self.words)
+
+
+def numpy_regroup(values, word, pass_count):
+    """The regroup as numpy spells it: the spec of both spellings."""
+    idx = _block_permutation(values.size, word)
+    q = ORTHO_Q if pass_count % 2 == 0 else np.ascontiguousarray(ORTHO_Q.T)
+    values[idx] = (values[idx].reshape(-1, BLOCK) @ q.T).ravel()
+
+
+@functools.cache
+def bootstrap_values(size):
+    return init_pool(size, UniformSource(615)).values.tobytes()
+
+
+REFRESH_PASSES = 64     # even and odd passes: Q and its transpose
+
+
+@over_entries("size", [256, 1020, 4096])   # 1020 bumps the stride past gcds
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(words=st.lists(st.integers(min_value=0, max_value=2 ** 53 - 1),
+                      min_size=REFRESH_PASSES, max_size=REFRESH_PASSES))
+def test_refresh_is_the_numpy_regroup_bit_for_bit(size, words):
+    values = np.frombuffer(bootstrap_values(size)).copy()
+    pool = NormalPool(values=values.copy(), pass_count=0, norm_sq=1.0,
+                      read_cursor=0, emit_scale=1.0)
+    src = WordSource(words)
+    for i, word in enumerate(words):
+        numpy_regroup(values, word, i)
+        refresh(pool, src)
+        assert pool.values.tobytes() == values.tobytes(), i
+        assert pool.pass_count == i + 1
+
+
+EMIT_PASS_PINS = {
+    256: ("a046331a38e29a8bd933278e6caa0aab6ab855ca0a7073b75e7af046a4d07996", 907),
+    4096: ("7464737c847506af8276f12a5e1adcbfcbca5bfd07d59f8393de5ebadd0b7776",
+           14763),
+}
+
+
+@over_entries("size", list(EMIT_PASS_PINS))
+def test_emit_passes_is_pinned_across_three_refreshes(size):
+    """Each value and the ``draws`` after it, over three passes and the
+    first value of a fourth, are the same on both regroups."""
+    src = UniformSource(614, recycling=False)
+    pool = init_pool(size, src)
+    values = emit_passes(pool, src)
+    sha = hashlib.sha256()
+    for _ in range(3 * size + 1):
+        sha.update(struct.pack("<dq", next(values), src.draws))
+    assert (sha.hexdigest(), src.draws) == EMIT_PASS_PINS[size]
+    assert pool.pass_count == 3
+
+
+def read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+@pytest.mark.parametrize("make_values", [
+    lambda: np.arange(256, dtype=np.float32),
+    lambda: np.arange(512.0)[::2],              # a strided view
+    lambda: np.arange(258.0),                   # not a multiple of BLOCK
+    lambda: read_only(np.arange(256.0)),
+    lambda: np.arange(256.0).reshape(-1, BLOCK),
+], ids=["float32", "strided", "size-258", "read-only", "2-d"])
+def test_pools_c_cannot_read_take_the_numpy_regroup(make_values, monkeypatch):
+    """A hand-built pool whose values are not 1-D, C-contiguous, writeable
+    float64 with a size that is a multiple of BLOCK never reaches
+    ``fvn_refresh``: it gets the numpy regroup's result or its error."""
+    def outcome(lib):
+        monkeypatch.setattr(_fill, "library", lambda: lib)
+        pool = NormalPool(values=make_values(), pass_count=0, norm_sq=1.0,
+                          read_cursor=0, emit_scale=1.0)
+        src = UniformSource(616)
+        try:
+            refresh(pool, src)
+        except (ValueError, IndexError) as exc:
+            result = type(exc), str(exc)
+        else:
+            result = pool.values.tobytes()
+        return result, pool.pass_count, src.draws
+
+    class Refuses:
+        def fvn_refresh(self, *args):
+            raise AssertionError("fvn_refresh was handed a pool C cannot read")
+
+    assert outcome(Refuses()) == outcome(None)
+
+
+def test_a_pool_c_can_read_reaches_the_compiled_regroup(monkeypatch):
+    calls = []
+
+    class Records:
+        def fvn_refresh(self, *args):
+            calls.append(args)
+
+    monkeypatch.setattr(_fill, "library", lambda: Records())
+    values = np.arange(256.0)
+    pool = NormalPool(values=values, pass_count=1, norm_sq=1.0,
+                      read_cursor=0, emit_scale=1.0)
+    refresh(pool, WordSource([(5 << 32) | 6]))
+    # stride 7 (6 | 1), offset 5, the transpose on an odd pass
+    assert calls == [(values.ctypes.data, 256, 7, 5,
+                      wallace._ORTHO_Q_T.ctypes.data)]
     assert pool.pass_count == 2
