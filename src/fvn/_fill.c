@@ -4,17 +4,18 @@
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the frexp selection or the bisection of the cumulative masses,
-   the position, the run test with its MAX_RUN_LENGTH cap, the
-   last-in-first-out recycled store, the exp_vn restart and the
-   MAX_TRIALS cap.  It reads the same doubles in the same order and does
-   the same IEEE operations, so built with -ffp-contract=off (no fused
-   multiply-add) it makes the same values bit for bit.
+   either clamped to K as tables.select_interval clamps it, the position
+   in that interval's row of IntervalTable.by_k, the run test with its
+   MAX_RUN_LENGTH cap, the last-in-first-out recycled store, the exp_vn
+   restart and the MAX_TRIALS cap.  It reads the same doubles in the same
+   order and does the same IEEE operations, so built with -ffp-contract=off
+   (no fused multiply-add) it makes the same values bit for bit.
 
    Fresh words come from buf while pos < nbuf.  Past its end they come
-   from the engine, when there is one: numpy's bitgen_t, which fvn_bitgen
-   mirrors (numpy/random/bitgen.h), read with next_raw as random_raw reads
-   it, so the words and their order are the engine's stream.  pos then
-   counts on past nbuf, and the caller holds the engine's lock.
+   from the engine, when there is one: a bitgen_t of numpy's own header,
+   numpy/random/bitgen.h, read with next_raw as random_raw reads it, so
+   the words and their order are the engine's stream.  pos then counts on
+   past nbuf, and the caller holds the engine's lock.
 
    It makes up to n variates, writing each value to out[v] and the fresh
    words spent by the end of it, spent + position, to counts[v].  It stops
@@ -33,6 +34,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <numpy/random/bitgen.h>
 
 #define WORD_BITS 53
 #define UNIT 9007199254740992.0 /* 2**WORD_BITS */
@@ -42,22 +44,13 @@
 enum { FILL_DONE = 0, FILL_EMPTY = 1, FILL_OVERFLOW = 2, FILL_TRIALS = 3 };
 
 typedef struct {
-    const double *rows; /* IntervalTable.by_k, 4 per index: lo, width, top, lo_sq */
+    const double *rows; /* IntervalTable.by_k: lo, width, top, lo_sq per interval */
     const double *cum;  /* IntervalTable.cum_probs, NULL on a dyadic table */
-    int64_t ncum;
+    int64_t K;          /* the intervals; on a mass table, the length of cum */
     int64_t normal;
     int64_t restart;
     int64_t recycling;
 } fvn_kernel;
-
-/* numpy/random/bitgen.h's bitgen_t, field for field */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} fvn_bitgen;
 
 typedef struct {
     const double *buf;
@@ -69,15 +62,15 @@ typedef struct {
     int64_t sign_bits;
     int64_t sign_word;
     int64_t status;
-    const fvn_bitgen *engine;   /* NULL: stop with FILL_EMPTY */
+    const bitgen_t *engine;     /* NULL: stop with FILL_EMPTY */
 } fvn_state;
 
 int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                  int64_t *counts, int64_t n)
 {
     const double *buf = s->buf, *cum = kn->cum;
-    const fvn_bitgen *eng = s->engine;
-    const int64_t nbuf = s->nbuf, ncum = kn->ncum, spent = s->spent;
+    const bitgen_t *eng = s->engine;
+    const int64_t nbuf = s->nbuf, K = kn->K, spent = s->spent;
     const int normal = kn->normal != 0, restart = kn->restart != 0;
     const int recycling = kn->recycling != 0;
     double *store = s->store;
@@ -116,7 +109,8 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
             int64_t j;
             if (cum == NULL) {
                 /* j = k - 1 from u = m * 2**-j, m in [1/2, 1); the leftover
-                   is 2m - 1.  A zero word clamps k to WORD_BITS. */
+                   is 2m - 1.  A zero word clamps k to WORD_BITS, and the
+                   tail beyond a_K folds into K, after the leftover. */
                 int e;
                 double m;
                 FRESH(u);
@@ -126,8 +120,10 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                     held = m + m - 1.0;
                     has_held = 1;
                 }
+                if (j >= K)
+                    j = K - 1;
             } else {
-                int64_t lo = 0, hi = ncum;
+                int64_t lo = 0, hi = K;
                 if (has_held) {         /* a restart */
                     u = held;
                     has_held = 0;
@@ -141,7 +137,7 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                     else
                         lo = mid + 1;
                 }
-                j = lo;
+                j = lo < K ? lo : K - 1;   /* the tail beyond a_K */
             }
             row = kn->rows + 4 * j;
             for (;;) {

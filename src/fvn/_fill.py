@@ -2,8 +2,9 @@
 ctypes: ``fvn_fill``, the block fill of comparison-method variates, and
 ``fvn_refresh``, the regroup of one Wallace pass.
 
-The library is compiled by the installed gcc into a cache named by the
-sha256 of the source, the flags and the compiler, in this package's
+The library is compiled by the installed gcc, against numpy's own
+``bitgen_t`` (``numpy/random/bitgen.h``), into a cache named by the sha256
+of the source, that header, the flags and the compiler, in this package's
 ``__pycache__`` or, when that is not writable, in a private directory
 under ``tempfile.gettempdir()``.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
@@ -25,9 +26,13 @@ import tempfile
 from array import array
 from pathlib import Path
 
+import numpy as np
+
 _SOURCE = Path(__file__).with_name("_fill.c")
+INCLUDE = np.get_include()
+_BITGEN_H = Path(INCLUDE, "numpy", "random", "bitgen.h")
 COMPILER = "gcc"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I", INCLUDE)
 BUILD_TIMEOUT_S = 120
 
 # fvn_state.status, as _fill.c sets it
@@ -36,7 +41,7 @@ FILL_EMPTY, FILL_OVERFLOW, FILL_TRIALS = 1, 2, 3
 
 class Kernel(ctypes.Structure):
     _fields_ = [("rows", ctypes.c_void_p), ("cum", ctypes.c_void_p),
-                ("ncum", ctypes.c_int64), ("normal", ctypes.c_int64),
+                ("K", ctypes.c_int64), ("normal", ctypes.c_int64),
                 ("restart", ctypes.c_int64), ("recycling", ctypes.c_int64)]
 
 
@@ -82,7 +87,7 @@ def _build() -> str:
         raise OSError(f"no {COMPILER} on PATH")
     compiler = os.path.realpath(compiler)
     info = os.stat(compiler)
-    key = hashlib.sha256(_SOURCE.read_bytes())
+    key = hashlib.sha256(_SOURCE.read_bytes() + _BITGEN_H.read_bytes())
     key.update("\0".join(
         (*FLAGS, compiler, str(info.st_size), str(info.st_mtime_ns))).encode())
     name = f"_fill-{key.hexdigest()[:32]}.so"
@@ -132,13 +137,12 @@ def kernel(table, recycling: bool):
     composed draw ``draw``, which makes each variate the fill does not."""
     from .samplers import comparison_draw   # deferred: an import cycle
 
-    rows = array("d")
-    for lo, width, top, lo_sq in table.by_k:
-        rows.extend((lo, width, top, 0.0 if lo_sq is None else lo_sq))
+    rows = array("d", (0.0 if v is None else v   # lo_sq on an exp table
+                       for row in table.by_k for v in row))
     cum = array("d", table.cum_probs or ())
     kn = Kernel(rows.buffer_info()[0],
                 cum.buffer_info()[0] if table.cum_probs else None,
-                len(cum), table.is_normal, table.restarts, recycling)
+                table.K, table.is_normal, table.restarts, recycling)
     kn.arrays = (rows, cum)
     kn.draw = functools.partial(comparison_draw, table)
     return kn

@@ -86,18 +86,17 @@ def default_config(kind: str, *, recycling: bool | None = None) -> SamplerConfig
 
 def comparison_draw(table: tables.IntervalTable, src: UniformSource) -> float:
     """One comparison-method variate on ``table``: a pooled sign bit on a
-    normal scheme, the interval selection, a position uniform in it and
-    the run test on the position's shifted exponent.  A rejection
-    restarts the trial with a new interval on a table that ``restarts``
-    (von Neumann's exp_vn) and redraws the position otherwise.  After
-    MAX_TRIALS rejected trials of one variate the source must be broken,
-    and RuntimeError is raised."""
+    normal scheme, the interval selection, a position uniform in the
+    interval (read from its ``by_k`` row, as the fill reads it) and the run
+    test on its shifted exponent.  A rejection restarts the trial with a
+    new interval on a table that ``restarts`` (von Neumann's exp_vn) and
+    redraws the position otherwise.  After MAX_TRIALS rejected trials of
+    one variate the source must be broken, and RuntimeError is raised."""
     sign = src.random_sign() if table.is_normal else 1
     trials = 0
     while True:
         k = tables.select_interval(table, src)
-        lo, hi = table.interval(k)
-        width = hi - lo
+        lo, width, _, _ = table.by_k[k - 1]
         while True:
             if table.is_normal:
                 x = lo + width * src.next_uniform()
@@ -234,7 +233,4 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 def interval_index(table: tables.IntervalTable, value: float) -> int:
     """Which interval a sample landed in (normal samplers fold the sign)."""
     x = abs(value) if table.is_normal else value
-    k = bisect_right(table.boundaries, x)
-    if k < 1:
-        k = 1
-    return k if k < table.K else table.K
+    return min(max(bisect_right(table.boundaries, x), 1), table.K)

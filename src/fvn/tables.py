@@ -14,15 +14,15 @@ computes its boundaries and masses from the scheme's layout function.  The
 dyadic schemes store no probability table: selection is one leading-zero
 count on a fresh word.
 
-Every scheme truncates its tail: the mass beyond a_K (2^-K for the dyadic
-schemes) folds into interval K.  The samplers use K = DEFAULT_TABLE_LEN =
-WORD_BITS, since a dyadic selection reads one word and never gives k > 53;
-other lengths are built for dumps and checks.  The mass-table schemes
-truncate earlier, because their cumulative mass rounds to 1.0 before k = K.
-With K = 53 that happens from k = 38 for exp_vn and k = 36 for
-normal_forsythe, so intervals 39..53 and 37..53 have mass 0 and are never
-selected: exp_vn never returns a value >= 38, and normal_forsythe never one
-of magnitude >= sqrt(71).
+Every scheme truncates its tail: the selection folds the mass beyond a_K (2^-K
+on a dyadic table) into interval K, so a table has one row per interval.  The
+samplers use K = DEFAULT_TABLE_LEN = WORD_BITS, since a dyadic selection reads
+one word and never gives k > 53; other lengths are built for dumps and checks.
+The mass-table schemes truncate earlier, because their cumulative mass rounds
+to 1.0 before k = K.  With K = 53 that happens from k = 38 for exp_vn and
+k = 36 for normal_forsythe, so intervals 39..53 and 37..53 have mass 0 and are
+never selected: exp_vn never returns a value >= 38, and normal_forsythe never
+one of magnitude >= sqrt(71).
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ class IntervalTable:
     would not be).
 
     The per-interval constants are computed once, as one ``(low, width,
-    top, low_sq)`` row in ``by_k`` for every index a selection can give,
-    k = 1..MAX_TABLE_LEN + 1, indexed by k - 1: a_{k-1}, a_k - a_{k-1},
-    gmax(k) and the squared a_{k-1} (None on the exponential schemes).
-    Every k > K folds into K.  ``shifted_exponent``, ``gmax`` and the
-    sampling kernel all read these rows.
+    top, low_sq)`` row in ``by_k`` per interval, k = 1..K, indexed by
+    k - 1: a_{k-1}, a_k - a_{k-1}, gmax(k) and the squared a_{k-1} (None
+    on the exponential schemes).  ``shifted_exponent``, ``gmax``, the
+    composed draw and the compiled fill all read these rows; the fold of
+    k > K into K is the selection's, not the table's.
     """
 
     scheme: str
@@ -123,10 +123,9 @@ class IntervalTable:
         # the run test accepts with probability exp(-g) only for g <= 1
         if not all(0.0 < top <= 1.0 for top in tops):
             raise ValueError("every shifted exponent must top out in (0, 1]")
-        rows = tuple(zip(b[:-1], widths, tops, lows_sq))
         for name, value in (("K", K), ("boundaries", b),
                             ("boundaries_sq", sq), ("cum_probs", cum),
-                            ("by_k", rows + rows[-1:] * (MAX_TABLE_LEN + 1 - K))):
+                            ("by_k", tuple(zip(b, widths, tops, lows_sq)))):
             object.__setattr__(self, name, value)
 
     @property
@@ -148,8 +147,8 @@ class IntervalTable:
         return self.boundaries[k - 1], self.boundaries[k]
 
     def shifted_exponent(self, k: int, x: float) -> float:
-        """G_k(x) for x in I_k: the exponent lowered to start at 0, clamped
-        into [0, gmax(k)].
+        """G_k(x) for x in I_k, k in 1..K: the exponent lowered to start at
+        0, clamped into [0, gmax(k)].
 
         The clamp only removes rounding at a rounded boundary.  Normal
         schemes pair the stored boundary fl(a_k) with a square that may be
@@ -167,7 +166,7 @@ class IntervalTable:
         return 0.0 if g < 0.0 else top
 
     def gmax(self, k: int) -> float:
-        """Supremum of G_k on I_k (attained at the right endpoint)."""
+        """Supremum of G_k on I_k, k in 1..K (at the right endpoint)."""
         return self.by_k[k - 1][2]
 
     def selection_probability(self, k: int) -> float:

@@ -265,6 +265,35 @@ def test_kernel_on_an_all_zero_selection_word(kind, recycling):
         assert lo <= value < hi, select
 
 
+@pytest.mark.parametrize("K", [1, 2, 4, 6, 8])
+@pytest.mark.parametrize("recycling", [False, True])
+@over_entries("scheme", tables.SCHEMES)
+def test_short_tables_fold_the_tail_into_interval_K(scheme, recycling, K):
+    """On a table of K < WORD_BITS intervals the selection gives k > K,
+    which both spellings fold into K: one ``fill_variates`` of 3,000
+    variates against the composed draw on a twin, values and state, across
+    the end of the first buffer.  Then a selection word past the table,
+    all zero on a dyadic table and above ``cum_probs[K - 1]`` on a mass
+    table, from an injected engine."""
+    table = tables.IntervalTable(scheme, K)
+    fast, slow = (UniformSource(11, recycling=recycling) for _ in range(2))
+    values = fast.fill_variates(table, 3000)
+    assert values.tolist() == [comparison_draw(table, slow)
+                               for _ in range(3000)]
+    assert state(fast) == state(slow)
+    assert fast.draws > bitstream._BUFFER_WORDS
+
+    select = 0 if table.is_dyadic else 2 ** 53 - 1
+    assert table.is_dyadic or select / 2 ** 53 > table.cum_probs[K - 1]
+    sign = [1 << 52] if table.is_normal else []
+    fast, slow = (_edge_source(sign + [select, 1 << 52, 2 ** 53 - 1])(
+        recycling) for _ in range(2))
+    value = fast.fill_variates(table, 1)[0]
+    assert value == comparison_draw(table, slow)
+    assert state(fast) == state(slow)
+    assert table.interval(K)[0] < value < table.interval(K)[1]
+
+
 @over_entries("recycling", [False, True])
 @pytest.mark.parametrize("position_word", [0, 2 ** 53 - 1])
 def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,

@@ -37,7 +37,28 @@ def test_fill_source_compiles_without_warnings(tmp_path):
     out = tmp_path / "fill.so"
     _fill.compile_library(str(out), ("-Wall", "-Wextra", "-Werror"))
     assert "-ffp-contract=off" in _fill.FLAGS
+    # numpy's bitgen.h, from the include directory of the numpy imported
+    assert _fill.INCLUDE in _fill.FLAGS and _fill._BITGEN_H.is_file()
     assert out.is_file()
+
+
+@needs_compiler
+def test_the_cache_name_follows_numpys_bitgen_header(tmp_path, monkeypatch):
+    """A numpy whose ``bitgen.h`` differs by one byte gets a build of its
+    own: a library built against another numpy is never loaded."""
+    monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
+    monkeypatch.setattr(_fill, "compile_library",
+                        lambda out: Path(out).write_bytes(b""))
+    first = Path(_fill._build())
+    assert Path(_fill._build()) == first
+    edited = tmp_path / "bitgen.h"
+    edited.write_bytes(_fill._BITGEN_H.read_bytes().replace(
+        b"next_raw", b"next_raw_"))
+    monkeypatch.setattr(_fill, "_BITGEN_H", edited)
+    second = Path(_fill._build())
+    assert second.name.startswith("_fill-") and second != first
+    assert sorted(p.name for p in tmp_path.glob("*.so")) == sorted(
+        (first.name, second.name))
 
 
 @needs_compiler
@@ -128,7 +149,8 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
                      + "".join(f'printf("%zu\\n", (size_t)({expr}));\n'
                                for expr in expected)
                      + "return 0;\n}\n")
-    subprocess.run([_fill.COMPILER, "-o", str(exe), str(probe), "-lm"],
+    subprocess.run([_fill.COMPILER, "-I", _fill.INCLUDE, "-o", str(exe),
+                    str(probe), "-lm"],
                    check=True, capture_output=True, timeout=_fill.BUILD_TIMEOUT_S)
     out = subprocess.run([str(exe)], check=True, capture_output=True,
                          text=True, timeout=60).stdout

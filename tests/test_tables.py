@@ -253,20 +253,19 @@ def test_raw_table_rejects_a_shifted_exponent_above_one(monkeypatch):
 
 @pytest.mark.parametrize("scheme", tables.SCHEMES)
 def test_per_interval_constants_match_the_boundaries(scheme):
-    # by_k: one row for every k a selection can give, k > K folded into K
+    # by_k: one row per interval; the selection folds k > K into K
     for K in (1, 8, 53, 64):
         t = IntervalTable(scheme, K)
         sq = t.boundaries_sq
-        assert len(t.by_k) == tables.MAX_TABLE_LEN + 1
-        for k in range(1, tables.MAX_TABLE_LEN + 2):
-            kk = min(k, K)
-            lo, hi = t.interval(kk)
+        assert len(t.by_k) == K
+        for k in range(1, K + 1):
+            lo, hi = t.interval(k)
             if t.is_normal:
-                row = (lo, hi - lo, (sq[kk] - sq[kk - 1]) * 0.5, sq[kk - 1])
+                row = (lo, hi - lo, (sq[k] - sq[k - 1]) * 0.5, sq[k - 1])
             else:
                 row = (lo, hi - lo, hi - lo, None)
             assert t.by_k[k - 1] == row
-            assert t.gmax(kk) == row[2]
+            assert t.gmax(k) == row[2]
 
 
 def test_select_interval_dyadic_frequency():

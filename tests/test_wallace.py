@@ -93,23 +93,39 @@ def test_pool_still_normal_after_hundred_refreshes():
     assert ks_test(np.sort(pool.values), ndtr).passed
 
 
-def test_next_normal_walks_the_pool_then_refreshes():
+# The two entries that emit a pool: ``next_normal`` moves ``read_cursor``,
+# the iterator of ``emit_passes`` (the bound sampler's) leaves it at 0.
+ENTRIES = ("next_normal", "emit_passes")
+
+
+def emitter(entry, pool, src):
+    """A zero-argument draw of ``pool`` through ``entry``."""
+    if entry == "next_normal":
+        return functools.partial(next_normal, pool, src)
+    return emit_passes(pool, src).__next__
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_next_normal_walks_the_pool_then_refreshes(entry):
     src = UniformSource(607)
     pool = init_pool(256, src)
-    first_pass = [next_normal(pool, src) for _ in range(256)]
+    draw = emitter(entry, pool, src)
+    first_pass = [draw() for _ in range(256)]
     assert pool.pass_count == 0
-    next_normal(pool, src)
-    assert pool.pass_count == 1 and pool.read_cursor == 1
+    draw()
+    assert pool.pass_count == 1
+    assert pool.read_cursor == (1 if entry == "next_normal" else 0)
     scale = pool.emit_scale
     assert first_pass[0] != pytest.approx(first_pass[1])
     assert scale > 0.0
 
 
-def test_emitted_stream_deterministic():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_emitted_stream_deterministic(entry):
     def emit(seed, n):
         src = UniformSource(seed)
-        pool = init_pool(256, src)
-        return [next_normal(pool, src) for _ in range(n)]
+        draw = emitter(entry, init_pool(256, src), src)
+        return [draw() for _ in range(n)]
 
     assert emit(608, 600) == emit(608, 600)
 
@@ -149,15 +165,17 @@ def test_bound_draw_matches_next_normal_across_passes(size, monkeypatch):
     assert pool.pass_count == 4
 
 
-def test_emission_reads_the_snapshot_of_the_pass():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_emission_reads_the_snapshot_of_the_pass(entry):
     src = UniformSource(613)
     pool = init_pool(256, src)
+    draw = emitter(entry, pool, src)
     snapshot = pool.values * pool.emit_scale
-    head = [next_normal(pool, src) for _ in range(10)]
+    head = [draw() for _ in range(10)]
     refresh(pool, src)                      # mid-pass: not seen until the next
-    tail = [next_normal(pool, src) for _ in range(246)]
+    tail = [draw() for _ in range(246)]
     assert head + tail == snapshot.tolist()
-    assert next_normal(pool, src) == pool.values[0] * pool.emit_scale
+    assert draw() == pool.values[0] * pool.emit_scale
     assert pool.pass_count == 2
 
 
