@@ -11,25 +11,24 @@
    order and does the same IEEE operations, so built with -ffp-contract=off
    (no fused multiply-add) it makes the same values bit for bit.
 
-   Fresh words come from buf while pos < nbuf.  Past its end they come
-   from the engine, when there is one: a bitgen_t of numpy's own header,
-   numpy/random/bitgen.h, read with next_raw as random_raw reads it, so
-   the words and their order are the engine's stream.  pos then counts on
-   past nbuf, and the caller holds the engine's lock.
+   Fresh words come from buf while pos < nbuf, then from the engine: a
+   bitgen_t of numpy's own header, numpy/random/bitgen.h, read with
+   next_raw as random_raw reads it, so the words and their order are the
+   engine's stream.  pos then counts on past nbuf, and the caller holds
+   the engine's lock.
 
    It makes up to n variates, writing each value to out[v] and the fresh
-   words spent by the end of it, spent + position, to counts[v].  It stops
-   early in these cases:
-     FILL_EMPTY     with no engine, a variate ran off the buffer's end.
-                    The state is left at the start of that variate, for
-                    the caller to make it with the composed draw, which
-                    refills the buffer, and fill on from there.
-     FILL_OVERFLOW  a run reached MAX_RUN_LENGTH.  The state is committed
-                    as the composed draw leaves it when it raises.
+   words spent by the end of it, spent + position, to counts[v].  The
+   position, the store's depth and the sign pool are written back to s
+   once, when it returns.  It stops early in these cases:
+     FILL_OVERFLOW  a run reached MAX_RUN_LENGTH.  The state is left as
+                    the composed draw leaves it when it raises.
      FILL_TRIALS    a variate's MAX_TRIALS-th trial was rejected.  The
-                    state is committed as for FILL_OVERFLOW.
-   The store must have room for nstore + n values: a variate pushes at
-   most one. */
+                    state is left as for FILL_OVERFLOW.
+   Each leftover is pushed onto the store, and popped from it, as the
+   composed draw does.  Within a variate every push but the last is
+   popped before the next push, so the store must have room for
+   nstore + n values. */
 
 #include <math.h>
 #include <stddef.h>
@@ -41,7 +40,7 @@
 #define MAX_RUN_LENGTH 64
 #define MAX_TRIALS 1024
 
-enum { FILL_DONE = 0, FILL_EMPTY = 1, FILL_OVERFLOW = 2, FILL_TRIALS = 3 };
+enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
 
 typedef struct {
     const double *rows; /* IntervalTable.by_k: lo, width, top, lo_sq per interval */
@@ -62,7 +61,7 @@ typedef struct {
     int64_t sign_bits;
     int64_t sign_word;
     int64_t status;
-    const bitgen_t *engine;     /* NULL: stop with FILL_EMPTY */
+    const bitgen_t *engine;
 } fvn_state;
 
 int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
@@ -81,18 +80,16 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
 #define FRESH(dst) do {                                                 \
         if (i < nbuf)                                                   \
             (dst) = buf[i];                                             \
-        else if (eng != NULL)                                           \
+        else                                                            \
             (dst) = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS)) \
                     / UNIT;                                             \
-        else                                                            \
-            goto empty;                                                 \
         i++;                                                            \
     } while (0)
 #define UNIFORM(dst) do { if (r) (dst) = store[--r]; else FRESH(dst); } while (0)
 
+    s->status = FILL_DONE;
     for (made = 0; made < n; made++) {
-        double sign = 1.0, x = 0.0, held = 0.0, u;
-        int has_held = 0;
+        double sign = 1.0, x = 0.0, u;
         int64_t run, trials = 0;
 
         if (normal) {
@@ -116,20 +113,13 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                 FRESH(u);
                 m = frexp(u, &e);
                 j = m != 0.0 ? -e : WORD_BITS - 1;
-                if (recycling && j < WORD_BITS - 1) {
-                    held = m + m - 1.0;
-                    has_held = 1;
-                }
+                if (recycling && j < WORD_BITS - 1)
+                    store[r++] = m + m - 1.0;
                 if (j >= K)
                     j = K - 1;
             } else {
                 int64_t lo = 0, hi = K;
-                if (has_held) {         /* a restart */
-                    u = held;
-                    has_held = 0;
-                } else {
-                    UNIFORM(u);
-                }
+                UNIFORM(u);
                 while (lo < hi) {       /* bisect_right */
                     int64_t mid = (lo + hi) / 2;
                     if (u < cum[mid])
@@ -142,10 +132,7 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
             row = kn->rows + 4 * j;
             for (;;) {
                 double g, prev;
-                if (has_held)
-                    u = held;
-                else
-                    UNIFORM(u);
+                UNIFORM(u);
                 if (normal) {
                     x = row[0] + row[1] * u;
                     g = (x * x - row[3]) * 0.5;
@@ -162,21 +149,18 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                     run++;
                     if (!(u < prev))
                         break;
-                    if (run >= MAX_RUN_LENGTH)
-                        goto overflow;
+                    if (run >= MAX_RUN_LENGTH) {
+                        s->status = FILL_OVERFLOW;
+                        goto commit;
+                    }
                     prev = u;
                 }
-                has_held = 0;
                 if (recycling && prev < 1.0) {
                     double v = (u - prev) / (1.0 - prev);
-                    if (v < 1.0) {
-                        held = v;
-                        has_held = 1;
-                    }
+                    if (v < 1.0)
+                        store[r++] = v;
                 }
                 if (!(run & 1) && ++trials >= MAX_TRIALS) {
-                    if (has_held)
-                        store[r++] = held;
                     s->status = FILL_TRIALS;
                     goto commit;
                 }
@@ -186,24 +170,10 @@ int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
             if (run & 1)
                 break;
         }
-        if (has_held)
-            store[r++] = held;
         out[made] = sign * x;
         counts[made] = spent + i;
-        s->pos = i;
-        s->nstore = r;
-        s->sign_bits = nb;
-        s->sign_word = sw;
     }
-    s->status = FILL_DONE;
-    return made;
 
-empty:
-    s->status = FILL_EMPTY;
-    return made;
-
-overflow:
-    s->status = FILL_OVERFLOW;
 commit:
     s->pos = i;
     s->nstore = r;

@@ -10,12 +10,13 @@ under ``tempfile.gettempdir()``.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, cache or
 library works, ``library()`` is None: ``UniformSource._fill_into`` makes
-every variate with the composed draw ``samplers.comparison_draw``, and
-``wallace.refresh`` regroups with numpy.
+every variate with the composed draw ``samplers.comparison_draw``, as on
+any engine but numpy's, and ``wallace.refresh`` regroups with numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -36,7 +37,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I", INCLUDE)
 BUILD_TIMEOUT_S = 120
 
 # fvn_state.status, as _fill.c sets it
-FILL_EMPTY, FILL_OVERFLOW, FILL_TRIALS = 1, 2, 3
+FILL_OVERFLOW, FILL_TRIALS = 1, 2
 
 
 class Kernel(ctypes.Structure):
@@ -81,7 +82,10 @@ def _cache_dirs():
 
 
 def _build() -> str:
-    """The path of the compiled library, built first if not yet cached."""
+    """The path of the compiled library, built first if not yet cached.
+    A new build unlinks the other ``_fill-*.so`` of its folder; a process
+    that loaded one keeps it mapped, but one that found its path just
+    before the unlink fails to load it and uses the composed draw."""
     compiler = shutil.which(COMPILER)
     if compiler is None:
         raise OSError(f"no {COMPILER} on PATH")
@@ -109,6 +113,9 @@ def _build() -> str:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in set(folder.glob("_fill-*.so")) - {path}:
+            with contextlib.suppress(OSError):
+                stale.unlink()
         return str(path)
     raise OSError(f"no writable cache for the fill: {error}")
 
@@ -134,7 +141,7 @@ def library():
 def kernel(table, recycling: bool):
     """The ``Kernel`` of a table and recycling flag.  It keeps its row and
     mass arrays alive, since it holds only their addresses, and its
-    composed draw ``draw``, which makes each variate the fill does not."""
+    composed draw ``draw``, for every variate the fill does not make."""
     from .samplers import comparison_draw   # deferred: an import cycle
 
     rows = array("d", (0.0 if v is None else v   # lo_sq on an exp table

@@ -13,24 +13,20 @@ value never touches ``draws``.
 ``samplers.comparison_draw`` composes those steps, with
 ``tables.select_interval`` and ``comparison.run_test``, into one
 comparison-method variate; it is the spec of the comparison kernel.
-``fill_variates`` makes the same values with the compiled block fill of
-``_fill.c`` and reads nothing ahead; ``wallace.init_pool`` bootstraps
-through it.  ``bind_variates``, which a bound sampler draws from, fills
-blocks ahead of its caller and keeps ``draws`` exact at the value it has
-reached.  In both, the composed draw makes each variate that the fill
-does not (see ``_fill_into``): every one when the fill does not load.
-
-The buffer is refilled by ``random_raw`` for the direct calls and the
-composed draw.  On a numpy engine the compiled fill reads on from the
-engine itself once the buffer is used up, so a bound sampler never goes
-back to Python for words.
+``fill_variates`` makes the same values and reads nothing ahead;
+``wallace.init_pool`` bootstraps through it.  ``bind_variates``, which a
+bound sampler draws from, fills blocks ahead of its caller and keeps
+``draws`` exact at the value it has reached.  Both run the compiled
+block fill of ``_fill.c`` on a numpy engine, whose words it reads itself
+once the buffer is used up; on any other engine, or when the fill does
+not load, the composed draw makes every variate, refilling the buffer by
+``random_raw`` as the direct calls do (see ``_fill_into``).
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
-from contextlib import nullcontext
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
@@ -90,12 +86,11 @@ class UniformSource:
     array`` of 64-bit words works, as numpy's PCG64, PCG64DXSM, Philox and
     SFC64 do.  MT19937's words are 32-bit, which would put every uniform
     below 2**-32, so it is refused.  Defaults to PCG64.
-    The compiled fill reads a numpy engine's words itself, with the
-    ``next_raw`` that ``random_raw`` calls, once the buffer is used up: the
-    same words in the same order.  It holds ``engine.lock`` over each fill,
-    as ``random_raw`` does.  An engine whose class overrides
-    ``random_raw``, and any engine not of numpy, is read through its
-    ``random_raw`` only.
+    The compiled fill runs only on a numpy engine, whose words it reads
+    itself with the ``next_raw`` that ``random_raw`` calls: the same words
+    in the same order.  It holds ``engine.lock`` over each fill, as
+    ``random_raw`` does.  On an engine whose class overrides
+    ``random_raw``, or one not of numpy, the composed draw makes them.
     ``recycling`` says whether run-test and selection leftovers are stored
     for reuse; it is set here, by the owner, and is read-only after.
     """
@@ -236,71 +231,56 @@ class UniformSource:
         stopped them, if one did; the source is left as the composed draw
         leaves it by then.
 
-        The compiled fill of ``lib`` makes what it can and the composed
-        draw ``kernel.draw`` the rest: every variate when ``lib`` is None.  On
-        a numpy engine the fill reads on from the engine once the buffer
-        is used up, and leaves the buffer empty for the next direct call to
-        refill.  On another engine it stops at a variate that would run off
-        the buffer's end; the composed draw makes that one, refilling with
-        ``random_raw``, and the fill goes on from there.
+        One spelling makes them all: the compiled fill of ``lib`` when it
+        can read the engine (``_engine_reader``), reading on from it once
+        the buffer is used up and leaving the buffer empty for the next
+        direct call to refill; otherwise, or with ``lib`` None, the
+        composed draw ``kernel.draw``.
         """
         counts[0] = self._spent + self._pos
-        made, exc, status = 0, None, None
-        fill = None if lib is None else lib.fvn_fill
-        if fill is not None:
-            bitgen, lock = self._engine_reader()
-            rec = self.recycled
-            store = array("d", rec)
-            store.frombytes(bytes(8 * n))   # a variate pushes at most one
-            vaddr, caddr = values.buffer_info()[0], counts.buffer_info()[0]
-        while made < n:
-            if fill is not None:
-                floats = self._floats
-                st = _fill.State(*floats.buffer_info(), self._pos,
-                                 self._spent, store.buffer_info()[0],
-                                 len(rec), self._sign_bits, self._sign_word,
-                                 engine=bitgen)
-                with lock:
-                    made += fill(kernel, st, vaddr + 8 * made,
-                                 caddr + 8 * (made + 1), n - made)
-                if st.pos > len(floats):
-                    # read on from the engine: buffer and words are spent
-                    self._spent += st.pos
-                    self._floats, st.pos = array("d"), 0
-                self._pos = st.pos
-                rec[:] = store[:st.nstore]
-                self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
-                status = st.status
-                if status != _fill.FILL_EMPTY:
-                    break
-            # Whatever the draw raises, a failing engine's error among it,
-            # is this variate's error: it is passed on, not handled.
-            try:
-                values[made] = kernel.draw(self)
-            except Exception as error:
-                exc = error
-                break
-            made += 1
-            counts[made] = self._spent + self._pos
-            if fill is not None:
-                store[:len(rec)] = array("d", rec)
-        if status == _fill.FILL_OVERFLOW:
-            exc = RuntimeError(RUN_OVERFLOW)
-        elif status == _fill.FILL_TRIALS:
-            exc = RuntimeError(TRIAL_OVERFLOW)
-        return made, exc
+        bitgen = None if lib is None else self._engine_reader()
+        if bitgen is None:
+            for made in range(n):
+                # Whatever the draw raises, a failing engine's error among
+                # it, is this variate's error: it is passed on, not handled.
+                try:
+                    values[made] = kernel.draw(self)
+                except Exception as exc:
+                    return made, exc
+                counts[made + 1] = self._spent + self._pos
+            return n, None
+        rec, floats = self.recycled, self._floats
+        store = array("d", rec)
+        store.frombytes(bytes(8 * n))   # a variate leaves at most one more
+        st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
+                         store.buffer_info()[0], len(rec), self._sign_bits,
+                         self._sign_word, engine=bitgen)
+        with self._engine.lock:
+            made = lib.fvn_fill(kernel, st, values.buffer_info()[0],
+                                counts.buffer_info()[0] + 8, n)
+        if st.pos > len(floats):
+            # read on from the engine: buffer and words are spent
+            self._spent += st.pos
+            self._floats, st.pos = array("d"), 0
+        self._pos = st.pos
+        rec[:] = store[:st.nstore]
+        self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
+        if not st.status:
+            return made, None
+        return made, RuntimeError(
+            RUN_OVERFLOW if st.status == _fill.FILL_OVERFLOW else TRIAL_OVERFLOW)
 
-    def _engine_reader(self):
+    def _engine_reader(self) -> int | None:
         """The address of the engine's numpy ``bitgen_t``, for the fill to
-        read its words itself, and the lock to hold while it does; None and
-        no lock for an engine read through ``random_raw`` only.  Looked up
-        at each fill and never stored, so building a source costs nothing
-        more, and a copied or unpickled source reads its own engine."""
+        read its words itself; None for an engine read through
+        ``random_raw`` only.  Looked up at each fill and never stored, so
+        building a source costs nothing more, and a copied or unpickled
+        source reads its own engine."""
         engine = self._engine
         if (getattr(type(engine), "random_raw", None)
                 is not np.random.BitGenerator.random_raw):
-            return None, nullcontext()
-        return engine.ctypes.bit_generator.value, engine.lock
+            return None
+        return engine.ctypes.bit_generator.value
 
     def bind_variates(self, table: IntervalTable) -> Iterator[float]:
         """Endless values of ``samplers.comparison_draw(table, self)`` for a

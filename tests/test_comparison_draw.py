@@ -4,16 +4,19 @@ point that reads nothing ahead; each such test runs again with the fill
 forced off, where the composed draw makes every variate.  Then the bound
 sampler, which fills blocks ahead of its caller with or without the
 compiled fill, against the composed draw, value by value and draw count by
-draw count.  On a numpy engine the fill reads the engine's words itself
-once the buffer is used up; on any other engine it stops at a variate that
-would run off the buffer's end, and the composed draw makes that variate
-across a ``random_raw`` refill."""
+draw count.
+
+The fill runs only on a numpy engine, whose words it reads itself once the
+buffer is used up; on any other engine the composed draw makes every
+variate.  So an edge word reaches the fill as a scripted word at the head
+of a numpy source's buffer (``scripted``), not from an injected engine."""
 
 import copy
 import pickle
 import random
 import sys
 import threading
+from array import array
 from functools import partial
 
 import numpy as np
@@ -22,7 +25,7 @@ import pytest
 from fvn import _fill, bitstream, samplers, tables
 from fvn.bitstream import MAX_RUN_LENGTH, MAX_TRIALS, UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
-from tests.test_bitstream import FailOnceEngine, FakeEngine, raw_from_word
+from tests.test_bitstream import FailOnceEngine, FakeEngine
 
 KINDS = (samplers.EXP_VN, samplers.EXP_BRENT, samplers.NORMAL_FORSYTHE,
          samplers.NORMAL_GRAND)
@@ -66,7 +69,7 @@ def state(src, offset=True):
     the fill reads itself, since the fill leaves the buffer empty once it
     reads on from the engine."""
     fields = (src.draws, list(src.recycled), src._sign_bits, src._sign_word)
-    if offset and src._engine_reader()[0] is None:
+    if offset and src._engine_reader() is None:
         return fields + (src._pos,)
     return fields
 
@@ -80,17 +83,28 @@ def fill_and_reference(kind, recycling, make_source):
     return draw, fast, partial(comparison_draw, config.table, slow), slow
 
 
-class GridEngine:
-    """PCG64 words with only their top ``bits`` bits kept: an injected
-    engine whose uniforms lie on a 2**-bits grid.  At 53 bits the source
-    gives exactly the stream of ``UniformSource(seed)``."""
+def scripted(words, seed=0):
+    """Builds, for a recycling flag, a source on ``PCG64(seed)`` whose
+    buffer starts with the 53-bit integers ``words``.  The fill reads them
+    and then reads on from the engine, as the composed draw's refill does,
+    so the words reach the C."""
+    def make(recycling):
+        src = UniformSource(seed, recycling=recycling)
+        src._floats = array("d", [w / 2 ** 53 for w in words])
+        return src
+    return make
 
-    def __init__(self, seed, bits):
-        self._pcg = np.random.PCG64(seed)
-        self._mask = np.uint64(((1 << bits) - 1) << (64 - bits))
 
-    def random_raw(self, size):
-        return self._pcg.random_raw(size) & self._mask
+# Three words on which exp_vn's third variate never accepts, and enough
+# cycles of them for two values and four trial-capped variates.
+NEVER_ACCEPTS, CYCLES = [0, 1 << 52, 2 ** 53 - 1], 4096
+
+
+def grid_words(seed, bits, n):
+    """``n`` words of ``PCG64(seed)`` with only their top ``bits`` of 53
+    kept: uniforms on a 2**-bits grid."""
+    words = np.random.PCG64(seed).random_raw(n) >> np.uint64(64 - 53)
+    return (words & np.uint64(((1 << bits) - 1) << (53 - bits))).tolist()
 
 
 class RawOnly:
@@ -111,10 +125,11 @@ class RawOnly:
 @over_entries("kind", KINDS)
 def test_kernel_matches_the_composed_draw(kind, recycling, engine_bits, seed):
     """Same value, draws, recycled store and sign pool after every variate,
-    over 8,256 words and the engine refills among them."""
+    over 8,192 scripted words on a 2**-engine_bits grid, then on into the
+    engine."""
+    words = grid_words(seed, engine_bits, 8 * bitstream._BUFFER_WORDS)
     draw, fast, reference, slow = fill_and_reference(
-        kind, recycling, lambda r: UniformSource(
-            0, engine=GridEngine(seed, engine_bits), recycling=r))
+        kind, recycling, scripted(words, seed))
     while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
         assert draw() == reference()
         assert state(fast) == state(slow)
@@ -128,8 +143,8 @@ def test_kernel_variate_straddling_a_refill(kind, recycling, wrap):
     """Variates started on each of the last words of a buffer, and on a
     buffer just used up: the refill lands in turn on the sign word, the
     selection, the position and the run.  On the numpy engine the fill
-    reads on from the engine there; on the ``random_raw``-only wrapper it
-    stops, and the composed draw makes the variate across a refill.
+    reads on from the engine there; on the ``random_raw``-only wrapper the
+    composed draw makes every variate, this one across a refill.
 
     The second input pre-fills the recycled store on both twins.  Its
     values fall fast enough that, for every kind, the first run drains
@@ -168,13 +183,12 @@ def _rejecting_trials(table, trials):
 @over_entries("kind", KINDS)
 def test_kernel_variate_longer_than_two_buffers(kind):
     """About 800 rejected trials, then an accepted one (0.75 ends the run
-    at once): the variate runs off the end of two or three buffers in
-    turn, and the composed draw makes it across the refills."""
+    at once): one variate reads more than two buffers' worth of words."""
     table = default_config(kind).table
     words, select = _rejecting_trials(table, 800)
     words += (select if table.restarts else []) + [1 << 52, 3 << 51]
     draw, fast, reference, slow = fill_and_reference(
-        kind, False, _edge_source(words))
+        kind, False, scripted(words))
     assert draw() == reference()
     assert state(fast) == state(slow)
     assert fast.draws > 2 * bitstream._BUFFER_WORDS
@@ -183,13 +197,12 @@ def test_kernel_variate_longer_than_two_buffers(kind):
 @over_entries("kind", KINDS)
 def test_kernel_trial_cap_raises_where_the_composed_draw_does(kind):
     """MAX_TRIALS rejected trials: the fill raises right after the last
-    one's run test, with the draws and state of the composed draw, which
-    made the variate across refills; both then go on to the same next
-    variate (its sign from the pool)."""
+    one's run test, with the draws and state of the composed draw; both
+    then go on to the same next variate (its sign from the pool)."""
     table = default_config(kind).table
     words, select = _rejecting_trials(table, MAX_TRIALS)
     draw, fast, reference, slow = fill_and_reference(
-        kind, False, _edge_source(words + select + [1 << 52, 3 << 51]))
+        kind, False, scripted(words + select + [1 << 52, 3 << 51]))
     for call in (draw, reference):
         with pytest.raises(RuntimeError, match="no trial accepted"):
             call()
@@ -202,12 +215,13 @@ def test_kernel_trial_cap_raises_where_the_composed_draw_does(kind):
 
 @pytest.mark.usefixtures("binding")
 def test_kernel_trial_cap_keeps_the_recycled_store():
-    """A cycling engine on which exp_vn's third variate never accepts,
-    with recycling on: the fill raises the trial cap with the composed
-    draw's draws and state, the last run's leftover on the store, and
-    goes on alike."""
+    """A cycle of three words on which exp_vn's third variate never
+    accepts, with recycling on: the fill raises the trial cap with the
+    composed draw's draws and state, the last run's leftover on the store,
+    and goes on alike, all inside the scripted words."""
+    words = NEVER_ACCEPTS * CYCLES
     draw, fast, reference, slow = fill_and_reference(
-        samplers.EXP_VN, True, _edge_source([0, 1 << 52, 2 ** 53 - 1]))
+        samplers.EXP_VN, True, scripted(words))
     for _ in range(2):
         assert draw() == reference()
     for _ in range(3):
@@ -216,6 +230,7 @@ def test_kernel_trial_cap_keeps_the_recycled_store():
                 call()
         assert state(fast) == state(slow)
         assert fast.recycled
+    assert fast.draws < len(words)
 
 
 @pytest.mark.parametrize("recycling", [False, True])
@@ -236,12 +251,6 @@ def test_kernel_interleaved_with_direct_source_calls(kind, recycling):
         assert state(fast) == state(slow)
 
 
-def _edge_source(words):
-    return lambda recycling: UniformSource(
-        0, engine=FakeEngine([raw_from_word(w) for w in words]),
-        recycling=recycling)
-
-
 @pytest.mark.parametrize("recycling", [False, True])
 @over_entries("kind", KINDS)
 def test_kernel_on_an_all_zero_selection_word(kind, recycling):
@@ -254,11 +263,11 @@ def test_kernel_on_an_all_zero_selection_word(kind, recycling):
     for select in (0, 1, 1 << 52, 2 ** 53 - 1):
         words = sign + [select, 1 << 52, 2 ** 53 - 1]   # then 0.5, run stop
         draw, fast, reference, slow = fill_and_reference(
-            kind, recycling, _edge_source(words))
+            kind, recycling, scripted(words))
         value = draw()
         assert value == reference(), select
         assert state(fast) == state(slow), select
-        twin = _edge_source(words)(recycling)
+        twin = scripted(words)(recycling)
         if table.is_normal:
             twin.random_sign()
         lo, hi = table.interval(tables.select_interval(table, twin))
@@ -274,7 +283,7 @@ def test_short_tables_fold_the_tail_into_interval_K(scheme, recycling, K):
     variates against the composed draw on a twin, values and state, across
     the end of the first buffer.  Then a selection word past the table,
     all zero on a dyadic table and above ``cum_probs[K - 1]`` on a mass
-    table, from an injected engine."""
+    table, scripted."""
     table = tables.IntervalTable(scheme, K)
     fast, slow = (UniformSource(11, recycling=recycling) for _ in range(2))
     values = fast.fill_variates(table, 3000)
@@ -286,7 +295,7 @@ def test_short_tables_fold_the_tail_into_interval_K(scheme, recycling, K):
     select = 0 if table.is_dyadic else 2 ** 53 - 1
     assert table.is_dyadic or select / 2 ** 53 > table.cum_probs[K - 1]
     sign = [1 << 52] if table.is_normal else []
-    fast, slow = (_edge_source(sign + [select, 1 << 52, 2 ** 53 - 1])(
+    fast, slow = (scripted(sign + [select, 1 << 52, 2 ** 53 - 1])(
         recycling) for _ in range(2))
     value = fast.fill_variates(table, 1)[0]
     assert value == comparison_draw(table, slow)
@@ -306,7 +315,7 @@ def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
     run_words = [1 << 52, 1 << 51, 3 << 51]    # 0.5, 0.25, 0.75
     words = [1 << 52, select_word, position_word] + run_words
     draw, fast, reference, slow = fill_and_reference(
-        samplers.NORMAL_FORSYTHE, recycling, _edge_source(words))
+        samplers.NORMAL_FORSYTHE, recycling, scripted(words))
     value = draw()
     assert value == reference()
     assert state(fast) == state(slow)
@@ -328,7 +337,7 @@ def test_kernel_cap_raises_where_the_composed_draw_does(kind):
     words = (sign + [select, 2 ** 53 - 1] + descending
              + [select, 1 << 52, 2 ** 53 - 1])
     draw, fast, reference, slow = fill_and_reference(
-        kind, False, _edge_source(words))
+        kind, False, scripted(words))
     for call in (draw, reference):
         with pytest.raises(RuntimeError, match="run length exceeded"):
             call()
@@ -374,10 +383,12 @@ def test_public_samplers_match_the_bound_draw(kind):
 @over_entries("kind", KINDS)
 def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
     """An engine that raises once, on the refill a variate needs after its
-    first word: the fill's draw raises, and its later draws match those
-    of a twin whose engine never failed, once the twin holds the same
-    state.  Their buffer offsets differ: the failed refill left the
-    used-up buffer in place, and the twin is on a numpy engine."""
+    first word: the draw raises, and its later draws match those of a twin
+    whose engine never failed, once the twin holds the same state.  Their
+    buffer offsets differ: the failed refill left the used-up buffer in
+    place, and the twin is on a numpy engine.  The failing engine is read
+    through ``random_raw`` only, so on either entry its draws are composed
+    ones; the twin's are the fill's on the ``-fill`` entry."""
     config = default_config(kind)
     buffer_words = bitstream._BUFFER_WORDS
     src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2),
@@ -432,12 +443,13 @@ def test_interleaved_bound_draws_of_one_family_match_the_composed_draw(family):
 def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
                                                           engine_bits):
     """Fills of 1 to 300 variates, each value against the composed draw and
-    the state after each fill, over 8,256 words: the store and sign pool
-    carried from variate to variate inside one fill, and refills inside
-    it."""
+    the state after each fill, over 8,192 scripted words on a
+    2**-engine_bits grid and on into the engine: the store and sign pool
+    carried from variate to variate inside one fill, and the buffer's end
+    inside it."""
+    words = grid_words(5, engine_bits, 8 * bitstream._BUFFER_WORDS)
     draw, fast, reference, slow = fill_and_reference(
-        kind, recycling, lambda r: UniformSource(
-            0, engine=GridEngine(5, engine_bits), recycling=r))
+        kind, recycling, scripted(words, 5))
     table = default_config(kind, recycling=recycling).table
     sizes = random.Random(11)
     while fast.draws < 8 * bitstream._BUFFER_WORDS + 64:
@@ -446,6 +458,44 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
         assert state(fast) == state(slow)
     assert len(fast.fill_variates(table, 0)) == 0
     assert state(fast) == state(slow)
+
+
+class RefusesFill:
+    """A stand-in for the compiled library whose ``fvn_fill`` fails the
+    test: it must not be called."""
+
+    def fvn_fill(self, *args):
+        raise AssertionError("fvn_fill was handed an engine it cannot read")
+
+
+class OverridesRandomRaw(np.random.PCG64):
+    def random_raw(self, size=None, output=True):
+        return super().random_raw(size, output)
+
+
+@pytest.mark.parametrize("make_engine", [
+    lambda: FakeEngine(np.random.PCG64(7).random_raw(5000)),
+    lambda: RawOnly(np.random.PCG64(7)),
+    lambda: OverridesRandomRaw(7),
+], ids=["fake", "raw-only", "overrides-random-raw"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
+                                                         monkeypatch):
+    """On an engine read through ``random_raw`` only, ``fill_variates``
+    and a bound sampler make every variate with the composed draw: its
+    values and ``draws``, with a library whose ``fvn_fill`` refuses."""
+    monkeypatch.setattr(_fill, "library", RefusesFill)
+    config = default_config(kind)
+    filled, bound, composed = (
+        UniformSource(0, engine=make_engine(),
+                      recycling=config.recycling_enabled) for _ in range(3))
+    draw = make_sampler(config, bound)
+    values = filled.fill_variates(config.table, 300).tolist()
+    values += filled.fill_variates(config.table, 400).tolist()
+    assert values == [draw() for _ in range(700)] == \
+           [comparison_draw(config.table, composed) for _ in range(700)]
+    assert filled.draws == bound.draws == composed.draws
+    assert state(filled) == state(composed)
 
 
 # The fill on a numpy engine, which it reads itself past the buffer's end.
@@ -669,23 +719,20 @@ def test_a_bound_source_cannot_be_bound_again(kind):
     assert src.bound
 
 
-class StretchEngine:
-    """PCG64 words, with the first 65 of every 130 replaced by a strictly
-    descending stretch from 0.01: a run test that reaches one goes on
-    descending until it trips the run cap."""
+# Enough stretch words for 4 read-ahead blocks of any kind.
+STRETCH_WORDS = 32 * 1024
 
-    def __init__(self, seed):
-        self._pcg = np.random.PCG64(seed)
-        self._k = 0
 
-    def random_raw(self, size):
-        out = self._pcg.random_raw(size)
-        phase = np.arange(self._k, self._k + size, dtype=np.uint64) % 130
-        self._k += size
-        stretch = np.uint64(int(0.01 * 2 ** 53)) - (phase << np.uint64(20))
-        inside = phase < 65
-        out[inside] = stretch[inside] << np.uint64(11)
-        return out
+def stretch_words(seed, n):
+    """``n`` words of ``PCG64(seed)``, with the first 65 of every 130
+    replaced by a strictly descending stretch from 0.01: a run test that
+    reaches one goes on descending until it trips the run cap."""
+    words = np.random.PCG64(seed).random_raw(n) >> np.uint64(64 - 53)
+    phase = np.arange(n, dtype=np.uint64) % 130
+    inside = phase < 65
+    words[inside] = (np.uint64(int(0.01 * 2 ** 53))
+                     - (phase[inside] << np.uint64(20)))
+    return words.tolist()
 
 
 @pytest.mark.usefixtures("binding")
@@ -695,10 +742,11 @@ def test_bound_sampler_raises_where_the_composed_draw_raises(kind, recycling):
     """Run-cap errors inside read-ahead blocks, at many positions in them:
     each raised by the draw where the composed draw raises it, with the
     same ``draws``, and the draws after it go on alike.  The error comes
-    from the iterator being emitted, so the sampler is not ended by it."""
+    from the iterator being emitted, so the sampler is not ended by it.
+    Every word read, read-ahead among them, is scripted."""
+    words = stretch_words(5, STRETCH_WORDS)
     draw, src, reference, twin = bound_and_reference(
-        kind, recycling,
-        lambda r: UniformSource(0, engine=StretchEngine(5), recycling=r))
+        kind, recycling, scripted(words))
     raised = set()
     for i in range(3 * BLOCK):
         got = outcome(draw, src)
@@ -706,6 +754,7 @@ def test_bound_sampler_raises_where_the_composed_draw_raises(kind, recycling):
         if isinstance(got[0], str):
             raised.add(i)
     assert len({i % BLOCK for i in raised}) >= 5
+    assert src._spent + src._pos < len(words)
 
 
 @pytest.mark.usefixtures("binding")
@@ -716,7 +765,9 @@ def test_bound_sampler_fails_where_the_composed_draw_fails(kind, recycling,
                                                            empty):
     """An engine that fails once, on a refill inside a read-ahead block:
     the draw that needs the refill raises with the composed draw's
-    ``draws``, and the draws after it go on alike."""
+    ``draws``, and the draws after it go on alike.  The engine is read
+    through ``random_raw`` only, so the bound sampler's blocks are composed
+    draws on either entry."""
     draw, src, reference, twin = bound_and_reference(
         kind, recycling,
         lambda r: UniformSource(0, engine=FailOnceEngine(
@@ -728,16 +779,17 @@ def test_bound_sampler_fails_where_the_composed_draw_fails(kind, recycling,
 
 @pytest.mark.usefixtures("binding")
 def test_bound_sampler_stops_a_variate_that_never_accepts():
-    """A cycling engine on which exp_vn's third variate never accepts:
-    the bound sampler returns two values and then raises the trial cap at
-    every draw, as the composed draw does, with the same ``draws``.  The
-    read-ahead meets that variate first, and the composed draw makes it
-    across refills, so the buffer never grows past one refill."""
+    """A cycle of three words on which exp_vn's third variate never
+    accepts: the bound sampler returns two values and then raises the
+    trial cap at every draw, as the composed draw does, with the same
+    ``draws``.  The read-ahead meets that variate first and reads no
+    further, so every word read is scripted."""
+    words = NEVER_ACCEPTS * CYCLES
     draw, src, reference, twin = bound_and_reference(
-        samplers.EXP_VN, True, _edge_source([0, 1 << 52, 2 ** 53 - 1]))
+        samplers.EXP_VN, True, scripted(words))
     outcomes = [outcome(draw, src) for _ in range(5)]
     assert outcomes == [outcome(reference, twin) for _ in range(5)]
     assert [isinstance(value, str) for value, _ in outcomes] == \
            [False, False, True, True, True]
     assert "no trial accepted" in outcomes[2][0]
-    assert len(src._floats) <= bitstream._BUFFER_WORDS
+    assert src.draws < len(words)

@@ -45,7 +45,8 @@ def test_fill_source_compiles_without_warnings(tmp_path):
 @needs_compiler
 def test_the_cache_name_follows_numpys_bitgen_header(tmp_path, monkeypatch):
     """A numpy whose ``bitgen.h`` differs by one byte gets a build of its
-    own: a library built against another numpy is never loaded."""
+    own: a library built against another numpy is never loaded, and the
+    new build replaces it in the cache."""
     monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
     monkeypatch.setattr(_fill, "compile_library",
                         lambda out: Path(out).write_bytes(b""))
@@ -57,8 +58,33 @@ def test_the_cache_name_follows_numpys_bitgen_header(tmp_path, monkeypatch):
     monkeypatch.setattr(_fill, "_BITGEN_H", edited)
     second = Path(_fill._build())
     assert second.name.startswith("_fill-") and second != first
-    assert sorted(p.name for p in tmp_path.glob("*.so")) == sorted(
-        (first.name, second.name))
+    assert [p.name for p in tmp_path.glob("*.so")] == [second.name]
+
+
+@needs_compiler
+def test_a_new_build_unlinks_the_stale_ones(tmp_path, monkeypatch):
+    """A build renamed into place unlinks the other ``_fill-*.so`` of its
+    folder and nothing else; a library already loaded from one of them
+    still runs.  A cache hit unlinks nothing."""
+    monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
+    loaded = ctypes.CDLL(_fill._build())
+    kept = [tmp_path / "_fill-notes.txt", tmp_path / "tmp1234.so"]
+    stale = [tmp_path / "_fill-0123.so", tmp_path / "_fill-4567.so"]
+    for path in kept + stale:
+        path.write_bytes(b"")
+    assert Path(_fill._build()).is_file() and stale[0].exists()
+    edited = tmp_path / "bitgen.h"
+    edited.write_bytes(_fill._BITGEN_H.read_bytes() + b"\n")
+    monkeypatch.setattr(_fill, "_BITGEN_H", edited)
+    monkeypatch.setattr(_fill, "compile_library",
+                        lambda out: Path(out).write_bytes(b""))
+    built = Path(_fill._build())
+    assert sorted(tmp_path.iterdir()) == sorted([built, edited, *kept])
+    values = (ctypes.c_double * 4)(1.0, 2.0, 3.0, 4.0)
+    q = (ctypes.c_double * 16)(*[float(i % 5 == 0) for i in range(16)])
+    loaded.fvn_refresh(values, ctypes.c_int64(4), ctypes.c_int64(1),
+                       ctypes.c_int64(0), q)
+    assert list(values) == [1.0, 2.0, 3.0, 4.0]     # q is the identity
 
 
 @needs_compiler
@@ -141,7 +167,7 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
         for field, _ in mirror._fields_:
             expected[f"offsetof({name}, {field})"] = getattr(mirror, field).offset
     for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
-                          (_fill, ("FILL_EMPTY", "FILL_OVERFLOW", "FILL_TRIALS"))):
+                          (_fill, ("FILL_OVERFLOW", "FILL_TRIALS"))):
         expected.update((name, getattr(module, name)) for name in names)
     probe, exe = tmp_path / "probe.c", tmp_path / "probe"
     probe.write_text(f'#include "{_fill._SOURCE}"\n#include <stdio.h>\n'
