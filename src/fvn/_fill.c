@@ -1,6 +1,7 @@
-/* The two compiled kernels of fvn: fvn_fill, the block fill of
-   comparison-method variates, and fvn_refresh, one pass of the Wallace
-   pool's regroup.
+/* The compiled kernels of fvn: fvn_fill, the block fill of
+   comparison-method variates, fvn_refresh, one pass of the Wallace pool's
+   regroup, and fvn_emitter, the draw that hands a bound sampler's block
+   back to Python one float at a time.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the frexp selection or the bisection of the cumulative masses,
@@ -30,6 +31,8 @@
    popped before the next push, so the store must have room for
    nstore + n values. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -216,4 +219,93 @@ void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
                             + x[3] * row[3];
         }
     }
+}
+
+
+/* _fill.emitter's draw, as its Python spelling does it: values[cursor[0]]
+   with cursor[0] stepped while cursor[0] < cursor[1]; otherwise refill()
+   is called first.  It rewrites values in place and sets the cursor, or
+   raises, and then so does the draw.  A refill that leaves no value to
+   read is an error too, so a stale value is never read.  values and
+   cursor are the buffers of an array("d") of n values and an array("q")
+   of two, which keep pins with a memoryview of each, so they are never
+   resized; an index outside values raises IndexError, as the array
+   does.  The draw is a builtin
+   over a capsule that owns refill and keep, so it has no Python frame.
+   The capsule is not tracked by the garbage collector, so refill must
+   not refer back to the draw. */
+typedef struct {
+    PyObject *refill;
+    PyObject *keep;
+    const double *values;
+    int64_t n;
+    int64_t *cursor;
+} fvn_emit;
+
+#define EMITTER "fvn.emitter"
+
+static PyObject *emit_next(PyObject *self, PyObject *unused)
+{
+    const fvn_emit *e = PyCapsule_GetPointer(self, EMITTER);
+    int64_t i;
+
+    (void)unused;
+    if (e == NULL)
+        return NULL;
+    i = e->cursor[0];
+    if (i >= e->cursor[1]) {
+        PyObject *done = PyObject_CallNoArgs(e->refill);
+        if (done == NULL)
+            return NULL;
+        Py_DECREF(done);
+        i = e->cursor[0];
+        if (i >= e->cursor[1]) {
+            PyErr_SetString(PyExc_RuntimeError, "the refill made no values");
+            return NULL;
+        }
+    }
+    if ((uint64_t)i >= (uint64_t)e->n) {
+        PyErr_SetString(PyExc_IndexError, "array index out of range");
+        return NULL;
+    }
+    e->cursor[0] = i + 1;
+    return PyFloat_FromDouble(e->values[i]);
+}
+
+static void emit_free(PyObject *capsule)
+{
+    fvn_emit *e = PyCapsule_GetPointer(capsule, EMITTER);
+
+    Py_XDECREF(e->refill);
+    Py_XDECREF(e->keep);
+    PyMem_Free(e);
+}
+
+static PyMethodDef emit_def = {"emit", emit_next, METH_NOARGS,
+                               "The next value of the block, refilled first "
+                               "once it is used up."};
+
+PyObject *fvn_emitter(PyObject *refill, PyObject *keep, const double *values,
+                      int64_t n, int64_t *cursor)
+{
+    PyObject *capsule, *draw;
+    fvn_emit *e = PyMem_Malloc(sizeof *e);
+
+    if (e == NULL)
+        return PyErr_NoMemory();
+    e->refill = Py_NewRef(refill);
+    e->keep = Py_NewRef(keep);
+    e->values = values;
+    e->n = n;
+    e->cursor = cursor;
+    capsule = PyCapsule_New(e, EMITTER, emit_free);
+    if (capsule == NULL) {
+        Py_DECREF(refill);
+        Py_DECREF(keep);
+        PyMem_Free(e);
+        return NULL;
+    }
+    draw = PyCFunction_New(&emit_def, capsule);
+    Py_DECREF(capsule);
+    return draw;
 }

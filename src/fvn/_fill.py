@@ -1,17 +1,22 @@
 """The compiled kernels of ``_fill.c``, built on first use and loaded with
-ctypes: ``fvn_fill``, the block fill of comparison-method variates, and
-``fvn_refresh``, the regroup of one Wallace pass.
+ctypes: ``fvn_fill``, the block fill of comparison-method variates,
+``fvn_refresh``, the regroup of one Wallace pass, and ``fvn_emitter``,
+the draw of ``emitter``.
 
 The library is compiled by the installed gcc, against numpy's own
-``bitgen_t`` (``numpy/random/bitgen.h``), into a cache named by the sha256
-of the source, that header, the flags and the compiler, in this package's
-``__pycache__`` or, when that is not writable, in a private directory
-under ``tempfile.gettempdir()``.  A build writes a temporary name and
+``bitgen_t`` (``numpy/random/bitgen.h``) and this interpreter's
+``Python.h``, into a cache named by the sha256 of the source, those two
+headers, the interpreter's ABI tag (its ``SOABI``), the flags and the
+compiler, in this package's ``__pycache__`` or, when that is not
+writable, in a private directory under ``tempfile.gettempdir()``.  So two
+interpreters never share a build.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
-half-written file.  Nothing is printed: when no compiler, cache or
-library works, ``library()`` is None: ``UniformSource._fill_into`` makes
-every variate with the composed draw ``samplers.comparison_draw``, as on
-any engine but numpy's, and ``wallace.refresh`` regroups with numpy.
+half-written file.  Nothing is printed: when no compiler, no Python
+headers, no cache or no library works, ``library()`` is None:
+``UniformSource._fill_into`` makes every variate with the composed draw
+``samplers.comparison_draw``, as on any engine but numpy's,
+``wallace.refresh`` regroups with numpy, and ``emitter`` returns its
+Python spelling.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import importlib.machinery
 import os
 import shutil
 import stat
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -32,8 +39,15 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_fill.c")
 INCLUDE = np.get_include()
 _BITGEN_H = Path(INCLUDE, "numpy", "random", "bitgen.h")
+# sysconfig's "include" path and SOABI, read without loading sysconfig's
+# build data, which raises a process's peak RSS by about 1 MiB
+PYTHON_INCLUDE = os.path.join(sys.base_prefix, "include", "python%d.%d%s" % (
+    *sys.version_info[:2], sys.abiflags))
+_PYTHON_H = Path(PYTHON_INCLUDE, "Python.h")
+ABI_TAG = importlib.machinery.EXTENSION_SUFFIXES[0]   # .<SOABI>.so
 COMPILER = "gcc"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I", INCLUDE)
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I", INCLUDE,
+         "-I", PYTHON_INCLUDE)
 BUILD_TIMEOUT_S = 120
 
 # fvn_state.status, as _fill.c sets it
@@ -91,9 +105,10 @@ def _build() -> str:
         raise OSError(f"no {COMPILER} on PATH")
     compiler = os.path.realpath(compiler)
     info = os.stat(compiler)
-    key = hashlib.sha256(_SOURCE.read_bytes() + _BITGEN_H.read_bytes())
-    key.update("\0".join(
-        (*FLAGS, compiler, str(info.st_size), str(info.st_mtime_ns))).encode())
+    key = hashlib.sha256(_SOURCE.read_bytes() + _BITGEN_H.read_bytes()
+                         + _PYTHON_H.read_bytes())
+    key.update("\0".join((*FLAGS, ABI_TAG, compiler, str(info.st_size),
+                          str(info.st_mtime_ns))).encode())
     name = f"_fill-{key.hexdigest()[:32]}.so"
     error = None
     for folder in _cache_dirs():
@@ -122,8 +137,8 @@ def _build() -> str:
 
 @functools.cache
 def library():
-    """The compiled library with ``fvn_fill`` and ``fvn_refresh`` typed, or
-    None when it cannot be built or loaded."""
+    """The compiled library with ``fvn_fill``, ``fvn_refresh`` and
+    ``fvn_emitter`` typed, or None when it cannot be built or loaded."""
     try:
         lib = ctypes.PyDLL(_build())
     except OSError:
@@ -134,7 +149,48 @@ def library():
     lib.fvn_refresh.argtypes = (ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     lib.fvn_refresh.restype = None
+    lib.fvn_emitter.argtypes = (ctypes.py_object, ctypes.py_object,
+                                ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_void_p)
+    lib.fvn_emitter.restype = ctypes.py_object
     return lib
+
+
+def emitter(refill, values: array, cursor: array, lib=None):
+    """A zero-argument draw over a block: ``values``, an array("d"), and
+    ``cursor``, an array("q") of two, the next index and the values made.
+    While ``cursor[0] < cursor[1]`` the draw returns ``values[cursor[0]]``
+    and steps ``cursor[0]``.  Otherwise it first calls ``refill()``,
+    which rewrites ``values`` in place and sets the cursor, or raises this
+    draw's error; a refill that leaves no value to read raises
+    RuntimeError, so a stale value is never read.  The draw holds a
+    memoryview of each array, so neither can be resized (BufferError)
+    while it lives.  ``refill`` must not refer to the draw.
+
+    The draw is ``fvn_emitter`` of ``lib``, a builtin with no Python frame
+    per value, when ``lib`` has it; with ``lib`` None, or a library
+    without it, it is the function below, which is its spec."""
+    if values.typecode != "d" or cursor.typecode != "q" or len(cursor) != 2:
+        raise ValueError("an emitter reads an array('d') block and an "
+                         "array('q') cursor of two")
+    keep = (memoryview(values), memoryview(cursor))
+    make = getattr(lib, "fvn_emitter", None)
+    if make is not None:
+        return make(refill, keep, values.buffer_info()[0], len(values),
+                    cursor.buffer_info()[0])
+
+    def draw() -> float:
+        i = cursor[0]
+        if i >= cursor[1]:
+            refill()
+            i = cursor[0]
+            if i >= cursor[1]:
+                raise RuntimeError("the refill made no values")
+        value = values[i]
+        cursor[0] = i + 1
+        return value
+    draw.keep = keep
+    return draw
 
 
 @functools.lru_cache(maxsize=32)

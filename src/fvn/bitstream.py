@@ -14,9 +14,10 @@ value never touches ``draws``.
 ``tables.select_interval`` and ``comparison.run_test``, into one
 comparison-method variate; it is the spec of the comparison kernel.
 ``fill_variates`` makes the same values and reads nothing ahead;
-``wallace.init_pool`` bootstraps through it.  ``bind_variates``, which a
-bound sampler draws from, fills blocks ahead of its caller and keeps
-``draws`` exact at the value it has reached.  Both run the compiled
+``wallace.init_pool`` bootstraps through it.  ``bind_variates``, the
+draw of a bound sampler, fills blocks ahead of its caller, hands them
+back through ``_fill.emitter``'s block and cursor, and keeps ``draws``
+exact at the value it has reached.  Both run the compiled
 block fill of ``_fill.c`` on a numpy engine, whose words it reads itself
 once the buffer is used up; on any other engine, or when the fill does
 not load, the composed draw makes every variate, refilling the buffer by
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -64,19 +64,15 @@ TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 FILL_BLOCK = 512
 
 
-def _raising(exc: BaseException) -> Iterator[float]:
-    raise exc
-    yield   # makes this a generator, so that ``chain`` raises from it
-
-
 class _ReadAhead:
-    """What a bound sampler has read ahead of its caller: the iterator over
-    the block being emitted, None while nothing is read ahead, and the
-    draws before the block and after each of its variates."""
+    """What a bound sampler has read ahead of its caller: the emitter's
+    ``cursor`` over the block, the next index and the values made (0 while
+    nothing is read ahead), and ``counts``, the draws before the block and
+    after each of its variates."""
 
     def __init__(self):
-        self.it: Iterator[float] | None = None
-        self.counts: array | None = None
+        self.cursor = array("q", [0, 0])
+        self.counts = array("q", bytes(8 * (FILL_BLOCK + 1)))
 
 
 class UniformSource:
@@ -135,10 +131,9 @@ class UniformSource:
         """Fresh engine words spent so far; under a bound sampler, by the
         variates it has returned, not by those it has read ahead."""
         ahead = self._bound
-        if ahead is None or ahead.it is None:
+        if ahead is None or not ahead.cursor[1]:
             return self._spent + self._pos
-        # the array iterator's pickle state is its position in the block
-        return ahead.counts[ahead.it.__reduce__()[2]]
+        return ahead.counts[ahead.cursor[0]]
 
     def _refill(self) -> array:
         """Replace the used-up buffer with fresh floats and return them,
@@ -282,37 +277,41 @@ class UniformSource:
             return None
         return engine.ctypes.bit_generator.value
 
-    def bind_variates(self, table: IntervalTable) -> Iterator[float]:
-        """Endless values of ``samplers.comparison_draw(table, self)`` for a
-        bound sampler, which ``claim``s the source.
+    def bind_variates(self, table: IntervalTable) -> Callable[[], float]:
+        """A draw of endless values of ``samplers.comparison_draw(table,
+        self)`` for a bound sampler, which ``claim``s the source.
 
-        The iterator reads ahead: ``_fill_into`` makes a block of
-        FILL_BLOCK variates, which is emitted through C-level iterators,
-        with no Python frame per value.  ``draws`` is exact after every
-        value; the buffer position, the recycled store and the sign pool
-        are those of the block's end.  An error is raised at the variate
-        where the composed draw raises it, with the same ``draws``, and the
-        values go on after it as the draw's would.
+        The draw reads ahead: its refill has ``_fill_into`` make a block of
+        FILL_BLOCK variates in place, and ``_fill.emitter`` hands them back
+        one per call, with no Python frame per value when the library
+        loads.  ``draws`` is exact after every value; the buffer position,
+        the recycled store and the sign pool are those of the block's end.
+        An error that stops a block after ``made`` values is held, and the
+        refill after them raises it with the cursor at 0 made, so the draw
+        raises it where the composed draw raises it, with the same
+        ``draws``, and the values go on after it as the draw's would.
         """
         ahead = self.claim()
-        return chain.from_iterable(self._blocks(
-            _fill.library(), _fill.kernel(table, self._recycling), ahead))
-
-    def _blocks(self, lib, kernel, ahead: _ReadAhead) -> Iterator[Iterator[float]]:
+        lib = _fill.library()
+        kernel = _fill.kernel(table, self._recycling)
         values = array("d", bytes(8 * FILL_BLOCK))
-        ahead.counts = array("q", bytes(8 * (FILL_BLOCK + 1)))
-        while True:
-            made, exc = self._fill_into(lib, kernel, values, ahead.counts,
-                                        FILL_BLOCK)
-            if made:
-                ahead.it = it = iter(values if made == FILL_BLOCK
-                                     else values[:made])
-                yield it
-            if exc is not None:
-                # Raised by the iterator being emitted: an exception out of
-                # this generator would end the chain for good.
-                ahead.it = None
-                yield _raising(exc)
+        cursor, counts = ahead.cursor, ahead.counts
+        held = None
+
+        def refill() -> None:
+            nonlocal held
+            exc, held = held, None
+            if exc is None:
+                made, exc = self._fill_into(lib, kernel, values, counts,
+                                            FILL_BLOCK)
+                if made:
+                    held = exc
+                    cursor[0], cursor[1] = 0, made
+                    return
+            cursor[0] = cursor[1] = 0
+            raise exc
+
+        return _fill.emitter(refill, values, cursor, lib)
 
     def recycle_pair(self, u_n: float, u_next: float) -> None:
         """Store (u_next - u_n) / (1 - u_n) for reuse: the last step of

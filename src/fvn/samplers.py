@@ -12,10 +12,12 @@ block fill of ``UniformSource.fill_variates`` does the same steps inline,
 handing to the composed draw each variate it does not make (every one
 when the fill does not load).  The four public functions take only
 ``src`` and return one composed draw on their kind's table.
-``make_sampler`` binds a comparison kind to ``src.bind_variates``, which
-reads ahead in blocks.  The textbook baselines (inversion, Box-Muller,
-polar) are here for distribution cross-checks, for ``fvn generate`` and
-``fvn consumption``, and for perfbench's ``samplers.*_ns`` timings.
+``make_sampler`` binds a comparison kind to ``src.bind_variates``, a draw
+that reads ahead in blocks and hands them back through the one emitter of
+a block and a cursor, ``_fill.emitter``, which Wallace's bound draw uses
+too.  The textbook baselines (inversion, Box-Muller, polar) are here for
+distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
+and for perfbench's ``samplers.*_ns`` timings.
 """
 
 from __future__ import annotations
@@ -194,30 +196,31 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     ValueError before it is touched.
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
-    returns the ``__next__`` of ``src.bind_variates`` on the config's table,
-    whose K is always DEFAULT_TABLE_LEN.  It reads ahead on the source it
-    owns: each fill makes a block of variates, and the draws emit it.  So
-    the source's buffer position, recycled store and sign pool run ahead
-    of the draws, while ``src.draws`` stays exact after every draw.  An
-    exception (the run-length or trial cap, a failing engine) is raised by
-    the draw where ``comparison_draw`` raises it, with the same ``draws``,
-    and the draws after it go on as the composed draw's would.
+    returns ``src.bind_variates`` on the config's table, whose K is always
+    DEFAULT_TABLE_LEN: the ``_fill.emitter`` draw over a block and a
+    cursor.  It reads ahead on the source it owns: each refill makes a
+    block of variates in place, and the draws emit it.  So the source's
+    buffer position, recycled store and sign pool run ahead of the draws,
+    while ``src.draws`` stays exact after every draw.  An exception (the
+    run-length or trial cap, a failing engine) is raised by the draw where
+    ``comparison_draw`` raises it, with the same ``draws``, and the draws
+    after it go on as the composed draw's would.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the
     second, and draws a new pair only when the first is due.
-    Wallace returns the ``__next__`` of ``wallace.emit_passes``, an
-    iterator over one whole pass at a time that begins the next pass on
-    the call after the last value; its 4096-value bootstrap is one exact
-    ``src.fill_variates`` of normal_grand's table.  Each draw returns a
-    Python float, and ``src.draws`` is exact after every draw.
+    Wallace returns ``wallace.emit_passes``, the same emitter over the
+    pool's snapshot of one whole pass, whose refill begins the next pass
+    on the call after the last value; its 4096-value bootstrap is one
+    exact ``src.fill_variates`` of normal_grand's table.  Each draw
+    returns a Python float, and ``src.draws`` is exact after every draw.
     """
     kind = config.kind
     if src.recycling != config.recycling_enabled:
         raise ValueError(f"{kind} needs a source built with recycling="
                          f"{config.recycling_enabled}, got {src.recycling}")
     if config.table is not None:
-        return src.bind_variates(config.table).__next__
+        return src.bind_variates(config.table)
     src.claim()
     if kind == EXP_LOG:
         return iter(partial(exp_log_baseline, src), None).__next__
@@ -227,7 +230,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     from . import wallace   # deferred: wallace imports samplers
 
     pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, src)
-    return wallace.emit_passes(pool, src).__next__
+    return wallace.emit_passes(pool, src)
 
 
 def interval_index(table: tables.IntervalTable, value: float) -> int:

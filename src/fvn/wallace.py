@@ -11,9 +11,11 @@ the path of a host with no compiler.
 
 A pass, not a single value, is the unit of emission.  When a pass begins,
 the pool is refreshed, the variance correction is redrawn and the
-corrected values are copied once into ``NormalPool.emitted``; every value
-of that pass is read from this snapshot.  So a direct ``refresh()`` in the
-middle of a pass is not seen until the next pass starts.
+corrected values are written once, in place, into ``NormalPool.emitted``;
+every value of that pass is read from this snapshot.  So a direct
+``refresh()`` in the middle of a pass is not seen until the next pass
+starts.  A bound sampler's draw is ``_fill.emitter`` over the snapshot,
+with the start of the next pass as its refill (``emit_passes``).
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class NormalPool:
     norm_sq: float          # squared norm recorded at initialization
     read_cursor: int        # next value to emit
     emit_scale: float       # sqrt(S / norm_sq), redrawn once per pass
-    emitted: array | None = None    # array("d") snapshot, set by init_pool
+    emitted: array | None = None    # array("d") of N, made by init_pool
 
 
 def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
@@ -105,7 +105,7 @@ def init_pool(size: int, src: UniformSource) -> NormalPool:
     values = np.array(src.fill_variates(table, size))
     pool = NormalPool(values=values, pass_count=0,
                       norm_sq=float(values @ values), read_cursor=0,
-                      emit_scale=1.0)
+                      emit_scale=1.0, emitted=array("d", bytes(8 * size)))
     pool.emit_scale = _pass_scale(pool, src)
     _snapshot(pool)
     return pool
@@ -138,22 +138,19 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     pool.pass_count += 1
 
 
-def _snapshot(pool: NormalPool) -> array:
+def _snapshot(pool: NormalPool) -> None:
     # values * emit_scale in float64 is the same IEEE multiply as
     # emit_scale * float(values[i]).  numpy writes the products straight
-    # into the array("d"), with no copy between, and the array's iterator
-    # makes each Python float only as it is read; tolist() would build all
-    # N floats at the start of every pass.
-    pool.emitted = emitted = array("d", [0.0]) * pool.values.size
-    np.multiply(pool.values, pool.emit_scale, out=np.frombuffer(emitted))
-    return emitted
+    # into the array("d"), in place, and a draw makes each Python float
+    # only as it is read; tolist() would build all N floats at every pass.
+    np.multiply(pool.values, pool.emit_scale, out=np.frombuffer(pool.emitted))
 
 
-def _next_pass(pool: NormalPool, src: UniformSource) -> array:
+def _next_pass(pool: NormalPool, src: UniformSource) -> None:
     """Begin a pass: refresh, redraw the variance correction, snapshot."""
     refresh(pool, src)
     pool.emit_scale = _pass_scale(pool, src)
-    return _snapshot(pool)
+    _snapshot(pool)
 
 
 def next_normal(pool: NormalPool, src: UniformSource) -> float:
@@ -169,12 +166,18 @@ def next_normal(pool: NormalPool, src: UniformSource) -> float:
     return pool.emitted[i]
 
 
-def emit_passes(pool: NormalPool, src: UniformSource) -> Iterator[float]:
-    """Iterator over the values of a fresh pool: the current pass's
-    snapshot, then one new pass each time the last is used up.  It yields
-    exactly what ``next_normal`` would, with the same draws after every
-    value, but it runs in C with no Python frame per value.  It does not
-    move ``read_cursor``, so the pool must be new (cursor 0) and owned by
-    the iterator."""
-    passes = chain([pool.emitted], iter(partial(_next_pass, pool, src), None))
-    return chain.from_iterable(passes)
+def emit_passes(pool: NormalPool, src: UniformSource) -> Callable[[], float]:
+    """A zero-argument draw of the values of a fresh pool: the current
+    pass's snapshot, then one new pass each time the last is used up.  It
+    returns exactly what ``next_normal`` would, with the same draws after
+    every value, but it is ``_fill.emitter`` over ``pool.emitted``, with
+    ``_next_pass`` as its refill: no Python frame per value when the
+    library loads.  It does not move ``read_cursor``, so the pool must be
+    new (cursor 0) and owned by the draw."""
+    cursor = array("q", [0, len(pool.emitted)])
+
+    def refill() -> None:
+        _next_pass(pool, src)
+        cursor[0] = 0
+
+    return _fill.emitter(refill, pool.emitted, cursor, _fill.library())

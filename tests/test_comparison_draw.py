@@ -308,11 +308,21 @@ def test_short_tables_fold_the_tail_into_interval_K(scheme, recycling, K):
 def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
                                                            recycling):
     """Positions 0 and 1 - 2^-53 sit on the rounded boundaries sqrt(3) and
-    sqrt(5), where the unclamped shifted exponent leaves [0, 1].  With
-    recycling on, the clamped exponent also shapes the recycled value."""
+    sqrt(5), where the unclamped shifted exponent leaves [0, 1]: it reads
+    -2^-52 and 1 + 2^-51, and the clamp makes them 0 and 1.  No uniform
+    lies between an unclamped exponent and its clamp, so the run test
+    reads the same outcome from either; only the recycled value of a run
+    of length 1, (u - g) / (1 - g), reads g itself.  So with recycling on,
+    position 0 with a first run word of 3 * 2^-53 stores that word with
+    the clamp and 5 * 2^-53 without it.  At 1 - 2^-53 the run descends
+    through 3 * 2^-53 and 2 * 2^-53 and stops at 1/2."""
     table = default_config(samplers.NORMAL_FORSYTHE).table
+    lo, width, _, lo_sq = table.by_k[2]
+    x = lo + width * (position_word / 2 ** 53)
+    assert (x * x - lo_sq) * 0.5 == (-2 ** -52 if position_word == 0
+                                     else 1 + 2 ** -51)
     select_word = int(0.5 * (table.cum_probs[1] + table.cum_probs[2]) * 2 ** 53)
-    run_words = [1 << 52, 1 << 51, 3 << 51]    # 0.5, 0.25, 0.75
+    run_words = [3, 2, 1 << 52]
     words = [1 << 52, select_word, position_word] + run_words
     draw, fast, reference, slow = fill_and_reference(
         samplers.NORMAL_FORSYTHE, recycling, scripted(words))
@@ -320,6 +330,8 @@ def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
     assert value == reference()
     assert state(fast) == state(slow)
     assert table.boundaries[2] <= value <= table.boundaries[3]
+    if recycling and position_word == 0:
+        assert fast.recycled[-1] == 3 * 2 ** -53
 
 
 @over_entries("kind", KINDS)
@@ -462,7 +474,8 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
 
 class RefusesFill:
     """A stand-in for the compiled library whose ``fvn_fill`` fails the
-    test: it must not be called."""
+    test: it must not be called.  It has no ``fvn_emitter``, so
+    ``_fill.emitter`` gives a bound sampler the Python spelling."""
 
     def fvn_fill(self, *args):
         raise AssertionError("fvn_fill was handed an engine it cannot read")
@@ -741,8 +754,8 @@ def stretch_words(seed, n):
 def test_bound_sampler_raises_where_the_composed_draw_raises(kind, recycling):
     """Run-cap errors inside read-ahead blocks, at many positions in them:
     each raised by the draw where the composed draw raises it, with the
-    same ``draws``, and the draws after it go on alike.  The error comes
-    from the iterator being emitted, so the sampler is not ended by it.
+    same ``draws``, and the draws after it go on alike.  The error is
+    raised by the emitter's refill, which leaves the draw usable.
     Every word read, read-ahead among them, is scripted."""
     words = stretch_words(5, STRETCH_WORDS)
     draw, src, reference, twin = bound_and_reference(

@@ -1,14 +1,19 @@
 """Building and loading the compiled fill, its ctypes mirrors of the C
-structs and constants, and the composed draw that makes every variate
-when it does not load."""
+structs and constants, the composed draw that makes every variate when it
+does not load, and the emitter of a block and a cursor in both its
+spellings."""
 
 import ctypes
+import gc
 import hashlib
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import sysconfig
+import weakref
+from array import array
 from pathlib import Path
 
 import pytest
@@ -37,28 +42,59 @@ def test_fill_source_compiles_without_warnings(tmp_path):
     out = tmp_path / "fill.so"
     _fill.compile_library(str(out), ("-Wall", "-Wextra", "-Werror"))
     assert "-ffp-contract=off" in _fill.FLAGS
-    # numpy's bitgen.h, from the include directory of the numpy imported
+    # numpy's bitgen.h, from the include directory of the numpy imported,
+    # and this interpreter's Python.h and ABI tag, as sysconfig gives them
     assert _fill.INCLUDE in _fill.FLAGS and _fill._BITGEN_H.is_file()
+    assert _fill.PYTHON_INCLUDE in _fill.FLAGS and _fill._PYTHON_H.is_file()
+    assert _fill.PYTHON_INCLUDE == sysconfig.get_paths()["include"]
+    assert _fill.ABI_TAG == f".{sysconfig.get_config_var('SOABI')}.so"
     assert out.is_file()
 
 
 @needs_compiler
 def test_the_cache_name_follows_numpys_bitgen_header(tmp_path, monkeypatch):
-    """A numpy whose ``bitgen.h`` differs by one byte gets a build of its
-    own: a library built against another numpy is never loaded, and the
-    new build replaces it in the cache."""
+    """A numpy whose ``bitgen.h`` differs by one byte, a ``Python.h`` that
+    differs by one byte, or another interpreter ABI tag each get a build
+    of their own: a library built against another numpy or interpreter is
+    never loaded, and the new build replaces it in the cache."""
     monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
     monkeypatch.setattr(_fill, "compile_library",
                         lambda out: Path(out).write_bytes(b""))
-    first = Path(_fill._build())
-    assert Path(_fill._build()) == first
-    edited = tmp_path / "bitgen.h"
-    edited.write_bytes(_fill._BITGEN_H.read_bytes().replace(
-        b"next_raw", b"next_raw_"))
-    monkeypatch.setattr(_fill, "_BITGEN_H", edited)
-    second = Path(_fill._build())
-    assert second.name.startswith("_fill-") and second != first
-    assert [p.name for p in tmp_path.glob("*.so")] == [second.name]
+    names = [Path(_fill._build())]
+    assert Path(_fill._build()) == names[0]
+    for attr, header, old, new in (("_BITGEN_H", "bitgen.h", b"next_raw",
+                                    b"next_raw_"),
+                                   ("_PYTHON_H", "Python.h", b"#include",
+                                    b"# include")):
+        edited = tmp_path / header
+        original = getattr(_fill, attr).read_bytes()
+        assert old in original
+        edited.write_bytes(original.replace(old, new, 1))
+        monkeypatch.setattr(_fill, attr, edited)
+        names.append(Path(_fill._build()))
+    monkeypatch.setattr(_fill, "ABI_TAG", ".cpython-399-other.so")
+    names.append(Path(_fill._build()))
+    assert all(p.name.startswith("_fill-") for p in names)
+    assert len(set(names)) == 4
+    assert [p.name for p in tmp_path.glob("*.so")] == [names[-1].name]
+
+
+@needs_compiler
+def test_no_python_headers_means_no_library(tmp_path, monkeypatch,
+                                            fresh_library):
+    """A host with gcc but no ``Python.h`` gets no library, as a host with
+    no compiler, and a bound sampler still draws its pinned stream."""
+    monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
+    monkeypatch.setattr(_fill, "_PYTHON_H", tmp_path / "Python.h")
+    assert _fill.library() is None
+    assert list(tmp_path.iterdir()) == []
+    config = default_config(samplers.NORMAL_GRAND)
+    src = UniformSource(20240, recycling=config.recycling_enabled)
+    draw = make_sampler(config, src)
+    sha = hashlib.sha256()
+    for _ in range(20_000):
+        sha.update(struct.pack("<d", draw()))
+    assert (sha.hexdigest(), src.draws) == STREAM_PINS[samplers.NORMAL_GRAND]
 
 
 @needs_compiler
@@ -155,12 +191,32 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
         make_sampler(config, src)
 
 
+def layout_probe(checks: dict[str, int]) -> str:
+    """A C file that includes ``_fill.c`` and asserts, at compile time,
+    that each expression of ``checks`` has its value."""
+    return (f'#include "{_fill._SOURCE}"\n'
+            + "".join(f'_Static_assert(({expr}) == {value}, '
+                      f'"{expr} is not {value}");\n'
+                      for expr, value in checks.items()))
+
+
+def syntax_check(tmp_path, source: str) -> subprocess.CompletedProcess:
+    probe = tmp_path / "probe.c"
+    probe.write_text(source)
+    return subprocess.run(
+        [_fill.COMPILER, "-fsyntax-only", "-I", _fill.INCLUDE,
+         "-I", _fill.PYTHON_INCLUDE, str(probe)],
+        capture_output=True, text=True, timeout=_fill.BUILD_TIMEOUT_S)
+
+
 @needs_compiler
 def test_ctypes_structs_match_the_c_layout(tmp_path):
     """``_fill.Kernel`` and ``_fill.State`` have the size and the field
     offsets of the C structs they mirror, and ``bitstream`` and ``_fill``
-    the constants that ``_fill.c`` repeats, as a program that includes
-    ``_fill.c`` prints them."""
+    the constants that ``_fill.c`` repeats: a file that includes
+    ``_fill.c`` asserts each with ``_Static_assert``, checked by the
+    compiler with ``-fsyntax-only`` against numpy's and Python's headers,
+    so nothing is linked.  One wrong value fails that check."""
     expected = {}
     for name, mirror in (("fvn_kernel", _fill.Kernel), ("fvn_state", _fill.State)):
         expected[f"sizeof({name})"] = ctypes.sizeof(mirror)
@@ -169,15 +225,132 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
     for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
                           (_fill, ("FILL_OVERFLOW", "FILL_TRIALS"))):
         expected.update((name, getattr(module, name)) for name in names)
-    probe, exe = tmp_path / "probe.c", tmp_path / "probe"
-    probe.write_text(f'#include "{_fill._SOURCE}"\n#include <stdio.h>\n'
-                     "int main(void) {\n"
-                     + "".join(f'printf("%zu\\n", (size_t)({expr}));\n'
-                               for expr in expected)
-                     + "return 0;\n}\n")
-    subprocess.run([_fill.COMPILER, "-I", _fill.INCLUDE, "-o", str(exe),
-                    str(probe), "-lm"],
-                   check=True, capture_output=True, timeout=_fill.BUILD_TIMEOUT_S)
-    out = subprocess.run([str(exe)], check=True, capture_output=True,
-                         text=True, timeout=60).stdout
-    assert dict(zip(expected, map(int, out.split()))) == expected
+    assert len(expected) == 2 + 6 + 10 + 5
+    proc = syntax_check(tmp_path, layout_probe(expected))
+    assert proc.returncode == 0, proc.stderr
+    wrong = {**expected, "offsetof(fvn_state, engine)":
+             expected["offsetof(fvn_state, engine)"] + 8}
+    proc = syntax_check(tmp_path, layout_probe(wrong))
+    assert proc.returncode != 0
+    assert "offsetof(fvn_state, engine) is not" in proc.stderr
+
+
+# The emitter, in its two spellings: ``fvn_emitter`` of the compiled
+# library and the Python function that is its spec.
+
+SPELLINGS = ("c", "python")
+
+
+@pytest.fixture(params=SPELLINGS)
+def spelling(request):
+    """The ``lib`` argument of ``_fill.emitter`` for a spelling."""
+    if request.param == "python":
+        return None
+    if _fill.library() is None:
+        pytest.skip("the compiled library did not load")
+    return _fill.library()
+
+
+class ScriptedRefill:
+    """A refill that plays ``steps`` in order, one per call: an exception
+    is raised; a pair (made, limit) writes ``made`` new values and sets
+    the cursor to 0 and ``limit``; None returns without a change.  It
+    holds the block and the cursor, not the draw."""
+
+    def __init__(self, values, cursor, steps):
+        self.values, self.cursor = values, cursor
+        self.steps = iter(steps)
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        step = next(self.steps)
+        if isinstance(step, BaseException):
+            raise step
+        if step is not None:
+            made, limit = step
+            for k in range(made):
+                self.values[k] = 100.0 * self.calls + k
+            self.cursor[0], self.cursor[1] = 0, limit
+
+
+def play(draw, cursor, n):
+    """The value or the error of ``n`` draws, each with the cursor after
+    it."""
+    out = []
+    for _ in range(n):
+        try:
+            got = draw()
+        except (RuntimeError, ValueError, IndexError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        out.append((got, tuple(cursor)))
+    return out
+
+
+def test_emitter_spellings_agree_on_a_scripted_refill(spelling):
+    """Values, raises and the cursor after every draw, on each spelling:
+    the block read in place, a refill that raises (the draw stays usable
+    and calls the refill again), one that makes 0 values or leaves the
+    cursor used up (RuntimeError, never a stale value), a partial block,
+    and a cursor past the block's end (IndexError, nothing read).  The
+    draw pins both arrays, and a block or cursor of another type or
+    length is refused."""
+    values, cursor = array("d", [7.0, 8.0, 9.0]), array("q", [1, 3])
+    refill = ScriptedRefill(values, cursor, [
+        (3, 3), ValueError("engine failed"), (2, 2), (0, 0), None, (1, 1),
+        (3, 4)])
+    draw = _fill.emitter(refill, values, cursor, spelling)
+    assert play(draw, cursor, 14) == [
+        (8.0, (2, 3)), (9.0, (3, 3)),               # the block as it was
+        (100.0, (1, 3)), (101.0, (2, 3)), (102.0, (3, 3)),
+        ("ValueError: engine failed", (3, 3)),
+        (300.0, (1, 2)), (301.0, (2, 2)),
+        ("RuntimeError: the refill made no values", (0, 0)),
+        ("RuntimeError: the refill made no values", (0, 0)),
+        (600.0, (1, 1)),
+        (700.0, (1, 4)), (701.0, (2, 4)), (702.0, (3, 4)),
+    ]
+    assert play(draw, cursor, 2) == [
+        ("IndexError: array index out of range", (3, 4))] * 2
+    assert refill.calls == 7
+    for pinned in (values, cursor):
+        with pytest.raises(BufferError):
+            pinned.append(0)
+    for block, at in ((array("f", [1.0]), cursor), (values, array("l", [0, 1])),
+                      (values, array("q", [0]))):
+        with pytest.raises(ValueError, match="an emitter reads"):
+            _fill.emitter(refill, block, at, spelling)
+
+
+def test_emitter_lets_its_block_and_refill_go_with_it(spelling):
+    """The draw holds the block, the cursor and the refill while it lives,
+    and lets them go, with no garbage collection, when it goes."""
+    values, cursor = array("d", [1.0, 2.0]), array("q", [0, 2])
+    refill = ScriptedRefill(values, cursor, [(2, 2)] * 3)
+    draw = _fill.emitter(refill, values, cursor, spelling)
+    held = [weakref.ref(obj) for obj in (values, cursor, refill)]
+    del values, cursor, refill
+    assert [draw() for _ in range(6)] == [1.0, 2.0, 100.0, 101.0, 200.0, 201.0]
+    assert all(ref() is not None for ref in held)
+    gc.disable()
+    try:
+        del draw
+        assert [ref() for ref in held] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("fresh_library")
+@pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.WALLACE])
+def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
+    """A comparison kind and Wallace both bind the emitter: a builtin when
+    the library loads, the Python function when it does not."""
+    config = default_config(kind)
+    if _fill.library() is not None:
+        draw = make_sampler(config, UniformSource(
+            1, recycling=config.recycling_enabled))
+        assert type(draw).__name__ == "builtin_function_or_method"
+    monkeypatch.setattr(_fill, "library", lambda: None)
+    draw = make_sampler(config, UniformSource(
+        1, recycling=config.recycling_enabled))
+    assert draw.__qualname__ == "emitter.<locals>.draw"

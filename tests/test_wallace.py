@@ -94,7 +94,7 @@ def test_pool_still_normal_after_hundred_refreshes():
 
 
 # The two entries that emit a pool: ``next_normal`` moves ``read_cursor``,
-# the iterator of ``emit_passes`` (the bound sampler's) leaves it at 0.
+# the draw of ``emit_passes`` (the bound sampler's) leaves it at 0.
 ENTRIES = ("next_normal", "emit_passes")
 
 
@@ -102,7 +102,7 @@ def emitter(entry, pool, src):
     """A zero-argument draw of ``pool`` through ``entry``."""
     if entry == "next_normal":
         return functools.partial(next_normal, pool, src)
-    return emit_passes(pool, src).__next__
+    return emit_passes(pool, src)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -234,10 +234,10 @@ def test_emit_passes_is_pinned_across_three_refreshes(size):
     first value of a fourth, are the same on both regroups."""
     src = UniformSource(614, recycling=False)
     pool = init_pool(size, src)
-    values = emit_passes(pool, src)
+    draw = emit_passes(pool, src)
     sha = hashlib.sha256()
     for _ in range(3 * size + 1):
-        sha.update(struct.pack("<dq", next(values), src.draws))
+        sha.update(struct.pack("<dq", draw(), src.draws))
     assert (sha.hexdigest(), src.draws) == EMIT_PASS_PINS[size]
     assert pool.pass_count == 3
 
