@@ -1,7 +1,9 @@
 """The compiled kernels of ``_fill.c``, built on first use and loaded with
-ctypes: ``fvn_fill``, the block fill of comparison-method variates,
+ctypes: ``fvn_fill_source``, the block fill of comparison-method
+variates run on a ``UniformSource``'s own state (``fill_source``),
 ``fvn_refresh``, the regroup of one Wallace pass, and ``fvn_emitter``,
-the draw of ``emitter``.
+the draw of ``emitter``, which runs ``fvn_fill_source`` itself as the
+refill of a bound comparison sampler on a numpy engine.
 
 The library is compiled by the installed gcc, against numpy's own
 ``bitgen_t`` (``numpy/random/bitgen.h``) and this interpreter's
@@ -50,7 +52,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I", INCLUDE,
          "-I", PYTHON_INCLUDE)
 BUILD_TIMEOUT_S = 120
 
-# fvn_state.status, as _fill.c sets it
+# fvn_state.status, as _fill.c sets it: the index of its message in
+# bitstream._FILL_ERRORS
 FILL_OVERFLOW, FILL_TRIALS = 1, 2
 
 
@@ -58,14 +61,6 @@ class Kernel(ctypes.Structure):
     _fields_ = [("rows", ctypes.c_void_p), ("cum", ctypes.c_void_p),
                 ("K", ctypes.c_int64), ("normal", ctypes.c_int64),
                 ("restart", ctypes.c_int64), ("recycling", ctypes.c_int64)]
-
-
-class State(ctypes.Structure):
-    _fields_ = [("buf", ctypes.c_void_p), ("nbuf", ctypes.c_int64),
-                ("pos", ctypes.c_int64), ("spent", ctypes.c_int64),
-                ("store", ctypes.c_void_p), ("nstore", ctypes.c_int64),
-                ("sign_bits", ctypes.c_int64), ("sign_word", ctypes.c_int64),
-                ("status", ctypes.c_int64), ("engine", ctypes.c_void_p)]
 
 
 def compile_library(out: str, extra_flags: tuple[str, ...] = ()) -> None:
@@ -143,20 +138,41 @@ def library():
         lib = ctypes.PyDLL(_build())
     except OSError:
         return None
-    lib.fvn_fill.argtypes = (ctypes.POINTER(Kernel), ctypes.POINTER(State),
-                             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
-    lib.fvn_fill.restype = ctypes.c_int64
+    lib.fvn_fill_source.argtypes = (
+        ctypes.py_object, ctypes.py_object, ctypes.c_void_p,
+        ctypes.POINTER(Kernel), ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
+    lib.fvn_fill_source.restype = ctypes.c_int64
     lib.fvn_refresh.argtypes = (ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     lib.fvn_refresh.restype = None
-    lib.fvn_emitter.argtypes = (ctypes.py_object, ctypes.py_object,
-                                ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_void_p)
+    lib.fvn_emitter.argtypes = (
+        ctypes.py_object, ctypes.py_object, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.py_object, ctypes.py_object, ctypes.c_void_p,
+        ctypes.POINTER(Kernel), ctypes.c_void_p, ctypes.py_object)
     lib.fvn_emitter.restype = ctypes.py_object
     return lib
 
 
-def emitter(refill, values: array, cursor: array, lib=None):
+def fill_source(lib, src, engine, bitgen: int, kernel, values: array,
+                counts: array, n: int) -> tuple[int, int]:
+    """Up to ``n`` variates of ``kernel`` made into ``values`` by
+    ``fvn_fill_source`` of ``lib``, on the state of ``src`` and on
+    ``engine``, whose ``bitgen_t`` is at ``bitgen``; ``counts`` gets the
+    draws before them and after each.  Returns how many were made and the
+    status that stopped them, 0 when none did."""
+    if (values.typecode != "d" or counts.typecode != "q"
+            or len(values) < n or len(counts) <= n):
+        raise ValueError(f"no room for {n} variates in an array('d') and "
+                         f"their counts in an array('q')")
+    status = ctypes.c_int64()
+    made = lib.fvn_fill_source(src, engine, bitgen, kernel,
+                               values.buffer_info()[0],
+                               counts.buffer_info()[0], n, ctypes.byref(status))
+    return made, status.value
+
+
+def emitter(refill, values: array, cursor: array, lib=None, fill=None):
     """A zero-argument draw over a block: ``values``, an array("d"), and
     ``cursor``, an array("q") of two, the next index and the values made.
     While ``cursor[0] < cursor[1]`` the draw returns ``values[cursor[0]]``
@@ -169,15 +185,33 @@ def emitter(refill, values: array, cursor: array, lib=None):
 
     The draw is ``fvn_emitter`` of ``lib``, a builtin with no Python frame
     per value, when ``lib`` has it; with ``lib`` None, or a library
-    without it, it is the function below, which is its spec."""
+    without it, it is the function below, which is its spec.
+
+    ``fill``, with a library that has ``fvn_emitter``, is the draw's
+    refill in place of ``refill``: a tuple (src, engine, bitgen, kernel,
+    counts, errors) with which the builtin refills the block itself, by
+    ``fvn_fill_source`` as ``fill_source`` calls it with n the length of
+    ``values``.  ``counts`` is an array("q") longer than ``values``, and
+    ``errors[status]`` the message of the RuntimeError that a status
+    raises once the values made before it are read."""
     if values.typecode != "d" or cursor.typecode != "q" or len(cursor) != 2:
         raise ValueError("an emitter reads an array('d') block and an "
                          "array('q') cursor of two")
     keep = (memoryview(values), memoryview(cursor))
     make = getattr(lib, "fvn_emitter", None)
+    if fill is not None:
+        src, engine, bitgen, kernel, counts, errors = fill
+        if counts.typecode != "q" or len(counts) <= len(values):
+            raise ValueError("the fill's counts must be an array('q') "
+                             "longer than the block")
+        return make(None, (*keep, kernel, memoryview(counts)),
+                    values.buffer_info()[0], len(values),
+                    cursor.buffer_info()[0], src, engine, bitgen, kernel,
+                    counts.buffer_info()[0], errors)
     if make is not None:
         return make(refill, keep, values.buffer_info()[0], len(values),
-                    cursor.buffer_info()[0])
+                    cursor.buffer_info()[0], None, None, None, None, None,
+                    None)
 
     def draw() -> float:
         i = cursor[0]

@@ -17,11 +17,15 @@ comparison-method variate; it is the spec of the comparison kernel.
 ``wallace.init_pool`` bootstraps through it.  ``bind_variates``, the
 draw of a bound sampler, fills blocks ahead of its caller, hands them
 back through ``_fill.emitter``'s block and cursor, and keeps ``draws``
-exact at the value it has reached.  Both run the compiled
-block fill of ``_fill.c`` on a numpy engine, whose words it reads itself
-once the buffer is used up; on any other engine, or when the fill does
-not load, the composed draw makes every variate, refilling the buffer by
-``random_raw`` as the direct calls do (see ``_fill_into``).
+exact at the value it has reached.  On a numpy engine both run
+``fvn_fill_source`` of ``_fill.c``: it reads this source's state, runs
+the compiled block fill, which reads the engine's words itself once the
+buffer is used up, and writes the state back.  ``fill_variates`` calls
+it through ctypes; a bound draw's builtin emitter calls it itself when
+its block is used up, with no Python frame or ctypes call per block.  On
+any other engine, or when the fill does not load, the composed draw
+makes every variate, refilling the buffer by ``random_raw`` as the
+direct calls do (see ``_fill_into``).
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
 # words keep rejecting would otherwise loop for ever.
 MAX_TRIALS = 1024
 TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
+# The message of each status of the compiled fill (_fill.FILL_OVERFLOW,
+# _fill.FILL_TRIALS); 0 stops nothing.
+_FILL_ERRORS = (None, RUN_OVERFLOW, TRIAL_OVERFLOW)
 
 # Variates per compiled fill of a bound sampler.  A fill lands inside one
 # caller's loop iteration, so the block trades the fixed cost of a fill
@@ -65,12 +72,13 @@ FILL_BLOCK = 512
 
 
 class _ReadAhead:
-    """What a bound sampler has read ahead of its caller: the emitter's
-    ``cursor`` over the block, the next index and the values made (0 while
-    nothing is read ahead), and ``counts``, the draws before the block and
-    after each of its variates."""
+    """What a bound sampler has read ahead of its caller: the block
+    ``values``, the emitter's ``cursor`` over it, the next index and the
+    values made (0 while nothing is read ahead), and ``counts``, the draws
+    before the block and after each of its variates."""
 
     def __init__(self):
+        self.values = array("d", bytes(8 * FILL_BLOCK))
         self.cursor = array("q", [0, 0])
         self.counts = array("q", bytes(8 * (FILL_BLOCK + 1)))
 
@@ -226,51 +234,37 @@ class UniformSource:
         stopped them, if one did; the source is left as the composed draw
         leaves it by then.
 
-        One spelling makes them all: the compiled fill of ``lib`` when it
-        can read the engine (``_engine_reader``), reading on from it once
-        the buffer is used up and leaving the buffer empty for the next
-        direct call to refill; otherwise, or with ``lib`` None, the
-        composed draw ``kernel.draw``.
+        One spelling makes them all: ``fvn_fill_source`` of ``lib`` when
+        it can read the engine (``_engine_reader``), which reads and writes
+        back this source's state in C, reading on from the engine once the
+        buffer is used up and leaving the buffer empty for the next direct
+        call to refill; otherwise, or with ``lib`` None, the composed draw
+        ``kernel.draw``.
         """
-        counts[0] = self._spent + self._pos
         bitgen = None if lib is None else self._engine_reader()
-        if bitgen is None:
-            for made in range(n):
-                # Whatever the draw raises, a failing engine's error among
-                # it, is this variate's error: it is passed on, not handled.
-                try:
-                    values[made] = kernel.draw(self)
-                except Exception as exc:
-                    return made, exc
-                counts[made + 1] = self._spent + self._pos
-            return n, None
-        rec, floats = self.recycled, self._floats
-        store = array("d", rec)
-        store.frombytes(bytes(8 * n))   # a variate leaves at most one more
-        st = _fill.State(*floats.buffer_info(), self._pos, self._spent,
-                         store.buffer_info()[0], len(rec), self._sign_bits,
-                         self._sign_word, engine=bitgen)
-        with self._engine.lock:
-            made = lib.fvn_fill(kernel, st, values.buffer_info()[0],
-                                counts.buffer_info()[0] + 8, n)
-        if st.pos > len(floats):
-            # read on from the engine: buffer and words are spent
-            self._spent += st.pos
-            self._floats, st.pos = array("d"), 0
-        self._pos = st.pos
-        rec[:] = store[:st.nstore]
-        self._sign_bits, self._sign_word = st.sign_bits, st.sign_word
-        if not st.status:
-            return made, None
-        return made, RuntimeError(
-            RUN_OVERFLOW if st.status == _fill.FILL_OVERFLOW else TRIAL_OVERFLOW)
+        if bitgen is not None:
+            made, status = _fill.fill_source(lib, self, self._engine, bitgen,
+                                             kernel, values, counts, n)
+            return made, (RuntimeError(_FILL_ERRORS[status]) if status
+                          else None)
+        counts[0] = self._spent + self._pos
+        for made in range(n):
+            # Whatever the draw raises, a failing engine's error among
+            # it, is this variate's error: it is passed on, not handled.
+            try:
+                values[made] = kernel.draw(self)
+            except Exception as exc:
+                return made, exc
+            counts[made + 1] = self._spent + self._pos
+        return n, None
 
     def _engine_reader(self) -> int | None:
         """The address of the engine's numpy ``bitgen_t``, for the fill to
         read its words itself; None for an engine read through
-        ``random_raw`` only.  Looked up at each fill and never stored, so
-        building a source costs nothing more, and a copied or unpickled
-        source reads its own engine."""
+        ``random_raw`` only.  Never stored on the source, so building one
+        costs nothing more, and a copied or unpickled source reads its own
+        engine: ``fill_variates`` looks it up at each fill, and a bound
+        draw once, when it is bound, holding the engine with it."""
         engine = self._engine
         if (getattr(type(engine), "random_raw", None)
                 is not np.random.BitGenerator.random_raw):
@@ -281,28 +275,35 @@ class UniformSource:
         """A draw of endless values of ``samplers.comparison_draw(table,
         self)`` for a bound sampler, which ``claim``s the source.
 
-        The draw reads ahead: its refill has ``_fill_into`` make a block of
-        FILL_BLOCK variates in place, and ``_fill.emitter`` hands them back
-        one per call, with no Python frame per value when the library
-        loads.  ``draws`` is exact after every value; the buffer position,
-        the recycled store and the sign pool are those of the block's end.
-        An error that stops a block after ``made`` values is held, and the
-        refill after them raises it with the cursor at 0 made, so the draw
-        raises it where the composed draw raises it, with the same
-        ``draws``, and the values go on after it as the draw's would.
+        The draw reads ahead: each refill makes a block of FILL_BLOCK
+        variates in place, and ``_fill.emitter`` hands them back one per
+        call, with no Python frame per value when the library loads.  On
+        an engine the fill reads, with the library loaded, the builtin
+        refills the block itself with ``fvn_fill_source``, with no Python
+        frame or ctypes call per block; otherwise its refill is the Python
+        ``refill`` below, on the composed draw.  ``draws`` is exact after
+        every value; the buffer position, the recycled store and the sign
+        pool are those of the block's end.  An error that stops a block
+        after ``made`` values is held, and the refill after them raises it
+        with the cursor at 0 made, so the draw raises it where the composed
+        draw raises it, with the same ``draws``, and the values go on after
+        it as the draw's would.
         """
         ahead = self.claim()
         lib = _fill.library()
         kernel = _fill.kernel(table, self._recycling)
-        values = array("d", bytes(8 * FILL_BLOCK))
-        cursor, counts = ahead.cursor, ahead.counts
+        values, cursor, counts = ahead.values, ahead.cursor, ahead.counts
+        bitgen = None if lib is None else self._engine_reader()
+        if bitgen is not None:
+            return _fill.emitter(None, values, cursor, lib, fill=(
+                self, self._engine, bitgen, kernel, counts, _FILL_ERRORS))
         held = None
 
         def refill() -> None:
             nonlocal held
             exc, held = held, None
             if exc is None:
-                made, exc = self._fill_into(lib, kernel, values, counts,
+                made, exc = self._fill_into(None, kernel, values, counts,
                                             FILL_BLOCK)
                 if made:
                     held = exc

@@ -8,14 +8,15 @@ K = DEFAULT_TABLE_LEN table of its scheme, which its ``SamplerConfig``
 holds.  The method is spelled twice, to the same values bit for bit:
 ``comparison_draw``, the spec, composes the source's public steps with
 ``tables.select_interval`` and ``comparison.run_test``, and the compiled
-block fill of ``UniformSource.fill_variates`` does the same steps inline,
-handing to the composed draw each variate it does not make (every one
-when the fill does not load).  The four public functions take only
+block fill ``fvn_fill_source`` does the same steps inline on a numpy
+engine; on any other engine, or when the fill does not load, the
+composed draw makes every variate.  The four public functions take only
 ``src`` and return one composed draw on their kind's table.
 ``make_sampler`` binds a comparison kind to ``src.bind_variates``, a draw
 that reads ahead in blocks and hands them back through the one emitter of
 a block and a cursor, ``_fill.emitter``, which Wallace's bound draw uses
-too.  The textbook baselines (inversion, Box-Muller, polar) are here for
+too.  With the library loaded the emitter is a builtin, and on a numpy
+engine it refills a comparison kind's block in C.  The textbook baselines (inversion, Box-Muller, polar) are here for
 distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
 and for perfbench's ``samplers.*_ns`` timings.
 """
@@ -199,7 +200,10 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     returns ``src.bind_variates`` on the config's table, whose K is always
     DEFAULT_TABLE_LEN: the ``_fill.emitter`` draw over a block and a
     cursor.  It reads ahead on the source it owns: each refill makes a
-    block of variates in place, and the draws emit it.  So the source's
+    block of variates in place, and the draws emit it.  On a numpy engine,
+    with the library loaded, the builtin emitter runs the compiled fill
+    itself, so a block costs no Python frame either; otherwise a Python
+    refill runs the composed draw.  So the source's
     buffer position, recycled store and sign pool run ahead of the draws,
     while ``src.draws`` stays exact after every draw.  An exception (the
     run-length or trial cap, a failing engine) is raised by the draw where

@@ -12,10 +12,12 @@ variate.  So an edge word reaches the fill as a scripted word at the head
 of a numpy source's buffer (``scripted``), not from an injected engine."""
 
 import copy
+import gc
 import pickle
 import random
 import sys
 import threading
+import weakref
 from array import array
 from functools import partial
 
@@ -473,12 +475,12 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
 
 
 class RefusesFill:
-    """A stand-in for the compiled library whose ``fvn_fill`` fails the
-    test: it must not be called.  It has no ``fvn_emitter``, so
+    """A stand-in for the compiled library whose ``fvn_fill_source``
+    fails the test: it must not be called.  It has no ``fvn_emitter``, so
     ``_fill.emitter`` gives a bound sampler the Python spelling."""
 
-    def fvn_fill(self, *args):
-        raise AssertionError("fvn_fill was handed an engine it cannot read")
+    def fvn_fill_source(self, *args):
+        raise AssertionError("the fill was handed an engine it cannot read")
 
 
 class OverridesRandomRaw(np.random.PCG64):
@@ -496,7 +498,8 @@ def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
                                                          monkeypatch):
     """On an engine read through ``random_raw`` only, ``fill_variates``
     and a bound sampler make every variate with the composed draw: its
-    values and ``draws``, with a library whose ``fvn_fill`` refuses."""
+    values and ``draws``, with a library whose ``fvn_fill_source``
+    refuses."""
     monkeypatch.setattr(_fill, "library", RefusesFill)
     config = default_config(kind)
     filled, bound, composed = (
@@ -599,6 +602,35 @@ def test_fill_calls_an_overriding_random_raw():
     assert len(calls) >= 2 and set(calls) == {bitstream._BUFFER_WORDS}
 
 
+def waits_for_the_lock(engine, work):
+    """Whether ``work()``, run while another thread holds ``engine.lock``,
+    returns only after that thread lets it go, and leaves the lock free."""
+    held, release, done = (threading.Event() for _ in range(3))
+
+    def hold():
+        with engine.lock:
+            held.set()
+            release.wait(30)
+
+    def run():
+        work()
+        done.set()
+
+    holder, worker = threading.Thread(target=hold), threading.Thread(target=run)
+    holder.start()
+    assert held.wait(30)
+    worker.start()
+    try:
+        waited = not done.wait(0.5)
+    finally:
+        release.set()
+    assert done.wait(30)
+    for thread in (holder, worker):
+        thread.join(30)
+        assert not thread.is_alive()
+    return waited and lock_is_free(engine.lock)
+
+
 @fill_only
 def test_fill_waits_for_the_engine_lock():
     """A fill on an engine whose lock another thread holds returns only
@@ -606,30 +638,8 @@ def test_fill_waits_for_the_engine_lock():
     engine = np.random.PCG64(4)
     src = UniformSource(0, engine=engine)
     table = default_config(samplers.NORMAL_GRAND).table
-    held, release, filled = (threading.Event() for _ in range(3))
-
-    def hold():
-        with engine.lock:
-            held.set()
-            release.wait(30)
-
-    def fill():
-        src.fill_variates(table, 100)
-        filled.set()
-
-    holder, filler = threading.Thread(target=hold), threading.Thread(target=fill)
-    holder.start()
-    assert held.wait(30)
-    filler.start()
-    try:
-        assert not filled.wait(0.5)
-    finally:
-        release.set()
-    assert filled.wait(30)
-    for thread in (holder, filler):
-        thread.join(30)
-        assert not thread.is_alive()
-    assert src.draws > 0 and lock_is_free(engine.lock)
+    assert waits_for_the_lock(engine, lambda: src.fill_variates(table, 100))
+    assert src.draws > 0
 
 
 @fill_only
@@ -806,3 +816,114 @@ def test_bound_sampler_stops_a_variate_that_never_accepts():
            [False, False, True, True, True]
     assert "no trial accepted" in outcomes[2][0]
     assert src.draws < len(words)
+
+
+# The bound draw's own refill: on an engine the fill reads, with the
+# library loaded, the builtin emitter runs ``fvn_fill_source`` itself.
+
+class WeakPCG64(np.random.PCG64):
+    """PCG64 that a weak reference can follow; the fill still reads it."""
+
+
+def no_python_fill(monkeypatch):
+    """Makes the Python spellings of the fill fail the test when called."""
+    def refuse(*args):
+        raise AssertionError("a Python fill ran")
+
+    monkeypatch.setattr(UniformSource, "_fill_into", refuse)
+    monkeypatch.setattr(_fill, "fill_source", refuse)
+
+
+@fill_only
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_bound_draw_refills_its_block_in_c(kind, monkeypatch):
+    """On a numpy engine a bound draw refills each block with no Python
+    fill: its values and ``draws`` are the composed draw's through four
+    blocks.  ``counts`` holds the draws before the block and after each
+    value of it, and at each block's end nothing is read ahead."""
+    draw, src, reference, twin = bound_and_reference(
+        kind, True, lambda r: UniformSource(27, recycling=r))
+    no_python_fill(monkeypatch)
+    counts = src._bound.counts
+    for block in range(4):
+        before = twin.draws
+        for i in range(BLOCK):
+            assert draw() == reference()
+            assert src.draws == twin.draws == counts[i + 1]
+        assert counts[0] == before
+        assert state(src) == state(twin)
+
+
+@fill_only
+def test_a_bound_draw_waits_for_the_engine_lock(monkeypatch):
+    """A bound draw whose block is used up refills it only once another
+    thread lets the engine's lock go."""
+    engine = np.random.PCG64(4)
+    src = UniformSource(0, engine=engine)
+    draw = make_sampler(default_config(samplers.NORMAL_GRAND), src)
+    no_python_fill(monkeypatch)
+    assert waits_for_the_lock(engine, draw)
+    assert src.draws > 0
+    for _ in range(BLOCK - 1):
+        draw()
+    assert waits_for_the_lock(engine, draw)
+
+
+@fill_only
+def test_a_bound_draw_lets_its_source_and_engine_go_with_it():
+    """The draw holds its source, its engine, the block, the cursor and
+    the counts while it lives, refilling the block itself, and lets them
+    go, with no garbage collection, when it goes."""
+    config = default_config(samplers.EXP_BRENT)
+    src = UniformSource(0, engine=WeakPCG64(5),
+                        recycling=config.recycling_enabled)
+    draw = make_sampler(config, src)
+    ahead = src._bound
+    held = [weakref.ref(obj) for obj in (src, src._engine, ahead.values,
+                                         ahead.cursor, ahead.counts)]
+    del src, ahead
+    for _ in range(3 * BLOCK):
+        draw()
+    assert all(ref() is not None for ref in held)
+    gc.disable()
+    try:
+        del draw
+        assert [ref() for ref in held] == [None] * 5
+    finally:
+        gc.enable()
+
+
+@fill_only
+@pytest.mark.parametrize("make_engine", [
+    lambda: RawOnly(np.random.PCG64(7)),
+    lambda: OverridesRandomRaw(7),
+], ids=["raw-only", "overrides-random-raw"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_bound_draw_on_an_engine_the_fill_cannot_read(kind, make_engine,
+                                                        monkeypatch):
+    """With the library loaded, a bound draw on an engine read through
+    ``random_raw`` only is the builtin emitter with the Python refill,
+    which runs the composed draw once per block: its values, ``draws`` and
+    ``counts`` are the composed draw's."""
+    config = default_config(kind)
+    src, twin = (UniformSource(0, engine=make_engine(),
+                               recycling=config.recycling_enabled)
+                 for _ in range(2))
+    fills = []
+    fill_into = UniformSource._fill_into
+
+    def spy(self, lib, *args):
+        fills.append(lib)
+        return fill_into(self, lib, *args)
+
+    monkeypatch.setattr(UniformSource, "_fill_into", spy)
+    draw = make_sampler(config, src)
+    assert type(draw).__name__ == "builtin_function_or_method"
+    counts = src._bound.counts
+    for block in range(3):
+        before = twin.draws
+        for i in range(BLOCK):
+            assert draw() == comparison_draw(config.table, twin)
+            assert src.draws == twin.draws == counts[i + 1]
+        assert counts[0] == before
+    assert fills == [None] * 3

@@ -211,28 +211,27 @@ def syntax_check(tmp_path, source: str) -> subprocess.CompletedProcess:
 
 @needs_compiler
 def test_ctypes_structs_match_the_c_layout(tmp_path):
-    """``_fill.Kernel`` and ``_fill.State`` have the size and the field
-    offsets of the C structs they mirror, and ``bitstream`` and ``_fill``
-    the constants that ``_fill.c`` repeats: a file that includes
-    ``_fill.c`` asserts each with ``_Static_assert``, checked by the
-    compiler with ``-fsyntax-only`` against numpy's and Python's headers,
-    so nothing is linked.  One wrong value fails that check."""
-    expected = {}
-    for name, mirror in (("fvn_kernel", _fill.Kernel), ("fvn_state", _fill.State)):
-        expected[f"sizeof({name})"] = ctypes.sizeof(mirror)
-        for field, _ in mirror._fields_:
-            expected[f"offsetof({name}, {field})"] = getattr(mirror, field).offset
+    """``_fill.Kernel`` has the size and the field offsets of the C struct
+    it mirrors, and ``bitstream`` and ``_fill`` the constants that
+    ``_fill.c`` repeats: a file that includes ``_fill.c`` asserts each
+    with ``_Static_assert``, checked by the compiler with
+    ``-fsyntax-only`` against numpy's and Python's headers, so nothing is
+    linked.  One wrong value fails that check."""
+    expected = {"sizeof(fvn_kernel)": ctypes.sizeof(_fill.Kernel)}
+    for field, _ in _fill.Kernel._fields_:
+        expected[f"offsetof(fvn_kernel, {field})"] = getattr(
+            _fill.Kernel, field).offset
     for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
                           (_fill, ("FILL_OVERFLOW", "FILL_TRIALS"))):
         expected.update((name, getattr(module, name)) for name in names)
-    assert len(expected) == 2 + 6 + 10 + 5
+    assert len(expected) == 1 + 6 + 5
     proc = syntax_check(tmp_path, layout_probe(expected))
     assert proc.returncode == 0, proc.stderr
-    wrong = {**expected, "offsetof(fvn_state, engine)":
-             expected["offsetof(fvn_state, engine)"] + 8}
+    wrong = {**expected, "offsetof(fvn_kernel, recycling)":
+             expected["offsetof(fvn_kernel, recycling)"] + 8}
     proc = syntax_check(tmp_path, layout_probe(wrong))
     assert proc.returncode != 0
-    assert "offsetof(fvn_state, engine) is not" in proc.stderr
+    assert "offsetof(fvn_kernel, recycling) is not" in proc.stderr
 
 
 # The emitter, in its two spellings: ``fvn_emitter`` of the compiled
