@@ -1,7 +1,7 @@
-"""Building and loading the compiled fill, its ctypes mirrors of the C
-structs and constants, the composed draw that makes every variate when it
-does not load, and the emitter of a block and a cursor in both its
-spellings."""
+"""Building and loading the compiled fill, its ctypes mirror of the C
+kernel struct and its constants, the composed draw that makes every
+variate when it does not load, and the emitter of a block and a cursor in
+both its spellings."""
 
 import ctypes
 import gc
