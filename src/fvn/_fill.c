@@ -1,9 +1,12 @@
 /* The compiled kernels of fvn: fvn_fill, the block fill of
    comparison-method variates, and fvn_fill_source, which runs it on a
    UniformSource's own state; fvn_refresh, one pass of the Wallace pool's
-   regroup; and fvn_emitter, the draw that hands a bound sampler's block
-   back to Python one float at a time and, on a numpy engine, refills a
-   comparison sampler's block with fvn_fill_source itself.
+   regroup, with the pass's snapshot written as it goes when asked; and
+   fvn_emitter, the draw that hands a bound sampler's block back to Python
+   one float at a time and, on a numpy engine, refills it itself: a
+   comparison sampler's block with fvn_fill_source, a Wallace pool's
+   snapshot by beginning the next pass (wallace_pass), which reads the
+   source's state through the same helpers as fvn_fill_source.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
@@ -38,6 +41,7 @@
 #include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <math.h>
 #include <string.h>
 #include <numpy/random/bitgen.h>
 
@@ -46,6 +50,11 @@
 #define MANTISSA (((uint64_t)1 << 52) - 1) /* a double's fraction bits */
 #define MAX_RUN_LENGTH 64
 #define MAX_TRIALS 1024
+#define TWO_PI (2.0 * 3.14159265358979323846) /* samplers._TWO_PI */
+/* a fresh uniform from one word of the engine, as random_raw's words are
+   cut by UniformSource._refill */
+#define ENGINE_UNIFORM(eng) \
+    ((double)((eng)->next_raw((eng)->state) >> (64 - WORD_BITS)) / UNIT)
 
 enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
 
@@ -88,8 +97,7 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
         if (i < nbuf)                                                   \
             (dst) = buf[i];                                             \
         else                                                            \
-            (dst) = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS)) \
-                    / UNIT;                                             \
+            (dst) = ENGINE_UNIFORM(eng);                                \
         i++;                                                            \
     } while (0)
 #define UNIFORM(dst) do { if (r) (dst) = store[--r]; else FRESH(dst); } while (0)
@@ -201,22 +209,32 @@ commit:
 }
 
 
-/* The names fvn_fill_source reads and writes, interned on first use. */
+/* The names fvn_fill_source and the Wallace pass read and write, interned
+   on first use, and math.sqrt, which the pass calls. */
 enum { N_FLOATS, N_POS, N_SPENT, N_RECYCLED, N_SIGN_BITS, N_SIGN_WORD,
-       N_LOCK, N_ACQUIRE, N_RELEASE, N_NAMES };
+       N_LOCK, N_ACQUIRE, N_RELEASE, N_PASS_COUNT, N_NORM_SQ, N_EMIT_SCALE,
+       N_NAMES };
 static PyObject *names[N_NAMES];
+static PyObject *math_sqrt;
 
 static int intern_names(void)
 {
     static const char *const text[N_NAMES] = {
         "_floats", "_pos", "_spent", "recycled", "_sign_bits", "_sign_word",
-        "lock", "acquire", "release"};
+        "lock", "acquire", "release", "pass_count", "norm_sq", "emit_scale"};
     int k;
 
     for (k = 0; k < N_NAMES; k++)
         if (names[k] == NULL
                 && (names[k] = PyUnicode_InternFromString(text[k])) == NULL)
             return -1;
+    if (math_sqrt == NULL) {
+        PyObject *math = PyImport_ImportModule("math");
+        math_sqrt = math == NULL ? NULL : PyObject_GetAttrString(math, "sqrt");
+        Py_XDECREF(math);
+        if (math_sqrt == NULL)
+            return -1;
+    }
     return 0;
 }
 
@@ -273,17 +291,142 @@ static int set_store(PyObject *rec, const double *store, int64_t n)
     return rc;
 }
 
+/* A UniformSource's state as fvn_fill reads it, held from source_read to
+   source_write: the buffer _floats, an array("d"), the position _pos in
+   it, the words _spent of the buffers used up, the store recycled and the
+   sign pool _sign_bits and _sign_word, with the engine's lock held. */
+typedef struct {
+    fvn_state s;
+    PyObject *floats, *rec, *items, *lock;
+    Py_buffer view;
+    int64_t nrec, sign_bits, sign_word;
+} fvn_source;
+
+static void source_free(fvn_source *o)
+{
+    PyBuffer_Release(&o->view);
+    PyMem_Free(o->s.store);
+    Py_XDECREF(o->lock);
+    Py_XDECREF(o->items);
+    Py_XDECREF(o->rec);
+    Py_XDECREF(o->floats);
+}
+
+/* Reads the state of src into o, with room on the store for room more
+   values, and takes engine.lock, as random_raw does, for reading bitgen,
+   the bitgen_t of engine.  Returns 0, or -1 with a Python error set and
+   nothing held. */
+static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
+                       const bitgen_t *bitgen, int64_t room)
+{
+    fvn_state *s = &o->s;
+    int64_t k;
+
+    memset(o, 0, sizeof *o);
+    if (intern_names() < 0
+            || (o->floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
+        return -1;
+    if (PyObject_GetBuffer(o->floats, &o->view,
+                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        goto fail;
+    if (o->view.itemsize != sizeof(double)
+            || strcmp(o->view.format, "d") != 0) {
+        PyErr_SetString(PyExc_TypeError, "_floats is not an array('d')");
+        goto fail;
+    }
+    if ((o->rec = PyObject_GetAttr(src, names[N_RECYCLED])) == NULL
+            || (o->items = PySequence_Fast(o->rec,
+                                           "recycled is not a list")) == NULL)
+        goto fail;
+    o->nrec = PySequence_Fast_GET_SIZE(o->items);
+    if (room < 0
+            || room > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof *s->store - o->nrec) {
+        PyErr_SetString(PyExc_ValueError, "no room for n variates");
+        goto fail;
+    }
+    s->store = PyMem_Malloc((size_t)(o->nrec + room) * sizeof *s->store);
+    if (s->store == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (k = 0; k < o->nrec; k++) {
+        s->store[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(o->items, k));
+        if (s->store[k] == -1.0 && PyErr_Occurred())
+            goto fail;
+    }
+    if (get_int(src, N_POS, &s->pos) < 0 || get_int(src, N_SPENT, &s->spent) < 0
+            || get_int(src, N_SIGN_BITS, &o->sign_bits) < 0
+            || get_int(src, N_SIGN_WORD, &o->sign_word) < 0)
+        goto fail;
+    if (s->pos < 0 || o->sign_bits < 0 || o->sign_bits > WORD_BITS) {
+        PyErr_SetString(PyExc_ValueError, "the source's position or sign "
+                        "pool is out of range");
+        goto fail;
+    }
+    s->buf = o->view.buf;
+    s->nbuf = o->view.len / (Py_ssize_t)sizeof(double);
+    s->nstore = o->nrec;
+    s->sign_bits = o->sign_bits;
+    s->sign_word = o->sign_word;
+    s->engine = bitgen;
+    if ((o->lock = PyObject_GetAttr(engine, names[N_LOCK])) == NULL
+            || call_method(o->lock, N_ACQUIRE) < 0)
+        goto fail;
+    return 0;
+fail:
+    source_free(o);
+    return -1;
+}
+
+/* Lets the engine's lock go and writes the state of o back to src, as
+   the Python lines do, then frees o: once the state has read on from the
+   engine, the buffer and those words join _spent, at position 0 of an
+   empty _floats for the next direct call to refill, and recycled[:] is
+   set to the store left.  Returns 0, or -1 with a Python error set. */
+static int source_write(fvn_source *o, PyObject *src)
+{
+    fvn_state *s = &o->s;
+    int rc = -1;
+
+    if (call_method(o->lock, N_RELEASE) < 0)
+        goto done;
+    PyBuffer_Release(&o->view);
+    if (s->pos > s->nbuf) {
+        /* read on from the engine: buffer and words are spent */
+        s->spent += s->pos;
+        s->pos = 0;
+        if (set_int(src, N_SPENT, s->spent) < 0)
+            goto done;
+        if (s->nbuf) {
+            PyObject *empty = PyObject_CallFunction(
+                (PyObject *)Py_TYPE(o->floats), "s", "d");
+            int set = empty == NULL ? -1
+                      : PyObject_SetAttr(src, names[N_FLOATS], empty);
+            Py_XDECREF(empty);
+            if (set < 0)
+                goto done;
+        }
+    }
+    if (set_int(src, N_POS, s->pos) < 0
+            || ((o->nrec || s->nstore)
+                && set_store(o->rec, s->store, s->nstore) < 0)
+            || (s->sign_bits != o->sign_bits
+                && set_int(src, N_SIGN_BITS, s->sign_bits) < 0)
+            || (s->sign_word != o->sign_word
+                && set_int(src, N_SIGN_WORD, s->sign_word) < 0))
+        goto done;
+    rc = 0;
+done:
+    source_free(o);
+    return rc;
+}
+
 /* fvn_fill run on the state of src, a UniformSource, for both of its
    callers: UniformSource.fill_variates, through ctypes, and the draw of a
-   bound sampler (emit_refill below).  It reads the buffer _floats, an
-   array("d"), the position _pos in it, the words _spent of the buffers
-   used up, the store recycled and the sign pool _sign_bits and
-   _sign_word.  It holds engine.lock, as random_raw does, while fvn_fill
-   runs on bitgen, the bitgen_t of engine.  Then it writes the state back:
-   once the fill has read on from the engine, the buffer and those words
-   join _spent, at position 0 of an empty _floats for the next direct call
-   to refill, and recycled[:] is set to the store left.  counts holds
-   n + 1 words: the draws before the fill, then those after each variate.
+   bound sampler (emit_refill below).  It reads the state, holds
+   engine.lock while fvn_fill runs on bitgen, the bitgen_t of engine, and
+   writes the state back (source_read, source_write).  counts holds n + 1
+   words: the draws before the fill, then those after each variate.
    Returns the variates made, with *status as fvn_fill sets it, or -1
    with a Python error set when the state cannot be read or written or
    the lock fails. */
@@ -292,98 +435,16 @@ int64_t fvn_fill_source(PyObject *src, PyObject *engine,
                         double *out, int64_t *counts, int64_t n,
                         int64_t *status)
 {
-    PyObject *floats, *rec = NULL, *items = NULL, *lock = NULL;
-    Py_buffer view = {0};
-    double *store = NULL;
-    fvn_state s;
-    int64_t made = -1, nrec = 0, k, sign_bits, sign_word;
+    fvn_source o;
+    int64_t made;
 
-    if (intern_names() < 0
-            || (floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
-        return -1;
-    if (PyObject_GetBuffer(floats, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        goto done;
-    if (view.itemsize != sizeof(double) || strcmp(view.format, "d") != 0) {
-        PyErr_SetString(PyExc_TypeError, "_floats is not an array('d')");
-        goto done;
-    }
-    if ((rec = PyObject_GetAttr(src, names[N_RECYCLED])) == NULL
-            || (items = PySequence_Fast(rec, "recycled is not a list")) == NULL)
-        goto done;
-    nrec = PySequence_Fast_GET_SIZE(items);
     /* a variate leaves at most one more value on the store */
-    if (n < 0 || n > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof *store - nrec) {
-        PyErr_SetString(PyExc_ValueError, "no room for n variates");
-        goto done;
-    }
-    if ((store = PyMem_Malloc((size_t)(nrec + n) * sizeof *store)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (k = 0; k < nrec; k++) {
-        store[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(items, k));
-        if (store[k] == -1.0 && PyErr_Occurred())
-            goto done;
-    }
-    if (get_int(src, N_POS, &s.pos) < 0 || get_int(src, N_SPENT, &s.spent) < 0
-            || get_int(src, N_SIGN_BITS, &sign_bits) < 0
-            || get_int(src, N_SIGN_WORD, &sign_word) < 0)
-        goto done;
-    if (s.pos < 0 || sign_bits < 0 || sign_bits > WORD_BITS) {
-        PyErr_SetString(PyExc_ValueError, "the source's position or sign "
-                        "pool is out of range");
-        goto done;
-    }
-    s.buf = view.buf;
-    s.nbuf = view.len / (Py_ssize_t)sizeof(double);
-    s.store = store;
-    s.nstore = nrec;
-    s.sign_bits = sign_bits;
-    s.sign_word = sign_word;
-    s.engine = bitgen;
-    counts[0] = s.spent + s.pos;
-    if ((lock = PyObject_GetAttr(engine, names[N_LOCK])) == NULL
-            || call_method(lock, N_ACQUIRE) < 0)
-        goto done;
-    made = fvn_fill(kn, &s, out, counts + 1, n);
-    *status = s.status;
-    if (call_method(lock, N_RELEASE) < 0)
-        goto fail;
-    PyBuffer_Release(&view);
-    if (s.pos > s.nbuf) {
-        /* read on from the engine: buffer and words are spent */
-        s.spent += s.pos;
-        s.pos = 0;
-        if (set_int(src, N_SPENT, s.spent) < 0)
-            goto fail;
-        if (s.nbuf) {
-            PyObject *empty = PyObject_CallFunction((PyObject *)Py_TYPE(floats),
-                                                    "s", "d");
-            int rc = empty == NULL ? -1
-                     : PyObject_SetAttr(src, names[N_FLOATS], empty);
-            Py_XDECREF(empty);
-            if (rc < 0)
-                goto fail;
-        }
-    }
-    if (set_int(src, N_POS, s.pos) < 0
-            || ((nrec || s.nstore) && set_store(rec, store, s.nstore) < 0)
-            || (s.sign_bits != sign_bits
-                && set_int(src, N_SIGN_BITS, s.sign_bits) < 0)
-            || (s.sign_word != sign_word
-                && set_int(src, N_SIGN_WORD, s.sign_word) < 0))
-        goto fail;
-    goto done;
-fail:
-    made = -1;
-done:
-    PyBuffer_Release(&view);
-    PyMem_Free(store);
-    Py_XDECREF(lock);
-    Py_XDECREF(items);
-    Py_XDECREF(rec);
-    Py_DECREF(floats);
-    return made;
+    if (source_read(&o, src, engine, bitgen, n) < 0)
+        return -1;
+    counts[0] = o.s.spent + o.s.pos;
+    made = fvn_fill(kn, &o.s, out, counts + 1, n);
+    *status = o.s.status;
+    return source_write(&o, src) < 0 ? -1 : made;
 }
 
 
@@ -395,9 +456,11 @@ done:
    ((x0 q0 + x1 q1) + x2 q2) + x3 q3.  The caller passes values as n
    contiguous doubles with n a multiple of 4, 0 <= step, offset < n, and
    q as 4 x 4 row-major doubles.  The permutation is a bijection, so the
-   blocks are disjoint and each is written in place. */
+   blocks are disjoint and each is written in place.  With emitted not
+   NULL, n doubles too, each output y is also written to the same
+   position of emitted as y * scale: wallace._snapshot's multiply. */
 void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
-                 const double *q)
+                 const double *q, double *emitted, double scale)
 {
     int64_t p = offset, b;
 
@@ -414,8 +477,11 @@ void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
         }
         for (k = 0; k < 4; k++) {
             const double *row = q + 4 * k;
-            values[at[k]] = ((x[0] * row[0] + x[1] * row[1]) + x[2] * row[2])
-                            + x[3] * row[3];
+            double y = ((x[0] * row[0] + x[1] * row[1]) + x[2] * row[2])
+                       + x[3] * row[3];
+            values[at[k]] = y;
+            if (emitted != NULL)
+                emitted[at[k]] = y * scale;
         }
     }
 }
@@ -433,30 +499,123 @@ void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
    references, so it has no Python frame.  The capsule is not tracked by
    the garbage collector, so nothing it holds may refer back to the draw.
 
-   The refill is one of two:
+   The refill is one of three:
      refill()  a Python callable, when src is NULL.
-     the fill  with src, the draw of UniformSource.bind_variates on an
-               engine the fill reads: fvn_fill_source on src, engine and
-               bitgen, filling values and counts (n + 1 words), with no
-               Python frame.  A status that stops the fill after some
-               values is held until they are read; then, or when it stops
-               the fill at once, the refill sets the cursor to 0 made and
-               raises RuntimeError with errors[status], as the Python
-               refill of bind_variates does. */
+     the fill  with src and a kernel, the draw of
+               UniformSource.bind_variates on an engine the fill reads:
+               fvn_fill_source on src, engine and bitgen, filling values
+               and counts (n + 1 words), with no Python frame.  A status
+               that stops the fill after some values is held until they
+               are read; then, or when it stops the fill at once, the
+               refill sets the cursor to 0 made and raises RuntimeError
+               with errors[status], as the Python refill of bind_variates
+               does.
+     the pass  with src and a pool, the draw of wallace.emit_passes on an
+               engine the fill reads: wallace_pass below begins the next
+               pass of the pool, whose snapshot is values, with no Python
+               frame, and sets cursor[0] to 0, as the Python refill of
+               emit_passes does. */
 typedef struct {
     PyObject *refill;
     PyObject *keep;
     double *values;
     int64_t n;
     int64_t *cursor;
-    PyObject *src, *engine, *errors;
+    PyObject *src, *engine, *errors, *pool;
     const bitgen_t *bitgen;
     const fvn_kernel *kernel;
     int64_t *counts;
     int64_t held;
+    double *pool_values;
+    const double *q;
 } fvn_emit;
 
 #define EMITTER "fvn.emitter"
+
+/* next_word's and next_uniform's reads of the state s */
+static double source_fresh(fvn_state *s)
+{
+    int64_t i = s->pos++;
+
+    return i < s->nbuf ? s->buf[i] : ENGINE_UNIFORM(s->engine);
+}
+
+static double source_uniform(fvn_state *s)
+{
+    return s->nstore ? s->store[--s->nstore] : source_fresh(s);
+}
+
+static int64_t gcd(int64_t a, int64_t b)
+{
+    while (b) {
+        int64_t r = a % b;
+        a = b;
+        b = r;
+    }
+    return a;
+}
+
+/* wallace._next_pass on the pool of e, pool_values its n values, with
+   _snapshot fused into the regroup.  It reads the source's state as
+   fvn_fill_source does and, holding engine.lock, draws the regroup's
+   word, as next_word does, then Box-Muller's u1, again while u1 == 0, and
+   u2, as next_uniform does, each popped from the store while it holds
+   one.  The stride and offset are _block_stride's, the transform is
+   q[pass_count mod 2] of the two 4 x 4 at q, and the variance correction
+   is _pass_scale's: float's ** 3 is pow(x, 3.0), and s / norm_sq and its
+   root are taken by Python's own division and math.sqrt, with their
+   errors.  The regroup then writes each output to pool_values and its
+   product with the scale to values, and pass_count and emit_scale are
+   written back.  When the scale raises, the pool is regrouped and
+   counted with no new scale or snapshot, as refresh leaves it before
+   _pass_scale raises.  Never inlined: in emit_next its frame would cost
+   every value a larger prologue. */
+static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
+{
+    const int64_t n = e->n;
+    fvn_source o;
+    uint64_t word;
+    int64_t pass_count, stride;
+    double u1, u2, z, c, s, scale = 0.0;
+    PyObject *norm_sq, *sf = NULL, *ratio = NULL, *root = NULL;
+    int rc = -1;
+
+    if (source_read(&o, e->src, e->engine, e->bitgen, 0) < 0)
+        return -1;
+    word = (uint64_t)(source_fresh(&o.s) * UNIT);
+    do
+        u1 = source_uniform(&o.s);
+    while (!(u1 > 0.0));
+    u2 = source_uniform(&o.s);
+    if (source_write(&o, e->src) < 0
+            || get_int(e->pool, N_PASS_COUNT, &pass_count) < 0
+            || set_int(e->pool, N_PASS_COUNT, pass_count + 1) < 0)
+        return -1;
+    z = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2);
+    c = 2.0 / (9.0 * (double)n);
+    s = (double)n * pow(1.0 - c + z * sqrt(c), 3.0);
+    if ((norm_sq = PyObject_GetAttr(e->pool, names[N_NORM_SQ])) != NULL
+            && (sf = PyFloat_FromDouble(s)) != NULL
+            && (ratio = PyNumber_TrueDivide(sf, norm_sq)) != NULL
+            && (root = PyObject_CallOneArg(math_sqrt, ratio)) != NULL)
+        scale = PyFloat_AsDouble(root);
+    stride = (int64_t)(word & 0xFFFFFFFF) | 1;
+    while (gcd(stride, n) != 1)
+        stride += 2;
+    fvn_refresh(e->pool_values, n, stride % n, (int64_t)((word >> 32) % n),
+                e->q + 16 * (pass_count & 1),
+                root == NULL ? NULL : e->values, scale);
+    if (root != NULL && PyObject_SetAttr(e->pool, names[N_EMIT_SCALE],
+                                         root) == 0) {
+        e->cursor[0] = 0;
+        rc = 0;
+    }
+    Py_XDECREF(root);
+    Py_XDECREF(ratio);
+    Py_XDECREF(sf);
+    Py_XDECREF(norm_sq);
+    return rc;
+}
 
 static int emit_refill(fvn_emit *e)
 {
@@ -467,6 +626,8 @@ static int emit_refill(fvn_emit *e)
         Py_XDECREF(done);
         return done == NULL ? -1 : 0;
     }
+    if (e->pool != NULL)
+        return wallace_pass(e);
     e->held = FILL_DONE;
     if (status == FILL_DONE) {
         made = fvn_fill_source(e->src, e->engine, e->bitgen, e->kernel,
@@ -518,6 +679,7 @@ static void emit_release(fvn_emit *e)
     Py_XDECREF(e->src);
     Py_XDECREF(e->engine);
     Py_XDECREF(e->errors);
+    Py_XDECREF(e->pool);
     PyMem_Free(e);
 }
 
@@ -530,22 +692,33 @@ static PyMethodDef emit_def = {"emit", emit_next, METH_NOARGS,
                                "The next value of the block, refilled first "
                                "once it is used up."};
 
-/* The draw, with the fill as its refill when bitgen is not NULL: then
-   src, engine, kernel and counts are those of fvn_fill_source, errors is
-   a tuple of a message by status, and refill is not used.  keep must
-   hold what values, cursor, kernel and counts point into. */
+/* The draw, whose refill is refill() when bitgen is NULL.  Otherwise it
+   reads src, a UniformSource on engine, whose bitgen_t is bitgen, and
+   refill is not used: with pool_values NULL the refill is the fill, and
+   kernel and counts are those of fvn_fill_source and errors is a tuple of
+   a message by status; otherwise it is the pass, on pool, a
+   wallace.NormalPool, pool_values, its n values, and q, the transforms
+   of even and odd passes.  keep must hold what values, cursor, kernel, counts and
+   pool_values point into. */
 PyObject *fvn_emitter(PyObject *refill, PyObject *keep, double *values,
                       int64_t n, int64_t *cursor, PyObject *src,
                       PyObject *engine, const bitgen_t *bitgen,
                       const fvn_kernel *kernel, int64_t *counts,
-                      PyObject *errors)
+                      PyObject *errors, PyObject *pool, double *pool_values,
+                      const double *q)
 {
     PyObject *capsule, *draw;
     fvn_emit *e;
 
-    if (bitgen != NULL && !(PyTuple_Check(errors)
-                            && PyTuple_GET_SIZE(errors) > FILL_TRIALS)) {
+    if (bitgen != NULL && pool_values == NULL
+            && !(PyTuple_Check(errors)
+                 && PyTuple_GET_SIZE(errors) > FILL_TRIALS)) {
         PyErr_SetString(PyExc_TypeError, "errors must be a message by status");
+        return NULL;
+    }
+    if (bitgen != NULL && pool_values != NULL && (n <= 0 || n % 4 != 0)) {
+        PyErr_SetString(PyExc_ValueError, "a pool's size must be a positive "
+                        "multiple of 4");
         return NULL;
     }
     if ((e = PyMem_Calloc(1, sizeof *e)) == NULL)
@@ -555,8 +728,14 @@ PyObject *fvn_emitter(PyObject *refill, PyObject *keep, double *values,
     } else {
         e->src = Py_NewRef(src);
         e->engine = Py_NewRef(engine);
-        e->errors = Py_NewRef(errors);
         e->bitgen = bitgen;
+    }
+    if (bitgen != NULL && pool_values != NULL) {
+        e->pool = Py_NewRef(pool);
+        e->pool_values = pool_values;
+        e->q = q;
+    } else if (bitgen != NULL) {
+        e->errors = Py_NewRef(errors);
         e->kernel = kernel;
         e->counts = counts;
     }

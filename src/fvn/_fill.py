@@ -2,8 +2,9 @@
 ctypes: ``fvn_fill_source``, the block fill of comparison-method
 variates run on a ``UniformSource``'s own state (``fill_source``),
 ``fvn_refresh``, the regroup of one Wallace pass, and ``fvn_emitter``,
-the draw of ``emitter``, which runs ``fvn_fill_source`` itself as the
-refill of a bound comparison sampler on a numpy engine.
+the draw of ``emitter``.  On a numpy engine its refill runs in C too:
+``fvn_fill_source`` for a bound comparison sampler, and the start of the
+next pass, regroup, variance redraw and snapshot, for a Wallace pool.
 
 The library is compiled by the installed gcc, against numpy's own
 ``bitgen_t`` (``numpy/random/bitgen.h``) and this interpreter's
@@ -17,8 +18,8 @@ half-written file.  Nothing is printed: when no compiler, no Python
 headers, no cache or no library works, ``library()`` is None:
 ``UniformSource._fill_into`` makes every variate with the composed draw
 ``samplers.comparison_draw``, as on any engine but numpy's,
-``wallace.refresh`` regroups with numpy, and ``emitter`` returns its
-Python spelling.
+``wallace.refresh`` regroups with numpy, ``wallace._next_pass`` begins
+every pass, and ``emitter`` returns its Python spelling.
 """
 
 from __future__ import annotations
@@ -144,12 +145,14 @@ def library():
         ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
     lib.fvn_fill_source.restype = ctypes.c_int64
     lib.fvn_refresh.argtypes = (ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                                ctypes.c_void_p, ctypes.c_double)
     lib.fvn_refresh.restype = None
     lib.fvn_emitter.argtypes = (
         ctypes.py_object, ctypes.py_object, ctypes.c_void_p, ctypes.c_int64,
         ctypes.c_void_p, ctypes.py_object, ctypes.py_object, ctypes.c_void_p,
-        ctypes.POINTER(Kernel), ctypes.c_void_p, ctypes.py_object)
+        ctypes.POINTER(Kernel), ctypes.c_void_p, ctypes.py_object,
+        ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p)
     lib.fvn_emitter.restype = ctypes.py_object
     return lib
 
@@ -172,7 +175,8 @@ def fill_source(lib, src, engine, bitgen: int, kernel, values: array,
     return made, status.value
 
 
-def emitter(refill, values: array, cursor: array, lib=None, fill=None):
+def emitter(refill, values: array, cursor: array, lib=None, fill=None,
+            passes=None):
     """A zero-argument draw over a block: ``values``, an array("d"), and
     ``cursor``, an array("q") of two, the next index and the values made.
     While ``cursor[0] < cursor[1]`` the draw returns ``values[cursor[0]]``
@@ -193,12 +197,31 @@ def emitter(refill, values: array, cursor: array, lib=None, fill=None):
     ``fvn_fill_source`` as ``fill_source`` calls it with n the length of
     ``values``.  ``counts`` is an array("q") longer than ``values``, and
     ``errors[status]`` the message of the RuntimeError that a status
-    raises once the values made before it are read."""
+    raises once the values made before it are read.
+
+    ``passes``, with a library that has ``fvn_emitter``, is the draw's
+    refill in place of ``refill`` too: a tuple (pool, src, engine, bitgen,
+    q) with which the builtin begins the next pass of ``pool``, a
+    ``wallace.NormalPool`` whose snapshot ``emitted`` is ``values``, as
+    ``wallace._next_pass`` does, reading ``src`` and ``engine`` as the
+    fill does, and sets ``cursor[0]`` to 0.  ``pool.values`` must be as
+    ``fvn_refresh`` reads it, with as many values as ``values``, and ``q``
+    the address of the transforms of even and odd passes, 2 x 4 x 4
+    doubles; the draw holds ``pool.values`` too."""
     if values.typecode != "d" or cursor.typecode != "q" or len(cursor) != 2:
         raise ValueError("an emitter reads an array('d') block and an "
                          "array('q') cursor of two")
     keep = (memoryview(values), memoryview(cursor))
     make = getattr(lib, "fvn_emitter", None)
+    if passes is not None:
+        pool, src, engine, bitgen, q = passes
+        if pool.values.size != len(values):
+            raise ValueError("the pool's values and its snapshot differ in "
+                             "length")
+        return make(None, (*keep, memoryview(pool.values)),
+                    values.buffer_info()[0], len(values),
+                    cursor.buffer_info()[0], src, engine, bitgen, None, None,
+                    None, pool, pool.values.ctypes.data, q)
     if fill is not None:
         src, engine, bitgen, kernel, counts, errors = fill
         if counts.typecode != "q" or len(counts) <= len(values):
@@ -207,11 +230,11 @@ def emitter(refill, values: array, cursor: array, lib=None, fill=None):
         return make(None, (*keep, kernel, memoryview(counts)),
                     values.buffer_info()[0], len(values),
                     cursor.buffer_info()[0], src, engine, bitgen, kernel,
-                    counts.buffer_info()[0], errors)
+                    counts.buffer_info()[0], errors, None, None, None)
     if make is not None:
         return make(refill, keep, values.buffer_info()[0], len(values),
                     cursor.buffer_info()[0], None, None, None, None, None,
-                    None)
+                    None, None, None, None)
 
     def draw() -> float:
         i = cursor[0]

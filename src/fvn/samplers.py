@@ -16,7 +16,8 @@ composed draw makes every variate.  The four public functions take only
 that reads ahead in blocks and hands them back through the one emitter of
 a block and a cursor, ``_fill.emitter``, which Wallace's bound draw uses
 too.  With the library loaded the emitter is a builtin, and on a numpy
-engine it refills a comparison kind's block in C.  The textbook baselines (inversion, Box-Muller, polar) are here for
+engine it refills a comparison kind's block, or begins Wallace's next
+pass, in C.  The textbook baselines (inversion, Box-Muller, polar) are here for
 distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
 and for perfbench's ``samplers.*_ns`` timings.
 """
@@ -215,7 +216,8 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     second, and draws a new pair only when the first is due.
     Wallace returns ``wallace.emit_passes``, the same emitter over the
     pool's snapshot of one whole pass, whose refill begins the next pass
-    on the call after the last value; its 4096-value bootstrap is one
+    on the call after the last value, in C on a numpy engine when the
+    library loads; its 4096-value bootstrap is one
     exact ``src.fill_variates`` of normal_grand's table.  Each draw
     returns a Python float, and ``src.draws`` is exact after every draw.
     """

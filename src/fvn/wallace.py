@@ -15,7 +15,10 @@ corrected values are written once, in place, into ``NormalPool.emitted``;
 every value of that pass is read from this snapshot.  So a direct
 ``refresh()`` in the middle of a pass is not seen until the next pass
 starts.  A bound sampler's draw is ``_fill.emitter`` over the snapshot,
-with the start of the next pass as its refill (``emit_passes``).
+with the start of the next pass as its refill (``emit_passes``).  The
+pass is spelled twice too: ``_next_pass`` is its spec, and on an engine
+the compiled fill reads, the builtin emitter begins each pass itself in
+C, with the same words, bytes and scale and no Python frame.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ ORTHO_Q = 0.5 * np.array([
     [1.0, -1.0, -1.0,  1.0],
     [1.0,  1.0, -1.0, -1.0],
 ])
-_ORTHO_Q_T = np.ascontiguousarray(ORTHO_Q.T)
-# the transform of even and of odd passes, as fvn_refresh reads them
-_Q_ADDRESSES = (ORTHO_Q.ctypes.data, _ORTHO_Q_T.ctypes.data)
+# the transforms of even and odd passes, as fvn_refresh and the compiled
+# pass read them
+_PASS_Q = np.array([ORTHO_Q, ORTHO_Q.T])
+_ORTHO_Q_T = _PASS_Q[1]
+_Q_ADDRESSES = tuple(q.ctypes.data for q in _PASS_Q)
 
 
 @dataclass
@@ -67,7 +72,9 @@ def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
     A live pool would have squared norm ~ chi-square(N); this one is pinned
     at norm_sq forever.  Redrawing S ~ chi-square(N) (Wilson-Hilferty, one
     fresh gaussian) once per pass and emitting values * sqrt(S / norm_sq)
-    restores the missing spread.
+    restores the missing spread.  The compiled pass of ``emit_passes``
+    computes it with the same operations in the same order: the float
+    ``** 3`` is libm's ``pow(x, 3.0)``, as in C.
     """
     n = pool.values.size
     c = 2.0 / (9.0 * n)
@@ -88,6 +95,14 @@ def _block_permutation(n: int, word: int) -> np.ndarray:
     """Full-cycle stride permutation of range(n) derived from one word."""
     stride, offset = _block_stride(n, word)
     return (stride * np.arange(n) + offset) % n
+
+
+def _c_regroups(values: np.ndarray) -> bool:
+    """Whether ``fvn_refresh`` reads ``values`` in place: 1-D,
+    C-contiguous, aligned, writeable float64 with a size that is a
+    multiple of BLOCK."""
+    return (values.ndim == 1 and values.flags.carray
+            and values.dtype == np.float64 and values.size % BLOCK == 0)
 
 
 def init_pool(size: int, src: UniformSource) -> NormalPool:
@@ -116,20 +131,18 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     one uniform word; the squared norm is preserved to rounding error.
 
     ``fvn_refresh`` makes the same bytes as the numpy regroup below when
-    the compiled library loads and ``values`` is laid out as C reads it:
-    1-D, C-contiguous, aligned, writeable float64 with a size that is a
-    multiple of BLOCK.  Any other pool, one built by hand among them, takes
-    the numpy regroup, with its result or its error."""
+    the compiled library loads and ``values`` is laid out as C reads it
+    (``_c_regroups``).  Any other pool, one built by hand among them,
+    takes the numpy regroup, with its result or its error."""
     values = pool.values
     n = values.size
     word = src.next_word()
     odd = pool.pass_count % 2
     lib = _fill.library()
-    if (lib is not None and values.ndim == 1 and values.flags.carray
-            and values.dtype == np.float64 and n % BLOCK == 0):
+    if lib is not None and _c_regroups(values):
         stride, offset = _block_stride(n, word)
         lib.fvn_refresh(values.ctypes.data, n, stride % n, offset,
-                        _Q_ADDRESSES[odd])
+                        _Q_ADDRESSES[odd], None, 0.0)
     else:
         idx = _block_permutation(n, word)
         q = _ORTHO_Q_T if odd else ORTHO_Q
@@ -170,14 +183,26 @@ def emit_passes(pool: NormalPool, src: UniformSource) -> Callable[[], float]:
     """A zero-argument draw of the values of a fresh pool: the current
     pass's snapshot, then one new pass each time the last is used up.  It
     returns exactly what ``next_normal`` would, with the same draws after
-    every value, but it is ``_fill.emitter`` over ``pool.emitted``, with
-    ``_next_pass`` as its refill: no Python frame per value when the
-    library loads.  It does not move ``read_cursor``, so the pool must be
-    new (cursor 0) and owned by the draw."""
+    every value, but it is ``_fill.emitter`` over ``pool.emitted``: no
+    Python frame per value when the library loads.  Its refill begins the
+    next pass.  When the library loads, ``src``'s engine is one the fill
+    reads (``UniformSource._engine_reader``) and ``pool.values`` is as C
+    reads it (``_c_regroups``) and as long as ``emitted``, the builtin
+    does that itself in C, with no Python frame; otherwise the refill is
+    ``_next_pass``, with its values and errors.  The compiled pass reads
+    the ``values`` array the pool has now.  It does not move
+    ``read_cursor``, so the pool must be new (cursor 0) and owned by the
+    draw."""
     cursor = array("q", [0, len(pool.emitted)])
+    lib = _fill.library()
+    bitgen = None if lib is None else src._engine_reader()
+    if (bitgen is not None and _c_regroups(pool.values)
+            and pool.values.size == len(pool.emitted)):
+        return _fill.emitter(None, pool.emitted, cursor, lib, passes=(
+            pool, src, src._engine, bitgen, _PASS_Q.ctypes.data))
 
     def refill() -> None:
         _next_pass(pool, src)
         cursor[0] = 0
 
-    return _fill.emitter(refill, pool.emitted, cursor, _fill.library())
+    return _fill.emitter(refill, pool.emitted, cursor, lib)

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from fvn import _fill, bitstream, samplers
+from fvn import _fill, bitstream, samplers, wallace
 from fvn.bitstream import UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_samplers import STREAM_PINS
+from tests.test_wallace import refuse_python_pass
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,7 +120,7 @@ def test_a_new_build_unlinks_the_stale_ones(tmp_path, monkeypatch):
     values = (ctypes.c_double * 4)(1.0, 2.0, 3.0, 4.0)
     q = (ctypes.c_double * 16)(*[float(i % 5 == 0) for i in range(16)])
     loaded.fvn_refresh(values, ctypes.c_int64(4), ctypes.c_int64(1),
-                       ctypes.c_int64(0), q)
+                       ctypes.c_int64(0), q, None, ctypes.c_double(0.0))
     assert list(values) == [1.0, 2.0, 3.0, 4.0]     # q is the identity
 
 
@@ -343,12 +344,26 @@ def test_emitter_lets_its_block_and_refill_go_with_it(spelling):
 @pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.WALLACE])
 def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
     """A comparison kind and Wallace both bind the emitter: a builtin when
-    the library loads, the Python function when it does not."""
+    the library loads, the Python function when it does not.  The builtin
+    Wallace draw begins its passes with no Python pass."""
     config = default_config(kind)
     if _fill.library() is not None:
+        pools = []
+        init_pool = wallace.init_pool
+
+        def record(*args):
+            pools.append(init_pool(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(wallace, "init_pool", record)
+        refuse_python_pass(monkeypatch)
         draw = make_sampler(config, UniformSource(
             1, recycling=config.recycling_enabled))
         assert type(draw).__name__ == "builtin_function_or_method"
+        if kind == samplers.WALLACE:
+            for _ in range(3 * wallace.DEFAULT_POOL_SIZE + 1):
+                draw()
+            assert pools[0].pass_count == 3
     monkeypatch.setattr(_fill, "library", lambda: None)
     draw = make_sampler(config, UniformSource(
         1, recycling=config.recycling_enabled))

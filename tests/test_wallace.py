@@ -1,11 +1,16 @@
 """Pool generator: orthogonality, norm conservation, emitted distribution;
 the compiled regroup against the numpy one, with the fill and with it
-forced off, and the pools that only the numpy regroup may take."""
+forced off, and the pools that only the numpy regroup may take; the
+compiled pass of a bound draw against ``_next_pass``, and the draws that
+keep the Python pass."""
 
 import functools
+import gc
 import hashlib
 import math
 import struct
+import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -19,7 +24,9 @@ from fvn.stats import ks_test, measure_consumption, moments
 from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q, NormalPool,
                          _block_permutation, emit_passes, init_pool,
                          next_normal, refresh)
-from tests.test_comparison_draw import binding, over_entries  # noqa: F401
+from tests.test_comparison_draw import (  # noqa: F401
+    OverridesRandomRaw, RawOnly, WeakPCG64, binding, fill_only, over_entries,
+    waits_for_the_lock)
 
 
 def test_transform_is_orthogonal_to_machine_zero():
@@ -247,13 +254,17 @@ def read_only(values):
     return values
 
 
-@pytest.mark.parametrize("make_values", [
+# Hand-built pool values that C cannot read in place.
+UNREADABLE_LAYOUTS = pytest.mark.parametrize("make_values", [
     lambda: np.arange(256, dtype=np.float32),
     lambda: np.arange(512.0)[::2],              # a strided view
     lambda: np.arange(258.0),                   # not a multiple of BLOCK
     lambda: read_only(np.arange(256.0)),
     lambda: np.arange(256.0).reshape(-1, BLOCK),
 ], ids=["float32", "strided", "size-258", "read-only", "2-d"])
+
+
+@UNREADABLE_LAYOUTS
 def test_pools_c_cannot_read_take_the_numpy_regroup(make_values, monkeypatch):
     """A hand-built pool whose values are not 1-D, C-contiguous, writeable
     float64 with a size that is a multiple of BLOCK never reaches
@@ -290,7 +301,206 @@ def test_a_pool_c_can_read_reaches_the_compiled_regroup(monkeypatch):
     pool = NormalPool(values=values, pass_count=1, norm_sq=1.0,
                       read_cursor=0, emit_scale=1.0)
     refresh(pool, WordSource([(5 << 32) | 6]))
-    # stride 7 (6 | 1), offset 5, the transpose on an odd pass
+    # stride 7 (6 | 1), offset 5, the transpose on an odd pass, no snapshot
     assert calls == [(values.ctypes.data, 256, 7, 5,
-                      wallace._ORTHO_Q_T.ctypes.data)]
+                      wallace._ORTHO_Q_T.ctypes.data, None, 0.0)]
     assert pool.pass_count == 2
+
+
+# The compiled pass: the builtin emitter of ``emit_passes`` begins each
+# pass itself on an engine the fill reads.
+
+PASSES = 40     # even and odd passes: Q and its transpose
+# A recycled store, popped from its end: two passes' u1 and u2, then a u1
+# of 0, which is drawn again.
+STORE = [0.0, 0.5, 0.125, 0.75, 0.375]
+
+
+def refuse_python_pass(monkeypatch):
+    """Makes ``wallace._next_pass`` fail the test when a draw calls it, and
+    returns the real one, the spec of the compiled pass."""
+    def refuse(*args):
+        raise AssertionError("the Python pass ran")
+
+    spec = wallace._next_pass
+    monkeypatch.setattr(wallace, "_next_pass", refuse)
+    return spec
+
+
+def source_fields(src):
+    return (src.draws, src._pos, src._spent, src._floats.tobytes(),
+            list(src.recycled))
+
+
+def pool_fields(pool):
+    return (pool.emitted.tobytes(), pool.values.tobytes(), pool.pass_count,
+            pool.emit_scale)
+
+
+def unread(src, n=8):
+    """``draws``, the recycled store and the next ``n`` fresh words of
+    ``src``: its buffer's rest, then its engine's, read from a copy.  Two
+    sources with the same of these draw the same stream, whether a word
+    waits in the buffer or in the engine."""
+    rest = src._floats[src._pos:src._pos + n].tolist()
+    engine = np.random.PCG64()
+    engine.state = src._engine.state
+    words = engine.random_raw(n - len(rest)) >> np.uint64(64 - 53)
+    return src.draws, list(src.recycled), rest + (words / 2 ** 53).tolist()
+
+
+@fill_only
+@pytest.mark.parametrize("case", ["recycled", "u1-zero", "runs-out"])
+@pytest.mark.parametrize("size", [256, 1020, 4096])   # 1020: stride bumps
+def test_the_compiled_pass_is_next_pass_bit_for_bit(size, case, monkeypatch):
+    """After each of 40 passes begun by the builtin, the values emitted,
+    the pool's bytes, ``pass_count``, ``emit_scale``, ``draws`` and the
+    source's buffer, position, spent words and recycled store are those of
+    ``_next_pass`` on a twin.  Each source's buffer is refilled once after
+    the bootstrap, as a direct call refills it.  "recycled": recycling on,
+    with a scripted store popped for Box-Muller's uniforms, whose third
+    u1 is 0 (the bootstrap's own scale pops what its fill leaves);
+    "u1-zero": a scripted u1 of 0 makes Box-Muller draw u1 again;
+    "runs-out": the buffer runs out in the middle of the first pass, and
+    the compiled pass reads on from the engine and leaves the buffer
+    empty, as the fill does, so from then on the sources are compared by
+    their draws, store and unread words."""
+    pools = []
+    for _ in range(2):
+        src = UniformSource(40 + size, recycling=case == "recycled")
+        pool = init_pool(size, src)
+        src._refill()
+        if case == "recycled":
+            src.recycled[:] = STORE
+        elif case == "u1-zero":
+            src._floats[src._pos + 1] = 0.0
+        elif case == "runs-out":
+            src._pos = len(src._floats) - 2
+        pools.append((pool, src))
+    (pool, src), (twin_pool, twin) = pools
+    spec = refuse_python_pass(monkeypatch)
+    draw = emit_passes(pool, src)
+    for _ in range(size):
+        draw()
+    for n in range(PASSES):
+        before = twin.draws
+        values = [draw()]
+        spec(twin_pool, twin)
+        assert pool_fields(pool) == pool_fields(twin_pool), n
+        if case == "runs-out":
+            assert unread(src) == unread(twin), n
+        else:
+            assert source_fields(src) == source_fields(twin), n
+        values += [draw() for _ in range(size - 1)]
+        assert array("d", values).tobytes() == twin_pool.emitted.tobytes()
+        if n == 0:
+            # the word, a retried u1 and u2; or two pops from the store
+            assert twin.draws - before == {"u1-zero": 4,
+                                           "recycled": 1}.get(case, 3)
+            assert len(twin.recycled) == 3 * (case == "recycled")
+            assert (not src._floats) == (case == "runs-out")
+    assert pool.pass_count == PASSES
+
+
+@fill_only
+def test_the_compiled_pass_waits_for_the_engine_lock(monkeypatch):
+    """The draw that begins a pass returns only once another thread lets
+    the engine's lock go."""
+    engine = np.random.PCG64(4)
+    src = UniformSource(0, engine=engine, recycling=False)
+    pool = init_pool(256, src)
+    draw = emit_passes(pool, src)
+    refuse_python_pass(monkeypatch)
+    for _ in range(256):
+        draw()
+    before = src.draws
+    assert waits_for_the_lock(engine, draw)
+    assert src.draws == before + 3 and pool.pass_count == 1
+
+
+@fill_only
+def test_the_compiled_pass_lets_its_pool_and_source_go_with_it(monkeypatch):
+    """The draw holds the pool, its source, the engine and the snapshot
+    while it lives, beginning passes itself, and lets them go, with no
+    garbage collection, when it goes."""
+    src = UniformSource(0, engine=WeakPCG64(5), recycling=False)
+    pool = init_pool(256, src)
+    draw = emit_passes(pool, src)
+    refuse_python_pass(monkeypatch)
+    held = [weakref.ref(obj) for obj in (pool, src, src._engine,
+                                         pool.emitted, pool.values)]
+    del src, pool
+    for _ in range(3 * 256 + 1):
+        draw()
+    assert held[0]().pass_count == 3
+    assert all(ref() is not None for ref in held)
+    gc.disable()
+    try:
+        del draw
+        assert [ref() for ref in held] == [None] * 5
+    finally:
+        gc.enable()
+
+
+def python_passes(monkeypatch):
+    """Counts the calls of ``wallace._next_pass``, which still runs."""
+    calls = []
+    spec = wallace._next_pass
+
+    def spy(pool, src):
+        calls.append(pool.pass_count)
+        spec(pool, src)
+
+    monkeypatch.setattr(wallace, "_next_pass", spy)
+    return calls
+
+
+@fill_only
+@pytest.mark.parametrize("make_engine", [
+    lambda: RawOnly(np.random.PCG64(7)),
+    lambda: OverridesRandomRaw(7),
+], ids=["raw-only", "overrides-random-raw"])
+def test_an_engine_the_fill_cannot_read_keeps_the_python_pass(make_engine,
+                                                              monkeypatch):
+    """With the library loaded, the draw on an engine read through
+    ``random_raw`` only is the builtin emitter with ``_next_pass`` as its
+    refill: the values and ``draws`` of ``next_normal`` on a twin."""
+    src, twin = (UniformSource(0, engine=make_engine(), recycling=False)
+                 for _ in range(2))
+    pool, twin_pool = init_pool(256, src), init_pool(256, twin)
+    expected = [(next_normal(twin_pool, twin), twin.draws)
+                for _ in range(3 * 256 + 1)]
+    calls = python_passes(monkeypatch)
+    draw = emit_passes(pool, src)
+    assert type(draw).__name__ == "builtin_function_or_method"
+    assert [(draw(), src.draws) for _ in expected] == expected
+    assert calls == [0, 1, 2]
+
+
+@UNREADABLE_LAYOUTS
+def test_pools_c_cannot_read_keep_the_python_pass(make_values, monkeypatch):
+    """A hand-built pool whose values C cannot read, bound by
+    ``emit_passes``, begins its pass with ``_next_pass`` when the library
+    loads, with the values or the error it gives with no library."""
+    calls = python_passes(monkeypatch)
+
+    def outcome(lib):
+        calls.clear()
+        monkeypatch.setattr(_fill, "library", lambda: lib)
+        values = make_values()
+        pool = NormalPool(values=values, pass_count=0, norm_sq=1.0,
+                          read_cursor=0, emit_scale=1.0,
+                          emitted=array("d", bytes(8 * values.size)))
+        src = UniformSource(617, recycling=False)
+        draw = emit_passes(pool, src)
+        out = []
+        for _ in range(values.size + 2):
+            try:
+                out.append(draw())
+            except (ValueError, IndexError) as exc:
+                out.append((type(exc), str(exc)))
+        return out, pool.pass_count, src.draws, list(calls)
+
+    loaded = _fill.library()
+    assert outcome(None) == outcome(loaded)
+    assert calls
