@@ -10,13 +10,15 @@
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
-   or the bisection of the cumulative masses,
-   either clamped to K as tables.select_interval clamps it, the position
-   in that interval's row of IntervalTable.by_k, the run test with its
-   MAX_RUN_LENGTH cap, the last-in-first-out recycled store, the exp_vn
-   restart and the MAX_TRIALS cap.  It reads the same doubles in the same
-   order and does the same IEEE operations, so built with -ffp-contract=off
-   (no fused multiply-add) it makes the same values bit for bit.
+   or the bisect_right index of u in the cumulative masses, found through
+   the kernel's guide table (Chen and Asau, AIIE Trans. 6, 1974) with one
+   lookup and a short scan, either clamped to K as tables.select_interval
+   clamps it, the position in that interval's row of IntervalTable.by_k,
+   the run test with its MAX_RUN_LENGTH cap, the last-in-first-out
+   recycled store, the exp_vn restart and the MAX_TRIALS cap.  It reads
+   the same doubles in the same order and does the same IEEE operations,
+   so built with -ffp-contract=off (no fused multiply-add) it makes the
+   same values bit for bit.
 
    Fresh words come from buf while pos < nbuf, then from the engine: a
    bitgen_t of numpy's own header, numpy/random/bitgen.h, read with
@@ -51,6 +53,7 @@
 #define MAX_RUN_LENGTH 64
 #define MAX_TRIALS 1024
 #define TWO_PI (2.0 * 3.14159265358979323846) /* samplers._TWO_PI */
+#define GUIDE_LEN 256 /* a mass table's guide entries; a power of two */
 /* a fresh uniform from one word of the engine, as random_raw's words are
    cut by UniformSource._refill */
 #define ENGINE_UNIFORM(eng) \
@@ -61,6 +64,9 @@ enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
 typedef struct {
     const double *rows; /* IntervalTable.by_k: lo, width, top, lo_sq per interval */
     const double *cum;  /* IntervalTable.cum_probs, NULL on a dyadic table */
+    /* guide[b] = bisect_right(cum, b / GUIDE_LEN) for b < GUIDE_LEN, NULL
+       on a dyadic table */
+    const uint8_t *guide;
     int64_t K;          /* the intervals; on a mass table, the length of cum */
     int64_t normal;
     int64_t restart;
@@ -142,15 +148,25 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                 if (j >= K)
                     j = K - 1;
             } else {
-                int64_t lo = 0, hi = K;
+                /* bisect_right(cum, u): guide[b], b = floor(u G), counts
+                   the masses <= b / G <= u, so the scan up from it stops
+                   at the first mass above u.  u G is exact.  A u off
+                   [0, 1), which a store set from Python can hold, takes
+                   bucket 0 when below 0 or NaN (every mass is above 0)
+                   and G - 1 when >= 1, where the scan still stops at
+                   bisect_right's index; no read falls outside the guide. */
+                double t;
+                int64_t lo;
                 UNIFORM(u);
-                while (lo < hi) {       /* bisect_right */
-                    int64_t mid = (lo + hi) / 2;
-                    if (u < cum[mid])
-                        hi = mid;
-                    else
-                        lo = mid + 1;
-                }
+                t = u * GUIDE_LEN;
+                if (!(t >= 0.0))
+                    lo = kn->guide[0];
+                else if (t >= GUIDE_LEN)
+                    lo = kn->guide[GUIDE_LEN - 1];
+                else
+                    lo = kn->guide[(int64_t)t];
+                while (lo < K && !(u < cum[lo]))
+                    lo++;
                 j = lo < K ? lo : K - 1;   /* the tail beyond a_K */
             }
             row = kn->rows + 4 * j;

@@ -35,6 +35,7 @@ import stat
 import sys
 import tempfile
 from array import array
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,14 @@ BUILD_TIMEOUT_S = 120
 # fvn_state.status, as _fill.c sets it: the index of its message in
 # bitstream._FILL_ERRORS
 FILL_OVERFLOW, FILL_TRIALS = 1, 2
+# the entries of a mass table's guide, a power of two, so b / GUIDE_LEN
+# and u * GUIDE_LEN are exact
+GUIDE_LEN = 256
 
 
 class Kernel(ctypes.Structure):
     _fields_ = [("rows", ctypes.c_void_p), ("cum", ctypes.c_void_p),
+                ("guide", ctypes.c_void_p),
                 ("K", ctypes.c_int64), ("normal", ctypes.c_int64),
                 ("restart", ctypes.c_int64), ("recycling", ctypes.c_int64)]
 
@@ -252,17 +257,27 @@ def emitter(refill, values: array, cursor: array, lib=None, fill=None,
 
 @functools.lru_cache(maxsize=32)
 def kernel(table, recycling: bool):
-    """The ``Kernel`` of a table and recycling flag.  It keeps its row and
-    mass arrays alive, since it holds only their addresses, and its
-    composed draw ``draw``, for every variate the fill does not make."""
+    """The ``Kernel`` of a table and recycling flag: the addresses of its
+    rows, ``by_k`` flattened to K x (low, width, top, low_sq) doubles
+    (low_sq 0.0 on an exponential table), and, on a mass table, of its
+    ``cum_probs`` and their guide, GUIDE_LEN bytes with ``guide[b] =
+    bisect_right(cum_probs, b / GUIDE_LEN)``, from which ``fvn_fill``
+    finds the index ``tables.select_interval`` bisects for; then K, the
+    normal, restart and recycling flags.  It keeps those arrays alive,
+    since it holds only their addresses, and its composed draw ``draw``,
+    for every variate the fill does not make."""
     from .samplers import comparison_draw   # deferred: an import cycle
 
     rows = array("d", (0.0 if v is None else v   # lo_sq on an exp table
                        for row in table.by_k for v in row))
     cum = array("d", table.cum_probs or ())
+    # K <= tables.MAX_TABLE_LEN, so every entry fits a byte
+    guide = array("B", (bisect_right(table.cum_probs, b / GUIDE_LEN)
+                        for b in range(GUIDE_LEN)) if table.cum_probs else ())
     kn = Kernel(rows.buffer_info()[0],
                 cum.buffer_info()[0] if table.cum_probs else None,
+                guide.buffer_info()[0] if table.cum_probs else None,
                 table.K, table.is_normal, table.restarts, recycling)
-    kn.arrays = (rows, cum)
+    kn.arrays = (rows, cum, guide)
     kn.draw = functools.partial(comparison_draw, table)
     return kn

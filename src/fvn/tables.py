@@ -81,12 +81,12 @@ class IntervalTable:
     plus what the scheme needs to sample from them, all computed from
     ``(scheme, K)`` by the scheme's layout function.
 
-    The mass-table schemes carry ``cum_probs``, the cumulative masses that
-    selection bisects; dyadic schemes carry none and select by
-    leading-zero counting.  Normal schemes carry ``boundaries_sq`` so the
-    shifted exponent (x^2 - a^2)/2 uses the exact squared boundary (2k-1
-    is exact for the sqrt(2k-1) scheme, where the float square of a_k
-    would not be).
+    The mass-table schemes carry ``cum_probs``, the cumulative masses in
+    which selection finds u's interval (``select_interval``); dyadic
+    schemes carry none and select by leading-zero counting.  Normal
+    schemes carry ``boundaries_sq`` so the shifted exponent (x^2 - a^2)/2
+    uses the exact squared boundary (2k-1 is exact for the sqrt(2k-1)
+    scheme, where the float square of a_k would not be).
 
     The per-interval constants are computed once, as one ``(low, width,
     top, low_sq)`` row in ``by_k`` per interval, k = 1..K, indexed by
@@ -235,7 +235,12 @@ build_normal_brent = partial(IntervalTable, NORMAL_BRENT)
 
 
 def select_interval(table: IntervalTable, src: UniformSource) -> int:
-    """Pick k in [1, K]; mass beyond the table folds into the last interval."""
+    """Pick k in [1, K]; mass beyond the table folds into the last interval.
+
+    This is the spec of the selection.  On a mass table k - 1 is
+    ``bisect_right(cum_probs, u)`` for one uniform u; the compiled fill
+    reaches the same k, for every double u, through the guide table of
+    ``_fill.kernel`` and a short scan."""
     if table.is_dyadic:
         k = src.geometric_index()
     else:

@@ -13,6 +13,7 @@ of a numpy source's buffer (``scripted``), not from an injected engine."""
 
 import copy
 import gc
+import math
 import pickle
 import random
 import sys
@@ -23,6 +24,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvn import _fill, bitstream, samplers, tables
 from fvn.bitstream import MAX_RUN_LENGTH, MAX_TRIALS, UniformSource
@@ -334,6 +337,102 @@ def test_kernel_on_extreme_positions_in_forsythe_interval_3(position_word,
     assert table.boundaries[2] <= value <= table.boundaries[3]
     if recycling and position_word == 0:
         assert fast.recycled[-1] == 3 * 2 ** -53
+
+
+# The mass-table selection: the fill finds bisect_right's index through
+# the kernel's guide, tables.select_interval by bisecting.
+
+MASS_KINDS = (samplers.EXP_VN, samplers.NORMAL_FORSYTHE)
+
+
+def selection_edge_words(tables_):
+    """The 53-bit words on and just below each cumulative mass of
+    ``tables_`` and each bucket edge b / GUIDE_LEN of the guide.  Every
+    mass is at least 1/2, so a multiple of 2**-53 with an exact word; a
+    mass of 1.0 has no word."""
+    edges = {b * 2 ** 53 // _fill.GUIDE_LEN for b in range(_fill.GUIDE_LEN)}
+    for table in tables_:
+        assert min(table.cum_probs) >= 0.5
+        edges |= {int(c * 2 ** 53) for c in table.cum_probs if c < 1.0}
+    return sorted({w - d for w in edges for d in (0, 1)} - {-1})
+
+
+@pytest.mark.parametrize("K", [8, tables.DEFAULT_TABLE_LEN])
+@pytest.mark.parametrize("recycling", [False, True])
+@over_entries("scheme", MASS_KINDS)
+def test_fill_selects_bisect_rights_interval_on_edge_words(scheme, recycling,
+                                                           K):
+    """A selection word on each cumulative mass and each guide bucket edge,
+    and one word below each: the fill's guide and scan give the interval
+    that ``select_interval`` bisects for, so one ``fill_variates`` of two
+    variates, the first on the scripted words, has the value and state of
+    two composed draws on a twin."""
+    table = tables.IntervalTable(scheme, K)
+    sign = [1 << 52] if table.is_normal else []
+    for word in selection_edge_words([table]):
+        fast, slow = (scripted(sign + [word, 1 << 52, 2 ** 53 - 1])(
+            recycling) for _ in range(2))
+        values = fast.fill_variates(table, 2).tolist()
+        assert values == [comparison_draw(table, slow) for _ in range(2)], word
+        assert state(fast) == state(slow), word
+
+
+@pytest.mark.parametrize("stored", [1.0, 1.5, -0.0, -1e-300, math.inf,
+                                    -math.inf, math.nan], ids=repr)
+@over_entries("kind", MASS_KINDS)
+def test_fill_selects_bisect_rights_interval_on_an_out_of_range_store(
+        kind, stored):
+    """``src.recycled`` is public, so it can hold a uniform off [0, 1),
+    which the selection pops: the fill takes the guide's first bucket
+    for a negative u or NaN and its last for u >= 1, and gives the
+    composed draw's value, or error, and state."""
+    config = default_config(kind, recycling=True)
+    fast, slow = (UniformSource(29, recycling=True) for _ in range(2))
+    for src in (fast, slow):
+        src.recycled.append(stored)
+    assert outcome(lambda: fast.fill_variates(config.table, 1)[0], fast) == \
+           outcome(partial(comparison_draw, config.table, slow), slow)
+    assert state(fast) == state(slow)
+
+
+@pytest.fixture(scope="module")
+def compiled_fill():
+    """The compiled fill, for tests that cannot take the function-scoped
+    ``binding``; skipped when it does not load."""
+    if _fill.library() is None:
+        pytest.skip("the compiled fill did not load")
+
+
+MASS_TABLES = [default_config(kind).table for kind in MASS_KINDS]
+SCRIPT_WORDS = st.one_of(
+    st.sampled_from([0, 1, 1 << 52, 2 ** 53 - 1]),
+    st.sampled_from(selection_edge_words(MASS_TABLES)),
+    st.integers(min_value=0, max_value=2 ** 53 - 1))
+
+
+@pytest.mark.usefixtures("compiled_fill")
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(words=st.lists(SCRIPT_WORDS, max_size=60),
+       table=st.sampled_from(MASS_TABLES), recycling=st.booleans(),
+       n=st.integers(min_value=1, max_value=6))
+def test_fill_is_the_composed_draw_on_any_script(words, table, recycling, n):
+    """Up to 60 scripted words, edge words among them, at the head of the
+    buffer, then the engine: ``fill_variates`` of n variates has the
+    values, or the error, and the state of n composed draws on a twin.
+    The values are compared by their bytes, so the sign of a zero
+    counts."""
+    fast, slow = (scripted(words)(recycling) for _ in range(2))
+    try:
+        got = fast.fill_variates(table, n).tobytes()
+    except RuntimeError as exc:
+        got = repr(exc)
+    try:
+        want = array("d", [comparison_draw(table, slow)
+                           for _ in range(n)]).tobytes()
+    except RuntimeError as exc:
+        want = repr(exc)
+    assert got == want
+    assert state(fast) == state(slow)
 
 
 @over_entries("kind", KINDS)

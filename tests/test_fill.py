@@ -14,11 +14,12 @@ import sys
 import sysconfig
 import weakref
 from array import array
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import pytest
 
-from fvn import _fill, bitstream, samplers, wallace
+from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_samplers import STREAM_PINS
@@ -223,9 +224,10 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
         expected[f"offsetof(fvn_kernel, {field})"] = getattr(
             _fill.Kernel, field).offset
     for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
-                          (_fill, ("FILL_OVERFLOW", "FILL_TRIALS"))):
+                          (_fill, ("FILL_OVERFLOW", "FILL_TRIALS",
+                                   "GUIDE_LEN"))):
         expected.update((name, getattr(module, name)) for name in names)
-    assert len(expected) == 1 + 6 + 5
+    assert len(expected) == 1 + 7 + 6
     proc = syntax_check(tmp_path, layout_probe(expected))
     assert proc.returncode == 0, proc.stderr
     wrong = {**expected, "offsetof(fvn_kernel, recycling)":
@@ -233,6 +235,47 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
     proc = syntax_check(tmp_path, layout_probe(wrong))
     assert proc.returncode != 0
     assert "offsetof(fvn_kernel, recycling) is not" in proc.stderr
+
+
+def guide_of(kn):
+    """The guide a kernel points at, read from its address."""
+    return list((ctypes.c_uint8 * _fill.GUIDE_LEN).from_address(kn.guide))
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 35, 36, 37, 53, 64])
+@pytest.mark.parametrize("scheme", [tables.EXP_VN, tables.NORMAL_FORSYTHE])
+def test_a_mass_table_kernel_points_at_its_guide(scheme, K):
+    """Entry b of a mass-table kernel's guide is ``bisect_right(cum_probs,
+    b / GUIDE_LEN)``, the first index ``select_interval`` can give for a u
+    in bucket b, on either recycling flag; a dyadic kernel has no guide
+    and no masses."""
+    assert _fill.GUIDE_LEN & (_fill.GUIDE_LEN - 1) == 0
+    table = tables.IntervalTable(scheme, K)
+    want = [bisect_right(table.cum_probs, b / _fill.GUIDE_LEN)
+            for b in range(_fill.GUIDE_LEN)]
+    for recycling in (False, True):
+        assert guide_of(_fill.kernel(table, recycling)) == want
+    dyadic = tables.IntervalTable(tables.EXP_BRENT if scheme == tables.EXP_VN
+                                  else tables.NORMAL_BRENT, K)
+    kn = _fill.kernel(dyadic, True)
+    assert (kn.cum, kn.guide) == (None, None)
+
+
+def test_a_mass_on_a_bucket_edge_starts_the_next_bucket(monkeypatch):
+    """Masses on bucket edges, 1/2 and 3/4, where ``bisect_left`` and
+    ``bisect_right`` differ: a u of exactly 1/2 lies in interval 2, so
+    the guide's entry for that bucket is past the mass."""
+    monkeypatch.setitem(tables._LAYOUTS, tables.EXP_VN, lambda K: (
+        (0.0, 1.0, 2.0, 3.0), None, (0.5, 0.75, 1.0)))
+    table = tables.IntervalTable(tables.EXP_VN, 3)
+    guide = guide_of(_fill.kernel(table, False))
+    half, three_quarters = _fill.GUIDE_LEN // 2, 3 * _fill.GUIDE_LEN // 4
+    assert guide[half - 1: half + 1] == [0, 1]
+    assert guide[three_quarters - 1: three_quarters + 1] == [1, 2]
+    assert guide == [bisect_right(table.cum_probs, b / _fill.GUIDE_LEN)
+                     for b in range(_fill.GUIDE_LEN)]
+    assert guide != [bisect_left(table.cum_probs, b / _fill.GUIDE_LEN)
+                     for b in range(_fill.GUIDE_LEN)]
 
 
 # The emitter, in its two spellings: ``fvn_emitter`` of the compiled
