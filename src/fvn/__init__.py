@@ -6,12 +6,13 @@ calls on the sampling path), three interval-subdivision schemes, a
 pool-based normal generator refreshed by orthogonal transforms, and the
 statistical machinery that verifies all of it.
 
-The sampling core needs only numpy.  Where gcc is installed, the
-comparison-method samplers run a block fill compiled on first use
-(``fvn/_fill.c``) that makes the same values as their composed draw,
-``fvn.samplers.comparison_draw``, and the Wallace pool refreshes with a
-regroup compiled into the same library that makes the same bytes as its
-numpy one.  The verification layer is the submodule ``fvn.stats``; it is not
+The sampling core needs only numpy.  Where gcc is installed, an extension
+module is compiled from ``fvn/_fill.c`` on first use: the
+comparison-method samplers run its block fill, which makes the same
+values as their composed draw, ``fvn.samplers.comparison_draw``, the
+Wallace pool refreshes with its regroup, which makes the same bytes as
+the numpy one, and every bound sampler's draw is its ``Draw`` type.
+The verification layer is the submodule ``fvn.stats``; it is not
 imported here, and it loads scipy only inside the two functions that
 call it.
 """

@@ -1,12 +1,15 @@
-/* The compiled kernels of fvn: fvn_fill, the block fill of
-   comparison-method variates, and fvn_fill_source, which runs it on a
-   UniformSource's own state; fvn_refresh, one pass of the Wallace pool's
-   regroup, with the pass's snapshot written as it goes when asked; and
-   fvn_emitter, the draw that hands a bound sampler's block back to Python
-   one float at a time and, on a numpy engine, refills it itself: a
+/* The compiled kernels of fvn, an extension module built on first use and
+   loaded by fvn._fill: fvn_fill, the block fill of comparison-method
+   variates, and fvn_fill_source, which runs it on a UniformSource's own
+   state (the module's fill_source); fvn_refresh, one pass of the Wallace
+   pool's regroup, with the pass's snapshot written as it goes when asked;
+   and the draw, a small object of type Draw, callable with no arguments
+   through its vectorcall slot, that hands a bound sampler's block back to
+   Python one float at a time and, on a numpy engine, refills it itself: a
    comparison sampler's block with fvn_fill_source, a Wallace pool's
    snapshot by beginning the next pass (wallace_pass), which reads the
-   source's state through the same helpers as fvn_fill_source.
+   source's state through the same helpers as fvn_fill_source.  The
+   module also exports the constants below that Python repeats.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
@@ -61,7 +64,10 @@
 
 enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
 
+/* A table's kernel, built by the module's kernel(): it holds the buffers
+   of the three arrays that its pointers read. */
 typedef struct {
+    PyObject_HEAD
     const double *rows; /* IntervalTable.by_k: lo, width, top, lo_sq per interval */
     const double *cum;  /* IntervalTable.cum_probs, NULL on a dyadic table */
     /* guide[b] = bisect_right(cum, b / GUIDE_LEN) for b < GUIDE_LEN, NULL
@@ -71,6 +77,7 @@ typedef struct {
     int64_t normal;
     int64_t restart;
     int64_t recycling;
+    Py_buffer views[3]; /* of rows, cum and guide */
 } fvn_kernel;
 
 typedef struct {
@@ -225,11 +232,12 @@ commit:
 }
 
 
-/* The names fvn_fill_source and the Wallace pass read and write, interned
-   on first use, and math.sqrt, which the pass calls. */
+/* The names fvn_fill_source, the Wallace pass and the draw's constructors
+   read and write, interned when the module loads, and math.sqrt, which the
+   pass calls. */
 enum { N_FLOATS, N_POS, N_SPENT, N_RECYCLED, N_SIGN_BITS, N_SIGN_WORD,
        N_LOCK, N_ACQUIRE, N_RELEASE, N_PASS_COUNT, N_NORM_SQ, N_EMIT_SCALE,
-       N_NAMES };
+       N_VALUES, N_CAPSULE, N_NAMES };
 static PyObject *names[N_NAMES];
 static PyObject *math_sqrt;
 
@@ -237,7 +245,8 @@ static int intern_names(void)
 {
     static const char *const text[N_NAMES] = {
         "_floats", "_pos", "_spent", "recycled", "_sign_bits", "_sign_word",
-        "lock", "acquire", "release", "pass_count", "norm_sq", "emit_scale"};
+        "lock", "acquire", "release", "pass_count", "norm_sq", "emit_scale",
+        "values", "capsule"};
     int k;
 
     for (k = 0; k < N_NAMES; k++)
@@ -339,8 +348,7 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
     int64_t k;
 
     memset(o, 0, sizeof *o);
-    if (intern_names() < 0
-            || (o->floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
+    if ((o->floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
         return -1;
     if (PyObject_GetBuffer(o->floats, &o->view,
                            PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
@@ -438,18 +446,19 @@ done:
 }
 
 /* fvn_fill run on the state of src, a UniformSource, for both of its
-   callers: UniformSource.fill_variates, through ctypes, and the draw of a
-   bound sampler (emit_refill below).  It reads the state, holds
-   engine.lock while fvn_fill runs on bitgen, the bitgen_t of engine, and
-   writes the state back (source_read, source_write).  counts holds n + 1
-   words: the draws before the fill, then those after each variate.
+   callers: UniformSource.fill_variates, through the module's fill_source,
+   and the draw of a bound sampler (emit_refill below).  It reads the
+   state, holds engine.lock while fvn_fill runs on bitgen, the bitgen_t of
+   engine, and writes the state back (source_read, source_write).  counts
+   holds n + 1 words: the draws before the fill, then those after each
+   variate.
    Returns the variates made, with *status as fvn_fill sets it, or -1
    with a Python error set when the state cannot be read or written or
    the lock fails. */
-int64_t fvn_fill_source(PyObject *src, PyObject *engine,
-                        const bitgen_t *bitgen, const fvn_kernel *kn,
-                        double *out, int64_t *counts, int64_t n,
-                        int64_t *status)
+static int64_t fvn_fill_source(PyObject *src, PyObject *engine,
+                               const bitgen_t *bitgen, const fvn_kernel *kn,
+                               double *out, int64_t *counts, int64_t n,
+                               int64_t *status)
 {
     fvn_source o;
     int64_t made;
@@ -474,9 +483,11 @@ int64_t fvn_fill_source(PyObject *src, PyObject *engine,
    q as 4 x 4 row-major doubles.  The permutation is a bijection, so the
    blocks are disjoint and each is written in place.  With emitted not
    NULL, n doubles too, each output y is also written to the same
-   position of emitted as y * scale: wallace._snapshot's multiply. */
-void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
-                 const double *q, double *emitted, double scale)
+   position of emitted as y * scale: wallace._snapshot's multiply.  Python
+   calls it through the module's fvn_refresh, with no snapshot. */
+static void fvn_refresh(double *values, int64_t n, int64_t step,
+                        int64_t offset, const double *q, double *emitted,
+                        double scale)
 {
     int64_t p = offset, b;
 
@@ -503,50 +514,53 @@ void fvn_refresh(double *values, int64_t n, int64_t step, int64_t offset,
 }
 
 
-/* _fill.emitter's draw, as its Python spelling does it: values[cursor[0]]
-   with cursor[0] stepped while cursor[0] < cursor[1]; otherwise the block
-   is refilled first.  The refill rewrites values in place and sets the
-   cursor, or raises, and then so does the draw.  A refill that leaves no
-   value to read is an error too, so a stale value is never read.  values
-   and cursor are the buffers of an array("d") of n values and an
-   array("q") of two, which keep pins with a memoryview of each, so they
-   are never resized; an index outside values raises IndexError, as the
-   array does.  The draw is a builtin over a capsule that owns its
-   references, so it has no Python frame.  The capsule is not tracked by
-   the garbage collector, so nothing it holds may refer back to the draw.
+/* The draw, _fill.emitter's compiled spelling, as its Python spelling
+   does it: values[cursor[0]] with cursor[0] stepped while cursor[0] <
+   cursor[1]; otherwise the block is refilled first.  The refill rewrites
+   values in place and sets the cursor, or raises, and then so does the
+   draw.  A refill that leaves no value to read is an error too, so a
+   stale value is never read.  values and cursor are the buffers of an
+   array("d") of n values and an array("q") of two, which the draw holds
+   while it lives, so they are never resized; an index outside values
+   raises IndexError, as the array does.  The draw is an object of type
+   Draw whose vectorcall slot reads its own struct, so a value costs no
+   Python frame and no lookup; it takes no arguments.  Python cannot make
+   one: the module's three constructors below do.  It is not tracked by
+   the garbage collector, so nothing it holds may refer back to it.
 
    The refill is one of three:
-     refill()  a Python callable, when src is NULL.
+     refill()  a Python callable, when src is NULL (emitter).
      the fill  with src and a kernel, the draw of
-               UniformSource.bind_variates on an engine the fill reads:
-               fvn_fill_source on src, engine and bitgen, filling values
-               and counts (n + 1 words), with no Python frame.  A status
-               that stops the fill after some values is held until they
-               are read; then, or when it stops the fill at once, the
-               refill sets the cursor to 0 made and raises RuntimeError
-               with errors[status], as the Python refill of bind_variates
-               does.
+               UniformSource.bind_variates on an engine the fill reads
+               (fill_emitter): fvn_fill_source on src, engine and bitgen,
+               filling values and counts (n + 1 words), with no Python
+               frame.  A status that stops the fill after some values is
+               held until they are read; then, or when it stops the fill
+               at once, the refill sets the cursor to 0 made and raises
+               RuntimeError with errors[status], as the Python refill of
+               bind_variates does.
      the pass  with src and a pool, the draw of wallace.emit_passes on an
-               engine the fill reads: wallace_pass below begins the next
-               pass of the pool, whose snapshot is values, with no Python
-               frame, and sets cursor[0] to 0, as the Python refill of
-               emit_passes does. */
+               engine the fill reads (pass_emitter): wallace_pass below
+               begins the next pass of the pool, whose snapshot is values,
+               with no Python frame, and sets cursor[0] to 0, as the
+               Python refill of emit_passes does. */
 typedef struct {
-    PyObject *refill;
-    PyObject *keep;
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
     double *values;
     int64_t n;
     int64_t *cursor;
+    PyObject *refill;
     PyObject *src, *engine, *errors, *pool;
     const bitgen_t *bitgen;
-    const fvn_kernel *kernel;
+    fvn_kernel *kernel;
     int64_t *counts;
     int64_t held;
     double *pool_values;
     const double *q;
+    /* of values, cursor, then counts, or the pool's values and q */
+    Py_buffer views[4];
 } fvn_emit;
-
-#define EMITTER "fvn.emitter"
 
 /* next_word's and next_uniform's reads of the state s */
 static double source_fresh(fvn_state *s)
@@ -662,14 +676,18 @@ static int emit_refill(fvn_emit *e)
     return -1;
 }
 
-static PyObject *emit_next(PyObject *self, PyObject *unused)
+static PyObject *emit_next(PyObject *self, PyObject *const *args,
+                           size_t nargsf, PyObject *kwnames)
 {
-    fvn_emit *e = PyCapsule_GetPointer(self, EMITTER);
+    fvn_emit *e = (fvn_emit *)self;
     int64_t i;
 
-    (void)unused;
-    if (e == NULL)
+    (void)args;
+    if (PyVectorcall_NARGS(nargsf) != 0
+            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0)) {
+        PyErr_SetString(PyExc_TypeError, "a draw takes no arguments");
         return NULL;
+    }
     i = e->cursor[0];
     if (i >= e->cursor[1]) {
         if (emit_refill(e) < 0)
@@ -688,83 +706,374 @@ static PyObject *emit_next(PyObject *self, PyObject *unused)
     return PyFloat_FromDouble(e->values[i]);
 }
 
-static void emit_release(fvn_emit *e)
+static void emit_dealloc(PyObject *self)
 {
+    fvn_emit *e = (fvn_emit *)self;
+    int k;
+
+    for (k = 0; k < 4; k++)
+        PyBuffer_Release(&e->views[k]);
     Py_XDECREF(e->refill);
-    Py_XDECREF(e->keep);
     Py_XDECREF(e->src);
     Py_XDECREF(e->engine);
     Py_XDECREF(e->errors);
     Py_XDECREF(e->pool);
-    PyMem_Free(e);
+    Py_XDECREF((PyObject *)e->kernel);
+    Py_TYPE(self)->tp_free(self);
 }
 
-static void emit_free(PyObject *capsule)
+static PyTypeObject emit_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_fill.Draw",
+    .tp_basicsize = sizeof(fvn_emit),
+    .tp_dealloc = emit_dealloc,
+    .tp_vectorcall_offset = offsetof(fvn_emit, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL
+                | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_doc = "The next value of the block, refilled first once it is "
+              "used up.",
+};
+
+static void kernel_dealloc(PyObject *self)
 {
-    emit_release(PyCapsule_GetPointer(capsule, EMITTER));
+    fvn_kernel *kn = (fvn_kernel *)self;
+    int k;
+
+    for (k = 0; k < 3; k++)
+        PyBuffer_Release(&kn->views[k]);
+    Py_TYPE(self)->tp_free(self);
 }
 
-static PyMethodDef emit_def = {"emit", emit_next, METH_NOARGS,
-                               "The next value of the block, refilled first "
-                               "once it is used up."};
+static PyTypeObject kernel_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_fill.Kernel",
+    .tp_basicsize = sizeof(fvn_kernel),
+    .tp_dealloc = kernel_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_doc = "A table's kernel, as fvn_fill reads it.",
+};
 
-/* The draw, whose refill is refill() when bitgen is NULL.  Otherwise it
-   reads src, a UniformSource on engine, whose bitgen_t is bitgen, and
-   refill is not used: with pool_values NULL the refill is the fill, and
-   kernel and counts are those of fvn_fill_source and errors is a tuple of
-   a message by status; otherwise it is the pass, on pool, a
-   wallace.NormalPool, pool_values, its n values, and q, the transforms
-   of even and odd passes.  keep must hold what values, cursor, kernel, counts and
-   pool_values point into. */
-PyObject *fvn_emitter(PyObject *refill, PyObject *keep, double *values,
-                      int64_t n, int64_t *cursor, PyObject *src,
-                      PyObject *engine, const bitgen_t *bitgen,
-                      const fvn_kernel *kernel, int64_t *counts,
-                      PyObject *errors, PyObject *pool, double *pool_values,
-                      const double *q)
+/* Holds in view the buffer of obj as C-contiguous items of format fmt,
+   writable when asked.  Returns its items, or -1 with msg as a
+   ValueError, or the buffer's own error, and nothing held. */
+static Py_ssize_t get_array(PyObject *obj, Py_buffer *view, const char *fmt,
+                            int writable, const char *msg)
 {
-    PyObject *capsule, *draw;
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                           | (writable ? PyBUF_WRITABLE : 0)) < 0) {
+        view->obj = NULL;
+        return -1;
+    }
+    if (strcmp(view->format, fmt) != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, msg);
+        return -1;
+    }
+    return view->len / view->itemsize;
+}
+
+/* The bitgen_t of a numpy BitGenerator, from its capsule; it lives as long
+   as the engine. */
+static const bitgen_t *engine_bitgen(PyObject *engine)
+{
+    PyObject *capsule = PyObject_GetAttr(engine, names[N_CAPSULE]);
+    const bitgen_t *bitgen;
+
+    if (capsule == NULL)
+        return NULL;
+    bitgen = PyCapsule_GetPointer(capsule, "BitGenerator");
+    Py_DECREF(capsule);
+    return bitgen;
+}
+
+#define KERNEL_ARRAYS "a kernel reads K x 4 rows and K masses in an " \
+    "array('d') each and a guide of GUIDE_LEN in an array('B')"
+
+/* kernel(rows, cum, guide, K, normal, restart, recycling): a table's
+   kernel, over rows, IntervalTable.by_k flattened to K x (lo, width, top,
+   lo_sq) doubles, and, on a mass table, its cumulative masses, K doubles,
+   and their guide, GUIDE_LEN bytes; both None on a dyadic table. */
+static PyObject *new_kernel(PyObject *module, PyObject *args)
+{
+    PyObject *rows, *cum, *guide;
+    long long K;
+    int normal, restart, recycling;
+    fvn_kernel *kn;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOLppp:kernel", &rows, &cum, &guide, &K,
+                          &normal, &restart, &recycling))
+        return NULL;
+    if (K < 1 || K > PY_SSIZE_T_MAX / 4
+            || (cum == Py_None) != (guide == Py_None)) {
+        PyErr_SetString(PyExc_ValueError, KERNEL_ARRAYS);
+        return NULL;
+    }
+    if ((kn = (fvn_kernel *)PyType_GenericAlloc(&kernel_type, 0)) == NULL)
+        return NULL;
+    if (get_array(rows, &kn->views[0], "d", 0, KERNEL_ARRAYS) != 4 * K
+            || (cum != Py_None
+                && (get_array(cum, &kn->views[1], "d", 0, KERNEL_ARRAYS) != K
+                    || get_array(guide, &kn->views[2], "B", 0,
+                                 KERNEL_ARRAYS) != GUIDE_LEN))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, KERNEL_ARRAYS);
+        Py_DECREF(kn);
+        return NULL;
+    }
+    kn->rows = kn->views[0].buf;
+    kn->cum = kn->views[1].buf;
+    kn->guide = kn->views[2].buf;
+    kn->K = K;
+    kn->normal = normal;
+    kn->restart = restart;
+    kn->recycling = recycling;
+    return (PyObject *)kn;
+}
+
+#define BLOCK_ARRAYS "an emitter reads an array('d') block and an " \
+    "array('q') cursor of two"
+
+/* A draw over the block values and the cursor, with no refill yet. */
+static fvn_emit *emit_new(PyObject *values, PyObject *cursor)
+{
+    fvn_emit *e = (fvn_emit *)PyType_GenericAlloc(&emit_type, 0);
+    Py_ssize_t n;
+
+    if (e == NULL)
+        return NULL;
+    e->vectorcall = emit_next;
+    if ((n = get_array(values, &e->views[0], "d", 1, BLOCK_ARRAYS)) < 0
+            || get_array(cursor, &e->views[1], "q", 1, BLOCK_ARRAYS) != 2) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, BLOCK_ARRAYS);
+        Py_DECREF(e);
+        return NULL;
+    }
+    e->values = e->views[0].buf;
+    e->n = n;
+    e->cursor = e->views[1].buf;
+    return e;
+}
+
+/* emitter(refill, values, cursor): the draw whose refill is refill(). */
+static PyObject *new_emitter(PyObject *module, PyObject *args)
+{
+    PyObject *refill, *values, *cursor;
     fvn_emit *e;
 
-    if (bitgen != NULL && pool_values == NULL
-            && !(PyTuple_Check(errors)
-                 && PyTuple_GET_SIZE(errors) > FILL_TRIALS)) {
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOO:emitter", &refill, &values, &cursor)
+            || (e = emit_new(values, cursor)) == NULL)
+        return NULL;
+    e->refill = Py_NewRef(refill);
+    return (PyObject *)e;
+}
+
+#define FILL_COUNTS "the fill's counts must be an array('q') longer than " \
+    "the block"
+
+/* fill_emitter(src, engine, kernel, values, cursor, counts, errors): the
+   draw whose refill is the fill of kernel on src, a UniformSource on
+   engine, a numpy BitGenerator; counts as fvn_fill_source fills them and
+   errors a tuple of a message by status. */
+static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
+{
+    PyObject *src, *engine, *kernel, *values, *cursor, *counts, *errors;
+    fvn_emit *e;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOO!OOOO!:fill_emitter", &src, &engine,
+                          &kernel_type, &kernel, &values, &cursor, &counts,
+                          &PyTuple_Type, &errors))
+        return NULL;
+    if (PyTuple_GET_SIZE(errors) <= FILL_TRIALS) {
         PyErr_SetString(PyExc_TypeError, "errors must be a message by status");
         return NULL;
     }
-    if (bitgen != NULL && pool_values != NULL && (n <= 0 || n % 4 != 0)) {
-        PyErr_SetString(PyExc_ValueError, "a pool's size must be a positive "
-                        "multiple of 4");
+    if ((e = emit_new(values, cursor)) == NULL)
+        return NULL;
+    if ((e->bitgen = engine_bitgen(engine)) == NULL
+            || get_array(counts, &e->views[2], "q", 1, FILL_COUNTS) <= e->n) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, FILL_COUNTS);
+        Py_DECREF(e);
         return NULL;
     }
-    if ((e = PyMem_Calloc(1, sizeof *e)) == NULL)
-        return PyErr_NoMemory();
-    if (bitgen == NULL) {
-        e->refill = Py_NewRef(refill);
-    } else {
-        e->src = Py_NewRef(src);
-        e->engine = Py_NewRef(engine);
-        e->bitgen = bitgen;
+    e->counts = e->views[2].buf;
+    e->src = Py_NewRef(src);
+    e->engine = Py_NewRef(engine);
+    e->kernel = (fvn_kernel *)Py_NewRef(kernel);
+    e->errors = Py_NewRef(errors);
+    return (PyObject *)e;
+}
+
+#define POOL_VALUES "a pool's values must be as many float64 as its " \
+    "snapshot, a positive multiple of 4, and q the 2 x 4 x 4 doubles of " \
+    "the transforms of even and odd passes"
+
+/* pass_emitter(pool, src, engine, values, cursor, q): the draw whose
+   refill begins the next pass of pool, a wallace.NormalPool whose
+   snapshot is values, on src, a UniformSource on engine, a numpy
+   BitGenerator.  pool.values must be C-contiguous float64, as many as
+   values, and q the transforms of even and odd passes; the draw holds
+   both buffers. */
+static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
+{
+    PyObject *pool, *src, *engine, *values, *cursor, *q, *pool_values;
+    fvn_emit *e;
+    Py_ssize_t size;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOOOO:pass_emitter", &pool, &src, &engine,
+                          &values, &cursor, &q)
+            || (e = emit_new(values, cursor)) == NULL)
+        return NULL;
+    size = -1;
+    if ((pool_values = PyObject_GetAttr(pool, names[N_VALUES])) != NULL) {
+        size = get_array(pool_values, &e->views[2], "d", 1, POOL_VALUES);
+        Py_DECREF(pool_values);
     }
-    if (bitgen != NULL && pool_values != NULL) {
-        e->pool = Py_NewRef(pool);
-        e->pool_values = pool_values;
-        e->q = q;
-    } else if (bitgen != NULL) {
-        e->errors = Py_NewRef(errors);
-        e->kernel = kernel;
-        e->counts = counts;
-    }
-    e->keep = Py_NewRef(keep);
-    e->values = values;
-    e->n = n;
-    e->cursor = cursor;
-    capsule = PyCapsule_New(e, EMITTER, emit_free);
-    if (capsule == NULL) {
-        emit_release(e);
+    if (size != e->n || e->n <= 0 || e->n % 4 != 0
+            || get_array(q, &e->views[3], "d", 0, POOL_VALUES) != 32
+            || (e->bitgen = engine_bitgen(engine)) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, POOL_VALUES);
+        Py_DECREF(e);
         return NULL;
     }
-    draw = PyCFunction_New(&emit_def, capsule);
-    Py_DECREF(capsule);
-    return draw;
+    e->pool_values = e->views[2].buf;
+    e->q = e->views[3].buf;
+    e->src = Py_NewRef(src);
+    e->engine = Py_NewRef(engine);
+    e->pool = Py_NewRef(pool);
+    return (PyObject *)e;
+}
+
+#define FILL_ROOM "no room for n variates in an array('d') and their " \
+    "counts in an array('q')"
+
+/* fill_source(src, engine, kernel, values, counts, n) -> (made, status):
+   fvn_fill_source of kernel on src, a UniformSource on engine, a numpy
+   BitGenerator, into values, n doubles or more, and counts, n + 1 words
+   or more. */
+static PyObject *fill_source(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Py_buffer out = {0}, counts = {0};
+    const bitgen_t *bitgen;
+    Py_ssize_t n;
+    int64_t made, status = FILL_DONE;
+    PyObject *result = NULL;
+
+    (void)module;
+    if (nargs != 6 || !PyObject_TypeCheck(args[2], &kernel_type)) {
+        PyErr_SetString(PyExc_TypeError, "fill_source takes a source, its "
+                        "engine, a kernel, values, counts and n");
+        return NULL;
+    }
+    if (((n = PyLong_AsSsize_t(args[5])) == -1 && PyErr_Occurred())
+            || (bitgen = engine_bitgen(args[1])) == NULL)
+        return NULL;
+    if (n < 0 || get_array(args[3], &out, "d", 1, FILL_ROOM) < n
+            || get_array(args[4], &counts, "q", 1, FILL_ROOM) <= n) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, FILL_ROOM);
+        goto done;
+    }
+    made = fvn_fill_source(args[0], args[1], bitgen,
+                           (const fvn_kernel *)args[2], out.buf, counts.buf,
+                           n, &status);
+    if (made >= 0)
+        result = Py_BuildValue("(LL)", (long long)made, (long long)status);
+done:
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+#define REGROUP "a regroup reads n float64 values, a positive multiple of " \
+    "4, a step and an offset below n and 4 x 4 doubles of q"
+
+/* fvn_refresh(values, step, offset, q): fvn_refresh on values, with no
+   snapshot. */
+static PyObject *refresh(PyObject *module, PyObject *args)
+{
+    PyObject *values_obj, *q_obj, *result = NULL;
+    Py_buffer values = {0}, q = {0};
+    Py_ssize_t n, step, offset;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OnnO:fvn_refresh", &values_obj, &step,
+                          &offset, &q_obj))
+        return NULL;
+    n = get_array(values_obj, &values, "d", 1, REGROUP);
+    if (n <= 0 || n % 4 != 0 || step < 0 || step >= n || offset < 0
+            || offset >= n || get_array(q_obj, &q, "d", 0, REGROUP) != 16) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, REGROUP);
+        goto done;
+    }
+    fvn_refresh(values.buf, n, step, offset, q.buf, NULL, 0.0);
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&q);
+    PyBuffer_Release(&values);
+    return result;
+}
+
+static PyMethodDef fill_methods[] = {
+    {"kernel", new_kernel, METH_VARARGS,
+     "kernel(rows, cum, guide, K, normal, restart, recycling): a table's "
+     "kernel."},
+    {"emitter", new_emitter, METH_VARARGS,
+     "emitter(refill, values, cursor): a draw whose refill is refill()."},
+    {"fill_emitter", new_fill_emitter, METH_VARARGS,
+     "fill_emitter(src, engine, kernel, values, cursor, counts, errors): a "
+     "draw that refills its block with the compiled fill."},
+    {"pass_emitter", new_pass_emitter, METH_VARARGS,
+     "pass_emitter(pool, src, engine, values, cursor, q): a draw that "
+     "begins each pass of a Wallace pool in C."},
+    {"fill_source", (PyCFunction)(void (*)(void))fill_source, METH_FASTCALL,
+     "fill_source(src, engine, kernel, values, counts, n) -> (made, "
+     "status)."},
+    {"fvn_refresh", refresh, METH_VARARGS,
+     "fvn_refresh(values, step, offset, q): one regroup of a Wallace pool."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int fill_exec(PyObject *module)
+{
+    if (intern_names() < 0 || PyType_Ready(&kernel_type) < 0
+            || PyModule_AddType(module, &emit_type) < 0)
+        return -1;
+    /* PyModule_AddIntConstant under each constant's own name */
+    if (PyModule_AddIntMacro(module, WORD_BITS) < 0
+            || PyModule_AddIntMacro(module, MAX_RUN_LENGTH) < 0
+            || PyModule_AddIntMacro(module, MAX_TRIALS) < 0
+            || PyModule_AddIntMacro(module, FILL_OVERFLOW) < 0
+            || PyModule_AddIntMacro(module, FILL_TRIALS) < 0
+            || PyModule_AddIntMacro(module, GUIDE_LEN) < 0)
+        return -1;
+    return 0;
+}
+
+static PyModuleDef_Slot fill_slots[] = {
+    {Py_mod_exec, fill_exec},
+    {0, NULL},
+};
+
+static struct PyModuleDef fill_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_fill",
+    .m_doc = "The compiled kernels of fvn.",
+    .m_size = 0,
+    .m_methods = fill_methods,
+    .m_slots = fill_slots,
+};
+
+PyMODINIT_FUNC PyInit__fill(void)
+{
+    return PyModuleDef_Init(&fill_module);
 }

@@ -21,11 +21,11 @@ exact at the value it has reached.  On a numpy engine both run
 ``fvn_fill_source`` of ``_fill.c``: it reads this source's state, runs
 the compiled block fill, which reads the engine's words itself once the
 buffer is used up, and writes the state back.  ``fill_variates`` calls
-it through ctypes; a bound draw's builtin emitter calls it itself when
-its block is used up, with no Python frame or ctypes call per block.  On
-any other engine, or when the fill does not load, the composed draw
-makes every variate, refilling the buffer by ``random_raw`` as the
-direct calls do (see ``_fill_into``).
+it through the extension module's ``fill_source``; a bound draw, the
+module's ``Draw``, calls it itself when its block is used up, with no
+Python frame per block.  On any other engine, or when the module does
+not load, the composed draw makes every variate, refilling the buffer by
+``random_raw`` as the direct calls do (see ``_fill_into``).
 """
 
 from __future__ import annotations
@@ -234,17 +234,18 @@ class UniformSource:
         stopped them, if one did; the source is left as the composed draw
         leaves it by then.
 
-        One spelling makes them all: ``fvn_fill_source`` of ``lib`` when
-        it can read the engine (``_engine_reader``), which reads and writes
+        One spelling makes them all: ``fill_source`` of the extension
+        module ``lib`` when it can read the engine (``_engine_reader``),
+        on ``kernel.compiled``, which reads and writes
         back this source's state in C, reading on from the engine once the
         buffer is used up and leaving the buffer empty for the next direct
         call to refill; otherwise, or with ``lib`` None, the composed draw
         ``kernel.draw``.
         """
-        bitgen = None if lib is None else self._engine_reader()
-        if bitgen is not None:
-            made, status = _fill.fill_source(lib, self, self._engine, bitgen,
-                                             kernel, values, counts, n)
+        engine = None if lib is None else self._engine_reader()
+        if engine is not None:
+            made, status = lib.fill_source(self, engine, kernel.compiled,
+                                           values, counts, n)
             return made, (RuntimeError(_FILL_ERRORS[status]) if status
                           else None)
         counts[0] = self._spent + self._pos
@@ -258,29 +259,32 @@ class UniformSource:
             counts[made + 1] = self._spent + self._pos
         return n, None
 
-    def _engine_reader(self) -> int | None:
-        """The address of the engine's numpy ``bitgen_t``, for the fill to
-        read its words itself; None for an engine read through
-        ``random_raw`` only.  Never stored on the source, so building one
-        costs nothing more, and a copied or unpickled source reads its own
-        engine: ``fill_variates`` looks it up at each fill, and a bound
-        draw once, when it is bound, holding the engine with it."""
+    def _engine_reader(self) -> np.random.BitGenerator | None:
+        """The engine, when the fill can read its words itself: a numpy
+        ``BitGenerator`` whose ``random_raw`` is numpy's, whose
+        ``bitgen_t`` the extension module takes from its capsule; None
+        for an engine read through ``random_raw`` only.  Never stored on
+        the source, so building one costs nothing more, and a copied or
+        unpickled source reads its own engine: ``fill_variates`` looks it
+        up at each fill, and a bound draw once, when it is bound, holding
+        the engine with it."""
         engine = self._engine
         if (getattr(type(engine), "random_raw", None)
                 is not np.random.BitGenerator.random_raw):
             return None
-        return engine.ctypes.bit_generator.value
+        return engine
 
     def bind_variates(self, table: IntervalTable) -> Callable[[], float]:
         """A draw of endless values of ``samplers.comparison_draw(table,
         self)`` for a bound sampler, which ``claim``s the source.
 
         The draw reads ahead: each refill makes a block of FILL_BLOCK
-        variates in place, and ``_fill.emitter`` hands them back one per
-        call, with no Python frame per value when the library loads.  On
-        an engine the fill reads, with the library loaded, the builtin
-        refills the block itself with ``fvn_fill_source``, with no Python
-        frame or ctypes call per block; otherwise its refill is the Python
+        variates in place, and the draw hands them back one per call, with
+        no Python frame per value when the extension module loads: its
+        ``Draw``, as ``_fill.emitter`` makes it.  On an engine the fill
+        reads, with the module loaded, the draw is ``fill_emitter``'s,
+        which refills the block itself with ``fvn_fill_source``, with no
+        Python frame per block; otherwise its refill is the Python
         ``refill`` below, on the composed draw.  ``draws`` is exact after
         every value; the buffer position, the recycled store and the sign
         pool are those of the block's end.  An error that stops a block
@@ -293,10 +297,10 @@ class UniformSource:
         lib = _fill.library()
         kernel = _fill.kernel(table, self._recycling)
         values, cursor, counts = ahead.values, ahead.cursor, ahead.counts
-        bitgen = None if lib is None else self._engine_reader()
-        if bitgen is not None:
-            return _fill.emitter(None, values, cursor, lib, fill=(
-                self, self._engine, bitgen, kernel, counts, _FILL_ERRORS))
+        engine = None if lib is None else self._engine_reader()
+        if engine is not None:
+            return lib.fill_emitter(self, engine, kernel.compiled, values,
+                                    cursor, counts, _FILL_ERRORS)
         held = None
 
         def refill() -> None:

@@ -15,11 +15,12 @@ composed draw makes every variate.  The four public functions take only
 ``make_sampler`` binds a comparison kind to ``src.bind_variates``, a draw
 that reads ahead in blocks and hands them back through the one emitter of
 a block and a cursor, ``_fill.emitter``, which Wallace's bound draw uses
-too.  With the library loaded the emitter is a builtin, and on a numpy
-engine it refills a comparison kind's block, or begins Wallace's next
-pass, in C.  The textbook baselines (inversion, Box-Muller, polar) are here for
-distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
-and for perfbench's ``samplers.*_ns`` timings.
+too.  With the extension module loaded the draw is its ``Draw`` type,
+and on a numpy engine it refills a comparison kind's block, or begins
+Wallace's next pass, in C.  The textbook baselines (inversion,
+Box-Muller, polar) are here for distribution cross-checks, for ``fvn
+generate`` and ``fvn consumption``, and for perfbench's ``samplers.*_ns``
+timings.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     DEFAULT_TABLE_LEN: the ``_fill.emitter`` draw over a block and a
     cursor.  It reads ahead on the source it owns: each refill makes a
     block of variates in place, and the draws emit it.  On a numpy engine,
-    with the library loaded, the builtin emitter runs the compiled fill
+    with the extension module loaded, its draw runs the compiled fill
     itself, so a block costs no Python frame either; otherwise a Python
     refill runs the composed draw.  So the source's
     buffer position, recycled store and sign pool run ahead of the draws,
@@ -217,7 +218,7 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     Wallace returns ``wallace.emit_passes``, the same emitter over the
     pool's snapshot of one whole pass, whose refill begins the next pass
     on the call after the last value, in C on a numpy engine when the
-    library loads; its 4096-value bootstrap is one
+    extension module loads; its 4096-value bootstrap is one
     exact ``src.fill_variates`` of normal_grand's table.  Each draw
     returns a Python float, and ``src.draws`` is exact after every draw.
     """

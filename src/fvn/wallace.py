@@ -5,9 +5,9 @@ orthogonal transforms applied to randomly regrouped blocks.  Orthogonality
 preserves the pool's Euclidean norm, so refreshed values stay normal;
 uniforms are spent only on the block permutation and a per-pass variance
 correction, not per emitted variate.  The regroup is spelled twice, bit
-for bit: ``fvn_refresh`` of the compiled library ``_fill.c`` runs it
-whenever that loads, and the numpy regroup in ``refresh`` is its spec and
-the path of a host with no compiler.
+for bit: ``fvn_refresh`` of the extension module built from
+``_fill.c`` runs it whenever that loads, and the numpy regroup in
+``refresh`` is its spec and the path of a host with no compiler.
 
 A pass, not a single value, is the unit of emission.  When a pass begins,
 the pool is refreshed, the variance correction is redrawn and the
@@ -17,8 +17,9 @@ every value of that pass is read from this snapshot.  So a direct
 starts.  A bound sampler's draw is ``_fill.emitter`` over the snapshot,
 with the start of the next pass as its refill (``emit_passes``).  The
 pass is spelled twice too: ``_next_pass`` is its spec, and on an engine
-the compiled fill reads, the builtin emitter begins each pass itself in
-C, with the same words, bytes and scale and no Python frame.
+the compiled fill reads, the draw of the extension module's
+``pass_emitter`` begins each pass itself in C, with the same words,
+bytes and scale and no Python frame.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ ORTHO_Q = 0.5 * np.array([
     [1.0, -1.0, -1.0,  1.0],
     [1.0,  1.0, -1.0, -1.0],
 ])
-# the transforms of even and odd passes, as fvn_refresh and the compiled
-# pass read them
+# the transforms of even and odd passes, as the compiled pass reads them
 _PASS_Q = np.array([ORTHO_Q, ORTHO_Q.T])
 _ORTHO_Q_T = _PASS_Q[1]
-_Q_ADDRESSES = tuple(q.ctypes.data for q in _PASS_Q)
 
 
 @dataclass
@@ -131,21 +130,19 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     one uniform word; the squared norm is preserved to rounding error.
 
     ``fvn_refresh`` makes the same bytes as the numpy regroup below when
-    the compiled library loads and ``values`` is laid out as C reads it
+    the extension module loads and ``values`` is laid out as C reads it
     (``_c_regroups``).  Any other pool, one built by hand among them,
     takes the numpy regroup, with its result or its error."""
     values = pool.values
     n = values.size
     word = src.next_word()
-    odd = pool.pass_count % 2
+    q = _ORTHO_Q_T if pool.pass_count % 2 else ORTHO_Q
     lib = _fill.library()
     if lib is not None and _c_regroups(values):
         stride, offset = _block_stride(n, word)
-        lib.fvn_refresh(values.ctypes.data, n, stride % n, offset,
-                        _Q_ADDRESSES[odd], None, 0.0)
+        lib.fvn_refresh(values, stride % n, offset, q)
     else:
         idx = _block_permutation(n, word)
-        q = _ORTHO_Q_T if odd else ORTHO_Q
         blocks = values[idx].reshape(-1, BLOCK)
         values[idx] = (blocks @ q.T).ravel()
     pool.pass_count += 1
@@ -183,23 +180,24 @@ def emit_passes(pool: NormalPool, src: UniformSource) -> Callable[[], float]:
     """A zero-argument draw of the values of a fresh pool: the current
     pass's snapshot, then one new pass each time the last is used up.  It
     returns exactly what ``next_normal`` would, with the same draws after
-    every value, but it is ``_fill.emitter`` over ``pool.emitted``: no
-    Python frame per value when the library loads.  Its refill begins the
-    next pass.  When the library loads, ``src``'s engine is one the fill
-    reads (``UniformSource._engine_reader``) and ``pool.values`` is as C
-    reads it (``_c_regroups``) and as long as ``emitted``, the builtin
-    does that itself in C, with no Python frame; otherwise the refill is
-    ``_next_pass``, with its values and errors.  The compiled pass reads
-    the ``values`` array the pool has now.  It does not move
-    ``read_cursor``, so the pool must be new (cursor 0) and owned by the
-    draw."""
+    every value, but it is the extension module's ``Draw`` over
+    ``pool.emitted`` when the module loads: no Python frame per value.
+    Its refill begins the next pass.  When the module loads, ``src``'s
+    engine is one the fill reads (``UniformSource._engine_reader``) and
+    ``pool.values`` is as C reads it (``_c_regroups``) and as long as
+    ``emitted``, the draw is ``pass_emitter``'s, which does that itself in
+    C, with no Python frame, and holds ``pool.values``; otherwise it is
+    ``_fill.emitter``'s, whose refill is ``_next_pass``, with its values
+    and errors.  The compiled pass reads the ``values`` array the pool has
+    now.  It does not move ``read_cursor``, so the pool must be new
+    (cursor 0) and owned by the draw."""
     cursor = array("q", [0, len(pool.emitted)])
     lib = _fill.library()
-    bitgen = None if lib is None else src._engine_reader()
-    if (bitgen is not None and _c_regroups(pool.values)
+    engine = None if lib is None else src._engine_reader()
+    if (engine is not None and _c_regroups(pool.values)
             and pool.values.size == len(pool.emitted)):
-        return _fill.emitter(None, pool.emitted, cursor, lib, passes=(
-            pool, src, src._engine, bitgen, _PASS_Q.ctypes.data))
+        return lib.pass_emitter(pool, src, engine, pool.emitted, cursor,
+                                _PASS_Q)
 
     def refill() -> None:
         _next_pass(pool, src)

@@ -404,35 +404,47 @@ def compiled_fill():
 
 
 MASS_TABLES = [default_config(kind).table for kind in MASS_KINDS]
+# Dyadic selection words: zero (k clamped to WORD_BITS), one, a leading
+# one at bits 20, 40 and 51, 2**52 and its neighbours (k = 1 or 2), and the
+# all-ones word.
+DYADIC_EDGE_WORDS = [0, 1, 1 << 20, 1 << 40, 1 << 51, (1 << 52) - 1, 1 << 52,
+                     (1 << 52) + 1, 2 ** 53 - 1]
 SCRIPT_WORDS = st.one_of(
-    st.sampled_from([0, 1, 1 << 52, 2 ** 53 - 1]),
+    st.sampled_from(DYADIC_EDGE_WORDS),
     st.sampled_from(selection_edge_words(MASS_TABLES)),
     st.integers(min_value=0, max_value=2 ** 53 - 1))
+
+
+def outcomes(draw, n):
+    """The bytes of ``n`` values of ``draw``, or the repr of the error that
+    stops them."""
+    try:
+        return array("d", [draw() for _ in range(n)]).tobytes()
+    except RuntimeError as exc:
+        return repr(exc)
 
 
 @pytest.mark.usefixtures("compiled_fill")
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(words=st.lists(SCRIPT_WORDS, max_size=60),
-       table=st.sampled_from(MASS_TABLES), recycling=st.booleans(),
-       n=st.integers(min_value=1, max_value=6))
+       table=st.sampled_from([default_config(kind).table for kind in KINDS]),
+       recycling=st.booleans(), n=st.integers(min_value=1, max_value=6))
 def test_fill_is_the_composed_draw_on_any_script(words, table, recycling, n):
     """Up to 60 scripted words, edge words among them, at the head of the
-    buffer, then the engine: ``fill_variates`` of n variates has the
-    values, or the error, and the state of n composed draws on a twin.
-    The values are compared by their bytes, so the sign of a zero
-    counts."""
-    fast, slow = (scripted(words)(recycling) for _ in range(2))
+    buffer, then the engine, on each kind's table: ``fill_variates`` of n
+    variates has the values, or the error, and the state of n composed
+    draws on a twin, and the bound draw, the module's ``Draw``, has the
+    values, or the error, and the ``draws`` of n composed draws.  The
+    values are compared by their bytes, so the sign of a zero counts."""
+    fast, bound, slow = (scripted(words)(recycling) for _ in range(3))
     try:
         got = fast.fill_variates(table, n).tobytes()
     except RuntimeError as exc:
         got = repr(exc)
-    try:
-        want = array("d", [comparison_draw(table, slow)
-                           for _ in range(n)]).tobytes()
-    except RuntimeError as exc:
-        want = repr(exc)
-    assert got == want
+    drawn = outcomes(bound.bind_variates(table), n)
+    assert got == drawn == outcomes(partial(comparison_draw, table, slow), n)
     assert state(fast) == state(slow)
+    assert bound.draws == slow.draws
 
 
 @over_entries("kind", KINDS)
@@ -574,11 +586,12 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
 
 
 class RefusesFill:
-    """A stand-in for the compiled library whose ``fvn_fill_source``
-    fails the test: it must not be called.  It has no ``fvn_emitter``, so
-    ``_fill.emitter`` gives a bound sampler the Python spelling."""
+    """A stand-in for the extension module whose ``fill_source`` fails
+    the test: it must not be called.  It has no ``emitter`` and no
+    ``kernel``, so ``_fill.emitter`` gives a bound sampler the Python
+    spelling."""
 
-    def fvn_fill_source(self, *args):
+    def fill_source(self, *args):
         raise AssertionError("the fill was handed an engine it cannot read")
 
 
@@ -597,8 +610,7 @@ def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
                                                          monkeypatch):
     """On an engine read through ``random_raw`` only, ``fill_variates``
     and a bound sampler make every variate with the composed draw: its
-    values and ``draws``, with a library whose ``fvn_fill_source``
-    refuses."""
+    values and ``draws``, with a module whose ``fill_source`` refuses."""
     monkeypatch.setattr(_fill, "library", RefusesFill)
     config = default_config(kind)
     filled, bound, composed = (
@@ -918,19 +930,20 @@ def test_bound_sampler_stops_a_variate_that_never_accepts():
 
 
 # The bound draw's own refill: on an engine the fill reads, with the
-# library loaded, the builtin emitter runs ``fvn_fill_source`` itself.
+# module loaded, the draw runs ``fvn_fill_source`` itself.
 
 class WeakPCG64(np.random.PCG64):
     """PCG64 that a weak reference can follow; the fill still reads it."""
 
 
 def no_python_fill(monkeypatch):
-    """Makes the Python spellings of the fill fail the test when called."""
+    """Makes the Python-called spellings of the fill fail the test when
+    called: ``_fill_into`` and the module's ``fill_source``."""
     def refuse(*args):
         raise AssertionError("a Python fill ran")
 
     monkeypatch.setattr(UniformSource, "_fill_into", refuse)
-    monkeypatch.setattr(_fill, "fill_source", refuse)
+    monkeypatch.setattr(_fill.library(), "fill_source", refuse)
 
 
 @fill_only
@@ -1001,7 +1014,7 @@ def test_a_bound_draw_lets_its_source_and_engine_go_with_it():
 def test_a_bound_draw_on_an_engine_the_fill_cannot_read(kind, make_engine,
                                                         monkeypatch):
     """With the library loaded, a bound draw on an engine read through
-    ``random_raw`` only is the builtin emitter with the Python refill,
+    ``random_raw`` only is the module's ``Draw`` with the Python refill,
     which runs the composed draw once per block: its values, ``draws`` and
     ``counts`` are the composed draw's."""
     config = default_config(kind)
@@ -1017,7 +1030,7 @@ def test_a_bound_draw_on_an_engine_the_fill_cannot_read(kind, make_engine,
 
     monkeypatch.setattr(UniformSource, "_fill_into", spy)
     draw = make_sampler(config, src)
-    assert type(draw).__name__ == "builtin_function_or_method"
+    assert type(draw) is _fill.library().Draw
     counts = src._bound.counts
     for block in range(3):
         before = twin.draws

@@ -1,9 +1,8 @@
-"""Building and loading the compiled fill, its ctypes mirror of the C
-kernel struct and its constants, the composed draw that makes every
-variate when it does not load, and the emitter of a block and a cursor in
-both its spellings."""
+"""Building and loading the extension module of the compiled fill, the
+constants it exports, the composed draw that makes every variate when it
+does not load, and the emitter of a block and a cursor in both its
+spellings, with the module's draw type."""
 
-import ctypes
 import gc
 import hashlib
 import os
@@ -17,11 +16,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
+from tests.test_comparison_draw import RawOnly, WeakPCG64
 from tests.test_samplers import STREAM_PINS
 from tests.test_wallace import refuse_python_pass
 
@@ -102,10 +103,10 @@ def test_no_python_headers_means_no_library(tmp_path, monkeypatch,
 @needs_compiler
 def test_a_new_build_unlinks_the_stale_ones(tmp_path, monkeypatch):
     """A build renamed into place unlinks the other ``_fill-*.so`` of its
-    folder and nothing else; a library already loaded from one of them
+    folder and nothing else; a module already loaded from one of them
     still runs.  A cache hit unlinks nothing."""
     monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([tmp_path]))
-    loaded = ctypes.CDLL(_fill._build())
+    loaded = _fill._load(_fill._build())
     kept = [tmp_path / "_fill-notes.txt", tmp_path / "tmp1234.so"]
     stale = [tmp_path / "_fill-0123.so", tmp_path / "_fill-4567.so"]
     for path in kept + stale:
@@ -118,10 +119,9 @@ def test_a_new_build_unlinks_the_stale_ones(tmp_path, monkeypatch):
                         lambda out: Path(out).write_bytes(b""))
     built = Path(_fill._build())
     assert sorted(tmp_path.iterdir()) == sorted([built, edited, *kept])
-    values = (ctypes.c_double * 4)(1.0, 2.0, 3.0, 4.0)
-    q = (ctypes.c_double * 16)(*[float(i % 5 == 0) for i in range(16)])
-    loaded.fvn_refresh(values, ctypes.c_int64(4), ctypes.c_int64(1),
-                       ctypes.c_int64(0), q, None, ctypes.c_double(0.0))
+    values = array("d", [1.0, 2.0, 3.0, 4.0])
+    q = array("d", [float(i % 5 == 0) for i in range(16)])
+    loaded.fvn_refresh(values, 1, 0, q)
     assert list(values) == [1.0, 2.0, 3.0, 4.0]     # q is the identity
 
 
@@ -193,53 +193,62 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
         make_sampler(config, src)
 
 
-def layout_probe(checks: dict[str, int]) -> str:
-    """A C file that includes ``_fill.c`` and asserts, at compile time,
-    that each expression of ``checks`` has its value."""
-    return (f'#include "{_fill._SOURCE}"\n'
-            + "".join(f'_Static_assert(({expr}) == {value}, '
-                      f'"{expr} is not {value}");\n'
-                      for expr, value in checks.items()))
-
-
-def syntax_check(tmp_path, source: str) -> subprocess.CompletedProcess:
-    probe = tmp_path / "probe.c"
-    probe.write_text(source)
-    return subprocess.run(
-        [_fill.COMPILER, "-fsyntax-only", "-I", _fill.INCLUDE,
-         "-I", _fill.PYTHON_INCLUDE, str(probe)],
-        capture_output=True, text=True, timeout=_fill.BUILD_TIMEOUT_S)
+@needs_compiler
+@pytest.mark.parametrize("module, name", [
+    pytest.param(module, name, id=name)
+    for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH",
+                                       "MAX_TRIALS")),
+                          (_fill, ("FILL_OVERFLOW", "FILL_TRIALS",
+                                   "GUIDE_LEN")))
+    for name in names])
+def test_the_module_exports_the_constants_python_repeats(module, name):
+    """Each constant that ``_fill.c`` and ``bitstream`` or ``_fill`` both
+    spell is exported by the module, with the Python twin's value."""
+    lib = _fill.library()
+    assert lib is not None
+    assert getattr(lib, name) == getattr(module, name)
 
 
 @needs_compiler
-def test_ctypes_structs_match_the_c_layout(tmp_path):
-    """``_fill.Kernel`` has the size and the field offsets of the C struct
-    it mirrors, and ``bitstream`` and ``_fill`` the constants that
-    ``_fill.c`` repeats: a file that includes ``_fill.c`` asserts each
-    with ``_Static_assert``, checked by the compiler with
-    ``-fsyntax-only`` against numpy's and Python's headers, so nothing is
-    linked.  One wrong value fails that check."""
-    expected = {"sizeof(fvn_kernel)": ctypes.sizeof(_fill.Kernel)}
-    for field, _ in _fill.Kernel._fields_:
-        expected[f"offsetof(fvn_kernel, {field})"] = getattr(
-            _fill.Kernel, field).offset
-    for module, names in ((bitstream, ("WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS")),
-                          (_fill, ("FILL_OVERFLOW", "FILL_TRIALS",
-                                   "GUIDE_LEN"))):
-        expected.update((name, getattr(module, name)) for name in names)
-    assert len(expected) == 1 + 7 + 6
-    proc = syntax_check(tmp_path, layout_probe(expected))
-    assert proc.returncode == 0, proc.stderr
-    wrong = {**expected, "offsetof(fvn_kernel, recycling)":
-             expected["offsetof(fvn_kernel, recycling)"] + 8}
-    proc = syntax_check(tmp_path, layout_probe(wrong))
-    assert proc.returncode != 0
-    assert "offsetof(fvn_kernel, recycling) is not" in proc.stderr
+@pytest.mark.parametrize("broken", ["truncated", "no-init"])
+def test_an_unloadable_module_means_no_library(broken, tmp_path, monkeypatch,
+                                               fresh_library):
+    """A file at the cache name that does not load as the module, the
+    head of a real build or a shared object with no ``PyInit__fill``,
+    gives no library, and a bound sampler still draws its pinned stream,
+    with the composed draw."""
+    other = tmp_path / "other.c"
+    other.write_text("int fvn_other(void) { return 0; }\n")
+    compile_library = _fill.compile_library
+
+    def build(out):
+        if broken == "truncated":
+            compile_library(out)
+            Path(out).write_bytes(Path(out).read_bytes()[:512])
+        else:
+            subprocess.run([_fill.COMPILER, "-shared", "-fPIC", "-o", out,
+                            str(other)], check=True, timeout=60)
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(_fill, "_cache_dirs", lambda: iter([cache]))
+    monkeypatch.setattr(_fill, "compile_library", build)
+    assert _fill.library() is None
+    assert [p.name for p in cache.iterdir()] == [Path(_fill._build()).name]
+    config = default_config(samplers.NORMAL_GRAND)
+    src = UniformSource(20240, recycling=config.recycling_enabled)
+    draw = make_sampler(config, src)
+    assert draw.__qualname__ == "emitter.<locals>.draw"
+    sha = hashlib.sha256()
+    for _ in range(20_000):
+        sha.update(struct.pack("<d", draw()))
+    assert (sha.hexdigest(), src.draws) == STREAM_PINS[samplers.NORMAL_GRAND]
 
 
 def guide_of(kn):
-    """The guide a kernel points at, read from its address."""
-    return list((ctypes.c_uint8 * _fill.GUIDE_LEN).from_address(kn.guide))
+    """The guide of a kernel, which its compiled kernel reads."""
+    assert kn.guide.typecode == "B" and len(kn.guide) == _fill.GUIDE_LEN
+    return list(kn.guide)
 
 
 @pytest.mark.parametrize("K", [1, 2, 4, 8, 35, 36, 37, 53, 64])
@@ -278,8 +287,8 @@ def test_a_mass_on_a_bucket_edge_starts_the_next_bucket(monkeypatch):
                      for b in range(_fill.GUIDE_LEN)]
 
 
-# The emitter, in its two spellings: ``fvn_emitter`` of the compiled
-# library and the Python function that is its spec.
+# The emitter, in its two spellings: the ``Draw`` of the extension module
+# and the Python function that is its spec.
 
 SPELLINGS = ("c", "python")
 
@@ -386,9 +395,9 @@ def test_emitter_lets_its_block_and_refill_go_with_it(spelling):
 @pytest.mark.usefixtures("fresh_library")
 @pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.WALLACE])
 def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
-    """A comparison kind and Wallace both bind the emitter: a builtin when
-    the library loads, the Python function when it does not.  The builtin
-    Wallace draw begins its passes with no Python pass."""
+    """A comparison kind and Wallace both bind the emitter: the module's
+    ``Draw`` when it loads, the Python function when it does not.  The
+    compiled Wallace draw begins its passes with no Python pass."""
     config = default_config(kind)
     if _fill.library() is not None:
         pools = []
@@ -402,7 +411,7 @@ def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
         refuse_python_pass(monkeypatch)
         draw = make_sampler(config, UniformSource(
             1, recycling=config.recycling_enabled))
-        assert type(draw).__name__ == "builtin_function_or_method"
+        assert type(draw) is _fill.library().Draw
         if kind == samplers.WALLACE:
             for _ in range(3 * wallace.DEFAULT_POOL_SIZE + 1):
                 draw()
@@ -411,3 +420,105 @@ def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
     draw = make_sampler(config, UniformSource(
         1, recycling=config.recycling_enabled))
     assert draw.__qualname__ == "emitter.<locals>.draw"
+
+
+def test_a_draw_takes_no_arguments(spelling):
+    """A call with a positional or keyword argument raises TypeError, in
+    either spelling, and neither reads a value nor refills: the cursor and
+    the refill's calls are unchanged, and the next call reads on."""
+    values, cursor = array("d", [7.0, 8.0]), array("q", [1, 2])
+    refill = ScriptedRefill(values, cursor, [(2, 2)])
+    draw = _fill.emitter(refill, values, cursor, spelling)
+    # a value to read, then a used-up block
+    for at, value in (((1, 2), 8.0), ((2, 2), 100.0)):
+        for args, kwargs in (((1,), {}), ((), {"x": 1}), ((None,), {"x": 1})):
+            with pytest.raises(TypeError):
+                draw(*args, **kwargs)
+            assert tuple(cursor) == at and refill.calls == 0
+        assert draw() == value
+
+
+# The module's ``Draw`` with each of its three refills: a Python refill
+# (a bound comparison sampler on an engine the fill cannot read), the fill
+# and the Wallace pass.
+
+REFILLS = ("python", "fill", "pass")
+
+
+def bound_draw(refill, seed):
+    """A bound draw whose refill is ``refill``, its source, on an engine
+    that a weak reference can follow, and the arrays it pins: the block
+    and, but for the pass's, the cursor and, for the fill's, the counts
+    (a Python refill writes them by index)."""
+    if refill == "pass":
+        src = UniformSource(seed, engine=WeakPCG64(seed), recycling=False)
+        pool = wallace.init_pool(256, src)
+        return wallace.emit_passes(pool, src), src, (pool.emitted,)
+    engine = (RawOnly(np.random.PCG64(seed)) if refill == "python"
+              else WeakPCG64(seed))
+    src = UniformSource(seed, engine=engine)
+    draw = make_sampler(default_config(samplers.NORMAL_GRAND), src)
+    ahead = src._bound
+    pinned = (ahead.values, ahead.cursor)
+    if refill == "fill":
+        pinned += (ahead.counts,)
+    return draw, src, pinned
+
+
+@pytest.fixture
+def compiled():
+    """The extension module; the test skips when it does not load."""
+    if _fill.library() is None:
+        pytest.skip("the compiled library did not load")
+    return _fill.library()
+
+
+@pytest.mark.parametrize("refill", REFILLS)
+def test_a_bound_draw_refuses_arguments_where_it_stands(refill, compiled):
+    """With each refill, a call with an argument raises TypeError inside a
+    block and at its end, and the values and ``draws`` after it are those
+    of a twin that was never so called."""
+    (draw, src, _), (twin, twin_src, _) = (bound_draw(refill, 31)
+                                           for _ in range(2))
+    assert type(draw) is compiled.Draw
+    for stop in (100, 512 - 100, 256 + 512):   # mid-block, a block's end
+        assert [draw() for _ in range(stop)] == [twin() for _ in range(stop)]
+        for args, kwargs in (((1,), {}), ((), {"x": 1})):
+            with pytest.raises(TypeError, match="takes no arguments"):
+                draw(*args, **kwargs)
+        assert src.draws == twin_src.draws
+    assert [draw() for _ in range(600)] == [twin() for _ in range(600)]
+    assert src.draws == twin_src.draws
+
+
+def test_python_cannot_make_a_draw(compiled):
+    """The draw type has no constructor of its own: only the module's
+    constructors make one."""
+    with pytest.raises(TypeError):
+        compiled.Draw()
+    draw, _, _ = bound_draw("fill", 33)
+    with pytest.raises(TypeError):
+        type(draw)()
+
+
+@pytest.mark.parametrize("refill", REFILLS)
+def test_a_bound_draw_pins_its_arrays_and_frees_its_source(refill, compiled):
+    """While a bound draw lives the arrays it reads can not be resized
+    (BufferError), whatever its refill; once it is dropped its source goes
+    and the arrays can be resized again."""
+    draw, src, pinned = bound_draw(refill, 32)
+    assert type(draw) is compiled.Draw
+    held = weakref.ref(src)
+    del src
+    for _ in range(600):        # across a refill
+        draw()
+    for block in pinned:
+        with pytest.raises(BufferError):
+            block.append(0)
+    gc.collect()
+    assert held() is not None
+    del draw
+    gc.collect()
+    assert held() is None
+    for block in pinned:
+        block.append(0)

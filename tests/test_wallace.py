@@ -301,14 +301,17 @@ def test_a_pool_c_can_read_reaches_the_compiled_regroup(monkeypatch):
     pool = NormalPool(values=values, pass_count=1, norm_sq=1.0,
                       read_cursor=0, emit_scale=1.0)
     refresh(pool, WordSource([(5 << 32) | 6]))
-    # stride 7 (6 | 1), offset 5, the transpose on an odd pass, no snapshot
-    assert calls == [(values.ctypes.data, 256, 7, 5,
-                      wallace._ORTHO_Q_T.ctypes.data, None, 0.0)]
+    # the pool's own values, stride 7 (6 | 1), offset 5, the transpose on
+    # an odd pass
+    assert len(calls) == 1
+    got, stride, offset, q = calls[0]
+    assert got is values and (stride, offset) == (7, 5)
+    assert q is wallace._ORTHO_Q_T
     assert pool.pass_count == 2
 
 
-# The compiled pass: the builtin emitter of ``emit_passes`` begins each
-# pass itself on an engine the fill reads.
+# The compiled pass: the draw of ``emit_passes`` begins each pass itself
+# on an engine the fill reads.
 
 PASSES = 40     # even and odd passes: Q and its transpose
 # A recycled store, popped from its end: two passes' u1 and u2, then a u1
@@ -353,7 +356,7 @@ def unread(src, n=8):
 @pytest.mark.parametrize("case", ["recycled", "u1-zero", "runs-out"])
 @pytest.mark.parametrize("size", [256, 1020, 4096])   # 1020: stride bumps
 def test_the_compiled_pass_is_next_pass_bit_for_bit(size, case, monkeypatch):
-    """After each of 40 passes begun by the builtin, the values emitted,
+    """After each of 40 passes begun by the draw, the values emitted,
     the pool's bytes, ``pass_count``, ``emit_scale``, ``draws`` and the
     source's buffer, position, spent words and recycled store are those of
     ``_next_pass`` on a twin.  Each source's buffer is refilled once after
@@ -463,8 +466,8 @@ def python_passes(monkeypatch):
 def test_an_engine_the_fill_cannot_read_keeps_the_python_pass(make_engine,
                                                               monkeypatch):
     """With the library loaded, the draw on an engine read through
-    ``random_raw`` only is the builtin emitter with ``_next_pass`` as its
-    refill: the values and ``draws`` of ``next_normal`` on a twin."""
+    ``random_raw`` only is the module's ``Draw`` with ``_next_pass`` as
+    its refill: the values and ``draws`` of ``next_normal`` on a twin."""
     src, twin = (UniformSource(0, engine=make_engine(), recycling=False)
                  for _ in range(2))
     pool, twin_pool = init_pool(256, src), init_pool(256, twin)
@@ -472,7 +475,7 @@ def test_an_engine_the_fill_cannot_read_keeps_the_python_pass(make_engine,
                 for _ in range(3 * 256 + 1)]
     calls = python_passes(monkeypatch)
     draw = emit_passes(pool, src)
-    assert type(draw).__name__ == "builtin_function_or_method"
+    assert type(draw) is _fill.library().Draw
     assert [(draw(), src.draws) for _ in expected] == expected
     assert calls == [0, 1, 2]
 
