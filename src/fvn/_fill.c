@@ -2,14 +2,15 @@
    loaded by fvn._fill: fvn_fill, the block fill of comparison-method
    variates, and fvn_fill_source, which runs it on a UniformSource's own
    state (the module's fill_source); fvn_refresh, one pass of the Wallace
-   pool's regroup, with the pass's snapshot written as it goes when asked;
-   and the draw, a small object of type Draw, callable with no arguments
-   through its vectorcall slot, that hands a bound sampler's block back to
-   Python one float at a time and, on a numpy engine, refills it itself: a
-   comparison sampler's block with fvn_fill_source, a Wallace pool's
-   snapshot by beginning the next pass (wallace_pass), which reads the
-   source's state through the same helpers as fvn_fill_source.  The
-   module also exports the constants below that Python repeats.
+   pool's regroup; and the draw, a small object of type Draw, callable
+   with no arguments through its vectorcall slot, that hands a bound
+   sampler's block back to Python one float at a time and, on a numpy
+   engine, refills it itself: a comparison sampler's block with
+   fvn_fill_source, a Wallace pool's snapshot by beginning the next pass
+   (wallace_pass), which regroups the pool and then writes the snapshot
+   in one sequential sweep, reading the source's state through the same
+   helpers as fvn_fill_source.  The module also exports the constants
+   below that Python repeats.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
@@ -475,41 +476,39 @@ static int64_t fvn_fill_source(PyObject *src, PyObject *engine,
 
 /* wallace.refresh's regroup, as its numpy spelling does it: position i of
    the permuted order is (stride * i + offset) mod n, stepped here as
-   p += step with one subtraction to wrap, step = stride mod n.  Each
-   block of 4 consecutive positions, x, is read and written back as x q^T
-   (numpy's blocks @ q.T), each output summed left to right as
-   ((x0 q0 + x1 q1) + x2 q2) + x3 q3.  The caller passes values as n
-   contiguous doubles with n a multiple of 4, 0 <= step, offset < n, and
-   q as 4 x 4 row-major doubles.  The permutation is a bijection, so the
-   blocks are disjoint and each is written in place.  With emitted not
-   NULL, n doubles too, each output y is also written to the same
-   position of emitted as y * scale: wallace._snapshot's multiply.  Python
-   calls it through the module's fvn_refresh, with no snapshot. */
-static void fvn_refresh(double *values, int64_t n, int64_t step,
-                        int64_t offset, const double *q, double *emitted,
-                        double scale)
+   p += step with one subtraction to wrap (step_on), step = stride mod n.
+   Each block of 4 consecutive positions, x, is read and written back as
+   x q^T, each output summed left to right as ((x0 q0 + x1 q1) + x2 q2)
+   + x3 q3.  The caller passes values as n contiguous doubles with n a
+   multiple of 4, 0 <= step, offset < n, and q as 4 x 4 row-major doubles.
+   The permutation is a bijection, so the blocks are disjoint and each is
+   written in place.  A block's positions, inputs and outputs and the 16
+   entries of q are locals: q is read once, and a store to values cannot
+   make the compiler read it again. */
+static int64_t step_on(int64_t p, int64_t step, int64_t n)
 {
-    int64_t p = offset, b;
+    p += step;
+    return p >= n ? p - n : p;
+}
+
+static void fvn_refresh(double *values, int64_t n, int64_t step,
+                        int64_t offset, const double *q)
+{
+    const double q0 = q[0], q1 = q[1], q2 = q[2], q3 = q[3], q4 = q[4],
+        q5 = q[5], q6 = q[6], q7 = q[7], q8 = q[8], q9 = q[9], q10 = q[10],
+        q11 = q[11], q12 = q[12], q13 = q[13], q14 = q[14], q15 = q[15];
+    int64_t p0 = offset, b;
 
     for (b = 0; b < n; b += 4) {
-        int64_t at[4];
-        double x[4];
-        int k;
-        for (k = 0; k < 4; k++) {
-            at[k] = p;
-            x[k] = values[p];
-            p += step;
-            if (p >= n)
-                p -= n;
-        }
-        for (k = 0; k < 4; k++) {
-            const double *row = q + 4 * k;
-            double y = ((x[0] * row[0] + x[1] * row[1]) + x[2] * row[2])
-                       + x[3] * row[3];
-            values[at[k]] = y;
-            if (emitted != NULL)
-                emitted[at[k]] = y * scale;
-        }
+        const int64_t p1 = step_on(p0, step, n), p2 = step_on(p1, step, n),
+            p3 = step_on(p2, step, n);
+        const double x0 = values[p0], x1 = values[p1], x2 = values[p2],
+            x3 = values[p3];
+        values[p0] = ((x0 * q0 + x1 * q1) + x2 * q2) + x3 * q3;
+        values[p1] = ((x0 * q4 + x1 * q5) + x2 * q6) + x3 * q7;
+        values[p2] = ((x0 * q8 + x1 * q9) + x2 * q10) + x3 * q11;
+        values[p3] = ((x0 * q12 + x1 * q13) + x2 * q14) + x3 * q15;
+        p0 = step_on(p3, step, n);
     }
 }
 
@@ -585,18 +584,18 @@ static int64_t gcd(int64_t a, int64_t b)
     return a;
 }
 
-/* wallace._next_pass on the pool of e, pool_values its n values, with
-   _snapshot fused into the regroup.  It reads the source's state as
-   fvn_fill_source does and, holding engine.lock, draws the regroup's
-   word, as next_word does, then Box-Muller's u1, again while u1 == 0, and
-   u2, as next_uniform does, each popped from the store while it holds
-   one.  The stride and offset are _block_stride's, the transform is
-   q[pass_count mod 2] of the two 4 x 4 at q, and the variance correction
-   is _pass_scale's: float's ** 3 is pow(x, 3.0), and s / norm_sq and its
-   root are taken by Python's own division and math.sqrt, with their
-   errors.  The regroup then writes each output to pool_values and its
-   product with the scale to values, and pass_count and emit_scale are
-   written back.  When the scale raises, the pool is regrouped and
+/* wallace._next_pass on the pool of e, pool_values its n values.  It
+   reads the source's state as fvn_fill_source does and, holding
+   engine.lock, draws the regroup's word, as next_word does, then
+   Box-Muller's u1, again while u1 == 0, and u2, as next_uniform does,
+   each popped from the store while it holds one.  The stride and offset
+   are _block_stride's, the transform is q[pass_count mod 2] of the two
+   4 x 4 at q, and the variance correction is _pass_scale's: float's ** 3
+   is pow(x, 3.0), and s / norm_sq and its root are taken by Python's own
+   division and math.sqrt, with their errors.  Then, in _next_pass's
+   order, fvn_refresh regroups pool_values, emit_scale is written back
+   and _snapshot's values[i] = pool_values[i] * scale is written in one
+   sequential sweep.  When the scale raises, the pool is regrouped and
    counted with no new scale or snapshot, as refresh leaves it before
    _pass_scale raises.  Never inlined: in emit_next its frame would cost
    every value a larger prologue. */
@@ -605,8 +604,8 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     const int64_t n = e->n;
     fvn_source o;
     uint64_t word;
-    int64_t pass_count, stride;
-    double u1, u2, z, c, s, scale = 0.0;
+    int64_t pass_count, stride, i;
+    double u1, u2, z, c, s;
     PyObject *norm_sq, *sf = NULL, *ratio = NULL, *root = NULL;
     int rc = -1;
 
@@ -626,17 +625,18 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     s = (double)n * pow(1.0 - c + z * sqrt(c), 3.0);
     if ((norm_sq = PyObject_GetAttr(e->pool, names[N_NORM_SQ])) != NULL
             && (sf = PyFloat_FromDouble(s)) != NULL
-            && (ratio = PyNumber_TrueDivide(sf, norm_sq)) != NULL
-            && (root = PyObject_CallOneArg(math_sqrt, ratio)) != NULL)
-        scale = PyFloat_AsDouble(root);
+            && (ratio = PyNumber_TrueDivide(sf, norm_sq)) != NULL)
+        root = PyObject_CallOneArg(math_sqrt, ratio);
     stride = (int64_t)(word & 0xFFFFFFFF) | 1;
     while (gcd(stride, n) != 1)
         stride += 2;
     fvn_refresh(e->pool_values, n, stride % n, (int64_t)((word >> 32) % n),
-                e->q + 16 * (pass_count & 1),
-                root == NULL ? NULL : e->values, scale);
+                e->q + 16 * (pass_count & 1));
     if (root != NULL && PyObject_SetAttr(e->pool, names[N_EMIT_SCALE],
                                          root) == 0) {
+        const double scale = PyFloat_AsDouble(root);
+        for (i = 0; i < n; i++)
+            e->values[i] = e->pool_values[i] * scale;
         e->cursor[0] = 0;
         rc = 0;
     }
@@ -996,8 +996,7 @@ done:
 #define REGROUP "a regroup reads n float64 values, a positive multiple of " \
     "4, a step and an offset below n and 4 x 4 doubles of q"
 
-/* fvn_refresh(values, step, offset, q): fvn_refresh on values, with no
-   snapshot. */
+/* fvn_refresh(values, step, offset, q): fvn_refresh on values. */
 static PyObject *refresh(PyObject *module, PyObject *args)
 {
     PyObject *values_obj, *q_obj, *result = NULL;
@@ -1015,7 +1014,7 @@ static PyObject *refresh(PyObject *module, PyObject *args)
             PyErr_SetString(PyExc_ValueError, REGROUP);
         goto done;
     }
-    fvn_refresh(values.buf, n, step, offset, q.buf, NULL, 0.0);
+    fvn_refresh(values.buf, n, step, offset, q.buf);
     result = Py_NewRef(Py_None);
 done:
     PyBuffer_Release(&q);

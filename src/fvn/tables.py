@@ -104,6 +104,11 @@ class IntervalTable:
     by_k: tuple[tuple[float, float, float, float | None], ...] = field(
         init=False, repr=False, compare=False)
 
+    def __hash__(self) -> int:
+        # every other field is computed from these two, so equal tables
+        # hash equal without hashing the float tuples at each kernel lookup
+        return hash((self.scheme, self.K))
+
     def __post_init__(self):
         if self.scheme not in _LAYOUTS:
             raise ValueError(f"unknown scheme {self.scheme!r}")

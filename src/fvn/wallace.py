@@ -7,7 +7,10 @@ uniforms are spent only on the block permutation and a per-pass variance
 correction, not per emitted variate.  The regroup is spelled twice, bit
 for bit: ``fvn_refresh`` of the extension module built from
 ``_fill.c`` runs it whenever that loads, and the numpy regroup in
-``refresh`` is its spec and the path of a host with no compiler.
+``refresh`` is its spec and the path of a host with no compiler.  Both
+sum each output of a block in the same order, so they agree on every
+double, ±0.0, subnormals and inf among them; only which of two NaNs a
+sum returns is left to the compiler.
 
 A pass, not a single value, is the unit of emission.  When a pass begins,
 the pool is refreshed, the variance correction is redrawn and the
@@ -19,7 +22,8 @@ with the start of the next pass as its refill (``emit_passes``).  The
 pass is spelled twice too: ``_next_pass`` is its spec, and on an engine
 the compiled fill reads, the draw of the extension module's
 ``pass_emitter`` begins each pass itself in C, with the same words,
-bytes and scale and no Python frame.
+bytes and scale and no Python frame.  Both run the regroup first and then
+write the snapshot in one sequential sweep.
 """
 
 from __future__ import annotations
@@ -129,10 +133,11 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     """Regroup the pool into random 4-blocks and transform each, spending
     one uniform word; the squared norm is preserved to rounding error.
 
-    ``fvn_refresh`` makes the same bytes as the numpy regroup below when
-    the extension module loads and ``values`` is laid out as C reads it
-    (``_c_regroups``).  Any other pool, one built by hand among them,
-    takes the numpy regroup, with its result or its error."""
+    ``fvn_refresh`` makes the same bytes as the numpy regroup below, a
+    NaN's sign aside, when the extension module loads and ``values`` is
+    laid out as C reads it (``_c_regroups``).  Any other pool, one built
+    by hand among them, takes the numpy regroup, with its result or its
+    error."""
     values = pool.values
     n = values.size
     word = src.next_word()
@@ -143,8 +148,11 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
         lib.fvn_refresh(values, stride % n, offset, q)
     else:
         idx = _block_permutation(n, word)
-        blocks = values[idx].reshape(-1, BLOCK)
-        values[idx] = (blocks @ q.T).ravel()
+        x = values[idx].reshape(-1, BLOCK)
+        # x q^T with each output summed in fvn_refresh's order: matmul
+        # keeps no order, so its bytes could differ from the C's
+        values[idx] = (((x[:, 0:1] * q[:, 0] + x[:, 1:2] * q[:, 1])
+                        + x[:, 2:3] * q[:, 2]) + x[:, 3:4] * q[:, 3]).ravel()
     pool.pass_count += 1
 
 

@@ -196,6 +196,17 @@ def test_builds_are_deterministic():
         assert IntervalTable(scheme, 32) == IntervalTable(scheme, 32)
 
 
+def test_equal_tables_hash_equal():
+    """A table hashes as its (scheme, K), from which every field is
+    computed, so a kernel lookup hashes no float tuple."""
+    for scheme in tables.SCHEMES:
+        for K in (8, np.int64(8), tables.DEFAULT_TABLE_LEN):
+            a, b = IntervalTable(scheme, K), IntervalTable(scheme, int(K))
+            assert a == b and hash(a) == hash(b) == hash((scheme, int(K)))
+    assert len({IntervalTable(s, K) for s in tables.SCHEMES
+                for K in (8, 53)}) == 2 * len(tables.SCHEMES)
+
+
 def test_build_length_validation():
     for bad in (0, 65, -3, True, 8.0):
         with pytest.raises(ValueError):
