@@ -24,10 +24,10 @@
    so built with -ffp-contract=off (no fused multiply-add) it makes the
    same values bit for bit.
 
-   Fresh words come from buf while pos < nbuf, then from the engine: a
-   bitgen_t of numpy's own header, numpy/random/bitgen.h, read with
-   next_raw as random_raw reads it, so the words and their order are the
-   engine's stream.  pos then counts on past nbuf, and the caller,
+   Fresh words come from buf, the source's own buffer.  Once it is used
+   up, source_refill refills it in place from the engine, a bitgen_t of
+   numpy's own header, numpy/random/bitgen.h, read with next_raw as
+   random_raw reads it, and the used-up words join spent.  The caller,
    fvn_fill_source, holds the engine's lock.
 
    It makes up to n variates, writing each value to out[v] and the fresh
@@ -58,10 +58,7 @@
 #define MAX_TRIALS 1024
 #define TWO_PI (2.0 * 3.14159265358979323846) /* samplers._TWO_PI */
 #define GUIDE_LEN 256 /* a mass table's guide entries; a power of two */
-/* a fresh uniform from one word of the engine, as random_raw's words are
-   cut by UniformSource._refill */
-#define ENGINE_UNIFORM(eng) \
-    ((double)((eng)->next_raw((eng)->state) >> (64 - WORD_BITS)) / UNIT)
+#define BUFFER_WORDS 1024 /* bitstream._BUFFER_WORDS: the words of a refill */
 
 enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
 
@@ -92,27 +89,43 @@ typedef struct {
     int64_t sign_word;
     int64_t status;
     const bitgen_t *engine;
+    double *own;  /* the BUFFER_WORDS doubles a refill writes */
 } fvn_state;
+
+/* UniformSource._refill, in place at own, and the one place the kernels
+   read the engine: its words cut to WORD_BITS bits as _refill cuts them. */
+static __attribute__((cold, noinline)) void source_refill(fvn_state *s)
+{
+    const bitgen_t *eng = s->engine;
+    int64_t k;
+
+    for (k = 0; k < BUFFER_WORDS; k++)
+        s->own[k] = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS))
+                    / UNIT;
+    s->spent += s->nbuf;
+    s->buf = s->own;
+    s->nbuf = BUFFER_WORDS;
+    s->pos = 0;
+}
 
 static int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
                         int64_t *counts, int64_t n)
 {
     const double *buf = s->buf, *cum = kn->cum;
-    const bitgen_t *eng = s->engine;
-    const int64_t nbuf = s->nbuf, K = kn->K, spent = s->spent;
+    const int64_t K = kn->K;
     const int normal = kn->normal != 0, restart = kn->restart != 0;
     const int recycling = kn->recycling != 0;
     double *store = s->store;
     int64_t i = s->pos, r = s->nstore, nb = s->sign_bits, sw = s->sign_word;
-    int64_t made;
+    int64_t nbuf = s->nbuf, spent = s->spent, made;
 
 /* A fresh word, or the recycled store's top and a fresh word once empty. */
 #define FRESH(dst) do {                                                 \
-        if (i < nbuf)                                                   \
-            (dst) = buf[i];                                             \
-        else                                                            \
-            (dst) = ENGINE_UNIFORM(eng);                                \
-        i++;                                                            \
+        if (i >= nbuf) {                                                \
+            source_refill(s);                                           \
+            buf = s->buf, nbuf = s->nbuf, spent = s->spent, i = 0;      \
+        }                                                               \
+        (dst) = buf[i++];                                               \
     } while (0)
 #define UNIFORM(dst) do { if (r) (dst) = store[--r]; else FRESH(dst); } while (0)
 
@@ -320,17 +333,21 @@ static int set_store(PyObject *rec, const double *store, int64_t n)
 /* A UniformSource's state as fvn_fill reads it, held from source_read to
    source_write: the buffer _floats, an array("d"), the position _pos in
    it, the words _spent of the buffers used up, the store recycled and the
-   sign pool _sign_bits and _sign_word, with the engine's lock held. */
+   sign pool _sign_bits and _sign_word, with the engine's lock held.  The
+   refill of a buffer not BUFFER_WORDS long, as a new source's empty one,
+   writes spare, which source_write hands to src as its new _floats. */
 typedef struct {
     fvn_state s;
     PyObject *floats, *rec, *items, *lock;
     Py_buffer view;
-    int64_t nrec, sign_bits, sign_word;
+    double *spare;
+    int64_t nrec, spent, sign_bits, sign_word;
 } fvn_source;
 
 static void source_free(fvn_source *o)
 {
     PyBuffer_Release(&o->view);
+    PyMem_Free(o->spare);
     PyMem_Free(o->s.store);
     Py_XDECREF(o->lock);
     Py_XDECREF(o->items);
@@ -351,8 +368,8 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
     memset(o, 0, sizeof *o);
     if ((o->floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
         return -1;
-    if (PyObject_GetBuffer(o->floats, &o->view,
-                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(o->floats, &o->view, PyBUF_C_CONTIGUOUS
+                           | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
         goto fail;
     if (o->view.itemsize != sizeof(double)
             || strcmp(o->view.format, "d") != 0) {
@@ -369,8 +386,11 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
         PyErr_SetString(PyExc_ValueError, "no room for n variates");
         goto fail;
     }
+    s->buf = s->own = o->view.buf;
+    s->nbuf = o->view.len / (Py_ssize_t)sizeof(double);
     s->store = PyMem_Malloc((size_t)(o->nrec + room) * sizeof *s->store);
-    if (s->store == NULL) {
+    if (s->store == NULL || (s->nbuf != BUFFER_WORDS && (s->own = o->spare
+            = PyMem_Malloc(BUFFER_WORDS * sizeof *s->own)) == NULL)) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -388,8 +408,7 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
                         "pool is out of range");
         goto fail;
     }
-    s->buf = o->view.buf;
-    s->nbuf = o->view.len / (Py_ssize_t)sizeof(double);
+    o->spent = s->spent;
     s->nstore = o->nrec;
     s->sign_bits = o->sign_bits;
     s->sign_word = o->sign_word;
@@ -404,10 +423,9 @@ fail:
 }
 
 /* Lets the engine's lock go and writes the state of o back to src, as
-   the Python lines do, then frees o: once the state has read on from the
-   engine, the buffer and those words join _spent, at position 0 of an
-   empty _floats for the next direct call to refill, and recycled[:] is
-   set to the store left.  Returns 0, or -1 with a Python error set. */
+   the Python lines do, then frees o: _pos, _spent once a refill moved it,
+   spare as a new _floats once a refill wrote it, and recycled[:] set to
+   the store left.  Returns 0, or -1 with a Python error set. */
 static int source_write(fvn_source *o, PyObject *src)
 {
     fvn_state *s = &o->s;
@@ -416,23 +434,18 @@ static int source_write(fvn_source *o, PyObject *src)
     if (call_method(o->lock, N_RELEASE) < 0)
         goto done;
     PyBuffer_Release(&o->view);
-    if (s->pos > s->nbuf) {
-        /* read on from the engine: buffer and words are spent */
-        s->spent += s->pos;
-        s->pos = 0;
-        if (set_int(src, N_SPENT, s->spent) < 0)
+    if (s->buf == o->spare) {
+        PyObject *floats = PyObject_CallFunction(
+            (PyObject *)Py_TYPE(o->floats), "sy#", "d", (const char *)o->spare,
+            (Py_ssize_t)(BUFFER_WORDS * sizeof(double)));
+        int set = floats == NULL ? -1
+                  : PyObject_SetAttr(src, names[N_FLOATS], floats);
+        Py_XDECREF(floats);
+        if (set < 0)
             goto done;
-        if (s->nbuf) {
-            PyObject *empty = PyObject_CallFunction(
-                (PyObject *)Py_TYPE(o->floats), "s", "d");
-            int set = empty == NULL ? -1
-                      : PyObject_SetAttr(src, names[N_FLOATS], empty);
-            Py_XDECREF(empty);
-            if (set < 0)
-                goto done;
-        }
     }
     if (set_int(src, N_POS, s->pos) < 0
+            || (s->spent != o->spent && set_int(src, N_SPENT, s->spent) < 0)
             || ((o->nrec || s->nstore)
                 && set_store(o->rec, s->store, s->nstore) < 0)
             || (s->sign_bits != o->sign_bits
@@ -564,9 +577,9 @@ typedef struct {
 /* next_word's and next_uniform's reads of the state s */
 static double source_fresh(fvn_state *s)
 {
-    int64_t i = s->pos++;
-
-    return i < s->nbuf ? s->buf[i] : ENGINE_UNIFORM(s->engine);
+    if (s->pos >= s->nbuf)
+        source_refill(s);
+    return s->buf[s->pos++];
 }
 
 static double source_uniform(fvn_state *s)
@@ -588,11 +601,12 @@ static int64_t gcd(int64_t a, int64_t b)
    reads the source's state as fvn_fill_source does and, holding
    engine.lock, draws the regroup's word, as next_word does, then
    Box-Muller's u1, again while u1 == 0, and u2, as next_uniform does,
-   each popped from the store while it holds one.  The stride and offset
-   are _block_stride's, the transform is q[pass_count mod 2] of the two
-   4 x 4 at q, and the variance correction is _pass_scale's: float's ** 3
-   is pow(x, 3.0), and s / norm_sq and its root are taken by Python's own
-   division and math.sqrt, with their errors.  Then, in _next_pass's
+   each popped from the store while it holds one, and a fresh word past
+   the buffer's end refills it in place (source_fresh).  The stride and
+   offset are _block_stride's, the transform is q[pass_count mod 2] of the
+   two 4 x 4 at q, and the variance correction is _pass_scale's: float's
+   ** 3 is pow(x, 3.0), and s / norm_sq and its root are taken by Python's
+   own division and math.sqrt, with their errors.  Then, in _next_pass's
    order, fvn_refresh regroups pool_values, emit_scale is written back
    and _snapshot's values[i] = pool_values[i] * scale is written in one
    sequential sweep.  When the scale raises, the pool is regrouped and

@@ -19,13 +19,14 @@ draw of a bound sampler, fills blocks ahead of its caller, hands them
 back through ``_fill.emitter``'s block and cursor, and keeps ``draws``
 exact at the value it has reached.  On a numpy engine both run
 ``fvn_fill_source`` of ``_fill.c``: it reads this source's state, runs
-the compiled block fill, which reads the engine's words itself once the
-buffer is used up, and writes the state back.  ``fill_variates`` calls
-it through the extension module's ``fill_source``; a bound draw, the
-module's ``Draw``, calls it itself when its block is used up, with no
-Python frame per block.  On any other engine, or when the module does
-not load, the composed draw makes every variate, refilling the buffer by
-``random_raw`` as the direct calls do (see ``_fill_into``).
+the compiled block fill, which refills the source's own buffer in place
+from the engine, as ``_refill`` would, once it is used up, and writes the
+state back.  ``fill_variates`` calls it through the extension module's
+``fill_source``; a bound draw, the module's ``Draw``, calls it itself
+when its block is used up, with no Python frame per block.  On any other
+engine, or when the module does not load, the composed draw makes every
+variate, refilling the buffer by ``random_raw`` as the direct calls do
+(see ``_fill_into``).
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ if TYPE_CHECKING:
 # is a multiple of 2**-WORD_BITS and its word is read back from it exactly.
 WORD_BITS = 53
 _UNIT = 2.0 ** WORD_BITS
-# Engine words per refill.  Words are read in order, so the size changes
-# neither the stream nor ``draws``, only how a refill's cost is spread: the
-# floats of a 1024-word buffer stay cache-sized, where the refill blocks of
-# an 8192-word buffer set the slowest variates of a long run.
+# Engine words per refill, of ``_refill`` and of the compiled fill's refill
+# in place (BUFFER_WORDS in _fill.c).  Words are read in order, so the size
+# changes neither the stream nor ``draws``, only how a refill's cost is
+# spread: the floats of a 1024-word buffer stay cache-sized, where the
+# refill blocks of an 8192-word buffer set the slowest variates of a long
+# run.
 _BUFFER_WORDS = 1024
 
 # Hard cap on a descending run; Prob(n > 64) < 1/64! even at g = 1, so
@@ -92,9 +95,11 @@ class UniformSource:
     below 2**-32, so it is refused.  Defaults to PCG64.
     The compiled fill runs only on a numpy engine, whose words it reads
     itself with the ``next_raw`` that ``random_raw`` calls: the same words
-    in the same order.  It holds ``engine.lock`` over each fill, as
-    ``random_raw`` does.  On an engine whose class overrides
-    ``random_raw``, or one not of numpy, the composed draw makes them.
+    in the same order, ``_BUFFER_WORDS`` at a time into this source's own
+    buffer once it is used up, as ``_refill`` reads them.  It holds
+    ``engine.lock`` over each fill, as ``random_raw`` does.  On an engine
+    whose class overrides ``random_raw``, or one not of numpy, the
+    composed draw makes them.
     ``recycling`` says whether run-test and selection leftovers are stored
     for reuse; it is set here, by the owner, and is read-only after.
     """
@@ -145,7 +150,8 @@ class UniformSource:
 
     def _refill(self) -> array:
         """Replace the used-up buffer with fresh floats and return them,
-        for the direct calls and the composed draw.
+        for the direct calls and the composed draw.  The spec of the
+        compiled fill's refill, which writes the same floats in place.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises, or returns no words, leaves ``draws`` at
@@ -236,11 +242,11 @@ class UniformSource:
 
         One spelling makes them all: ``fill_source`` of the extension
         module ``lib`` when it can read the engine (``_engine_reader``),
-        on ``kernel.compiled``, which reads and writes
-        back this source's state in C, reading on from the engine once the
-        buffer is used up and leaving the buffer empty for the next direct
-        call to refill; otherwise, or with ``lib`` None, the composed draw
-        ``kernel.draw``.
+        on ``kernel.compiled``, which reads and writes back this source's
+        state in C, refilling the buffer from the engine once it is used
+        up, as ``_refill`` does, so the buffer, ``_pos`` and ``_spent`` it
+        leaves are the composed draw's; otherwise, or with ``lib`` None,
+        the composed draw ``kernel.draw``.
         """
         engine = None if lib is None else self._engine_reader()
         if engine is not None:

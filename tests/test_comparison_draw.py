@@ -6,10 +6,11 @@ sampler, which fills blocks ahead of its caller with or without the
 compiled fill, against the composed draw, value by value and draw count by
 draw count.
 
-The fill runs only on a numpy engine, whose words it reads itself once the
-buffer is used up; on any other engine the composed draw makes every
-variate.  So an edge word reaches the fill as a scripted word at the head
-of a numpy source's buffer (``scripted``), not from an injected engine."""
+The fill runs only on a numpy engine, whose words it reads itself into the
+source's buffer once that is used up; on any other engine the composed draw
+makes every variate.  So an edge word reaches the fill as a scripted word
+at the head of a numpy source's buffer (``scripted``), not from an
+injected engine."""
 
 import copy
 import gc
@@ -70,12 +71,12 @@ def fill_draw(table, src):
 
 def state(src, offset=True):
     """``draws``, the recycled store, the sign pool and, unless ``offset``
-    is false, the buffer offset.  The offset is left out on an engine that
-    the fill reads itself, since the fill leaves the buffer empty once it
-    reads on from the engine."""
+    is false, the buffer: its position, the words spent before it and its
+    bytes.  The fill refills the buffer in place as the composed draw's
+    refill replaces it, so they agree on every engine."""
     fields = (src.draws, list(src.recycled), src._sign_bits, src._sign_word)
-    if offset and src._engine_reader() is None:
-        return fields + (src._pos,)
+    if offset:
+        return fields + (src._pos, src._spent, src._floats.tobytes())
     return fields
 
 
@@ -90,8 +91,8 @@ def fill_and_reference(kind, recycling, make_source):
 
 def scripted(words, seed=0):
     """Builds, for a recycling flag, a source on ``PCG64(seed)`` whose
-    buffer starts with the 53-bit integers ``words``.  The fill reads them
-    and then reads on from the engine, as the composed draw's refill does,
+    buffer is the 53-bit integers ``words``.  The fill reads them and then
+    refills the buffer from the engine, as the composed draw's refill does,
     so the words reach the C."""
     def make(recycling):
         src = UniformSource(seed, recycling=recycling)
@@ -148,7 +149,7 @@ def test_kernel_variate_straddling_a_refill(kind, recycling, wrap):
     """Variates started on each of the last words of a buffer, and on a
     buffer just used up: the refill lands in turn on the sign word, the
     selection, the position and the run.  On the numpy engine the fill
-    reads on from the engine there; on the ``random_raw``-only wrapper the
+    refills the buffer there; on the ``random_raw``-only wrapper the
     composed draw makes every variate, this one across a refill.
 
     The second input pre-fills the recycled store on both twins.  Its
@@ -625,7 +626,7 @@ def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
     assert state(filled) == state(composed)
 
 
-# The fill on a numpy engine, which it reads itself past the buffer's end.
+# The fill on a numpy engine, whose words it reads itself into the buffer.
 
 NUMPY_ENGINES = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 
@@ -657,10 +658,10 @@ def lock_is_free(lock):
 @pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.EXP_VN])
 @over_entries("engine", NUMPY_ENGINES, entries=(FILL,))
 def test_fill_reads_a_numpy_engine_as_random_raw_does(engine, kind):
-    """Fills on a numpy engine, which run on from the engine itself, and
-    on a twin that reads the same engine through ``random_raw`` alone:
-    the same values, state but the buffer offset and next uniforms after
-    each fill, and the engine's lock free again."""
+    """Fills on a numpy engine, which refill the source's buffer from the
+    engine themselves, and on a twin that reads the same engine through
+    ``random_raw`` alone: the same values, state, buffer among it, and
+    next uniforms after each fill, and the engine's lock free again."""
     config = default_config(kind)
     fast = UniformSource(0, engine=getattr(np.random, engine)(8),
                          recycling=config.recycling_enabled)
@@ -669,21 +670,20 @@ def test_fill_reads_a_numpy_engine_as_random_raw_does(engine, kind):
     for n in (1, 700, 5000, 3):
         assert fast.fill_variates(config.table, n) == \
                slow.fill_variates(config.table, n)
-        assert state(fast, offset=False) == state(slow, offset=False)
+        assert state(fast) == state(slow)
         assert lock_is_free(fast._engine.lock)
-        if n == 5000:
-            # it read on from the engine, and left no buffer behind
-            assert len(fast._floats) == 0
+        # the fill refilled the buffer in place, a refill's words at a time
+        assert len(fast._floats) == bitstream._BUFFER_WORDS
         assert [fast.next_uniform() for _ in range(10)] == \
                [slow.next_uniform() for _ in range(10)]
-        assert state(fast, offset=False) == state(slow, offset=False)
+        assert state(fast) == state(slow)
 
 
 @fill_only
 def test_a_source_that_read_its_engine_copies_and_pickles():
-    """A source whose fill has read on from its numpy engine still deep
-    copies and round-trips through pickle, and the copies go on with the
-    source's values, each reading its own engine."""
+    """A source whose fill has refilled its buffer from its numpy engine
+    still deep copies and round-trips through pickle, and the copies go
+    on with the source's values, each reading its own engine."""
     table = default_config(samplers.EXP_VN).table
     src = UniformSource(9, recycling=False)
     src.fill_variates(table, 500)
@@ -782,10 +782,86 @@ def test_fills_and_random_raw_on_one_engine_lose_no_word():
     for thread in others:
         thread.join(60)
         assert not thread.is_alive()
-    assert len(src._floats) == 0        # every word of the fills was read in C
+    # every word of the fills was read into the buffer, refilled in C
+    assert len(src._floats) == bitstream._BUFFER_WORDS
     twin = np.random.PCG64(6)
-    twin.advance(src.draws + sum(raw))
+    twin.advance(src._spent + len(src._floats) + sum(raw))
     assert engine.state == twin.state
+
+
+# The fill across its refill of the source's own buffer: the buffer's
+# start, its last words, a new source's empty buffer and a scripted one.
+
+BUFFER_WORDS = bitstream._BUFFER_WORDS
+STARTS = ("new", "scripted", 0, 1, BUFFER_WORDS - 1, BUFFER_WORDS)
+
+
+def buffered(seed, recycling, start, words):
+    """A source on ``PCG64(seed)``: as built ("new"), with ``words`` as its
+    buffer ("scripted"), or at position ``start`` of its first buffer."""
+    src = UniformSource(seed, recycling=recycling)
+    if start == "scripted":
+        src._floats = array("d", [w / 2 ** 53 for w in words])
+    elif start != "new":
+        src._refill()
+        src._pos = start
+    return src
+
+
+@pytest.mark.usefixtures("compiled_fill")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), recycling=st.booleans(),
+       start=st.sampled_from(STARTS),
+       words=st.lists(SCRIPT_WORDS, max_size=40),
+       n=st.integers(min_value=1, max_value=700),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_fill_is_the_composed_draw_across_the_refill(kind, recycling, start,
+                                                     words, n, seed):
+    """A fill of n variates from a start near the buffer's end, or on a
+    new or scripted buffer, and n composed draws on a twin: the same
+    values, ``draws`` after each value, made count and error, then the
+    same buffer bytes, ``_pos``, ``_spent``, store and sign pool.  The
+    engine is as far on as the words that came into the buffer from it:
+    ``_spent + len(_floats)``, less the scripted words."""
+    table = default_config(kind, recycling=recycling).table
+    kernel = _fill.kernel(table, recycling)
+    fast, slow = (buffered(seed, recycling, start, words) for _ in range(2))
+    runs = []
+    for src, lib in ((fast, _fill.library()), (slow, None)):
+        values = array("d", bytes(8 * n))
+        counts = array("q", bytes(8 * (n + 1)))
+        made, exc = src._fill_into(lib, kernel, values, counts, n)
+        runs.append((values.tobytes(), counts.tolist(), made, repr(exc)))
+    assert runs[0] == runs[1]
+    assert state(fast) == state(slow)
+    scripted_words = len(words) if start == "scripted" else 0
+    twin = np.random.PCG64(seed)
+    twin.advance(fast._spent + len(fast._floats) - scripted_words)
+    assert fast._engine.state == twin.state == slow._engine.state
+
+
+@fill_only
+@pytest.mark.parametrize("recycling", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_fill_that_ends_on_the_buffers_last_word(kind, recycling):
+    """A fill whose last variate takes the buffer's last word leaves the
+    buffer used up, as the composed draw does, and the next fill refills
+    it in place first."""
+    table = default_config(kind, recycling=recycling).table
+    fast, slow = (UniformSource(21, recycling=recycling) for _ in range(2))
+    values = []
+    for n in range(1, 20 * BUFFER_WORDS):
+        values.append(comparison_draw(table, slow))
+        if slow._pos == BUFFER_WORDS:
+            break
+    else:
+        pytest.fail("no variate ended on a buffer's last word")
+    assert fast.fill_variates(table, n).tolist() == values
+    assert state(fast) == state(slow) and fast._pos == BUFFER_WORDS
+    floats, spent = fast._floats, fast._spent
+    assert fast.fill_variates(table, 1)[0] == comparison_draw(table, slow)
+    assert state(fast) == state(slow)
+    assert fast._floats is floats and fast._spent == spent + BUFFER_WORDS
 
 
 # The bound sampler: blocks filled ahead, by the compiled fill or by the
