@@ -4,8 +4,8 @@
    state (the module's fill_source); fvn_refresh, one pass of the Wallace
    pool's regroup; and the draw, a small object of type Draw, callable
    with no arguments through its vectorcall slot, that hands a bound
-   sampler's block back to Python one float at a time and, on a numpy
-   engine, refills it itself: a comparison sampler's block with
+   sampler's block back to Python one float at a time and refills it
+   itself, on every engine: a comparison sampler's block with
    fvn_fill_source, a Wallace pool's snapshot by beginning the next pass
    (wallace_pass), which regroups the pool and then writes the snapshot
    in one sequential sweep, reading the source's state through the same
@@ -25,10 +25,11 @@
    same values bit for bit.
 
    Fresh words come from buf, the source's own buffer.  Once it is used
-   up, source_refill refills it in place from the engine, a bitgen_t of
-   numpy's own header, numpy/random/bitgen.h, read with next_raw as
-   random_raw reads it, and the used-up words join spent.  The caller,
-   fvn_fill_source, holds the engine's lock.
+   up, source_refill refills it as UniformSource._refill does: from a
+   numpy engine's bitgen_t, of numpy's own header, numpy/random/bitgen.h,
+   read with next_raw as random_raw reads it, while the caller,
+   fvn_fill_source, holds the engine's lock; from any other engine with
+   _refill's own floats, src._engine_floats().
 
    It makes up to n variates, writing each value to out[v] and the fresh
    words spent by the end of it, spent + position, to counts[v].  The
@@ -38,6 +39,8 @@
                     the composed draw leaves it when it raises.
      FILL_TRIALS    a variate's MAX_TRIALS-th trial was rejected.  The
                     state is left as for FILL_OVERFLOW.
+     FILL_ENGINE    a refill failed.  The state is left as _refill
+                    leaves it, and the error is kept for the caller.
    Each leftover is pushed onto the store, and popped from it, as the
    composed draw does.  Within a variate every push but the last is
    popped before the next push, so the store must have room for
@@ -60,7 +63,7 @@
 #define GUIDE_LEN 256 /* a mass table's guide entries; a power of two */
 #define BUFFER_WORDS 1024 /* bitstream._BUFFER_WORDS: the words of a refill */
 
-enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2 };
+enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2, FILL_ENGINE = 3 };
 
 /* A table's kernel, built by the module's kernel(): it holds the buffers
    of the three arrays that its pointers read. */
@@ -79,7 +82,7 @@ typedef struct {
 } fvn_kernel;
 
 typedef struct {
-    const double *buf;
+    double *buf;
     int64_t nbuf;
     int64_t pos;
     int64_t spent;
@@ -88,29 +91,135 @@ typedef struct {
     int64_t sign_bits;
     int64_t sign_word;
     int64_t status;
-    const bitgen_t *engine;
-    double *own;  /* the BUFFER_WORDS doubles a refill writes */
 } fvn_state;
 
-/* UniformSource._refill, in place at own, and the one place the kernels
-   read the engine: its words cut to WORD_BITS bits as _refill cuts them. */
-static __attribute__((cold, noinline)) void source_refill(fvn_state *s)
-{
-    const bitgen_t *eng = s->engine;
-    int64_t k;
+/* A UniformSource's state as fvn_fill reads it, held from source_read to
+   source_write: the buffer _floats, an array("d") held in view, the
+   position _pos in it, the words _spent of the buffers used up, the store
+   recycled and the sign pool _sign_bits and _sign_word.  bitgen is the
+   engine's bitgen_t, read with engine.lock held, or NULL (source_engine);
+   renewed says a refill made floats a new array, and error holds a failed
+   refill's exception. */
+typedef struct {
+    fvn_state s;
+    PyObject *src, *floats, *rec, *items, *lock, *error;
+    Py_buffer view;
+    const bitgen_t *bitgen;
+    int renewed;
+    int64_t nrec, spent, sign_bits, sign_word;
+} fvn_source;
 
-    for (k = 0; k < BUFFER_WORDS; k++)
-        s->own[k] = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS))
-                    / UNIT;
-    s->spent += s->nbuf;
-    s->buf = s->own;
-    s->nbuf = BUFFER_WORDS;
-    s->pos = 0;
+/* The names the kernels read and write, interned when the module loads
+   (intern_names). */
+enum { N_FLOATS, N_POS, N_SPENT, N_RECYCLED, N_SIGN_BITS, N_SIGN_WORD,
+       N_LOCK, N_ACQUIRE, N_RELEASE, N_PASS_COUNT, N_NORM_SQ, N_EMIT_SCALE,
+       N_VALUES, N_CAPSULE, N_ENGINE, N_RANDOM_RAW, N_ENGINE_FLOATS,
+       N_NAMES };
+static PyObject *names[N_NAMES];
+
+/* Holds in view the buffer of obj as C-contiguous items of format fmt,
+   writable when asked.  Returns its items, or -1 with msg as a
+   ValueError, or the buffer's own error, and nothing held. */
+static Py_ssize_t get_array(PyObject *obj, Py_buffer *view, const char *fmt,
+                            int writable, const char *msg)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                           | (writable ? PyBUF_WRITABLE : 0)) < 0) {
+        view->obj = NULL;
+        return -1;
+    }
+    if (strcmp(view->format, fmt) != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, msg);
+        return -1;
+    }
+    return view->len / view->itemsize;
 }
 
-static int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
+/* Makes floats, an array("d"), the buffer of o in place of the one held.
+   Returns 0, or -1 with a Python error set and o as it was. */
+static int source_take(fvn_source *o, PyObject *floats)
+{
+    Py_buffer view;
+    Py_ssize_t n = get_array(floats, &view, "d", 1,
+                             "_floats is not an array('d')");
+
+    if (n < 0)
+        return -1;
+    PyBuffer_Release(&o->view);
+    Py_XSETREF(o->floats, Py_NewRef(floats));
+    o->view = view;
+    o->s.buf = view.buf;
+    o->s.nbuf = n;
+    return 0;
+}
+
+/* The exception set now, with its traceback, which is then cleared. */
+static PyObject *take_error(void)
+{
+    PyObject *type, *value, *tb;
+
+    PyErr_Fetch(&type, &value, &tb);
+    PyErr_NormalizeException(&type, &value, &tb);
+    if (tb != NULL)
+        PyException_SetTraceback(value, tb);
+    Py_XDECREF(type);
+    Py_XDECREF(tb);
+    return value;
+}
+
+/* Raises error, as take_error took it, and lets it go; returns -1. */
+static int raise_error(PyObject *error)
+{
+    PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+    Py_DECREF(error);
+    return -1;
+}
+
+/* UniformSource._refill of the used-up buffer, the one place the kernels
+   read the engine: on bitgen, BUFFER_WORDS words of next_raw cut to
+   WORD_BITS bits as _refill cuts them, in place, or into a new array when
+   the buffer is not BUFFER_WORDS long; otherwise the floats of
+   src._engine_floats(), of any length, called with no lock held, since
+   random_raw takes its own.  Returns 0, or -1 with the exception kept in
+   o->error and the state as _refill leaves it: the used-up buffer in
+   place and spent unmoved. */
+static __attribute__((cold, noinline)) int source_refill(fvn_source *o)
+{
+    fvn_state *s = &o->s;
+    const bitgen_t *eng = o->bitgen;
+    const int64_t used = s->nbuf;
+    PyObject *floats = NULL;
+    int64_t k;
+
+    if (eng == NULL || used != BUFFER_WORDS) {
+        if (eng == NULL)
+            floats = PyObject_CallMethodNoArgs(o->src, names[N_ENGINE_FLOATS]);
+        else if ((floats = PyBytes_FromStringAndSize(
+                      NULL, BUFFER_WORDS * sizeof(double))) != NULL)
+            Py_SETREF(floats, PyObject_CallFunction(
+                (PyObject *)Py_TYPE(o->floats), "sO", "d", floats));
+        if (floats == NULL || source_take(o, floats) < 0) {
+            Py_XDECREF(floats);
+            o->error = take_error();
+            return -1;
+        }
+        Py_DECREF(floats);
+        o->renewed = 1;
+    }
+    if (eng != NULL)
+        for (k = 0; k < BUFFER_WORDS; k++)
+            s->buf[k] = (double)(eng->next_raw(eng->state) >> (64 - WORD_BITS))
+                        / UNIT;
+    s->spent += used;
+    s->pos = 0;
+    return 0;
+}
+
+static int64_t fvn_fill(const fvn_kernel *kn, fvn_source *o, double *out,
                         int64_t *counts, int64_t n)
 {
+    fvn_state *s = &o->s;
     const double *buf = s->buf, *cum = kn->cum;
     const int64_t K = kn->K;
     const int normal = kn->normal != 0, restart = kn->restart != 0;
@@ -122,7 +231,10 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_state *s, double *out,
 /* A fresh word, or the recycled store's top and a fresh word once empty. */
 #define FRESH(dst) do {                                                 \
         if (i >= nbuf) {                                                \
-            source_refill(s);                                           \
+            if (source_refill(o) < 0) {                                 \
+                s->status = FILL_ENGINE;                                \
+                goto commit;                                            \
+            }                                                           \
             buf = s->buf, nbuf = s->nbuf, spent = s->spent, i = 0;      \
         }                                                               \
         (dst) = buf[i++];                                               \
@@ -246,34 +358,45 @@ commit:
 }
 
 
-/* The names fvn_fill_source, the Wallace pass and the draw's constructors
-   read and write, interned when the module loads, and math.sqrt, which the
-   pass calls. */
-enum { N_FLOATS, N_POS, N_SPENT, N_RECYCLED, N_SIGN_BITS, N_SIGN_WORD,
-       N_LOCK, N_ACQUIRE, N_RELEASE, N_PASS_COUNT, N_NORM_SQ, N_EMIT_SCALE,
-       N_VALUES, N_CAPSULE, N_NAMES };
-static PyObject *names[N_NAMES];
-static PyObject *math_sqrt;
+/* math.sqrt, which the Wallace pass calls, numpy's
+   BitGenerator.random_raw, which source_engine looks for, and
+   bitstream._FILL_ERRORS, the message of each status of fvn_fill. */
+static PyObject *math_sqrt, *numpy_random_raw, *fill_errors;
+
+/* module.attr, or module.cls.attr */
+static PyObject *import_attr(const char *module, const char *cls,
+                             const char *attr)
+{
+    PyObject *obj = PyImport_ImportModule(module), *found;
+
+    if (obj != NULL && cls != NULL)
+        Py_SETREF(obj, PyObject_GetAttrString(obj, cls));
+    found = obj == NULL ? NULL : PyObject_GetAttrString(obj, attr);
+    Py_XDECREF(obj);
+    return found;
+}
 
 static int intern_names(void)
 {
     static const char *const text[N_NAMES] = {
         "_floats", "_pos", "_spent", "recycled", "_sign_bits", "_sign_word",
         "lock", "acquire", "release", "pass_count", "norm_sq", "emit_scale",
-        "values", "capsule"};
+        "values", "capsule", "_engine", "random_raw", "_engine_floats"};
     int k;
 
     for (k = 0; k < N_NAMES; k++)
         if (names[k] == NULL
                 && (names[k] = PyUnicode_InternFromString(text[k])) == NULL)
             return -1;
-    if (math_sqrt == NULL) {
-        PyObject *math = PyImport_ImportModule("math");
-        math_sqrt = math == NULL ? NULL : PyObject_GetAttrString(math, "sqrt");
-        Py_XDECREF(math);
-        if (math_sqrt == NULL)
-            return -1;
-    }
+    if ((math_sqrt == NULL
+         && (math_sqrt = import_attr("math", NULL, "sqrt")) == NULL)
+            || (numpy_random_raw == NULL
+                && (numpy_random_raw = import_attr(
+                        "numpy.random", "BitGenerator", "random_raw")) == NULL)
+            || (fill_errors == NULL
+                && (fill_errors = import_attr(
+                        "fvn.bitstream", NULL, "_FILL_ERRORS")) == NULL))
+        return -1;
     return 0;
 }
 
@@ -330,52 +453,66 @@ static int set_store(PyObject *rec, const double *store, int64_t n)
     return rc;
 }
 
-/* A UniformSource's state as fvn_fill reads it, held from source_read to
-   source_write: the buffer _floats, an array("d"), the position _pos in
-   it, the words _spent of the buffers used up, the store recycled and the
-   sign pool _sign_bits and _sign_word, with the engine's lock held.  The
-   refill of a buffer not BUFFER_WORDS long, as a new source's empty one,
-   writes spare, which source_write hands to src as its new _floats. */
-typedef struct {
-    fvn_state s;
-    PyObject *floats, *rec, *items, *lock;
-    Py_buffer view;
-    double *spare;
-    int64_t nrec, spent, sign_bits, sign_word;
-} fvn_source;
-
 static void source_free(fvn_source *o)
 {
     PyBuffer_Release(&o->view);
-    PyMem_Free(o->spare);
     PyMem_Free(o->s.store);
+    Py_XDECREF(o->error);
     Py_XDECREF(o->lock);
     Py_XDECREF(o->items);
     Py_XDECREF(o->rec);
     Py_XDECREF(o->floats);
 }
 
+/* The word source of the refills of src, a UniformSource, picked once per
+   fill or bind: the engine and its bitgen_t, from its capsule, on a numpy
+   BitGenerator whose class keeps numpy's random_raw; NULL for both on any
+   other engine, read through src._engine_floats().  The bitgen_t lives as
+   long as the engine.  Returns 0, with *engine a new reference or NULL,
+   or -1 with a Python error set. */
+static int source_engine(PyObject *src, PyObject **engine,
+                         const bitgen_t **bitgen)
+{
+    PyObject *eng = PyObject_GetAttr(src, names[N_ENGINE]), *raw, *capsule;
+
+    *engine = NULL;
+    *bitgen = NULL;
+    if (eng == NULL)
+        return -1;
+    /* with no random_raw, _engine_floats raises as _refill does */
+    raw = PyObject_GetAttr((PyObject *)Py_TYPE(eng), names[N_RANDOM_RAW]);
+    PyErr_Clear();
+    if (raw == numpy_random_raw
+            && (capsule = PyObject_GetAttr(eng, names[N_CAPSULE])) != NULL) {
+        if ((*bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) != NULL)
+            *engine = Py_NewRef(eng);
+        Py_DECREF(capsule);
+    }
+    Py_XDECREF(raw);
+    Py_DECREF(eng);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
 /* Reads the state of src into o, with room on the store for room more
-   values, and takes engine.lock, as random_raw does, for reading bitgen,
-   the bitgen_t of engine.  Returns 0, or -1 with a Python error set and
-   nothing held. */
+   values, for refills from bitgen and engine as source_engine picked
+   them; on bitgen, it takes engine.lock, as random_raw does.  Returns 0,
+   or -1 with a Python error set and nothing held. */
 static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
                        const bitgen_t *bitgen, int64_t room)
 {
     fvn_state *s = &o->s;
+    PyObject *floats;
     int64_t k;
 
     memset(o, 0, sizeof *o);
-    if ((o->floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
+    o->src = src;
+    o->bitgen = bitgen;
+    if ((floats = PyObject_GetAttr(src, names[N_FLOATS])) == NULL)
         return -1;
-    if (PyObject_GetBuffer(o->floats, &o->view, PyBUF_C_CONTIGUOUS
-                           | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
+    k = source_take(o, floats);
+    Py_DECREF(floats);
+    if (k < 0)
         goto fail;
-    if (o->view.itemsize != sizeof(double)
-            || strcmp(o->view.format, "d") != 0) {
-        PyErr_SetString(PyExc_TypeError, "_floats is not an array('d')");
-        goto fail;
-    }
     if ((o->rec = PyObject_GetAttr(src, names[N_RECYCLED])) == NULL
             || (o->items = PySequence_Fast(o->rec,
                                            "recycled is not a list")) == NULL)
@@ -386,11 +523,8 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
         PyErr_SetString(PyExc_ValueError, "no room for n variates");
         goto fail;
     }
-    s->buf = s->own = o->view.buf;
-    s->nbuf = o->view.len / (Py_ssize_t)sizeof(double);
     s->store = PyMem_Malloc((size_t)(o->nrec + room) * sizeof *s->store);
-    if (s->store == NULL || (s->nbuf != BUFFER_WORDS && (s->own = o->spare
-            = PyMem_Malloc(BUFFER_WORDS * sizeof *s->own)) == NULL)) {
+    if (s->store == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -412,9 +546,9 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
     s->nstore = o->nrec;
     s->sign_bits = o->sign_bits;
     s->sign_word = o->sign_word;
-    s->engine = bitgen;
-    if ((o->lock = PyObject_GetAttr(engine, names[N_LOCK])) == NULL
-            || call_method(o->lock, N_ACQUIRE) < 0)
+    if (bitgen != NULL
+            && ((o->lock = PyObject_GetAttr(engine, names[N_LOCK])) == NULL
+                || call_method(o->lock, N_ACQUIRE) < 0))
         goto fail;
     return 0;
 fail:
@@ -423,28 +557,18 @@ fail:
 }
 
 /* Lets the engine's lock go and writes the state of o back to src, as
-   the Python lines do, then frees o: _pos, _spent once a refill moved it,
-   spare as a new _floats once a refill wrote it, and recycled[:] set to
-   the store left.  Returns 0, or -1 with a Python error set. */
+   the Python lines do, then frees o: _floats once a refill made it a new
+   array, _pos, _spent once a refill moved it, and recycled[:] set to the
+   store left.  Returns 0, or -1 with a Python error set. */
 static int source_write(fvn_source *o, PyObject *src)
 {
     fvn_state *s = &o->s;
     int rc = -1;
 
-    if (call_method(o->lock, N_RELEASE) < 0)
-        goto done;
-    PyBuffer_Release(&o->view);
-    if (s->buf == o->spare) {
-        PyObject *floats = PyObject_CallFunction(
-            (PyObject *)Py_TYPE(o->floats), "sy#", "d", (const char *)o->spare,
-            (Py_ssize_t)(BUFFER_WORDS * sizeof(double)));
-        int set = floats == NULL ? -1
-                  : PyObject_SetAttr(src, names[N_FLOATS], floats);
-        Py_XDECREF(floats);
-        if (set < 0)
-            goto done;
-    }
-    if (set_int(src, N_POS, s->pos) < 0
+    if ((o->lock != NULL && call_method(o->lock, N_RELEASE) < 0)
+            || (o->renewed
+                && PyObject_SetAttr(src, names[N_FLOATS], o->floats) < 0)
+            || set_int(src, N_POS, s->pos) < 0
             || (s->spent != o->spent && set_int(src, N_SPENT, s->spent) < 0)
             || ((o->nrec || s->nstore)
                 && set_store(o->rec, s->store, s->nstore) < 0)
@@ -462,28 +586,42 @@ done:
 /* fvn_fill run on the state of src, a UniformSource, for both of its
    callers: UniformSource.fill_variates, through the module's fill_source,
    and the draw of a bound sampler (emit_refill below).  It reads the
-   state, holds engine.lock while fvn_fill runs on bitgen, the bitgen_t of
-   engine, and writes the state back (source_read, source_write).  counts
-   holds n + 1 words: the draws before the fill, then those after each
-   variate.
-   Returns the variates made, with *status as fvn_fill sets it, or -1
-   with a Python error set when the state cannot be read or written or
-   the lock fails. */
+   state, runs fvn_fill with refills from bitgen and engine as
+   source_engine picked them, holding engine.lock on bitgen, and writes
+   the state back (source_read, source_write).  counts holds n + 1 words:
+   the draws before the fill, then those after each variate.
+   Returns the variates made, with *error the exception that stopped them,
+   a new reference, or NULL: a failed refill's own, or RuntimeError with
+   the status's message in fill_errors for the fill's own stops.  Or -1
+   with a Python error set when the state cannot be read or written or the
+   lock fails. */
 static int64_t fvn_fill_source(PyObject *src, PyObject *engine,
                                const bitgen_t *bitgen, const fvn_kernel *kn,
                                double *out, int64_t *counts, int64_t n,
-                               int64_t *status)
+                               PyObject **error)
 {
     fvn_source o;
-    int64_t made;
+    PyObject *msg;
+    int64_t made, status;
 
     /* a variate leaves at most one more value on the store */
     if (source_read(&o, src, engine, bitgen, n) < 0)
         return -1;
     counts[0] = o.s.spent + o.s.pos;
-    made = fvn_fill(kn, &o.s, out, counts + 1, n);
-    *status = o.s.status;
-    return source_write(&o, src) < 0 ? -1 : made;
+    made = fvn_fill(kn, &o, out, counts + 1, n);
+    status = o.s.status;
+    *error = o.error;
+    o.error = NULL;
+    if (source_write(&o, src) < 0) {
+        Py_CLEAR(*error);
+        return -1;
+    }
+    if ((status == FILL_OVERFLOW || status == FILL_TRIALS)
+            && ((msg = PyTuple_GetItem(fill_errors, status)) == NULL
+                || (*error = PyObject_CallOneArg(PyExc_RuntimeError, msg))
+                   == NULL))
+        return -1;
+    return made;
 }
 
 
@@ -526,8 +664,7 @@ static void fvn_refresh(double *values, int64_t n, int64_t step,
 }
 
 
-/* The draw, _fill.emitter's compiled spelling, as its Python spelling
-   does it: values[cursor[0]] with cursor[0] stepped while cursor[0] <
+/* The draw: values[cursor[0]] with cursor[0] stepped while cursor[0] <
    cursor[1]; otherwise the block is refilled first.  The refill rewrites
    values in place and sets the cursor, or raises, and then so does the
    draw.  A refill that leaves no value to read is an error too, so a
@@ -537,54 +674,58 @@ static void fvn_refresh(double *values, int64_t n, int64_t step,
    raises IndexError, as the array does.  The draw is an object of type
    Draw whose vectorcall slot reads its own struct, so a value costs no
    Python frame and no lookup; it takes no arguments.  Python cannot make
-   one: the module's three constructors below do.  It is not tracked by
-   the garbage collector, so nothing it holds may refer back to it.
+   one: the module's two constructors below do.  It is not tracked by the
+   garbage collector, so nothing it holds may refer back to it.
 
-   The refill is one of three:
-     refill()  a Python callable, when src is NULL (emitter).
-     the fill  with src and a kernel, the draw of
-               UniformSource.bind_variates on an engine the fill reads
-               (fill_emitter): fvn_fill_source on src, engine and bitgen,
-               filling values and counts (n + 1 words), with no Python
-               frame.  A status that stops the fill after some values is
-               held until they are read; then, or when it stops the fill
-               at once, the refill sets the cursor to 0 made and raises
-               RuntimeError with errors[status], as the Python refill of
-               bind_variates does.
-     the pass  with src and a pool, the draw of wallace.emit_passes on an
-               engine the fill reads (pass_emitter): wallace_pass below
-               begins the next pass of the pool, whose snapshot is values,
-               with no Python frame, and sets cursor[0] to 0, as the
-               Python refill of emit_passes does. */
+   The refill is one of two, each on src, a UniformSource, with refills
+   from the engine and bitgen that source_engine picked when the draw was
+   made, and no Python frame:
+     the fill  with a kernel, the draw of UniformSource.bind_variates
+               (fill_emitter): fvn_fill_source on src, filling values and
+               counts (n + 1 words).  An error that stops the fill after
+               some values is held until they are read; then, or when it
+               stops the fill at once, the refill sets the cursor to 0
+               made and raises it, where the composed draw raises it.
+     the pass  with a pool, the draw of wallace.emit_passes
+               (pass_emitter): wallace_pass below begins the next pass of
+               the pool, whose snapshot is values, and sets cursor[0] to
+               0. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     double *values;
     int64_t n;
     int64_t *cursor;
-    PyObject *refill;
-    PyObject *src, *engine, *errors, *pool;
+    PyObject *src, *engine, *pool, *held;
     const bitgen_t *bitgen;
     fvn_kernel *kernel;
     int64_t *counts;
-    int64_t held;
     double *pool_values;
     const double *q;
     /* of values, cursor, then counts, or the pool's values and q */
     Py_buffer views[4];
 } fvn_emit;
 
-/* next_word's and next_uniform's reads of the state s */
-static double source_fresh(fvn_state *s)
+/* next_word's and next_uniform's reads of the state of o into *u; -1
+   when the refill fails (source_refill) */
+static int source_fresh(fvn_source *o, double *u)
 {
-    if (s->pos >= s->nbuf)
-        source_refill(s);
-    return s->buf[s->pos++];
+    fvn_state *s = &o->s;
+
+    if (s->pos >= s->nbuf && source_refill(o) < 0)
+        return -1;
+    *u = s->buf[s->pos++];
+    return 0;
 }
 
-static double source_uniform(fvn_state *s)
+static int source_uniform(fvn_source *o, double *u)
 {
-    return s->nstore ? s->store[--s->nstore] : source_fresh(s);
+    fvn_state *s = &o->s;
+
+    if (!s->nstore)
+        return source_fresh(o, u);
+    *u = s->store[--s->nstore];
+    return 0;
 }
 
 static int64_t gcd(int64_t a, int64_t b)
@@ -598,46 +739,51 @@ static int64_t gcd(int64_t a, int64_t b)
 }
 
 /* wallace._next_pass on the pool of e, pool_values its n values.  It
-   reads the source's state as fvn_fill_source does and, holding
-   engine.lock, draws the regroup's word, as next_word does, then
-   Box-Muller's u1, again while u1 == 0, and u2, as next_uniform does,
-   each popped from the store while it holds one, and a fresh word past
-   the buffer's end refills it in place (source_fresh).  The stride and
-   offset are _block_stride's, the transform is q[pass_count mod 2] of the
-   two 4 x 4 at q, and the variance correction is _pass_scale's: float's
-   ** 3 is pow(x, 3.0), and s / norm_sq and its root are taken by Python's
-   own division and math.sqrt, with their errors.  Then, in _next_pass's
+   reads the source's state as fvn_fill_source does, holding engine.lock
+   on a numpy engine, and draws the regroup's word, as next_word does,
+   then Box-Muller's u1, again while u1 == 0, and u2, as next_uniform
+   does, each popped from the store while it holds one, and a fresh word
+   past the buffer's end refills it (source_fresh).  The stride and offset
+   are _block_stride's, the transform is q[pass_count mod 2] of the two
+   4 x 4 at q, and the variance correction is _pass_scale's: float's ** 3
+   is pow(x, 3.0), and s / norm_sq and its root are taken by Python's own
+   division and math.sqrt, with their errors.  Then, in _next_pass's
    order, fvn_refresh regroups pool_values, emit_scale is written back
    and _snapshot's values[i] = pool_values[i] * scale is written in one
-   sequential sweep.  When the scale raises, the pool is regrouped and
-   counted with no new scale or snapshot, as refresh leaves it before
-   _pass_scale raises.  Never inlined: in emit_next its frame would cost
-   every value a larger prologue. */
+   sequential sweep.  A failed refill for the word raises with no pass;
+   for u1 or u2, as when the scale raises, the pool is regrouped and
+   counted with no new scale or snapshot, as _next_pass leaves it.  Never
+   inlined: in emit_next its frame would cost every value a larger
+   prologue. */
 static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
 {
     const int64_t n = e->n;
     fvn_source o;
     uint64_t word;
     int64_t pass_count, stride, i;
-    double u1, u2, z, c, s;
-    PyObject *norm_sq, *sf = NULL, *ratio = NULL, *root = NULL;
-    int rc = -1;
+    double u = 0.0, u1 = 0.0, u2 = 0.0, z, c, s;
+    PyObject *norm_sq = NULL, *sf = NULL, *ratio = NULL, *root = NULL, *error;
+    int failed, rc = -1;   /* failed: 1 for the word, 2 for u1 or u2 */
 
     if (source_read(&o, e->src, e->engine, e->bitgen, 0) < 0)
         return -1;
-    word = (uint64_t)(source_fresh(&o.s) * UNIT);
-    do
-        u1 = source_uniform(&o.s);
-    while (!(u1 > 0.0));
-    u2 = source_uniform(&o.s);
-    if (source_write(&o, e->src) < 0
+    failed = source_fresh(&o, &u) < 0;
+    while (!failed && !(u1 > 0.0))
+        failed = 2 * (source_uniform(&o, &u1) < 0);
+    if (!failed)
+        failed = 2 * (source_uniform(&o, &u2) < 0);
+    word = (uint64_t)(u * UNIT);
+    error = o.error;
+    o.error = NULL;
+    if (source_write(&o, e->src) < 0 || failed == 1
             || get_int(e->pool, N_PASS_COUNT, &pass_count) < 0
             || set_int(e->pool, N_PASS_COUNT, pass_count + 1) < 0)
-        return -1;
+        goto done;
     z = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2);
     c = 2.0 / (9.0 * (double)n);
     s = (double)n * pow(1.0 - c + z * sqrt(c), 3.0);
-    if ((norm_sq = PyObject_GetAttr(e->pool, names[N_NORM_SQ])) != NULL
+    if (!failed && (norm_sq = PyObject_GetAttr(e->pool, names[N_NORM_SQ]))
+                != NULL
             && (sf = PyFloat_FromDouble(s)) != NULL
             && (ratio = PyNumber_TrueDivide(sf, norm_sq)) != NULL)
         root = PyObject_CallOneArg(math_sqrt, ratio);
@@ -654,6 +800,11 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
         e->cursor[0] = 0;
         rc = 0;
     }
+done:
+    if (error != NULL && !PyErr_Occurred())
+        raise_error(error);
+    else
+        Py_XDECREF(error);
     Py_XDECREF(root);
     Py_XDECREF(ratio);
     Py_XDECREF(sf);
@@ -663,31 +814,26 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
 
 static int emit_refill(fvn_emit *e)
 {
-    int64_t status = e->held, made;
+    PyObject *error = e->held;
+    int64_t made;
 
-    if (e->src == NULL) {
-        PyObject *done = PyObject_CallNoArgs(e->refill);
-        Py_XDECREF(done);
-        return done == NULL ? -1 : 0;
-    }
     if (e->pool != NULL)
         return wallace_pass(e);
-    e->held = FILL_DONE;
-    if (status == FILL_DONE) {
+    e->held = NULL;
+    if (error == NULL) {
         made = fvn_fill_source(e->src, e->engine, e->bitgen, e->kernel,
-                               e->values, e->counts, e->n, &status);
+                               e->values, e->counts, e->n, &error);
         if (made < 0)
             return -1;
-        if (made) {
-            e->held = status;
+        if (made || error == NULL) {
+            e->held = error;
             e->cursor[0] = 0;
             e->cursor[1] = made;
             return 0;
         }
     }
     e->cursor[0] = e->cursor[1] = 0;
-    PyErr_SetObject(PyExc_RuntimeError, PyTuple_GET_ITEM(e->errors, status));
-    return -1;
+    return raise_error(error);
 }
 
 static PyObject *emit_next(PyObject *self, PyObject *const *args,
@@ -727,10 +873,9 @@ static void emit_dealloc(PyObject *self)
 
     for (k = 0; k < 4; k++)
         PyBuffer_Release(&e->views[k]);
-    Py_XDECREF(e->refill);
+    Py_XDECREF(e->held);
     Py_XDECREF(e->src);
     Py_XDECREF(e->engine);
-    Py_XDECREF(e->errors);
     Py_XDECREF(e->pool);
     Py_XDECREF((PyObject *)e->kernel);
     Py_TYPE(self)->tp_free(self);
@@ -767,39 +912,6 @@ static PyTypeObject kernel_type = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
     .tp_doc = "A table's kernel, as fvn_fill reads it.",
 };
-
-/* Holds in view the buffer of obj as C-contiguous items of format fmt,
-   writable when asked.  Returns its items, or -1 with msg as a
-   ValueError, or the buffer's own error, and nothing held. */
-static Py_ssize_t get_array(PyObject *obj, Py_buffer *view, const char *fmt,
-                            int writable, const char *msg)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
-                           | (writable ? PyBUF_WRITABLE : 0)) < 0) {
-        view->obj = NULL;
-        return -1;
-    }
-    if (strcmp(view->format, fmt) != 0) {
-        PyBuffer_Release(view);
-        PyErr_SetString(PyExc_ValueError, msg);
-        return -1;
-    }
-    return view->len / view->itemsize;
-}
-
-/* The bitgen_t of a numpy BitGenerator, from its capsule; it lives as long
-   as the engine. */
-static const bitgen_t *engine_bitgen(PyObject *engine)
-{
-    PyObject *capsule = PyObject_GetAttr(engine, names[N_CAPSULE]);
-    const bitgen_t *bitgen;
-
-    if (capsule == NULL)
-        return NULL;
-    bitgen = PyCapsule_GetPointer(capsule, "BitGenerator");
-    Py_DECREF(capsule);
-    return bitgen;
-}
 
 #define KERNEL_ARRAYS "a kernel reads K x 4 rows and K masses in an " \
     "array('d') each and a guide of GUIDE_LEN in an array('B')"
@@ -871,45 +983,24 @@ static fvn_emit *emit_new(PyObject *values, PyObject *cursor)
     return e;
 }
 
-/* emitter(refill, values, cursor): the draw whose refill is refill(). */
-static PyObject *new_emitter(PyObject *module, PyObject *args)
-{
-    PyObject *refill, *values, *cursor;
-    fvn_emit *e;
-
-    (void)module;
-    if (!PyArg_ParseTuple(args, "OOO:emitter", &refill, &values, &cursor)
-            || (e = emit_new(values, cursor)) == NULL)
-        return NULL;
-    e->refill = Py_NewRef(refill);
-    return (PyObject *)e;
-}
-
 #define FILL_COUNTS "the fill's counts must be an array('q') longer than " \
     "the block"
 
-/* fill_emitter(src, engine, kernel, values, cursor, counts, errors): the
-   draw whose refill is the fill of kernel on src, a UniformSource on
-   engine, a numpy BitGenerator; counts as fvn_fill_source fills them and
-   errors a tuple of a message by status. */
+/* fill_emitter(src, kernel, values, cursor, counts): the draw whose refill
+   is the fill of kernel on src, a UniformSource; counts as
+   fvn_fill_source fills them. */
 static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
 {
-    PyObject *src, *engine, *kernel, *values, *cursor, *counts, *errors;
+    PyObject *src, *kernel, *values, *cursor, *counts;
     fvn_emit *e;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOO!OOOO!:fill_emitter", &src, &engine,
-                          &kernel_type, &kernel, &values, &cursor, &counts,
-                          &PyTuple_Type, &errors))
+    if (!PyArg_ParseTuple(args, "OO!OOO:fill_emitter", &src, &kernel_type,
+                          &kernel, &values, &cursor, &counts)
+            || (e = emit_new(values, cursor)) == NULL)
         return NULL;
-    if (PyTuple_GET_SIZE(errors) <= FILL_TRIALS) {
-        PyErr_SetString(PyExc_TypeError, "errors must be a message by status");
-        return NULL;
-    }
-    if ((e = emit_new(values, cursor)) == NULL)
-        return NULL;
-    if ((e->bitgen = engine_bitgen(engine)) == NULL
-            || get_array(counts, &e->views[2], "q", 1, FILL_COUNTS) <= e->n) {
+    if (get_array(counts, &e->views[2], "q", 1, FILL_COUNTS) <= e->n
+            || source_engine(src, &e->engine, &e->bitgen) < 0) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, FILL_COUNTS);
         Py_DECREF(e);
@@ -917,9 +1008,7 @@ static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
     }
     e->counts = e->views[2].buf;
     e->src = Py_NewRef(src);
-    e->engine = Py_NewRef(engine);
     e->kernel = (fvn_kernel *)Py_NewRef(kernel);
-    e->errors = Py_NewRef(errors);
     return (PyObject *)e;
 }
 
@@ -927,21 +1016,20 @@ static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
     "snapshot, a positive multiple of 4, and q the 2 x 4 x 4 doubles of " \
     "the transforms of even and odd passes"
 
-/* pass_emitter(pool, src, engine, values, cursor, q): the draw whose
-   refill begins the next pass of pool, a wallace.NormalPool whose
-   snapshot is values, on src, a UniformSource on engine, a numpy
-   BitGenerator.  pool.values must be C-contiguous float64, as many as
-   values, and q the transforms of even and odd passes; the draw holds
-   both buffers. */
+/* pass_emitter(pool, src, values, cursor, q): the draw whose refill
+   begins the next pass of pool, a wallace.NormalPool whose snapshot is
+   values, on src, a UniformSource.  pool.values must be C-contiguous
+   float64, as many as values, and q the transforms of even and odd
+   passes; the draw holds both buffers. */
 static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
 {
-    PyObject *pool, *src, *engine, *values, *cursor, *q, *pool_values;
+    PyObject *pool, *src, *values, *cursor, *q, *pool_values;
     fvn_emit *e;
     Py_ssize_t size;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOOOOO:pass_emitter", &pool, &src, &engine,
-                          &values, &cursor, &q)
+    if (!PyArg_ParseTuple(args, "OOOOO:pass_emitter", &pool, &src, &values,
+                          &cursor, &q)
             || (e = emit_new(values, cursor)) == NULL)
         return NULL;
     size = -1;
@@ -951,7 +1039,7 @@ static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
     }
     if (size != e->n || e->n <= 0 || e->n % 4 != 0
             || get_array(q, &e->views[3], "d", 0, POOL_VALUES) != 32
-            || (e->bitgen = engine_bitgen(engine)) == NULL) {
+            || source_engine(src, &e->engine, &e->bitgen) < 0) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, POOL_VALUES);
         Py_DECREF(e);
@@ -960,7 +1048,6 @@ static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
     e->pool_values = e->views[2].buf;
     e->q = e->views[3].buf;
     e->src = Py_NewRef(src);
-    e->engine = Py_NewRef(engine);
     e->pool = Py_NewRef(pool);
     return (PyObject *)e;
 }
@@ -968,40 +1055,43 @@ static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
 #define FILL_ROOM "no room for n variates in an array('d') and their " \
     "counts in an array('q')"
 
-/* fill_source(src, engine, kernel, values, counts, n) -> (made, status):
-   fvn_fill_source of kernel on src, a UniformSource on engine, a numpy
-   BitGenerator, into values, n doubles or more, and counts, n + 1 words
-   or more. */
+/* fill_source(src, kernel, values, counts, n) -> (made, error):
+   fvn_fill_source of kernel on src, a UniformSource, into values, n
+   doubles or more, and counts, n + 1 words or more; error is None or the
+   exception that stopped the fill. */
 static PyObject *fill_source(PyObject *module, PyObject *const *args,
                              Py_ssize_t nargs)
 {
     Py_buffer out = {0}, counts = {0};
+    PyObject *engine = NULL, *error, *result = NULL;
     const bitgen_t *bitgen;
     Py_ssize_t n;
-    int64_t made, status = FILL_DONE;
-    PyObject *result = NULL;
+    int64_t made;
 
     (void)module;
-    if (nargs != 6 || !PyObject_TypeCheck(args[2], &kernel_type)) {
-        PyErr_SetString(PyExc_TypeError, "fill_source takes a source, its "
-                        "engine, a kernel, values, counts and n");
+    if (nargs != 5 || !PyObject_TypeCheck(args[1], &kernel_type)) {
+        PyErr_SetString(PyExc_TypeError, "fill_source takes a source, a "
+                        "kernel, values, counts and n");
         return NULL;
     }
-    if (((n = PyLong_AsSsize_t(args[5])) == -1 && PyErr_Occurred())
-            || (bitgen = engine_bitgen(args[1])) == NULL)
+    if ((n = PyLong_AsSsize_t(args[4])) == -1 && PyErr_Occurred())
         return NULL;
-    if (n < 0 || get_array(args[3], &out, "d", 1, FILL_ROOM) < n
-            || get_array(args[4], &counts, "q", 1, FILL_ROOM) <= n) {
+    if (n < 0 || get_array(args[2], &out, "d", 1, FILL_ROOM) < n
+            || get_array(args[3], &counts, "q", 1, FILL_ROOM) <= n) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, FILL_ROOM);
         goto done;
     }
-    made = fvn_fill_source(args[0], args[1], bitgen,
-                           (const fvn_kernel *)args[2], out.buf, counts.buf,
-                           n, &status);
+    if (source_engine(args[0], &engine, &bitgen) < 0)
+        goto done;
+    made = fvn_fill_source(args[0], engine, bitgen,
+                           (const fvn_kernel *)args[1], out.buf, counts.buf,
+                           n, &error);
     if (made >= 0)
-        result = Py_BuildValue("(LL)", (long long)made, (long long)status);
+        result = Py_BuildValue("(LN)", (long long)made,
+                               error == NULL ? Py_NewRef(Py_None) : error);
 done:
+    Py_XDECREF(engine);
     PyBuffer_Release(&counts);
     PyBuffer_Release(&out);
     return result;
@@ -1040,17 +1130,14 @@ static PyMethodDef fill_methods[] = {
     {"kernel", new_kernel, METH_VARARGS,
      "kernel(rows, cum, guide, K, normal, restart, recycling): a table's "
      "kernel."},
-    {"emitter", new_emitter, METH_VARARGS,
-     "emitter(refill, values, cursor): a draw whose refill is refill()."},
     {"fill_emitter", new_fill_emitter, METH_VARARGS,
-     "fill_emitter(src, engine, kernel, values, cursor, counts, errors): a "
-     "draw that refills its block with the compiled fill."},
+     "fill_emitter(src, kernel, values, cursor, counts): a draw that "
+     "refills its block with the compiled fill."},
     {"pass_emitter", new_pass_emitter, METH_VARARGS,
-     "pass_emitter(pool, src, engine, values, cursor, q): a draw that "
-     "begins each pass of a Wallace pool in C."},
+     "pass_emitter(pool, src, values, cursor, q): a draw that begins each "
+     "pass of a Wallace pool in C."},
     {"fill_source", (PyCFunction)(void (*)(void))fill_source, METH_FASTCALL,
-     "fill_source(src, engine, kernel, values, counts, n) -> (made, "
-     "status)."},
+     "fill_source(src, kernel, values, counts, n) -> (made, error)."},
     {"fvn_refresh", refresh, METH_VARARGS,
      "fvn_refresh(values, step, offset, q): one regroup of a Wallace pool."},
     {NULL, NULL, 0, NULL},

@@ -2,16 +2,16 @@
 CPython extension module, ``library()``: ``fill_source``, the block fill
 of comparison-method variates run on a ``UniformSource``'s own state;
 ``fvn_refresh``, the regroup of one Wallace pass; ``kernel``, a table's
-kernel as the fill reads it; and the three constructors of the draw of
-``emitter``, an object of the module's type ``Draw`` that is called with
-no arguments through its vectorcall slot.  On a numpy engine the draw's
-refill runs in C too: ``fill_emitter``'s runs the fill for a bound
-comparison sampler, and ``pass_emitter``'s begins the next pass, regroup,
-variance redraw and snapshot, of a Wallace pool.  The fill reads the
-engine's ``bitgen_t`` from the engine's own capsule, so no address
-crosses Python.  The module also exports the constants it shares with
-Python: ``WORD_BITS``, ``MAX_RUN_LENGTH``, ``MAX_TRIALS``,
-``FILL_OVERFLOW``, ``FILL_TRIALS`` and ``GUIDE_LEN``.
+kernel as the fill reads it; and the two constructors of a bound
+sampler's draw, an object of the module's type ``Draw`` that is called
+with no arguments through its vectorcall slot and refills in C on every
+engine: ``fill_emitter``'s runs the fill for a comparison sampler, and
+``pass_emitter``'s begins the next pass, regroup, variance redraw and
+snapshot, of a Wallace pool.  A numpy engine's ``bitgen_t`` is read from
+the engine's own capsule, so no address crosses Python.  The module also
+exports the constants it shares with Python: ``WORD_BITS``,
+``MAX_RUN_LENGTH``, ``MAX_TRIALS``, ``FILL_OVERFLOW``, ``FILL_TRIALS``
+and ``GUIDE_LEN``.
 
 The module is compiled by the installed gcc, against numpy's own
 ``bitgen_t`` (``numpy/random/bitgen.h``) and this interpreter's
@@ -22,11 +22,10 @@ writable, in a private directory under ``tempfile.gettempdir()``.  So two
 interpreters never share a build.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, no Python
-headers, no cache or no module works, ``library()`` is None:
-``UniformSource._fill_into`` makes every variate with the composed draw
-``samplers.comparison_draw``, as on any engine but numpy's,
-``wallace.refresh`` regroups with numpy, ``wallace._next_pass`` begins
-every pass, and ``emitter`` returns its Python spelling.
+headers, no cache or no module works, ``library()`` is None: the
+composed draw ``samplers.comparison_draw`` makes every variate,
+``wallace.refresh`` regroups with numpy and ``wallace._next_pass`` begins
+every pass.
 """
 
 from __future__ import annotations
@@ -159,50 +158,11 @@ def library():
         return None
 
 
-def emitter(refill, values: array, cursor: array, lib=None):
-    """A zero-argument draw over a block: ``values``, an array("d"), and
-    ``cursor``, an array("q") of two, the next index and the values made.
-    While ``cursor[0] < cursor[1]`` the draw returns ``values[cursor[0]]``
-    and steps ``cursor[0]``.  Otherwise it first calls ``refill()``,
-    which rewrites ``values`` in place and sets the cursor, or raises this
-    draw's error; a refill that leaves no value to read raises
-    RuntimeError, so a stale value is never read.  The draw holds each
-    array's buffer, so neither can be resized (BufferError) while it
-    lives.  ``refill`` must not refer to the draw.
-
-    The draw is the ``Draw`` that the extension module ``lib`` makes with
-    ``emitter``, with no Python frame per value; with ``lib`` None, or a
-    module without it, it is the function below, which is its spec.  The
-    module's ``fill_emitter`` and ``pass_emitter`` make the same draw with
-    a refill in C: ``UniformSource.bind_variates`` and
-    ``wallace.emit_passes`` call them."""
-    make = getattr(lib, "emitter", None)
-    if make is not None:
-        return make(refill, values, cursor)
-    if values.typecode != "d" or cursor.typecode != "q" or len(cursor) != 2:
-        raise ValueError("an emitter reads an array('d') block and an "
-                         "array('q') cursor of two")
-    keep = (memoryview(values), memoryview(cursor))
-
-    def draw() -> float:
-        i = cursor[0]
-        if i >= cursor[1]:
-            refill()
-            i = cursor[0]
-            if i >= cursor[1]:
-                raise RuntimeError("the refill made no values")
-        value = values[i]
-        cursor[0] = i + 1
-        return value
-    draw.keep = keep
-    return draw
-
-
 class Kernel(NamedTuple):
     """A table's kernel for one recycling flag: ``compiled``, the
     extension module's kernel, which reads the table's rows, ``cum`` and
     ``guide`` and holds them, or None with no module; and ``draw``, the
-    composed draw, for every variate the fill does not make."""
+    composed draw, which makes every variate with no module."""
     compiled: object
     cum: array | None
     guide: array | None

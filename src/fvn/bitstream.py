@@ -14,25 +14,23 @@ value never touches ``draws``.
 ``tables.select_interval`` and ``comparison.run_test``, into one
 comparison-method variate; it is the spec of the comparison kernel.
 ``fill_variates`` makes the same values and reads nothing ahead;
-``wallace.init_pool`` bootstraps through it.  ``bind_variates``, the
-draw of a bound sampler, fills blocks ahead of its caller, hands them
-back through ``_fill.emitter``'s block and cursor, and keeps ``draws``
-exact at the value it has reached.  On a numpy engine both run
-``fvn_fill_source`` of ``_fill.c``: it reads this source's state, runs
-the compiled block fill, which refills the source's own buffer in place
-from the engine, as ``_refill`` would, once it is used up, and writes the
-state back.  ``fill_variates`` calls it through the extension module's
-``fill_source``; a bound draw, the module's ``Draw``, calls it itself
-when its block is used up, with no Python frame per block.  On any other
-engine, or when the module does not load, the composed draw makes every
-variate, refilling the buffer by ``random_raw`` as the direct calls do
-(see ``_fill_into``).
+``wallace.init_pool`` bootstraps through it.  ``bind_variates`` gives
+the draw of a bound sampler, which keeps ``draws`` exact at the value it
+has reached.  With the extension module loaded, both run
+``fvn_fill_source`` of ``_fill.c`` on every engine: it reads this
+source's state, runs the compiled block fill, which refills the source's
+buffer, as ``_refill`` does, once it is used up, and writes the state
+back.  ``fill_variates`` calls it through the module's ``fill_source``;
+a bound draw, the module's ``Draw``, fills blocks ahead of its caller
+with it, with no Python frame per block or value.  When the module does
+not load, the composed draw makes every variate.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -65,7 +63,7 @@ RUN_OVERFLOW = f"run length exceeded {MAX_RUN_LENGTH}; uniform source is broken"
 MAX_TRIALS = 1024
 TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 # The message of each status of the compiled fill (_fill.FILL_OVERFLOW,
-# _fill.FILL_TRIALS); 0 stops nothing.
+# _fill.FILL_TRIALS), read by _fill.c as it loads; 0 stops nothing.
 _FILL_ERRORS = (None, RUN_OVERFLOW, TRIAL_OVERFLOW)
 
 # Variates per compiled fill of a bound sampler.  A fill lands inside one
@@ -76,7 +74,7 @@ FILL_BLOCK = 512
 
 class _ReadAhead:
     """What a bound sampler has read ahead of its caller: the block
-    ``values``, the emitter's ``cursor`` over it, the next index and the
+    ``values``, the draw's ``cursor`` over it, the next index and the
     values made (0 while nothing is read ahead), and ``counts``, the draws
     before the block and after each of its variates."""
 
@@ -93,13 +91,12 @@ class UniformSource:
     array`` of 64-bit words works, as numpy's PCG64, PCG64DXSM, Philox and
     SFC64 do.  MT19937's words are 32-bit, which would put every uniform
     below 2**-32, so it is refused.  Defaults to PCG64.
-    The compiled fill runs only on a numpy engine, whose words it reads
-    itself with the ``next_raw`` that ``random_raw`` calls: the same words
-    in the same order, ``_BUFFER_WORDS`` at a time into this source's own
-    buffer once it is used up, as ``_refill`` reads them.  It holds
-    ``engine.lock`` over each fill, as ``random_raw`` does.  On an engine
-    whose class overrides ``random_raw``, or one not of numpy, the
-    composed draw makes them.
+    The compiled fill refills the buffer as ``_refill`` does once it is
+    used up: from a numpy engine whose class keeps numpy's ``random_raw``
+    it reads the same words itself with ``next_raw``, into the buffer in
+    place, holding ``engine.lock`` over each fill, as ``random_raw``
+    does; from any other engine it takes ``_engine_floats()``, with no
+    lock held.
     ``recycling`` says whether run-test and selection leftovers are stored
     for reuse; it is set here, by the owner, and is read-only after.
     """
@@ -148,19 +145,26 @@ class UniformSource:
             return self._spent + self._pos
         return ahead.counts[ahead.cursor[0]]
 
+    def _engine_floats(self) -> array:
+        """The engine's next words, ``random_raw(_BUFFER_WORDS)`` of them
+        or as many as it returns, each cut to its top WORD_BITS bits and
+        scaled to a float.  RuntimeError when it returns no words."""
+        raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
+        if not raw.size:
+            raise RuntimeError("engine returned no words")
+        return array("d", ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tobytes())
+
     def _refill(self) -> array:
-        """Replace the used-up buffer with fresh floats and return them,
-        for the direct calls and the composed draw.  The spec of the
-        compiled fill's refill, which writes the same floats in place.
+        """Replace the used-up buffer with ``_engine_floats()`` and return
+        them, for the direct calls and the composed draw.  The spec of the
+        compiled fill's refill, which takes the same floats, or on a numpy
+        engine writes them in place.
 
         The old buffer joins ``_spent`` only once the engine has delivered,
         so an engine that raises, or returns no words, leaves ``draws`` at
         the words consumed.
         """
-        raw = np.asarray(self._engine.random_raw(_BUFFER_WORDS), dtype=np.uint64)
-        if not raw.size:
-            raise RuntimeError("engine returned no words")
-        floats = array("d", ((raw >> np.uint64(64 - WORD_BITS)) / _UNIT).tobytes())
+        floats = self._engine_floats()
         self._spent += len(self._floats)
         self._floats, self._pos = floats, 0
         return floats
@@ -241,19 +245,12 @@ class UniformSource:
         leaves it by then.
 
         One spelling makes them all: ``fill_source`` of the extension
-        module ``lib`` when it can read the engine (``_engine_reader``),
-        on ``kernel.compiled``, which reads and writes back this source's
-        state in C, refilling the buffer from the engine once it is used
-        up, as ``_refill`` does, so the buffer, ``_pos`` and ``_spent`` it
-        leaves are the composed draw's; otherwise, or with ``lib`` None,
-        the composed draw ``kernel.draw``.
+        module ``lib`` on ``kernel.compiled``, which runs on this source's
+        state in C and leaves the composed draw's buffer, ``_pos`` and
+        ``_spent``; with ``lib`` None, the composed draw ``kernel.draw``.
         """
-        engine = None if lib is None else self._engine_reader()
-        if engine is not None:
-            made, status = lib.fill_source(self, engine, kernel.compiled,
-                                           values, counts, n)
-            return made, (RuntimeError(_FILL_ERRORS[status]) if status
-                          else None)
+        if lib is not None:
+            return lib.fill_source(self, kernel.compiled, values, counts, n)
         counts[0] = self._spent + self._pos
         for made in range(n):
             # Whatever the draw raises, a failing engine's error among
@@ -265,64 +262,28 @@ class UniformSource:
             counts[made + 1] = self._spent + self._pos
         return n, None
 
-    def _engine_reader(self) -> np.random.BitGenerator | None:
-        """The engine, when the fill can read its words itself: a numpy
-        ``BitGenerator`` whose ``random_raw`` is numpy's, whose
-        ``bitgen_t`` the extension module takes from its capsule; None
-        for an engine read through ``random_raw`` only.  Never stored on
-        the source, so building one costs nothing more, and a copied or
-        unpickled source reads its own engine: ``fill_variates`` looks it
-        up at each fill, and a bound draw once, when it is bound, holding
-        the engine with it."""
-        engine = self._engine
-        if (getattr(type(engine), "random_raw", None)
-                is not np.random.BitGenerator.random_raw):
-            return None
-        return engine
-
     def bind_variates(self, table: IntervalTable) -> Callable[[], float]:
         """A draw of endless values of ``samplers.comparison_draw(table,
         self)`` for a bound sampler, which ``claim``s the source.
 
-        The draw reads ahead: each refill makes a block of FILL_BLOCK
-        variates in place, and the draw hands them back one per call, with
-        no Python frame per value when the extension module loads: its
-        ``Draw``, as ``_fill.emitter`` makes it.  On an engine the fill
-        reads, with the module loaded, the draw is ``fill_emitter``'s,
-        which refills the block itself with ``fvn_fill_source``, with no
-        Python frame per block; otherwise its refill is the Python
-        ``refill`` below, on the composed draw.  ``draws`` is exact after
-        every value; the buffer position, the recycled store and the sign
-        pool are those of the block's end.  An error that stops a block
-        after ``made`` values is held, and the refill after them raises it
-        with the cursor at 0 made, so the draw raises it where the composed
-        draw raises it, with the same ``draws``, and the values go on after
-        it as the draw's would.
+        With the extension module loaded the draw is its ``Draw``, made by
+        ``fill_emitter``: it reads ahead, filling a block of FILL_BLOCK
+        variates in place with ``fvn_fill_source`` once the last is used,
+        and hands them back one per call, with no Python frame.  ``draws``
+        is exact after every value; the buffer position, the recycled store
+        and the sign pool are those of the block's end.  An error that
+        stops a block is held until the values before it are read, so the
+        draw raises it where the composed draw does, with the same
+        ``draws``, and goes on after it as the composed draw would.  With
+        no module the draw is the composed draw itself.
         """
         ahead = self.claim()
         lib = _fill.library()
         kernel = _fill.kernel(table, self._recycling)
-        values, cursor, counts = ahead.values, ahead.cursor, ahead.counts
-        engine = None if lib is None else self._engine_reader()
-        if engine is not None:
-            return lib.fill_emitter(self, engine, kernel.compiled, values,
-                                    cursor, counts, _FILL_ERRORS)
-        held = None
-
-        def refill() -> None:
-            nonlocal held
-            exc, held = held, None
-            if exc is None:
-                made, exc = self._fill_into(None, kernel, values, counts,
-                                            FILL_BLOCK)
-                if made:
-                    held = exc
-                    cursor[0], cursor[1] = 0, made
-                    return
-            cursor[0] = cursor[1] = 0
-            raise exc
-
-        return _fill.emitter(refill, values, cursor, lib)
+        if lib is None:
+            return partial(kernel.draw, self)
+        return lib.fill_emitter(self, kernel.compiled, ahead.values,
+                                ahead.cursor, ahead.counts)
 
     def recycle_pair(self, u_n: float, u_next: float) -> None:
         """Store (u_next - u_n) / (1 - u_n) for reuse: the last step of

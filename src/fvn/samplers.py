@@ -8,19 +8,16 @@ K = DEFAULT_TABLE_LEN table of its scheme, which its ``SamplerConfig``
 holds.  The method is spelled twice, to the same values bit for bit:
 ``comparison_draw``, the spec, composes the source's public steps with
 ``tables.select_interval`` and ``comparison.run_test``, and the compiled
-block fill ``fvn_fill_source`` does the same steps inline on a numpy
-engine; on any other engine, or when the fill does not load, the
-composed draw makes every variate.  The four public functions take only
-``src`` and return one composed draw on their kind's table.
-``make_sampler`` binds a comparison kind to ``src.bind_variates``, a draw
-that reads ahead in blocks and hands them back through the one emitter of
-a block and a cursor, ``_fill.emitter``, which Wallace's bound draw uses
-too.  With the extension module loaded the draw is its ``Draw`` type,
-and on a numpy engine it refills a comparison kind's block, or begins
-Wallace's next pass, in C.  The textbook baselines (inversion,
-Box-Muller, polar) are here for distribution cross-checks, for ``fvn
-generate`` and ``fvn consumption``, and for perfbench's ``samplers.*_ns``
-timings.
+block fill ``fvn_fill_source`` does the same steps inline on every
+engine; when the fill does not load, the composed draw makes every
+variate.  The four public functions take only ``src`` and return one
+composed draw on their kind's table.  ``make_sampler`` binds a comparison
+kind to ``src.bind_variates``.  With the extension module loaded, that
+draw and Wallace's are its ``Draw`` type, which reads ahead: it refills
+a comparison kind's block, or begins Wallace's next pass, in C.  The
+textbook baselines (inversion, Box-Muller, polar) are here for
+distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
+and for perfbench's ``samplers.*_ns`` timings.
 """
 
 from __future__ import annotations
@@ -200,25 +197,22 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
 
     No kind has a Python wrapper frame per draw.  A comparison-method kind
     returns ``src.bind_variates`` on the config's table, whose K is always
-    DEFAULT_TABLE_LEN: the ``_fill.emitter`` draw over a block and a
-    cursor.  It reads ahead on the source it owns: each refill makes a
-    block of variates in place, and the draws emit it.  On a numpy engine,
-    with the extension module loaded, its draw runs the compiled fill
-    itself, so a block costs no Python frame either; otherwise a Python
-    refill runs the composed draw.  So the source's
-    buffer position, recycled store and sign pool run ahead of the draws,
-    while ``src.draws`` stays exact after every draw.  An exception (the
-    run-length or trial cap, a failing engine) is raised by the draw where
+    DEFAULT_TABLE_LEN: with the extension module loaded, the module's
+    ``Draw``, which reads ahead in blocks that the compiled fill makes, so
+    the source's buffer position, recycled store and sign pool run ahead
+    of the draws, while ``src.draws`` stays exact after every draw; with
+    no module, the composed draw itself.  An exception (the run-length or
+    trial cap, a failing engine) is raised by the draw where
     ``comparison_draw`` raises it, with the same ``draws``, and the draws
     after it go on as the composed draw's would.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the
     second, and draws a new pair only when the first is due.
-    Wallace returns ``wallace.emit_passes``, the same emitter over the
-    pool's snapshot of one whole pass, whose refill begins the next pass
-    on the call after the last value, in C on a numpy engine when the
-    extension module loads; its 4096-value bootstrap is one
+    Wallace returns ``wallace.emit_passes``, a draw over the pool's
+    snapshot of one whole pass that begins the next pass on the call after
+    the last value, in C when the extension module loads; its 4096-value
+    bootstrap is one
     exact ``src.fill_variates`` of normal_grand's table.  Each draw
     returns a Python float, and ``src.draws`` is exact after every draw.
     """

@@ -17,13 +17,12 @@ the pool is refreshed, the variance correction is redrawn and the
 corrected values are written once, in place, into ``NormalPool.emitted``;
 every value of that pass is read from this snapshot.  So a direct
 ``refresh()`` in the middle of a pass is not seen until the next pass
-starts.  A bound sampler's draw is ``_fill.emitter`` over the snapshot,
-with the start of the next pass as its refill (``emit_passes``).  The
-pass is spelled twice too: ``_next_pass`` is its spec, and on an engine
-the compiled fill reads, the draw of the extension module's
-``pass_emitter`` begins each pass itself in C, with the same words,
-bytes and scale and no Python frame.  Both run the regroup first and then
-write the snapshot in one sequential sweep.
+starts.  A bound sampler's draw reads the snapshot and begins the next
+pass after its last value (``emit_passes``).  The pass is spelled twice
+too: ``_next_pass`` is its spec, and the draw of the extension module's
+``pass_emitter`` begins each pass itself in C, on every engine, with the
+same words, bytes and scale and no Python frame.  Both run the regroup
+first and then write the snapshot in one sequential sweep.
 """
 
 from __future__ import annotations
@@ -186,29 +185,27 @@ def next_normal(pool: NormalPool, src: UniformSource) -> float:
 
 def emit_passes(pool: NormalPool, src: UniformSource) -> Callable[[], float]:
     """A zero-argument draw of the values of a fresh pool: the current
-    pass's snapshot, then one new pass each time the last is used up.  It
-    returns exactly what ``next_normal`` would, with the same draws after
-    every value, but it is the extension module's ``Draw`` over
-    ``pool.emitted`` when the module loads: no Python frame per value.
-    Its refill begins the next pass.  When the module loads, ``src``'s
-    engine is one the fill reads (``UniformSource._engine_reader``) and
-    ``pool.values`` is as C reads it (``_c_regroups``) and as long as
-    ``emitted``, the draw is ``pass_emitter``'s, which does that itself in
-    C, with no Python frame, and holds ``pool.values``; otherwise it is
-    ``_fill.emitter``'s, whose refill is ``_next_pass``, with its values
-    and errors.  The compiled pass reads the ``values`` array the pool has
-    now.  It does not move ``read_cursor``, so the pool must be new
-    (cursor 0) and owned by the draw."""
-    cursor = array("q", [0, len(pool.emitted)])
+    pass's snapshot, then one new pass each time the last is used up, as
+    ``next_normal`` gives them, with the same draws after every value.  It
+    does not move ``read_cursor``, so the pool must be new (cursor 0) and
+    owned by the draw.  When the module loads and ``pool.values``, as long
+    as ``emitted``, is as C reads it (``_c_regroups``), the draw is
+    ``pass_emitter``'s, which holds that array and begins each pass in C;
+    otherwise it is the function below, whose pass is ``_next_pass``."""
+    emitted = pool.emitted
     lib = _fill.library()
-    engine = None if lib is None else src._engine_reader()
-    if (engine is not None and _c_regroups(pool.values)
-            and pool.values.size == len(pool.emitted)):
-        return lib.pass_emitter(pool, src, engine, pool.emitted, cursor,
-                                _PASS_Q)
+    if (lib is not None and _c_regroups(pool.values)
+            and pool.values.size == len(emitted)):
+        return lib.pass_emitter(pool, src, emitted,
+                                array("q", [0, len(emitted)]), _PASS_Q)
+    i = 0
 
-    def refill() -> None:
-        _next_pass(pool, src)
-        cursor[0] = 0
+    def draw() -> float:
+        nonlocal i
+        if i >= len(emitted):
+            _next_pass(pool, src)
+            i = 0
+        i += 1
+        return emitted[i - 1]
 
-    return _fill.emitter(refill, pool.emitted, cursor, lib)
+    return draw

@@ -2,15 +2,16 @@
 value by value and state by state, through ``fill_variates``, the entry
 point that reads nothing ahead; each such test runs again with the fill
 forced off, where the composed draw makes every variate.  Then the bound
-sampler, which fills blocks ahead of its caller with or without the
-compiled fill, against the composed draw, value by value and draw count by
-draw count.
+sampler, which fills blocks ahead of its caller with the compiled fill,
+or is the composed draw itself without it, against the composed draw,
+value by value and draw count by draw count.
 
-The fill runs only on a numpy engine, whose words it reads itself into the
-source's buffer once that is used up; on any other engine the composed draw
-makes every variate.  So an edge word reaches the fill as a scripted word
-at the head of a numpy source's buffer (``scripted``), not from an
-injected engine."""
+The fill runs on every engine: it reads a numpy engine's words itself into
+the source's buffer once that is used up, and takes any other engine's
+through ``random_raw``, as ``_refill`` does.  An edge word reaches the fill
+as a scripted word at the head of a source's buffer (``scripted``); the
+injected engines are checked against PCG64 by one harness
+(``test_every_engine_fills_as_the_composed_draw``)."""
 
 import copy
 import gc
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvn import _fill, bitstream, samplers, tables
+from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import MAX_RUN_LENGTH, MAX_TRIALS, UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_bitstream import FailOnceEngine, FakeEngine
@@ -586,14 +587,11 @@ def test_fill_of_many_variates_matches_the_composed_draws(kind, recycling,
     assert state(fast) == state(slow)
 
 
-class RefusesFill:
-    """A stand-in for the extension module whose ``fill_source`` fails
-    the test: it must not be called.  It has no ``emitter`` and no
-    ``kernel``, so ``_fill.emitter`` gives a bound sampler the Python
-    spelling."""
-
-    def fill_source(self, *args):
-        raise AssertionError("the fill was handed an engine it cannot read")
+def fill_only(test):
+    """Runs a test on the compiled fill alone, skipped when it does not
+    load."""
+    on_fill = pytest.mark.parametrize("binding", [FILL], indirect=True)
+    return pytest.mark.usefixtures("binding")(on_fill(test))
 
 
 class OverridesRandomRaw(np.random.PCG64):
@@ -601,27 +599,43 @@ class OverridesRandomRaw(np.random.PCG64):
         return super().random_raw(size, output)
 
 
+def refuse_composed_draw(monkeypatch):
+    """Makes the composed draw, and ``_refill``, which it and the direct
+    calls refill through, fail the test when called."""
+    def refuse(*args):
+        raise AssertionError("the composed draw ran")
+
+    monkeypatch.setattr(tables, "select_interval", refuse)
+    monkeypatch.setattr(UniformSource, "_refill", refuse)
+
+
 @pytest.mark.parametrize("make_engine", [
     lambda: FakeEngine(np.random.PCG64(7).random_raw(5000)),
     lambda: RawOnly(np.random.PCG64(7)),
     lambda: OverridesRandomRaw(7),
 ], ids=["fake", "raw-only", "overrides-random-raw"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
-                                                         monkeypatch):
+@over_entries("kind", KINDS)
+def test_an_engine_read_through_random_raw_is_filled_in_c(kind, make_engine,
+                                                          monkeypatch):
     """On an engine read through ``random_raw`` only, ``fill_variates``
-    and a bound sampler make every variate with the composed draw: its
-    values and ``draws``, with a module whose ``fill_source`` refuses."""
-    monkeypatch.setattr(_fill, "library", RefusesFill)
+    and a bound sampler give the composed draw's values and ``draws``, and
+    the fill its state.  With the library loaded they run the compiled
+    fill, which refills from ``random_raw`` itself, and no composed draw
+    runs; without it the bound sampler is the composed draw."""
     config = default_config(kind)
     filled, bound, composed = (
         UniformSource(0, engine=make_engine(),
                       recycling=config.recycling_enabled) for _ in range(3))
+    want = [comparison_draw(config.table, composed) for _ in range(700)]
+    lib = _fill.library()
+    if lib is not None:
+        refuse_composed_draw(monkeypatch)
     draw = make_sampler(config, bound)
+    assert (type(draw) is lib.Draw if lib is not None
+            else draw.func is comparison_draw)
     values = filled.fill_variates(config.table, 300).tolist()
     values += filled.fill_variates(config.table, 400).tolist()
-    assert values == [draw() for _ in range(700)] == \
-           [comparison_draw(config.table, composed) for _ in range(700)]
+    assert values == [draw() for _ in range(700)] == want
     assert filled.draws == bound.draws == composed.draws
     assert state(filled) == state(composed)
 
@@ -629,13 +643,6 @@ def test_an_engine_the_fill_cannot_read_never_reaches_it(kind, make_engine,
 # The fill on a numpy engine, whose words it reads itself into the buffer.
 
 NUMPY_ENGINES = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
-
-
-def fill_only(test):
-    """Runs a test on the compiled fill alone, skipped when it does not
-    load."""
-    on_fill = pytest.mark.parametrize("binding", [FILL], indirect=True)
-    return pytest.mark.usefixtures("binding")(on_fill(test))
 
 
 def lock_is_free(lock):
@@ -694,23 +701,60 @@ def test_a_source_that_read_its_engine_copies_and_pickles():
         assert state(twin) == state(src)
 
 
+def in_bounded_time(work):
+    """``work()`` run in a worker thread that must end within 30 s: one
+    that never returns fails the test and is left behind, a daemon, where
+    it cannot hang the run.  Returns what ``work()`` returned."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(work()), daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive()
+    assert len(out) == 1
+    return out[0]
+
+
+def overriding_entries(entry, src, twin):
+    """Two draws of ``entry`` for the overriding-engine test, on ``src``
+    and on ``twin``, which make the same values: ``fill`` reads nothing
+    ahead, ``bound`` is a bound exp_vn sampler and ``pass`` the draw of a
+    256-value Wallace pool, against ``next_normal`` on the twin's."""
+    table = default_config(samplers.EXP_VN).table
+    if entry == "fill":
+        return (lambda: src.fill_variates(table, 1)[0],
+                lambda: twin.fill_variates(table, 1)[0])
+    if entry == "bound":
+        return src.bind_variates(table), partial(comparison_draw, table, twin)
+    pool, twin_pool = wallace.init_pool(256, src), wallace.init_pool(256, twin)
+    return (wallace.emit_passes(pool, src),
+            partial(wallace.next_normal, twin_pool, twin))
+
+
 @fill_only
-def test_fill_calls_an_overriding_random_raw():
+@pytest.mark.parametrize("entry", ["fill", "bound", "pass"])
+def test_fill_calls_an_overriding_random_raw(entry):
     """A numpy engine whose class overrides ``random_raw`` is read through
-    that override, as an injected engine is."""
+    that override, as an injected engine is, by a fill, a bound draw and a
+    Wallace pass, with the values of PCG64's.  No refill holds the
+    engine's lock, which the override's ``super().random_raw`` takes:
+    another thread can take it at every call, the work ends in bounded
+    time, and it leaves the lock free."""
     calls = []
 
     class Counted(np.random.PCG64):
         def random_raw(self, size=None, output=True):
-            calls.append(size)
+            calls.append((size, lock_is_free(self.lock)))
             return super().random_raw(size, output)
 
-    table = default_config(samplers.EXP_VN).table
     src = UniformSource(0, engine=Counted(12), recycling=False)
     twin = UniformSource(12, recycling=False)
-    assert src.fill_variates(table, 500) == twin.fill_variates(table, 500)
+    draw, twin_draw = overriding_entries(entry, src, twin)
+    assert in_bounded_time(lambda: [draw() for _ in range(12_000)]) == \
+           [twin_draw() for _ in range(12_000)]
+    assert lock_is_free(src._engine.lock)
     assert src.draws == twin.draws > bitstream._BUFFER_WORDS
-    assert len(calls) >= 2 and set(calls) == {bitstream._BUFFER_WORDS}
+    assert len(calls) >= 2
+    assert set(calls) == {(bitstream._BUFFER_WORDS, True)}
 
 
 def waits_for_the_lock(engine, work):
@@ -1087,31 +1131,104 @@ def test_a_bound_draw_lets_its_source_and_engine_go_with_it():
     lambda: OverridesRandomRaw(7),
 ], ids=["raw-only", "overrides-random-raw"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_bound_draw_on_an_engine_the_fill_cannot_read(kind, make_engine,
-                                                        monkeypatch):
+def test_a_bound_draw_on_a_random_raw_engine_refills_its_block_in_c(
+        kind, make_engine, monkeypatch):
     """With the library loaded, a bound draw on an engine read through
-    ``random_raw`` only is the module's ``Draw`` with the Python refill,
-    which runs the composed draw once per block: its values, ``draws`` and
-    ``counts`` are the composed draw's."""
+    ``random_raw`` only refills each block itself, with no Python fill and
+    no composed draw: its values, ``draws`` and ``counts`` are the
+    composed draw's on a twin."""
     config = default_config(kind)
     src, twin = (UniformSource(0, engine=make_engine(),
                                recycling=config.recycling_enabled)
                  for _ in range(2))
-    fills = []
-    fill_into = UniformSource._fill_into
-
-    def spy(self, lib, *args):
-        fills.append(lib)
-        return fill_into(self, lib, *args)
-
-    monkeypatch.setattr(UniformSource, "_fill_into", spy)
-    draw = make_sampler(config, src)
-    assert type(draw) is _fill.library().Draw
-    counts = src._bound.counts
-    for block in range(3):
+    blocks = []
+    for _ in range(3):
         before = twin.draws
-        for i in range(BLOCK):
-            assert draw() == comparison_draw(config.table, twin)
-            assert src.draws == twin.draws == counts[i + 1]
+        blocks.append((before, [(comparison_draw(config.table, twin),
+                                 twin.draws) for _ in range(BLOCK)]))
+    draw = make_sampler(config, src)
+    no_python_fill(monkeypatch)
+    refuse_composed_draw(monkeypatch)
+    counts = src._bound.counts
+    for before, block in blocks:
+        for i, (value, draws) in enumerate(block):
+            assert draw() == value
+            assert src.draws == draws == counts[i + 1]
         assert counts[0] == before
-    assert fills == [None] * 3
+
+
+# One harness for every engine: the fill, through ``_fill_into`` and
+# ``fill_variates``, and the bound draw against the composed draw.
+
+class ShortRaw:
+    """PCG64 read through a ``random_raw`` that returns at most ``most``
+    words a call, so each refill is a short buffer."""
+
+    def __init__(self, seed, most):
+        self._engine = np.random.PCG64(seed)
+        self._most = most
+
+    def random_raw(self, size):
+        return self._engine.random_raw(min(size, self._most))
+
+
+# Each engine built from a seed and a drawn k: the call that fails, or
+# the length of a short or cycled engine.
+ENGINES = {
+    "pcg64": lambda seed, k: np.random.PCG64(seed),
+    "raw-only": lambda seed, k: RawOnly(np.random.PCG64(seed)),
+    "fake": lambda seed, k: FakeEngine(
+        np.random.PCG64(seed).random_raw(997 * k)),
+    "overrides-random-raw": lambda seed, k: OverridesRandomRaw(seed),
+    "short": lambda seed, k: ShortRaw(seed, 7 * k),
+    "fail-once": lambda seed, k: FailOnceEngine(seed, fail_on=k),
+    "fail-once-empty": lambda seed, k: FailOnceEngine(seed, fail_on=k,
+                                                      empty=True),
+}
+
+
+@pytest.mark.usefixtures("compiled_fill")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(engine=st.sampled_from(sorted(ENGINES)),
+       k=st.integers(min_value=1, max_value=6),
+       kind=st.sampled_from(KINDS), recycling=st.booleans(),
+       sizes=st.lists(st.integers(min_value=1, max_value=700), min_size=1,
+                      max_size=3),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_every_engine_fills_as_the_composed_draw(engine, k, kind, recycling,
+                                                 sizes, seed):
+    """On every engine, fills of 1 to 700 variates and a bound draw
+    against the composed draw on a twin: the values, ``draws`` after each
+    value and the error where the composed draw raises one, with each
+    fill's state, buffer bytes, ``_pos`` and ``_spent`` among it, equal to
+    the twin's.  A fill stops at the error; the bound draw raises it in
+    place and goes on, as the composed draw does."""
+    table = default_config(kind, recycling=recycling).table
+    lib, kernel = _fill.library(), _fill.kernel(table, recycling)
+    counted, filled, bound, twin = (
+        UniformSource(0, engine=ENGINES[engine](seed, k), recycling=recycling)
+        for _ in range(4))
+    draw = bound.bind_variates(table)
+    assert type(draw) is lib.Draw
+    for n in sizes:
+        before, want, error = twin.draws, [], None
+        for _ in range(n):
+            try:
+                want.append((comparison_draw(table, twin), twin.draws))
+            except (RuntimeError, OSError) as exc:
+                error = repr(exc)
+                break
+        values = array("d", bytes(8 * n))
+        counts = array("q", bytes(8 * (n + 1)))
+        made, exc = counted._fill_into(lib, kernel, values, counts, n)
+        assert list(zip(values[:made], counts[1:made + 1])) == want
+        assert counts[0] == before
+        assert (None if exc is None else repr(exc)) == error
+        try:
+            got = filled.fill_variates(table, n).tolist()
+        except (RuntimeError, OSError) as exc:
+            got = repr(exc)
+        assert got == (error or [value for value, _ in want])
+        assert state(counted) == state(filled) == state(twin)
+        expected = want + ([(error, twin.draws)] if error else [])
+        assert [outcome(draw, bound) for _ in expected] == expected

@@ -1,7 +1,6 @@
 """Building and loading the extension module of the compiled fill, the
 constants it exports, the composed draw that makes every variate when it
-does not load, and the emitter of a block and a cursor in both its
-spellings, with the module's draw type."""
+does not load, and the module's draw type over a block and a cursor."""
 
 import gc
 import hashlib
@@ -23,6 +22,7 @@ from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_comparison_draw import RawOnly, WeakPCG64
+from tests.test_comparison_draw import state as source_state
 from tests.test_samplers import STREAM_PINS
 from tests.test_wallace import refuse_python_pass
 
@@ -163,8 +163,9 @@ def test_concurrent_first_uses_all_load_one_library(tmp_path):
 def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
                                                       fresh_library):
     """A build that fails leaves the samplers on the composed draw, which
-    draws every pinned stream and, as the fill does, reads a block
-    ahead of a bound sampler's draws."""
+    draws every pinned stream.  A bound comparison sampler is then the
+    composed draw itself: it reads nothing ahead, so the whole state is
+    the composed draw's after every value."""
     def fail():
         raise OSError("no compiler")
 
@@ -178,17 +179,13 @@ def test_make_sampler_falls_back_to_the_composed_draw(monkeypatch,
         for _ in range(20_000):
             sha.update(struct.pack("<d", draw()))
         assert (sha.hexdigest(), src.draws) == pin, kind
-    # draws exact at the value reached, the source a block ahead of it
     config = default_config(samplers.NORMAL_GRAND)
     src, twin = (UniformSource(3, recycling=True) for _ in range(2))
     draw = make_sampler(config, src)
-    assert draw() == comparison_draw(config.table, twin)
-    assert src.draws == twin.draws
-    for _ in range(bitstream.FILL_BLOCK - 1):
-        comparison_draw(config.table, twin)
-    assert (src._spent + src._pos, src.recycled, src._sign_bits,
-            src._sign_word) == (twin.draws, twin.recycled, twin._sign_bits,
-                                twin._sign_word)
+    assert (draw.func, draw.args) == (comparison_draw, (config.table, src))
+    for _ in range(bitstream.FILL_BLOCK + 1):
+        assert draw() == comparison_draw(config.table, twin)
+        assert source_state(src) == source_state(twin)
     with pytest.raises(ValueError, match="already feeds a bound sampler"):
         make_sampler(config, src)
 
@@ -215,8 +212,8 @@ def test_an_unloadable_module_means_no_library(broken, tmp_path, monkeypatch,
                                                fresh_library):
     """A file at the cache name that does not load as the module, the
     head of a real build or a shared object with no ``PyInit__fill``,
-    gives no library, and a bound sampler still draws its pinned stream,
-    with the composed draw."""
+    gives no library, and a bound sampler, the composed draw itself,
+    still draws its pinned stream."""
     other = tmp_path / "other.c"
     other.write_text("int fvn_other(void) { return 0; }\n")
     compile_library = _fill.compile_library
@@ -238,7 +235,7 @@ def test_an_unloadable_module_means_no_library(broken, tmp_path, monkeypatch,
     config = default_config(samplers.NORMAL_GRAND)
     src = UniformSource(20240, recycling=config.recycling_enabled)
     draw = make_sampler(config, src)
-    assert draw.__qualname__ == "emitter.<locals>.draw"
+    assert draw.func is comparison_draw
     sha = hashlib.sha256()
     for _ in range(20_000):
         sha.update(struct.pack("<d", draw()))
@@ -287,117 +284,45 @@ def test_a_mass_on_a_bucket_edge_starts_the_next_bucket(monkeypatch):
                      for b in range(_fill.GUIDE_LEN)]
 
 
-# The emitter, in its two spellings: the ``Draw`` of the extension module
-# and the Python function that is its spec.
+# The module's ``Draw`` with each of its refills: the fill on a numpy
+# engine, the fill on an engine read through ``random_raw`` and the
+# Wallace pass.
 
-SPELLINGS = ("c", "python")
+REFILLS = ("fill", "random-raw", "pass")
+BLOCK = bitstream.FILL_BLOCK
 
 
-@pytest.fixture(params=SPELLINGS)
-def spelling(request):
-    """The ``lib`` argument of ``_fill.emitter`` for a spelling."""
-    if request.param == "python":
-        return None
+def bound_draw(refill, seed):
+    """A bound draw whose refill is ``refill``, its source, on an engine
+    that a weak reference can follow, and the arrays it pins: the block
+    and, for the fill's, the cursor and the counts."""
+    if refill == "pass":
+        src = UniformSource(seed, engine=WeakPCG64(seed), recycling=False)
+        pool = wallace.init_pool(256, src)
+        return wallace.emit_passes(pool, src), src, (pool.emitted,)
+    engine = (RawOnly(np.random.PCG64(seed)) if refill == "random-raw"
+              else WeakPCG64(seed))
+    src = UniformSource(seed, engine=engine)
+    draw = make_sampler(default_config(samplers.NORMAL_GRAND), src)
+    ahead = src._bound
+    return draw, src, (ahead.values, ahead.cursor, ahead.counts)
+
+
+@pytest.fixture
+def compiled():
+    """The extension module; the test skips when it does not load."""
     if _fill.library() is None:
         pytest.skip("the compiled library did not load")
     return _fill.library()
 
 
-class ScriptedRefill:
-    """A refill that plays ``steps`` in order, one per call: an exception
-    is raised; a pair (made, limit) writes ``made`` new values and sets
-    the cursor to 0 and ``limit``; None returns without a change.  It
-    holds the block and the cursor, not the draw."""
-
-    def __init__(self, values, cursor, steps):
-        self.values, self.cursor = values, cursor
-        self.steps = iter(steps)
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        step = next(self.steps)
-        if isinstance(step, BaseException):
-            raise step
-        if step is not None:
-            made, limit = step
-            for k in range(made):
-                self.values[k] = 100.0 * self.calls + k
-            self.cursor[0], self.cursor[1] = 0, limit
-
-
-def play(draw, cursor, n):
-    """The value or the error of ``n`` draws, each with the cursor after
-    it."""
-    out = []
-    for _ in range(n):
-        try:
-            got = draw()
-        except (RuntimeError, ValueError, IndexError) as exc:
-            got = f"{type(exc).__name__}: {exc}"
-        out.append((got, tuple(cursor)))
-    return out
-
-
-def test_emitter_spellings_agree_on_a_scripted_refill(spelling):
-    """Values, raises and the cursor after every draw, on each spelling:
-    the block read in place, a refill that raises (the draw stays usable
-    and calls the refill again), one that makes 0 values or leaves the
-    cursor used up (RuntimeError, never a stale value), a partial block,
-    and a cursor past the block's end (IndexError, nothing read).  The
-    draw pins both arrays, and a block or cursor of another type or
-    length is refused."""
-    values, cursor = array("d", [7.0, 8.0, 9.0]), array("q", [1, 3])
-    refill = ScriptedRefill(values, cursor, [
-        (3, 3), ValueError("engine failed"), (2, 2), (0, 0), None, (1, 1),
-        (3, 4)])
-    draw = _fill.emitter(refill, values, cursor, spelling)
-    assert play(draw, cursor, 14) == [
-        (8.0, (2, 3)), (9.0, (3, 3)),               # the block as it was
-        (100.0, (1, 3)), (101.0, (2, 3)), (102.0, (3, 3)),
-        ("ValueError: engine failed", (3, 3)),
-        (300.0, (1, 2)), (301.0, (2, 2)),
-        ("RuntimeError: the refill made no values", (0, 0)),
-        ("RuntimeError: the refill made no values", (0, 0)),
-        (600.0, (1, 1)),
-        (700.0, (1, 4)), (701.0, (2, 4)), (702.0, (3, 4)),
-    ]
-    assert play(draw, cursor, 2) == [
-        ("IndexError: array index out of range", (3, 4))] * 2
-    assert refill.calls == 7
-    for pinned in (values, cursor):
-        with pytest.raises(BufferError):
-            pinned.append(0)
-    for block, at in ((array("f", [1.0]), cursor), (values, array("l", [0, 1])),
-                      (values, array("q", [0]))):
-        with pytest.raises(ValueError, match="an emitter reads"):
-            _fill.emitter(refill, block, at, spelling)
-
-
-def test_emitter_lets_its_block_and_refill_go_with_it(spelling):
-    """The draw holds the block, the cursor and the refill while it lives,
-    and lets them go, with no garbage collection, when it goes."""
-    values, cursor = array("d", [1.0, 2.0]), array("q", [0, 2])
-    refill = ScriptedRefill(values, cursor, [(2, 2)] * 3)
-    draw = _fill.emitter(refill, values, cursor, spelling)
-    held = [weakref.ref(obj) for obj in (values, cursor, refill)]
-    del values, cursor, refill
-    assert [draw() for _ in range(6)] == [1.0, 2.0, 100.0, 101.0, 200.0, 201.0]
-    assert all(ref() is not None for ref in held)
-    gc.disable()
-    try:
-        del draw
-        assert [ref() for ref in held] == [None, None, None]
-    finally:
-        gc.enable()
-
-
 @pytest.mark.usefixtures("fresh_library")
 @pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.WALLACE])
 def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
-    """A comparison kind and Wallace both bind the emitter: the module's
-    ``Draw`` when it loads, the Python function when it does not.  The
-    compiled Wallace draw begins its passes with no Python pass."""
+    """A comparison kind and Wallace both bind the module's ``Draw`` when
+    it loads; when it does not, a comparison kind binds the composed draw
+    and Wallace ``emit_passes``' Python draw.  The compiled Wallace draw
+    begins its passes with no Python pass."""
     config = default_config(kind)
     if _fill.library() is not None:
         pools = []
@@ -419,58 +344,59 @@ def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
     monkeypatch.setattr(_fill, "library", lambda: None)
     draw = make_sampler(config, UniformSource(
         1, recycling=config.recycling_enabled))
-    assert draw.__qualname__ == "emitter.<locals>.draw"
+    if kind == samplers.WALLACE:
+        assert draw.__qualname__ == "emit_passes.<locals>.draw"
+    else:
+        assert draw.func is comparison_draw
 
 
-def test_a_draw_takes_no_arguments(spelling):
-    """A call with a positional or keyword argument raises TypeError, in
-    either spelling, and neither reads a value nor refills: the cursor and
-    the refill's calls are unchanged, and the next call reads on."""
-    values, cursor = array("d", [7.0, 8.0]), array("q", [1, 2])
-    refill = ScriptedRefill(values, cursor, [(2, 2)])
-    draw = _fill.emitter(refill, values, cursor, spelling)
-    # a value to read, then a used-up block
-    for at, value in (((1, 2), 8.0), ((2, 2), 100.0)):
+def test_a_draw_reads_its_block_in_place(compiled):
+    """The draw returns ``values[cursor[0]]`` and steps the cursor while
+    ``cursor[0] < cursor[1]``, reading the block in place; a cursor past
+    the block's end raises IndexError and reads nothing, and a refill that
+    makes no values raises RuntimeError, so a stale value is never read.
+    The draw pins its arrays, and a block or cursor of another type or
+    length is refused."""
+    draw, _, (values, cursor, counts) = bound_draw("fill", 35)
+    assert draw() == values[0] and tuple(cursor) == (1, BLOCK)
+    values[1] = 7.5
+    assert draw() == 7.5 and tuple(cursor) == (2, BLOCK)
+    cursor[0], cursor[1] = BLOCK, BLOCK + 2
+    for _ in range(2):
+        with pytest.raises(IndexError, match="array index out of range"):
+            draw()
+        assert tuple(cursor) == (BLOCK, BLOCK + 2)
+    for pinned in (values, cursor, counts):
+        with pytest.raises(BufferError):
+            pinned.append(0)
+    kernel = _fill.kernel(default_config(samplers.NORMAL_GRAND).table, True)
+    empty = compiled.fill_emitter(UniformSource(1), kernel.compiled,
+                                  array("d"), array("q", [0, 0]),
+                                  array("q", [0]))
+    with pytest.raises(RuntimeError, match="the refill made no values"):
+        empty()
+    for block, at in ((array("f", [1.0]), cursor), (values, array("l", [0, 1])),
+                      (values, array("q", [0]))):
+        with pytest.raises(ValueError, match="an emitter reads"):
+            compiled.fill_emitter(UniformSource(1), kernel.compiled, block,
+                                  at, counts)
+
+
+def test_a_draw_takes_no_arguments(compiled):
+    """A call with a positional or keyword argument raises TypeError and
+    neither reads a value nor refills: the cursor, the counts and
+    ``draws`` are unchanged, and the next call reads on, with a value to
+    read and at a used-up block."""
+    (draw, src, (_, cursor, counts)), (twin, _, _) = (
+        bound_draw("fill", 36) for _ in range(2))
+    for stop in (1, BLOCK - 1):
+        assert [draw() for _ in range(stop)] == [twin() for _ in range(stop)]
+        before = (tuple(cursor), counts.tobytes(), src.draws)
         for args, kwargs in (((1,), {}), ((), {"x": 1}), ((None,), {"x": 1})):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="takes no arguments"):
                 draw(*args, **kwargs)
-            assert tuple(cursor) == at and refill.calls == 0
-        assert draw() == value
-
-
-# The module's ``Draw`` with each of its three refills: a Python refill
-# (a bound comparison sampler on an engine the fill cannot read), the fill
-# and the Wallace pass.
-
-REFILLS = ("python", "fill", "pass")
-
-
-def bound_draw(refill, seed):
-    """A bound draw whose refill is ``refill``, its source, on an engine
-    that a weak reference can follow, and the arrays it pins: the block
-    and, but for the pass's, the cursor and, for the fill's, the counts
-    (a Python refill writes them by index)."""
-    if refill == "pass":
-        src = UniformSource(seed, engine=WeakPCG64(seed), recycling=False)
-        pool = wallace.init_pool(256, src)
-        return wallace.emit_passes(pool, src), src, (pool.emitted,)
-    engine = (RawOnly(np.random.PCG64(seed)) if refill == "python"
-              else WeakPCG64(seed))
-    src = UniformSource(seed, engine=engine)
-    draw = make_sampler(default_config(samplers.NORMAL_GRAND), src)
-    ahead = src._bound
-    pinned = (ahead.values, ahead.cursor)
-    if refill == "fill":
-        pinned += (ahead.counts,)
-    return draw, src, pinned
-
-
-@pytest.fixture
-def compiled():
-    """The extension module; the test skips when it does not load."""
-    if _fill.library() is None:
-        pytest.skip("the compiled library did not load")
-    return _fill.library()
+            assert (tuple(cursor), counts.tobytes(), src.draws) == before
+        assert draw() == twin()
 
 
 @pytest.mark.parametrize("refill", REFILLS)

@@ -1,8 +1,8 @@
 """Pool generator: orthogonality, norm conservation, emitted distribution;
 the compiled regroup against the numpy one, with the fill and with it
 forced off, and the pools that only the numpy regroup may take; the
-compiled pass of a bound draw against ``_next_pass``, and the draws that
-keep the Python pass."""
+compiled pass of a bound draw against ``_next_pass``, on every engine, and
+the hand-built pools that keep the Python pass."""
 
 import functools
 import gc
@@ -24,6 +24,7 @@ from fvn.stats import ks_test, measure_consumption, moments
 from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q, NormalPool,
                          _block_permutation, emit_passes, init_pool,
                          next_normal, refresh)
+from tests.test_bitstream import FailOnceEngine
 from tests.test_comparison_draw import (  # noqa: F401
     OverridesRandomRaw, RawOnly, WeakPCG64, binding, fill_only, over_entries,
     waits_for_the_lock)
@@ -481,21 +482,61 @@ def python_passes(monkeypatch):
     lambda: RawOnly(np.random.PCG64(7)),
     lambda: OverridesRandomRaw(7),
 ], ids=["raw-only", "overrides-random-raw"])
-def test_an_engine_the_fill_cannot_read_keeps_the_python_pass(make_engine,
-                                                              monkeypatch):
+def test_an_engine_read_through_random_raw_gets_the_compiled_pass(
+        make_engine, monkeypatch):
     """With the library loaded, the draw on an engine read through
-    ``random_raw`` only is the module's ``Draw`` with ``_next_pass`` as
-    its refill: the values and ``draws`` of ``next_normal`` on a twin."""
+    ``random_raw`` only is ``pass_emitter``'s ``Draw``, which begins each
+    pass in C with no ``_next_pass`` call: the values and ``draws`` of
+    ``next_normal`` on a twin, across passes that refill the buffer."""
     src, twin = (UniformSource(0, engine=make_engine(), recycling=False)
                  for _ in range(2))
     pool, twin_pool = init_pool(256, src), init_pool(256, twin)
     expected = [(next_normal(twin_pool, twin), twin.draws)
-                for _ in range(3 * 256 + 1)]
-    calls = python_passes(monkeypatch)
+                for _ in range(60 * 256 + 1)]
+    assert twin._spent > 0
+    refuse_python_pass(monkeypatch)
     draw = emit_passes(pool, src)
     assert type(draw) is _fill.library().Draw
     assert [(draw(), src.draws) for _ in expected] == expected
-    assert calls == [0, 1, 2]
+    assert pool.pass_count == 60
+
+
+@pytest.mark.usefixtures("binding")
+@pytest.mark.parametrize("lost", [0, 1, 2], ids=["word", "u1", "u2"])
+def test_a_pass_whose_refill_fails_goes_on_as_next_normal(lost):
+    """An engine that fails once, on the refill that the pass's regroup
+    word, Box-Muller's u1 or its u2 needs: the draw raises where
+    ``next_normal`` on a twin raises, with the same ``draws``, pool and
+    source, and the draws after it go on alike, with the compiled pass
+    and with the Python one."""
+    sources = []
+    for _ in range(2):
+        src = UniformSource(0, engine=FailOnceEngine(71, fail_on=0),
+                            recycling=False)
+        pool = init_pool(256, src)
+        src._pos = len(src._floats) - lost
+        src._engine._fail_on = src._engine._calls + 1
+        sources.append((pool, src))
+    (pool, src), (twin_pool, twin) = sources
+    draw = emit_passes(pool, src)
+
+    def outcomes(call, s):
+        out = []
+        for _ in range(3 * 256):
+            try:
+                out.append((call(), s.draws))
+            except OSError as exc:
+                out.append((repr(exc), s.draws))
+        return out
+
+    got = outcomes(draw, src)
+    assert got == outcomes(functools.partial(next_normal, twin_pool, twin),
+                           twin)
+    assert sum(isinstance(value, str) for value, _ in got) == 1
+    assert (pool.pass_count, pool.emit_scale, pool.values.tobytes()) == \
+           (twin_pool.pass_count, twin_pool.emit_scale,
+            twin_pool.values.tobytes())
+    assert source_fields(src) == source_fields(twin)
 
 
 @UNREADABLE_LAYOUTS
