@@ -2,15 +2,17 @@
    loaded by fvn._fill: fvn_fill, the block fill of comparison-method
    variates, and fvn_fill_source, which runs it on a UniformSource's own
    state (the module's fill_source); fvn_refresh, one pass of the Wallace
-   pool's regroup; and the draw, a small object of type Draw, callable
-   with no arguments through its vectorcall slot, that hands a bound
-   sampler's block back to Python one float at a time and refills it
-   itself, on every engine: a comparison sampler's block with
-   fvn_fill_source, a Wallace pool's snapshot by beginning the next pass
-   (wallace_pass), which regroups the pool and then writes the snapshot
-   in one sequential sweep, reading the source's state through the same
-   helpers as fvn_fill_source.  The module also exports the constants
-   below that Python repeats.
+   pool's regroup, which makes each block's outputs two lanes at a time
+   from column pairs of q, with the same IEEE operations in the same
+   order as the numpy regroup, so the same bytes; and the draw, a small
+   object of type Draw, callable with no arguments through its vectorcall
+   slot, that hands a bound sampler's block back to Python one float at a
+   time and refills it itself, on every engine: a comparison sampler's
+   block with fvn_fill_source, a Wallace pool's snapshot by beginning the
+   next pass (wallace_pass), which regroups the pool and then writes the
+   snapshot in one sequential sweep, two lanes a step, reading the
+   source's state through the same helpers as fvn_fill_source.  The
+   module also exports the constants below that Python repeats.
 
    fvn_fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
@@ -62,6 +64,12 @@
 #define TWO_PI (2.0 * 3.14159265358979323846) /* samplers._TWO_PI */
 #define GUIDE_LEN 256 /* a mass table's guide entries; a power of two */
 #define BUFFER_WORDS 1024 /* bitstream._BUFFER_WORDS: the words of a refill */
+/* The hot entry points, the fill and the draw, each start on a 64-byte
+   cache line, so a change in the size of the code before them does not
+   move them within their lines.  Such a move, with their own code
+   unchanged, read up to 2% more per block on wallace and classic on a
+   2-core Xeon VM (gcc 12, -O2). */
+#define HOT_ENTRY __attribute__((aligned(64)))
 
 enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2, FILL_ENGINE = 3 };
 
@@ -595,10 +603,11 @@ done:
    the status's message in fill_errors for the fill's own stops.  Or -1
    with a Python error set when the state cannot be read or written or the
    lock fails. */
-static int64_t fvn_fill_source(PyObject *src, PyObject *engine,
-                               const bitgen_t *bitgen, const fvn_kernel *kn,
-                               double *out, int64_t *counts, int64_t n,
-                               PyObject **error)
+static HOT_ENTRY int64_t fvn_fill_source(PyObject *src, PyObject *engine,
+                                         const bitgen_t *bitgen,
+                                         const fvn_kernel *kn, double *out,
+                                         int64_t *counts, int64_t n,
+                                         PyObject **error)
 {
     fvn_source o;
     PyObject *msg;
@@ -625,17 +634,37 @@ static int64_t fvn_fill_source(PyObject *src, PyObject *engine,
 }
 
 
+/* Two doubles as one GCC vector: SSE2 on every x86-64, NEON on aarch64,
+   with no -m flag and no intrinsics header.  Its arithmetic is lane by
+   lane, each lane the IEEE operation of a double. */
+typedef double v2df __attribute__((vector_size(16)));
+
 /* wallace.refresh's regroup, as its numpy spelling does it: position i of
-   the permuted order is (stride * i + offset) mod n, stepped here as
-   p += step with one subtraction to wrap (step_on), step = stride mod n.
+   the permuted order is (stride * i + offset) mod n, step = stride mod n.
    Each block of 4 consecutive positions, x, is read and written back as
    x q^T, each output summed left to right as ((x0 q0 + x1 q1) + x2 q2)
    + x3 q3.  The caller passes values as n contiguous doubles with n a
    multiple of 4, 0 <= step, offset < n, and q as 4 x 4 row-major doubles.
-   The permutation is a bijection, so the blocks are disjoint and each is
-   written in place.  A block's positions, inputs and outputs and the 16
-   entries of q are locals: q is read once, and a store to values cannot
-   make the compiler read it again. */
+
+   A block's outputs are made two at a time: lane l of output pair h is
+   output 2h + l, so each x_k, broadcast to both lanes, is multiplied by
+   column k of rows 2h and 2h + 1 of q, a column pair, and the products
+   are summed in the order above.  Each lane does the same IEEE
+   operations on the same doubles in the same order as the scalar sum,
+   and -ffp-contract=off keeps every multiply and add apart, so the bytes
+   are the numpy regroup's.  The 8 column pairs are locals, read once, so
+   a store to values cannot make the compiler read q again.
+
+   A block's positions are p0 and p0 + step, + 2 step and + 3 step, and
+   the next block's p0 is p0 + 4 step, each mod n.  With s2, s3 and s4,
+   those multiples mod n, taken once, each is one add and one wrap from
+   p0 (step_on), so a block waits on one chain of positions, not four.
+   They are the same positions for any step below n, one not coprime
+   with n among them.  The blocks are read and written in order, each
+   read whole before it is written, its outputs stored in the order
+   p0 to p3.  The permutation of a pass is a bijection, so its blocks are
+   disjoint and each is written in place; for any other step the order
+   still fixes the bytes, the last store to a position winning. */
 static int64_t step_on(int64_t p, int64_t step, int64_t n)
 {
     p += step;
@@ -645,21 +674,43 @@ static int64_t step_on(int64_t p, int64_t step, int64_t n)
 static void fvn_refresh(double *values, int64_t n, int64_t step,
                         int64_t offset, const double *q)
 {
-    const double q0 = q[0], q1 = q[1], q2 = q[2], q3 = q[3], q4 = q[4],
-        q5 = q[5], q6 = q[6], q7 = q[7], q8 = q[8], q9 = q[9], q10 = q[10],
-        q11 = q[11], q12 = q[12], q13 = q[13], q14 = q[14], q15 = q[15];
+    const v2df a0 = {q[0], q[4]}, a1 = {q[1], q[5]}, a2 = {q[2], q[6]},
+        a3 = {q[3], q[7]}, b0 = {q[8], q[12]}, b1 = {q[9], q[13]},
+        b2 = {q[10], q[14]}, b3 = {q[11], q[15]};
+    const int64_t s2 = step_on(step, step, n), s3 = step_on(s2, step, n),
+        s4 = step_on(s3, step, n);
     int64_t p0 = offset, b;
 
     for (b = 0; b < n; b += 4) {
-        const int64_t p1 = step_on(p0, step, n), p2 = step_on(p1, step, n),
-            p3 = step_on(p2, step, n);
-        const double x0 = values[p0], x1 = values[p1], x2 = values[p2],
-            x3 = values[p3];
-        values[p0] = ((x0 * q0 + x1 * q1) + x2 * q2) + x3 * q3;
-        values[p1] = ((x0 * q4 + x1 * q5) + x2 * q6) + x3 * q7;
-        values[p2] = ((x0 * q8 + x1 * q9) + x2 * q10) + x3 * q11;
-        values[p3] = ((x0 * q12 + x1 * q13) + x2 * q14) + x3 * q15;
-        p0 = step_on(p3, step, n);
+        const int64_t p1 = step_on(p0, step, n), p2 = step_on(p0, s2, n),
+            p3 = step_on(p0, s3, n);
+        const v2df x0 = {values[p0], values[p0]},
+            x1 = {values[p1], values[p1]}, x2 = {values[p2], values[p2]},
+            x3 = {values[p3], values[p3]};
+        const v2df lo = ((x0 * a0 + x1 * a1) + x2 * a2) + x3 * a3,
+            hi = ((x0 * b0 + x1 * b1) + x2 * b2) + x3 * b3;
+        values[p0] = lo[0];
+        values[p1] = lo[1];
+        values[p2] = hi[0];
+        values[p3] = hi[1];
+        p0 = step_on(p0, s4, n);
+    }
+}
+
+/* out[i] = in[i] * scale for i < n, n even, two lanes a step: the same
+   IEEE multiply as one double at a time.  out and in must not overlap;
+   memcpy loads and stores the pairs at any double's alignment. */
+static void scale_values(double *restrict out, const double *restrict in,
+                         int64_t n, double scale)
+{
+    const v2df s = {scale, scale};
+    int64_t i;
+
+    for (i = 0; i < n; i += 2) {
+        v2df v;
+        memcpy(&v, in + i, sizeof v);
+        v *= s;
+        memcpy(out + i, &v, sizeof v);
     }
 }
 
@@ -750,7 +801,9 @@ static int64_t gcd(int64_t a, int64_t b)
    division and math.sqrt, with their errors.  Then, in _next_pass's
    order, fvn_refresh regroups pool_values, emit_scale is written back
    and _snapshot's values[i] = pool_values[i] * scale is written in one
-   sequential sweep.  A failed refill for the word raises with no pass;
+   sequential sweep, two lanes a step (scale_values; n is a multiple of
+   4, and pass_emitter refuses a snapshot that overlaps the pool's
+   values).  A failed refill for the word raises with no pass;
    for u1 or u2, as when the scale raises, the pool is regrouped and
    counted with no new scale or snapshot, as _next_pass leaves it.  Never
    inlined: in emit_next its frame would cost every value a larger
@@ -760,7 +813,7 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     const int64_t n = e->n;
     fvn_source o;
     uint64_t word;
-    int64_t pass_count, stride, i;
+    int64_t pass_count, stride;
     double u = 0.0, u1 = 0.0, u2 = 0.0, z, c, s;
     PyObject *norm_sq = NULL, *sf = NULL, *ratio = NULL, *root = NULL, *error;
     int failed, rc = -1;   /* failed: 1 for the word, 2 for u1 or u2 */
@@ -794,9 +847,7 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
                 e->q + 16 * (pass_count & 1));
     if (root != NULL && PyObject_SetAttr(e->pool, names[N_EMIT_SCALE],
                                          root) == 0) {
-        const double scale = PyFloat_AsDouble(root);
-        for (i = 0; i < n; i++)
-            e->values[i] = e->pool_values[i] * scale;
+        scale_values(e->values, e->pool_values, n, PyFloat_AsDouble(root));
         e->cursor[0] = 0;
         rc = 0;
     }
@@ -836,8 +887,9 @@ static int emit_refill(fvn_emit *e)
     return raise_error(error);
 }
 
-static PyObject *emit_next(PyObject *self, PyObject *const *args,
-                           size_t nargsf, PyObject *kwnames)
+static HOT_ENTRY PyObject *emit_next(PyObject *self,
+                                     PyObject *const *args, size_t nargsf,
+                                     PyObject *kwnames)
 {
     fvn_emit *e = (fvn_emit *)self;
     int64_t i;
@@ -1013,14 +1065,21 @@ static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
 }
 
 #define POOL_VALUES "a pool's values must be as many float64 as its " \
-    "snapshot, a positive multiple of 4, and q the 2 x 4 x 4 doubles of " \
-    "the transforms of even and odd passes"
+    "snapshot, a positive multiple of 4, in memory apart from it, and q " \
+    "the 2 x 4 x 4 doubles of the transforms of even and odd passes"
+
+/* Whether n doubles at a and n at b share no byte. */
+static int apart(const double *a, const double *b, int64_t n)
+{
+    return (uintptr_t)(a + n) <= (uintptr_t)b
+        || (uintptr_t)(b + n) <= (uintptr_t)a;
+}
 
 /* pass_emitter(pool, src, values, cursor, q): the draw whose refill
    begins the next pass of pool, a wallace.NormalPool whose snapshot is
    values, on src, a UniformSource.  pool.values must be C-contiguous
    float64, as many as values, and q the transforms of even and odd
-   passes; the draw holds both buffers. */
+   passes; the draw holds both buffers, which may not overlap. */
 static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
 {
     PyObject *pool, *src, *values, *cursor, *q, *pool_values;
@@ -1038,6 +1097,7 @@ static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
         Py_DECREF(pool_values);
     }
     if (size != e->n || e->n <= 0 || e->n % 4 != 0
+            || !apart(e->views[0].buf, e->views[2].buf, e->n)
             || get_array(q, &e->views[3], "d", 0, POOL_VALUES) != 32
             || source_engine(src, &e->engine, &e->bitgen) < 0) {
         if (!PyErr_Occurred())

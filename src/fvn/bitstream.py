@@ -73,7 +73,7 @@ FILL_BLOCK = 512
 
 
 class _ReadAhead:
-    """What a bound sampler has read ahead of its caller: the block
+    """What the module's bound draw has read ahead of its caller: the block
     ``values``, the draw's ``cursor`` over it, the next index and the
     values made (0 while nothing is read ahead), and ``counts``, the draws
     before the block and after each of its variates."""
@@ -117,6 +117,8 @@ class UniformSource:
         self._spent = 0         # words in the buffers already used up
         self._sign_word = 0
         self._sign_bits = 0
+        self._claimed = False
+        # the read-ahead of the module's bound draw (bind_variates), or None
         self._bound: _ReadAhead | None = None
 
     @property
@@ -126,15 +128,14 @@ class UniformSource:
     @property
     def bound(self) -> bool:
         """Whether a bound sampler owns this source: see ``claim``."""
-        return self._bound is not None
+        return self._claimed
 
-    def claim(self) -> _ReadAhead:
+    def claim(self) -> None:
         """Give the source to a bound sampler, which owns it from now on:
-        a second claim raises ValueError.  Returns the read-ahead record."""
-        if self._bound is not None:
+        a second claim raises ValueError."""
+        if self._claimed:
             raise ValueError("the source already feeds a bound sampler")
-        self._bound = ahead = _ReadAhead()
-        return ahead
+        self._claimed = True
 
     @property
     def draws(self) -> int:
@@ -275,13 +276,15 @@ class UniformSource:
         stops a block is held until the values before it are read, so the
         draw raises it where the composed draw does, with the same
         ``draws``, and goes on after it as the composed draw would.  With
-        no module the draw is the composed draw itself.
+        no module the draw is the composed draw itself, which reads nothing
+        ahead, so no read-ahead record is built.
         """
-        ahead = self.claim()
+        self.claim()
         lib = _fill.library()
         kernel = _fill.kernel(table, self._recycling)
         if lib is None:
             return partial(kernel.draw, self)
+        self._bound = ahead = _ReadAhead()
         return lib.fill_emitter(self, kernel.compiled, ahead.values,
                                 ahead.cursor, ahead.counts)
 

@@ -134,9 +134,10 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
 
     ``fvn_refresh`` makes the same bytes as the numpy regroup below, a
     NaN's sign aside, when the extension module loads and ``values`` is
-    laid out as C reads it (``_c_regroups``).  Any other pool, one built
-    by hand among them, takes the numpy regroup, with its result or its
-    error."""
+    laid out as C reads it (``_c_regroups``): it sums each output in the
+    same order, two outputs of a block at a time in a vector's two
+    lanes.  Any other pool, one built by hand among them, takes the numpy
+    regroup, with its result or its error."""
     values = pool.values
     n = values.size
     word = src.next_word()
@@ -190,7 +191,8 @@ def emit_passes(pool: NormalPool, src: UniformSource) -> Callable[[], float]:
     does not move ``read_cursor``, so the pool must be new (cursor 0) and
     owned by the draw.  When the module loads and ``pool.values``, as long
     as ``emitted``, is as C reads it (``_c_regroups``), the draw is
-    ``pass_emitter``'s, which holds that array and begins each pass in C;
+    ``pass_emitter``'s, which holds that array and begins each pass in C,
+    and refuses an ``emitted`` that shares memory with ``values``;
     otherwise it is the function below, whose pass is ``_next_pass``."""
     emitted = pool.emitted
     lib = _fill.library()

@@ -514,8 +514,9 @@ def test_bound_draw_recovers_from_an_engine_failure_mid_variate(kind):
     whose engine never failed, once the twin holds the same state.  Their
     buffer offsets differ: the failed refill left the used-up buffer in
     place, and the twin is on a numpy engine.  The failing engine is read
-    through ``random_raw`` only, so on either entry its draws are composed
-    ones; the twin's are the fill's on the ``-fill`` entry."""
+    through ``random_raw`` only: on the ``-fill`` entry the compiled fill
+    refills from it, as the twin's fill refills from its numpy engine, and
+    on the ``-no-fill`` entry both make composed draws."""
     config = default_config(kind)
     buffer_words = bitstream._BUFFER_WORDS
     src = UniformSource(0, engine=FailOnceEngine(73, fail_on=2),
@@ -973,6 +974,47 @@ def test_a_bound_source_cannot_be_bound_again(kind):
     assert src.bound
 
 
+@pytest.mark.parametrize("bind", ["wallace", "exp_log", "no-module",
+                                  "module"])
+def test_only_the_modules_bound_draw_builds_a_read_ahead(bind, monkeypatch):
+    """A bound sampler that reads nothing ahead builds no read-ahead
+    record: Wallace and exp_log, whose sources ``make_sampler`` claims
+    itself, and a comparison kind bound with no module, whose draw is the
+    composed draw.  The module's bound draw builds one.  On each,
+    ``draws`` is a twin's after every value."""
+    if bind == "module" and _fill.library() is None:
+        pytest.skip("the compiled fill did not load")
+    built = []
+
+    class Counted(bitstream._ReadAhead):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(bitstream, "_ReadAhead", Counted)
+    if bind == "no-module":
+        monkeypatch.setattr(_fill, "library", lambda: None)
+    kind = {"wallace": samplers.WALLACE,
+            "exp_log": samplers.EXP_LOG}.get(bind, samplers.NORMAL_GRAND)
+    config = default_config(kind)
+    src, twin = (UniformSource(31, recycling=config.recycling_enabled)
+                 for _ in range(2))
+    draw = make_sampler(config, src)
+    if kind == samplers.WALLACE:
+        pool = wallace.init_pool(wallace.DEFAULT_POOL_SIZE, twin)
+        reference = partial(wallace.next_normal, pool, twin)
+    elif kind == samplers.EXP_LOG:
+        reference = partial(samplers.exp_log_baseline, twin)
+    else:
+        reference = partial(comparison_draw, config.table, twin)
+    for _ in range(wallace.DEFAULT_POOL_SIZE + 2):
+        assert draw() == reference()
+        assert src.draws == twin.draws
+    assert src.bound
+    assert src._bound is (built[0] if bind == "module" else None)
+    assert len(built) == (bind == "module")
+
+
 # Enough stretch words for 4 read-ahead blocks of any kind.
 STRETCH_WORDS = 32 * 1024
 
@@ -1020,8 +1062,9 @@ def test_bound_sampler_fails_where_the_composed_draw_fails(kind, recycling,
     """An engine that fails once, on a refill inside a read-ahead block:
     the draw that needs the refill raises with the composed draw's
     ``draws``, and the draws after it go on alike.  The engine is read
-    through ``random_raw`` only, so the bound sampler's blocks are composed
-    draws on either entry."""
+    through ``random_raw`` only: on the ``-fill`` entry the compiled fill
+    makes the bound sampler's blocks, refilling from it, and on the
+    ``-no-fill`` entry the composed draw makes every value."""
     draw, src, reference, twin = bound_and_reference(
         kind, recycling,
         lambda r: UniformSource(0, engine=FailOnceEngine(

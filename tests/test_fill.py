@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import UniformSource
@@ -24,7 +26,7 @@ from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_comparison_draw import RawOnly, WeakPCG64
 from tests.test_comparison_draw import state as source_state
 from tests.test_samplers import STREAM_PINS
-from tests.test_wallace import refuse_python_pass
+from tests.test_wallace import nan_blind_bytes, pool_values, refuse_python_pass
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,6 +242,69 @@ def test_an_unloadable_module_means_no_library(broken, tmp_path, monkeypatch,
     for _ in range(20_000):
         sha.update(struct.pack("<d", draw()))
     assert (sha.hexdigest(), src.draws) == STREAM_PINS[samplers.NORMAL_GRAND]
+
+
+@pytest.fixture(scope="module")
+def optimised(tmp_path_factory):
+    """``library()``, built at FLAGS' -O2, and the module built again at
+    -O0 and at -O3, which gcc takes over the -O2 before it; the test
+    skips when ``library()`` does not load."""
+    lib = _fill.library()
+    if lib is None:
+        pytest.skip("the compiled library did not load")
+    folder = tmp_path_factory.mktemp("levels")
+    builds = {"-O2": lib}
+    for level in ("-O0", "-O3"):
+        out = folder / f"fill{level}.so"
+        _fill.compile_library(str(out), (level,))
+        builds[level] = _fill._load(str(out))
+    return builds
+
+
+@needs_compiler
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, overflow
+@pytest.mark.parametrize("size", [4, 8, 256, 1020, 4096])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(),
+       words=st.lists(st.integers(min_value=0, max_value=2 ** 53 - 1),
+                      min_size=16, max_size=16))
+def test_the_regroup_does_not_depend_on_the_optimiser(optimised, size, data,
+                                                      words):
+    """``fvn_refresh`` of the -O0 and -O3 builds makes the bytes of the
+    -O2 build, a NaN's sign aside, over 16 even and odd regroups of the
+    pools of the regroup's spec test: the lanes' sums keep their order at
+    every level."""
+    values = data.draw(pool_values(size))
+    runs = {level: values.copy() for level in optimised}
+    for i, word in enumerate(words):
+        stride, offset = wallace._block_stride(size, word)
+        for level, lib in optimised.items():
+            lib.fvn_refresh(runs[level], stride % size, offset,
+                            wallace._PASS_Q[i % 2])
+        assert len({nan_blind_bytes(v) for v in runs.values()}) == 1, i
+
+
+@needs_compiler
+@pytest.mark.parametrize("kind", [samplers.EXP_VN, samplers.EXP_BRENT,
+                                  samplers.NORMAL_FORSYTHE,
+                                  samplers.NORMAL_GRAND])
+def test_the_fill_does_not_depend_on_the_optimiser(optimised, kind):
+    """2,000 variates of ``fill_source`` on each kind's default table: the
+    -O0 and -O3 builds make the values, counts and source state of the
+    -O2 build."""
+    config = default_config(kind)
+    outcomes = set()
+    for lib in optimised.values():
+        src = UniformSource(2038, recycling=config.recycling_enabled)
+        values = array("d", bytes(8 * 2000))
+        counts = array("q", bytes(8 * 2001))
+        kernel = _fill._kernel(config.table, config.recycling_enabled, lib)
+        made, error = lib.fill_source(src, kernel.compiled, values, counts,
+                                      2000)
+        assert (made, error) == (2000, None)
+        outcomes.add((values.tobytes(), counts.tobytes(),
+                      repr(source_state(src))))
+    assert len(outcomes) == 1
 
 
 def guide_of(kn):

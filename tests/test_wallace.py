@@ -424,6 +424,87 @@ def test_the_compiled_pass_is_next_pass_bit_for_bit(size, case, monkeypatch):
     assert pool.pass_count == PASSES
 
 
+# A differential harness for the pass: scripted words at the buffer's end
+# and scripted stores before each pass.  Edge words: a u1 of 0, the last
+# word, strides that 1020's factors 3, 5 and 17 bump (15, 255 and
+# 2**32 - 1 = 3 * 5 * 17 * 257 * 65537), and each size's last offset.
+SCRIPTED_PASSES = 8
+EDGE_WORDS = (0, 1, 3, 15, 255, 0xFFFFFFFF, 2 ** 53 - 1, (255 << 32) | 3,
+              (1019 << 32) | 15, (4095 << 32) | 0xFFFFFFFF)
+STORE_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 0.125, 1 - 2 ** -53]),
+                         st.floats(0.0, 1.0, exclude_max=True))
+
+
+@fill_only
+@pytest.mark.parametrize("recycling", [False, True])
+@pytest.mark.parametrize("size", [256, 1020, 4096])   # 1020: stride bumps
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(words=st.lists(st.one_of(st.sampled_from(EDGE_WORDS),
+                                st.integers(0, 2 ** 53 - 1)), max_size=40),
+       room=st.integers(0, 64),
+       stores=st.lists(st.lists(STORE_VALUES, max_size=3),
+                       min_size=SCRIPTED_PASSES, max_size=SCRIPTED_PASSES))
+def test_the_compiled_pass_is_next_pass_on_any_script(size, recycling, words,
+                                                      room, stores,
+                                                      monkeypatch):
+    """On twin sources whose buffers end in the scripted ``words``, then
+    refill from the engine once ``room`` words (at least the script) are
+    read, and whose stores are extended by a scripted list before each
+    pass: after each of 8 passes begun by the draw, the values emitted,
+    the pool and the source are those of ``_next_pass`` on the twin.  So
+    the regroup word, a u1 of 0 from the buffer or the store, pops of any
+    store and a buffer that runs out inside a pass all reach the compiled
+    pass."""
+    pools = []
+    for _ in range(2):
+        src = UniformSource(40 + size, recycling=recycling)
+        pool = init_pool(size, src)
+        src._refill()
+        src._pos = len(src._floats) - max(room, len(words))
+        src._floats[src._pos:src._pos + len(words)] = array(
+            "d", [w / 2 ** 53 for w in words])
+        pools.append((pool, src))
+    (pool, src), (twin_pool, twin) = pools
+    with monkeypatch.context() as patch:
+        spec = refuse_python_pass(patch)
+        draw = emit_passes(pool, src)
+        for _ in range(size):
+            draw()
+        for n, store in enumerate(stores):
+            src.recycled.extend(store)
+            twin.recycled.extend(store)
+            values = [draw()]
+            spec(twin_pool, twin)
+            assert pool_fields(pool) == pool_fields(twin_pool), n
+            assert source_fields(src) == source_fields(twin), n
+            values += [draw() for _ in range(size - 1)]
+            assert array("d", values).tobytes() == \
+                twin_pool.emitted.tobytes(), n
+    assert pool.pass_count == SCRIPTED_PASSES
+
+
+@fill_only
+@pytest.mark.parametrize("shift", [-255, -2, 0, 2, 255, -256, 256])
+def test_the_compiled_pass_takes_a_snapshot_apart_from_the_pool(shift):
+    """``pass_emitter`` refuses a snapshot that shares memory with the
+    pool's values, which its sweep reads two lanes at a time as apart,
+    and takes one that only touches them."""
+    n = 256
+    base = np.zeros(3 * n)
+    pool = NormalPool(values=base[n:2 * n], pass_count=0, norm_sq=1.0,
+                      read_cursor=0, emit_scale=1.0)
+    snapshot = base[n + shift:2 * n + shift]
+    make = functools.partial(_fill.library().pass_emitter, pool,
+                             UniformSource(0, recycling=False), snapshot,
+                             array("q", [0, n]), wallace._PASS_Q)
+    if abs(shift) < n:
+        with pytest.raises(ValueError, match="apart from it"):
+            make()
+    else:
+        assert type(make()) is _fill.library().Draw
+
+
 @fill_only
 def test_the_compiled_pass_waits_for_the_engine_lock(monkeypatch):
     """The draw that begins a pass returns only once another thread lets
