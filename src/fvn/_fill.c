@@ -1,8 +1,9 @@
 /* The compiled kernels of fvn, an extension module built on first use and
-   loaded by fvn._fill: fvn_fill, the block fill of comparison-method
-   variates, and fvn_fill_source, which runs it on a UniformSource's own
-   state (the module's fill_source); fvn_refresh, one pass of the Wallace
-   pool's regroup, which makes each block's outputs two lanes at a time
+   loaded by fvn._fill: the fills, block fills of comparison-method
+   variates, one per table shape, and fvn_fill_source, which runs a
+   kernel's fill on a UniformSource's own state (the module's
+   fill_source); fvn_refresh, one pass of the Wallace pool's regroup,
+   which makes each block's outputs two lanes at a time
    from column pairs of q, with the same IEEE operations in the same
    order as the numpy regroup, so the same bytes; and the draw, a small
    object of type Draw, callable with no arguments through its vectorcall
@@ -14,7 +15,7 @@
    source's state through the same helpers as fvn_fill_source.  The
    module also exports the constants below that Python repeats.
 
-   fvn_fill is samplers.comparison_draw step for step: the pooled sign
+   A fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
    or the bisect_right index of u in the cumulative masses, found through
    the kernel's guide table (Chen and Asau, AIIE Trans. 6, 1974) with one
@@ -26,6 +27,24 @@
    so built with -ffp-contract=off (no fused multiply-add) it makes the
    same values bit for bit.
 
+   There is one body, fill_body, inlined into one fill per table shape
+   and recycling flag (FILL_SHAPES): exponential or normal rows, dyadic
+   or mass selection, and the restart, which exponential mass rows take
+   and no others.  kernel() picks the fill once, from its table's shape,
+   and keeps it in the kernel, so a fill tests no flag and makes no
+   dispatch.  The restart fill is von Neumann's: exp_vn's rows have width
+   and top 1.0, kernel() refuses any others, so the shifted exponent
+   1.0 * u of the position u is u itself, and the run test starts from u
+   while the interval only names the integer part of the value.  The
+   selection uniform is still drawn first, as the composed draw draws it,
+   but its interval is looked up only for the trial that accepts, so no
+   trial's run test waits on the lookup.
+
+   Every value a fill reads is a uniform in [0, 1): a fresh word, a
+   leftover the fill pushed, or a stored value, which source_read checks
+   once per fill, refusing a store that holds one off [0, 1) as the
+   composed draw refuses it.  So u GUIDE_LEN indexes the guide.
+
    Fresh words come from buf, the source's own buffer.  Once it is used
    up, source_refill refills it as UniformSource._refill does: from a
    numpy engine's bitgen_t, of numpy's own header, numpy/random/bitgen.h,
@@ -33,7 +52,7 @@
    fvn_fill_source, holds the engine's lock; from any other engine with
    _refill's own floats, src._engine_floats().
 
-   It makes up to n variates, writing each value to out[v] and the fresh
+   A fill makes up to n variates, writing each value to out[v] and the fresh
    words spent by the end of it, spent + position, to counts[v].  The
    position, the store's depth and the sign pool are written back to s
    once, when it returns.  It stops early in these cases:
@@ -64,18 +83,25 @@
 #define TWO_PI (2.0 * 3.14159265358979323846) /* samplers._TWO_PI */
 #define GUIDE_LEN 256 /* a mass table's guide entries; a power of two */
 #define BUFFER_WORDS 1024 /* bitstream._BUFFER_WORDS: the words of a refill */
-/* The hot entry points, the fill and the draw, each start on a 64-byte
-   cache line, so a change in the size of the code before them does not
-   move them within their lines.  Such a move, with their own code
+/* The hot entry points, fvn_fill_source, each fill and the draw, each
+   start on a 64-byte cache line, so a change in the size of the code
+   before them does not move them within their lines.  Such a move, with their own code
    unchanged, read up to 2% more per block on wallace and classic on a
    2-core Xeon VM (gcc 12, -O2). */
 #define HOT_ENTRY __attribute__((aligned(64)))
 
 enum { FILL_DONE = 0, FILL_OVERFLOW = 1, FILL_TRIALS = 2, FILL_ENGINE = 3 };
 
+typedef struct fvn_kernel fvn_kernel;
+typedef struct fvn_source fvn_source;
+/* A fill: up to n variates of kn's table into out and counts. */
+typedef int64_t fvn_fill_fn(const fvn_kernel *kn, fvn_source *o, double *out,
+                            int64_t *counts, int64_t n);
+
 /* A table's kernel, built by the module's kernel(): it holds the buffers
-   of the three arrays that its pointers read. */
-typedef struct {
+   of the three arrays that its pointers read, and the fill of its table's
+   shape and recycling flag. */
+struct fvn_kernel {
     PyObject_HEAD
     const double *rows; /* IntervalTable.by_k: lo, width, top, lo_sq per interval */
     const double *cum;  /* IntervalTable.cum_probs, NULL on a dyadic table */
@@ -83,11 +109,9 @@ typedef struct {
        on a dyadic table */
     const uint8_t *guide;
     int64_t K;          /* the intervals; on a mass table, the length of cum */
-    int64_t normal;
-    int64_t restart;
-    int64_t recycling;
+    fvn_fill_fn *fill;
     Py_buffer views[3]; /* of rows, cum and guide */
-} fvn_kernel;
+};
 
 typedef struct {
     double *buf;
@@ -101,21 +125,21 @@ typedef struct {
     int64_t status;
 } fvn_state;
 
-/* A UniformSource's state as fvn_fill reads it, held from source_read to
+/* A UniformSource's state as a fill reads it, held from source_read to
    source_write: the buffer _floats, an array("d") held in view, the
    position _pos in it, the words _spent of the buffers used up, the store
    recycled and the sign pool _sign_bits and _sign_word.  bitgen is the
    engine's bitgen_t, read with engine.lock held, or NULL (source_engine);
    renewed says a refill made floats a new array, and error holds a failed
    refill's exception. */
-typedef struct {
+struct fvn_source {
     fvn_state s;
     PyObject *src, *floats, *rec, *items, *lock, *error;
     Py_buffer view;
     const bitgen_t *bitgen;
     int renewed;
     int64_t nrec, spent, sign_bits, sign_word;
-} fvn_source;
+};
 
 /* The names the kernels read and write, interned when the module loads
    (intern_names). */
@@ -224,14 +248,32 @@ static __attribute__((cold, noinline)) int source_refill(fvn_source *o)
     return 0;
 }
 
-static int64_t fvn_fill(const fvn_kernel *kn, fvn_source *o, double *out,
-                        int64_t *counts, int64_t n)
+/* The interval of a mass-table selection uniform u in [0, 1):
+   bisect_right(cum, u), found from guide[b], b = floor(u G), which counts
+   the masses <= b / G <= u, so the scan up from it stops at the first
+   mass above u.  u G is exact and below G.  The tail beyond a_K folds
+   into K. */
+static inline __attribute__((always_inline)) int64_t
+mass_interval(const fvn_kernel *kn, double u)
+{
+    int64_t lo = kn->guide[(int64_t)(u * GUIDE_LEN)];
+
+    while (lo < kn->K && !(u < kn->cum[lo]))
+        lo++;
+    return lo < kn->K ? lo : kn->K - 1;
+}
+
+/* The body of every fill, inlined into one instance per table shape (the
+   FILL_SHAPES list below), so its four flags are constants: normal rows,
+   mass selection, restart and recycling. */
+static inline __attribute__((always_inline)) int64_t
+fill_body(const fvn_kernel *kn, fvn_source *o, double *out, int64_t *counts,
+          int64_t n, const int normal, const int mass, const int restart,
+          const int recycling)
 {
     fvn_state *s = &o->s;
-    const double *buf = s->buf, *cum = kn->cum;
+    const double *buf = s->buf;
     const int64_t K = kn->K;
-    const int normal = kn->normal != 0, restart = kn->restart != 0;
-    const int recycling = kn->recycling != 0;
     double *store = s->store;
     int64_t i = s->pos, r = s->nstore, nb = s->sign_bits, sw = s->sign_word;
     int64_t nbuf = s->nbuf, spent = s->spent, made;
@@ -248,6 +290,35 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_source *o, double *out,
         (dst) = buf[i++];                                               \
     } while (0)
 #define UNIFORM(dst) do { if (r) (dst) = store[--r]; else FRESH(dst); } while (0)
+/* The run test from g: run, the length of the descending run of uniforms
+   below g, and the run's terminating pair recycled. */
+#define RUN_TEST(g) do {                                                \
+        double prev = (g), w;                                           \
+        run = 0;                                                        \
+        for (;;) {                                                      \
+            UNIFORM(w);                                                 \
+            run++;                                                      \
+            if (!(w < prev))                                            \
+                break;                                                  \
+            if (run >= MAX_RUN_LENGTH) {                                \
+                s->status = FILL_OVERFLOW;                              \
+                goto commit;                                            \
+            }                                                           \
+            prev = w;                                                   \
+        }                                                               \
+        if (recycling && prev < 1.0) {                                  \
+            double v = (w - prev) / (1.0 - prev);                       \
+            if (v < 1.0)                                                \
+                store[r++] = v;                                         \
+        }                                                               \
+    } while (0)
+/* Counts a rejected trial; the MAX_TRIALS-th stops the fill. */
+#define REJECTED() do {                                                 \
+        if (++trials >= MAX_TRIALS) {                                   \
+            s->status = FILL_TRIALS;                                    \
+            goto commit;                                                \
+        }                                                               \
+    } while (0)
 
     s->status = FILL_DONE;
     for (made = 0; made < n; made++) {
@@ -263,10 +334,30 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_source *o, double *out,
             nb--;
             sign = ((sw >> nb) & 1) ? 1.0 : -1.0;
         }
-        for (;;) {
+        if (restart) {
+            /* exp_vn: every row has width and top 1.0, so g = 1.0 * u is
+               the position u itself and needs no clamp.  The selection
+               uniform is drawn first, as the composed draw draws it, but
+               its interval is looked up only once a trial accepts: x =
+               lo + u, as the composed draw rounds it. */
+            for (;;) {
+                double select, pos;
+                UNIFORM(select);
+                UNIFORM(pos);
+                RUN_TEST(pos);
+                if (run & 1) {
+                    x = kn->rows[4 * mass_interval(kn, select)] + pos;
+                    break;
+                }
+                REJECTED();
+            }
+        } else {
             const double *row;
             int64_t j;
-            if (cum == NULL) {
+            if (mass) {
+                UNIFORM(u);
+                j = mass_interval(kn, u);
+            } else {
                 /* j = k - 1 from u = m * 2**-j, m in [1/2, 1), read from
                    u's bits: u >= 2**-53 is never subnormal, so j = 1022 - E
                    for its biased exponent E, and m is u with E set to 1022.
@@ -288,68 +379,27 @@ static int64_t fvn_fill(const fvn_kernel *kn, fvn_source *o, double *out,
                 }
                 if (j >= K)
                     j = K - 1;
-            } else {
-                /* bisect_right(cum, u): guide[b], b = floor(u G), counts
-                   the masses <= b / G <= u, so the scan up from it stops
-                   at the first mass above u.  u G is exact.  A u off
-                   [0, 1), which a store set from Python can hold, takes
-                   bucket 0 when below 0 or NaN (every mass is above 0)
-                   and G - 1 when >= 1, where the scan still stops at
-                   bisect_right's index; no read falls outside the guide. */
-                double t;
-                int64_t lo;
-                UNIFORM(u);
-                t = u * GUIDE_LEN;
-                if (!(t >= 0.0))
-                    lo = kn->guide[0];
-                else if (t >= GUIDE_LEN)
-                    lo = kn->guide[GUIDE_LEN - 1];
-                else
-                    lo = kn->guide[(int64_t)t];
-                while (lo < K && !(u < cum[lo]))
-                    lo++;
-                j = lo < K ? lo : K - 1;   /* the tail beyond a_K */
             }
             row = kn->rows + 4 * j;
             for (;;) {
-                double g, prev;
+                double g;
                 UNIFORM(u);
                 if (normal) {
+                    /* the shifted exponent, clamped into [0, top] */
                     x = row[0] + row[1] * u;
                     g = (x * x - row[3]) * 0.5;
+                    if (!(0.0 <= g && g <= row[2]))
+                        g = g < 0.0 ? 0.0 : row[2];
                 } else {
+                    /* width * u <= width = top for u in [0, 1) */
                     g = row[1] * u;
                     x = row[0] + g;
                 }
-                if (!(0.0 <= g && g <= row[2]))
-                    g = g < 0.0 ? 0.0 : row[2];
-                prev = g;
-                run = 0;
-                for (;;) {
-                    UNIFORM(u);
-                    run++;
-                    if (!(u < prev))
-                        break;
-                    if (run >= MAX_RUN_LENGTH) {
-                        s->status = FILL_OVERFLOW;
-                        goto commit;
-                    }
-                    prev = u;
-                }
-                if (recycling && prev < 1.0) {
-                    double v = (u - prev) / (1.0 - prev);
-                    if (v < 1.0)
-                        store[r++] = v;
-                }
-                if (!(run & 1) && ++trials >= MAX_TRIALS) {
-                    s->status = FILL_TRIALS;
-                    goto commit;
-                }
-                if ((run & 1) || restart)
+                RUN_TEST(g);
+                if (run & 1)
                     break;
+                REJECTED();
             }
-            if (run & 1)
-                break;
         }
         out[made] = sign * x;
         counts[made] = spent + i;
@@ -363,13 +413,46 @@ commit:
     return made;
 #undef FRESH
 #undef UNIFORM
+#undef RUN_TEST
+#undef REJECTED
 }
+
+/* The table shapes that kernel() accepts, each as (name, normal, mass,
+   restart), the restart on exponential mass rows only; each is compiled
+   once per recycling flag, as fill_<name>_<recycling>, into FILLS. */
+#define FILL_SHAPES(X)                                                  \
+    X(exp_dyadic, 0, 0, 0)                                              \
+    X(exp_restart, 0, 1, 1)                                             \
+    X(normal_dyadic, 1, 0, 0)                                           \
+    X(normal_mass, 1, 1, 0)
+
+#define FILL_INSTANCE(name, normal, mass, restart, recycling)           \
+    static HOT_ENTRY int64_t fill_##name##_##recycling(                 \
+        const fvn_kernel *kn, fvn_source *o, double *out,               \
+        int64_t *counts, int64_t n)                                     \
+    {                                                                   \
+        return fill_body(kn, o, out, counts, n, normal, mass, restart,  \
+                         recycling);                                    \
+    }
+#define FILL_INSTANCES(name, normal, mass, restart)                     \
+    FILL_INSTANCE(name, normal, mass, restart, 0)                       \
+    FILL_INSTANCE(name, normal, mass, restart, 1)
+FILL_SHAPES(FILL_INSTANCES)
+
+/* FILLS[normal][mass][recycling] */
+static fvn_fill_fn *const FILLS[2][2][2] = {
+#define FILL_ENTRY(name, normal, mass, restart)                         \
+    [normal][mass] = {fill_##name##_0, fill_##name##_1},
+    FILL_SHAPES(FILL_ENTRY)
+#undef FILL_ENTRY
+};
 
 
 /* math.sqrt, which the Wallace pass calls, numpy's
-   BitGenerator.random_raw, which source_engine looks for, and
-   bitstream._FILL_ERRORS, the message of each status of fvn_fill. */
-static PyObject *math_sqrt, *numpy_random_raw, *fill_errors;
+   BitGenerator.random_raw, which source_engine looks for,
+   bitstream._FILL_ERRORS, the message of each status of a fill, and
+   bitstream.STORE_OFF_UNIT, the message of a fill's refused store. */
+static PyObject *math_sqrt, *numpy_random_raw, *fill_errors, *store_error;
 
 /* module.attr, or module.cls.attr */
 static PyObject *import_attr(const char *module, const char *cls,
@@ -403,7 +486,10 @@ static int intern_names(void)
                         "numpy.random", "BitGenerator", "random_raw")) == NULL)
             || (fill_errors == NULL
                 && (fill_errors = import_attr(
-                        "fvn.bitstream", NULL, "_FILL_ERRORS")) == NULL))
+                        "fvn.bitstream", NULL, "_FILL_ERRORS")) == NULL)
+            || (store_error == NULL
+                && (store_error = import_attr(
+                        "fvn.bitstream", NULL, "STORE_OFF_UNIT")) == NULL))
         return -1;
     return 0;
 }
@@ -503,10 +589,12 @@ static int source_engine(PyObject *src, PyObject **engine,
 
 /* Reads the state of src into o, with room on the store for room more
    values, for refills from bitgen and engine as source_engine picked
-   them; on bitgen, it takes engine.lock, as random_raw does.  Returns 0,
-   or -1 with a Python error set and nothing held. */
+   them; on bitgen, it takes engine.lock, as random_raw does.  With
+   unit_store, a stored value off [0, 1) is refused, as the composed draw
+   refuses it, so a fill reads only uniforms.  Returns 0, or -1 with a
+   Python error set and nothing held. */
 static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
-                       const bitgen_t *bitgen, int64_t room)
+                       const bitgen_t *bitgen, int64_t room, int unit_store)
 {
     fvn_state *s = &o->s;
     PyObject *floats;
@@ -540,6 +628,10 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
         s->store[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(o->items, k));
         if (s->store[k] == -1.0 && PyErr_Occurred())
             goto fail;
+        if (unit_store && !(s->store[k] >= 0.0 && s->store[k] < 1.0)) {
+            PyErr_SetObject(PyExc_ValueError, store_error);
+            goto fail;
+        }
     }
     if (get_int(src, N_POS, &s->pos) < 0 || get_int(src, N_SPENT, &s->spent) < 0
             || get_int(src, N_SIGN_BITS, &o->sign_bits) < 0
@@ -591,12 +683,12 @@ done:
     return rc;
 }
 
-/* fvn_fill run on the state of src, a UniformSource, for both of its
+/* kn's fill run on the state of src, a UniformSource, for both of its
    callers: UniformSource.fill_variates, through the module's fill_source,
    and the draw of a bound sampler (emit_refill below).  It reads the
-   state, runs fvn_fill with refills from bitgen and engine as
-   source_engine picked them, holding engine.lock on bitgen, and writes
-   the state back (source_read, source_write).  counts holds n + 1 words:
+   state, refusing a store off [0, 1), runs the fill with refills from
+   bitgen and engine as source_engine picked them, holding engine.lock on
+   bitgen, and writes the state back (source_read, source_write).  counts holds n + 1 words:
    the draws before the fill, then those after each variate.
    Returns the variates made, with *error the exception that stopped them,
    a new reference, or NULL: a failed refill's own, or RuntimeError with
@@ -614,10 +706,10 @@ static HOT_ENTRY int64_t fvn_fill_source(PyObject *src, PyObject *engine,
     int64_t made, status;
 
     /* a variate leaves at most one more value on the store */
-    if (source_read(&o, src, engine, bitgen, n) < 0)
+    if (source_read(&o, src, engine, bitgen, n, 1) < 0)
         return -1;
     counts[0] = o.s.spent + o.s.pos;
-    made = fvn_fill(kn, &o, out, counts + 1, n);
+    made = kn->fill(kn, &o, out, counts + 1, n);
     status = o.s.status;
     *error = o.error;
     o.error = NULL;
@@ -818,7 +910,7 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     PyObject *norm_sq = NULL, *sf = NULL, *ratio = NULL, *root = NULL, *error;
     int failed, rc = -1;   /* failed: 1 for the word, 2 for u1 or u2 */
 
-    if (source_read(&o, e->src, e->engine, e->bitgen, 0) < 0)
+    if (source_read(&o, e->src, e->engine, e->bitgen, 0, 0) < 0)
         return -1;
     failed = source_fresh(&o, &u) < 0;
     while (!failed && !(u1 > 0.0))
@@ -962,21 +1054,40 @@ static PyTypeObject kernel_type = {
     .tp_basicsize = sizeof(fvn_kernel),
     .tp_dealloc = kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
-    .tp_doc = "A table's kernel, as fvn_fill reads it.",
+    .tp_doc = "A table's kernel, as its fill reads it.",
 };
 
 #define KERNEL_ARRAYS "a kernel reads K x 4 rows and K masses in an " \
     "array('d') each and a guide of GUIDE_LEN in an array('B')"
 
+#define RESTART_ROWS "a kernel restarts its trials on exponential mass " \
+    "rows, and only there, and its rows must then have every width and " \
+    "top 1.0"
+
+/* Whether each of the K rows has width and top exactly 1.0, as exp_vn's
+   unit intervals do: the restart fill takes the position as g. */
+static int unit_rows(const double *rows, int64_t K)
+{
+    int64_t k;
+
+    for (k = 0; k < K; k++)
+        if (rows[4 * k + 1] != 1.0 || rows[4 * k + 2] != 1.0)
+            return 0;
+    return 1;
+}
+
 /* kernel(rows, cum, guide, K, normal, restart, recycling): a table's
    kernel, over rows, IntervalTable.by_k flattened to K x (lo, width, top,
    lo_sq) doubles, and, on a mass table, its cumulative masses, K doubles,
-   and their guide, GUIDE_LEN bytes; both None on a dyadic table. */
+   and their guide, GUIDE_LEN bytes; both None on a dyadic table.  It
+   picks the fill of the table's shape, FILLS[normal][mass][recycling]:
+   the trials restart on exponential mass rows, which must be unit rows,
+   and on no others. */
 static PyObject *new_kernel(PyObject *module, PyObject *args)
 {
     PyObject *rows, *cum, *guide;
     long long K;
-    int normal, restart, recycling;
+    int normal, restart, recycling, mass;
     fvn_kernel *kn;
 
     (void)module;
@@ -988,10 +1099,11 @@ static PyObject *new_kernel(PyObject *module, PyObject *args)
         PyErr_SetString(PyExc_ValueError, KERNEL_ARRAYS);
         return NULL;
     }
+    mass = cum != Py_None;
     if ((kn = (fvn_kernel *)PyType_GenericAlloc(&kernel_type, 0)) == NULL)
         return NULL;
     if (get_array(rows, &kn->views[0], "d", 0, KERNEL_ARRAYS) != 4 * K
-            || (cum != Py_None
+            || (mass
                 && (get_array(cum, &kn->views[1], "d", 0, KERNEL_ARRAYS) != K
                     || get_array(guide, &kn->views[2], "B", 0,
                                  KERNEL_ARRAYS) != GUIDE_LEN))) {
@@ -1001,12 +1113,15 @@ static PyObject *new_kernel(PyObject *module, PyObject *args)
         return NULL;
     }
     kn->rows = kn->views[0].buf;
+    if (restart != (!normal && mass) || (restart && !unit_rows(kn->rows, K))) {
+        PyErr_SetString(PyExc_ValueError, RESTART_ROWS);
+        Py_DECREF(kn);
+        return NULL;
+    }
     kn->cum = kn->views[1].buf;
     kn->guide = kn->views[2].buf;
     kn->K = K;
-    kn->normal = normal;
-    kn->restart = restart;
-    kn->recycling = recycling;
+    kn->fill = FILLS[normal][mass][recycling];
     return (PyObject *)kn;
 }
 

@@ -2,7 +2,8 @@
 CPython extension module, ``library()``: ``fill_source``, the block fill
 of comparison-method variates run on a ``UniformSource``'s own state;
 ``fvn_refresh``, the regroup of one Wallace pass; ``kernel``, a table's
-kernel as the fill reads it; and the two constructors of a bound
+kernel as the fill reads it, which keeps the one fill compiled for its
+table's shape; and the two constructors of a bound
 sampler's draw, an object of the module's type ``Draw`` that is called
 with no arguments through its vectorcall slot and refills in C on every
 engine: ``fill_emitter``'s runs the fill for a comparison sampler, and
@@ -171,21 +172,28 @@ class Kernel(NamedTuple):
 
 def kernel(table, recycling: bool) -> Kernel:
     """The ``Kernel`` of a table and recycling flag, for ``library()``.
-    Its arrays are the rows, ``by_k`` flattened to K x (low, width, top,
-    low_sq) doubles (low_sq 0.0 on an exponential table), and, on a mass
-    table, its ``cum_probs`` and their guide, GUIDE_LEN bytes with
+    Its arrays are the rows, ``flat_rows(table)``, and, on a mass table, its ``cum_probs`` and their guide, GUIDE_LEN bytes with
     ``guide[b] = bisect_right(cum_probs, b / GUIDE_LEN)``, from which
-    ``fvn_fill`` finds the index ``tables.select_interval`` bisects for;
-    ``cum`` and ``guide`` are None on a dyadic table."""
+    the fill finds the index ``tables.select_interval`` bisects for;
+    ``cum`` and ``guide`` are None on a dyadic table.  The compiled kernel
+    keeps the module's fill of the table's shape and recycling flag; it
+    refuses a table whose restart the fill cannot make, see
+    ``IntervalTable.restarts``."""
     return _kernel(table, recycling, library())
+
+
+def flat_rows(table) -> array:
+    """``table.by_k`` as a kernel reads it: K x (low, width, top, low_sq)
+    doubles, low_sq 0.0 on an exponential table."""
+    return array("d", (0.0 if v is None else v
+                       for row in table.by_k for v in row))
 
 
 @functools.lru_cache(maxsize=32)
 def _kernel(table, recycling: bool, lib) -> Kernel:
     from .samplers import comparison_draw   # deferred: an import cycle
 
-    rows = array("d", (0.0 if v is None else v   # lo_sq on an exp table
-                       for row in table.by_k for v in row))
+    rows = flat_rows(table)
     cum = guide = None
     if table.cum_probs:
         cum = array("d", table.cum_probs)

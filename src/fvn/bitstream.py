@@ -65,6 +65,11 @@ TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 # The message of each status of the compiled fill (_fill.FILL_OVERFLOW,
 # _fill.FILL_TRIALS), read by _fill.c as it loads; 0 stops nothing.
 _FILL_ERRORS = (None, RUN_OVERFLOW, TRIAL_OVERFLOW)
+# Every uniform of the method lies in [0, 1), and so must every value on
+# the public recycled store: both spellings of the comparison method refuse
+# a store that holds one off it, with this message (read by _fill.c too),
+# before they touch the source.
+STORE_OFF_UNIT = "the recycled store holds a value off [0, 1)"
 
 # Variates per compiled fill of a bound sampler.  A fill lands inside one
 # caller's loop iteration, so the block trades the fixed cost of a fill

@@ -30,7 +30,8 @@ from itertools import chain
 from typing import Callable
 
 from . import tables
-from .bitstream import MAX_TRIALS, TRIAL_OVERFLOW, UniformSource
+from .bitstream import (MAX_TRIALS, STORE_OFF_UNIT, TRIAL_OVERFLOW,
+                        UniformSource)
 from .comparison import run_test
 # The scheme names double as the names of the samplers built on them.
 from .tables import EXP_BRENT, EXP_VN, NORMAL_FORSYTHE
@@ -93,7 +94,12 @@ def comparison_draw(table: tables.IntervalTable, src: UniformSource) -> float:
     test on its shifted exponent.  A rejection restarts the trial with a
     new interval on a table that ``restarts`` (von Neumann's exp_vn) and
     redraws the position otherwise.  After MAX_TRIALS rejected trials of
-    one variate the source must be broken, and RuntimeError is raised."""
+    one variate the source must be broken, and RuntimeError is raised.
+    A recycled store that holds a value off [0, 1) is refused with
+    ValueError before the source is touched."""
+    for v in src.recycled:
+        if not 0.0 <= v < 1.0:
+            raise ValueError(STORE_OFF_UNIT)
     sign = src.random_sign() if table.is_normal else 1
     trials = 0
     while True:
@@ -117,12 +123,16 @@ def comparison_draw(table: tables.IntervalTable, src: UniformSource) -> float:
 
 
 def exp_vn(src: UniformSource) -> float:
-    """Exp(1) on unit intervals with mass (e-1)/e^k.
+    """Exp(1) on unit intervals with mass (e-1)/e^k: von Neumann's method.
 
     Every trial pays one uniform to locate the interval in the cumulative
-    mass table and one for the position inside it, then runs the run test
-    on the position; a rejection restarts the whole trial.  Averages
-    (1+e)e/(e-1) ~ 5.88 uniforms per sample.
+    mass table and one for the position u inside it, then runs the run
+    test on u itself: on a unit interval the shifted exponent is the
+    position, and the interval only names the integer part of the value,
+    k - 1 + u.  A rejection restarts the whole trial.  Averages
+    (1+e)e/(e-1) ~ 5.88 uniforms per sample.  The compiled fill starts
+    each trial's run test from u and looks the interval up only for the
+    trial that accepts, with the same uniforms in the same order.
     """
     return comparison_draw(_cached_table(tables.EXP_VN), src)
 

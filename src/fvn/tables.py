@@ -145,7 +145,12 @@ class IntervalTable:
     def restarts(self) -> bool:
         """Whether a rejected position restarts the whole trial with a new
         interval (von Neumann's exp_vn) instead of being redrawn inside
-        the chosen interval."""
+        the chosen interval.  A restart table has unit rows: its intervals
+        are [k - 1, k), so every width and top in ``by_k`` is exactly 1.0
+        and the shifted exponent of a position u is u itself.  The
+        compiled fill relies on that: it runs each trial's run test from u
+        and looks the interval up only for the trial that accepts, and
+        ``_fill.kernel`` refuses restart rows that are not unit rows."""
         return self.scheme == EXP_VN
 
     def interval(self, k: int) -> tuple[float, float]:

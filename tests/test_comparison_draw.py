@@ -18,6 +18,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import weakref
@@ -379,21 +380,33 @@ def test_fill_selects_bisect_rights_interval_on_edge_words(scheme, recycling,
         assert state(fast) == state(slow), word
 
 
+@pytest.mark.parametrize("slot", ["selection", "position"])
 @pytest.mark.parametrize("stored", [1.0, 1.5, -0.0, -1e-300, math.inf,
                                     -math.inf, math.nan], ids=repr)
 @over_entries("kind", MASS_KINDS)
 def test_fill_selects_bisect_rights_interval_on_an_out_of_range_store(
-        kind, stored):
-    """``src.recycled`` is public, so it can hold a uniform off [0, 1),
-    which the selection pops: the fill takes the guide's first bucket
-    for a negative u or NaN and its last for u >= 1, and gives the
-    composed draw's value, or error, and state."""
+        kind, stored, slot):
+    """``src.recycled`` is public, so it can hold a value off [0, 1), which
+    no uniform of the method is: with 0.25 stored beside it, popped first
+    when it is to land in the position slot, both spellings refuse the
+    store with ValueError before they touch the source.  -0.0 is a
+    uniform, 0.0, and both give the same value and state."""
     config = default_config(kind, recycling=True)
-    fast, slow = (UniformSource(29, recycling=True) for _ in range(2))
-    for src in (fast, slow):
-        src.recycled.append(stored)
-    assert outcome(lambda: fast.fill_variates(config.table, 1)[0], fast) == \
-           outcome(partial(comparison_draw, config.table, slow), slow)
+    fast, slow, untouched = (UniformSource(29, recycling=True)
+                             for _ in range(3))
+    for src in (fast, slow, untouched):
+        src.recycled.extend([0.25, stored] if slot == "selection"
+                            else [stored, 0.25])
+    fill = lambda: fast.fill_variates(config.table, 1)[0]   # noqa: E731
+    if 0.0 <= stored < 1.0:
+        assert outcome(fill, fast) == \
+               outcome(partial(comparison_draw, config.table, slow), slow)
+    else:
+        for draw in (fill, partial(comparison_draw, config.table, slow)):
+            with pytest.raises(ValueError, match=re.escape(
+                    bitstream.STORE_OFF_UNIT)):
+                draw()
+        assert state(slow) == state(untouched)
     assert state(fast) == state(slow)
 
 
@@ -406,6 +419,11 @@ def compiled_fill():
 
 
 MASS_TABLES = [default_config(kind).table for kind in MASS_KINDS]
+# Every kind's default table, then the short tables of every scheme, on
+# which a selection past the table folds into k = K.
+SHORT_TABLES = [tables.IntervalTable(scheme, K) for scheme in tables.SCHEMES
+                for K in (1, 2, 4, 6, 8)]
+HARNESS_TABLES = [default_config(kind).table for kind in KINDS] + SHORT_TABLES
 # Dyadic selection words: zero (k clamped to WORD_BITS), one, a leading
 # one at bits 20, 40 and 51, 2**52 and its neighbours (k = 1 or 2), and the
 # all-ones word.
@@ -413,7 +431,8 @@ DYADIC_EDGE_WORDS = [0, 1, 1 << 20, 1 << 40, 1 << 51, (1 << 52) - 1, 1 << 52,
                      (1 << 52) + 1, 2 ** 53 - 1]
 SCRIPT_WORDS = st.one_of(
     st.sampled_from(DYADIC_EDGE_WORDS),
-    st.sampled_from(selection_edge_words(MASS_TABLES)),
+    st.sampled_from(selection_edge_words(
+        MASS_TABLES + [t for t in SHORT_TABLES if not t.is_dyadic])),
     st.integers(min_value=0, max_value=2 ** 53 - 1))
 
 
@@ -427,13 +446,15 @@ def outcomes(draw, n):
 
 
 @pytest.mark.usefixtures("compiled_fill")
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=1200, deadline=None, derandomize=True)
 @given(words=st.lists(SCRIPT_WORDS, max_size=60),
-       table=st.sampled_from([default_config(kind).table for kind in KINDS]),
+       table=st.sampled_from(HARNESS_TABLES),
        recycling=st.booleans(), n=st.integers(min_value=1, max_value=6))
 def test_fill_is_the_composed_draw_on_any_script(words, table, recycling, n):
     """Up to 60 scripted words, edge words among them, at the head of the
-    buffer, then the engine, on each kind's table: ``fill_variates`` of n
+    buffer, then the engine, on each kind's table and on tables of K = 1
+    to 8 intervals of every scheme, so on every fill of the module and at
+    every length it takes: ``fill_variates`` of n
     variates has the values, or the error, and the state of n composed
     draws on a twin, and the bound draw, the module's ``Draw``, has the
     values, or the error, and the ``draws`` of n composed draws.  The

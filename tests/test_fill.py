@@ -285,14 +285,16 @@ def test_the_regroup_does_not_depend_on_the_optimiser(optimised, size, data,
 
 
 @needs_compiler
+@pytest.mark.parametrize("recycling", [False, True])
 @pytest.mark.parametrize("kind", [samplers.EXP_VN, samplers.EXP_BRENT,
                                   samplers.NORMAL_FORSYTHE,
                                   samplers.NORMAL_GRAND])
-def test_the_fill_does_not_depend_on_the_optimiser(optimised, kind):
-    """2,000 variates of ``fill_source`` on each kind's default table: the
-    -O0 and -O3 builds make the values, counts and source state of the
-    -O2 build."""
-    config = default_config(kind)
+def test_the_fill_does_not_depend_on_the_optimiser(optimised, kind,
+                                                   recycling):
+    """2,000 variates of ``fill_source`` on each kind's default table and
+    recycling flag, so on each of the module's fills: the -O0 and -O3
+    builds make the values, counts and source state of the -O2 build."""
+    config = default_config(kind, recycling=recycling)
     outcomes = set()
     for lib in optimised.values():
         src = UniformSource(2038, recycling=config.recycling_enabled)
@@ -330,6 +332,35 @@ def test_a_mass_table_kernel_points_at_its_guide(scheme, K):
                                   else tables.NORMAL_BRENT, K)
     kn = _fill.kernel(dyadic, True)
     assert (kn.cum, kn.guide) == (None, None)
+
+
+@pytest.mark.parametrize("recycling", [False, True])
+def test_only_unit_exponential_mass_rows_restart(compiled, recycling):
+    """The restart fill takes exp_vn's position as its shifted exponent,
+    which holds only when every width and top is 1.0: ``kernel`` makes a
+    restarting kernel on exponential mass rows of unit width and top, and
+    refuses rows with a width or a top of 0.5, a restart on normal or
+    dyadic rows, and exponential mass rows that do not restart."""
+    table = tables.IntervalTable(tables.EXP_VN, 8)
+    kn = _fill.kernel(table, recycling)
+    rows = _fill.flat_rows(table)
+    assert set(rows[1::4]) == set(rows[2::4]) == {1.0}
+    compiled.kernel(rows, kn.cum, kn.guide, 8, False, True, recycling)
+    refused = []
+    for field in (1, 2):   # a width, then a top, of 0.5
+        half = array("d", rows)
+        half[4 * 3 + field] = 0.5
+        refused.append((half, kn.cum, kn.guide, False, True))
+    normal = tables.IntervalTable(tables.NORMAL_FORSYTHE, 8)
+    normal_kn = _fill.kernel(normal, recycling)
+    refused += [(_fill.flat_rows(normal), normal_kn.cum, normal_kn.guide, True,
+                 True),
+                (rows, None, None, False, True),
+                (rows, kn.cum, kn.guide, False, False)]
+    for rows_, cum, guide, is_normal, restart in refused:
+        with pytest.raises(ValueError, match="restarts its trials"):
+            compiled.kernel(rows_, cum, guide, 8, is_normal, restart,
+                            recycling)
 
 
 def test_a_mass_on_a_bucket_edge_starts_the_next_bucket(monkeypatch):
