@@ -11,7 +11,8 @@ module is compiled from ``fvn/_fill.c`` on first use: the
 comparison-method samplers run its block fill, which makes the same
 values as their composed draw, ``fvn.samplers.comparison_draw``, the
 Wallace pool refreshes with its regroup, which makes the same bytes as
-the numpy one, and every bound sampler's draw is its ``Draw`` type.
+the numpy one, and every bound sampler's draw is its builtin ``draw``
+bound to a ``Draw``, which the interpreter calls directly.
 The verification layer is the submodule ``fvn.stats``; it is not
 imported here, and it loads scipy only inside the two functions that
 call it.

@@ -5,10 +5,10 @@
    fill_source); fvn_refresh, one pass of the Wallace pool's regroup,
    which makes each block's outputs two lanes at a time
    from column pairs of q, with the same IEEE operations in the same
-   order as the numpy regroup, so the same bytes; and the draw, a small
-   object of type Draw, callable with no arguments through its vectorcall
-   slot, that hands a bound sampler's block back to Python one float at a
-   time and refills it itself, on every engine: a comparison sampler's
+   order as the numpy regroup, so the same bytes; and the draw, a builtin
+   method bound to a small object of type Draw, callable with no
+   arguments, that hands a bound sampler's block back to Python one float
+   at a time and refills it itself, on every engine: a comparison sampler's
    block with fvn_fill_source, a Wallace pool's snapshot by beginning the
    next pass (wallace_pass), which regroups the pool and then writes the
    snapshot in one sequential sweep, two lanes a step, reading the
@@ -590,9 +590,9 @@ static int source_engine(PyObject *src, PyObject **engine,
 /* Reads the state of src into o, with room on the store for room more
    values, for refills from bitgen and engine as source_engine picked
    them; on bitgen, it takes engine.lock, as random_raw does.  With
-   unit_store, a stored value off [0, 1) is refused, as the composed draw
-   refuses it, so a fill reads only uniforms.  Returns 0, or -1 with a
-   Python error set and nothing held. */
+   unit_store, a stored value off [0, 1) is refused, as
+   UniformSource.check_store refuses it, so a fill or a pass reads only
+   uniforms.  Returns 0, or -1 with a Python error set and nothing held. */
 static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
                        const bitgen_t *bitgen, int64_t room, int unit_store)
 {
@@ -814,11 +814,15 @@ static void scale_values(double *restrict out, const double *restrict in,
    stale value is never read.  values and cursor are the buffers of an
    array("d") of n values and an array("q") of two, which the draw holds
    while it lives, so they are never resized; an index outside values
-   raises IndexError, as the array does.  The draw is an object of type
-   Draw whose vectorcall slot reads its own struct, so a value costs no
-   Python frame and no lookup; it takes no arguments.  Python cannot make
-   one: the module's two constructors below do.  It is not tracked by the
-   garbage collector, so nothing it holds may refer back to it.
+   raises IndexError, as the array does.  The draw is emit_next, a
+   METH_FASTCALL | METH_KEYWORDS builtin method (draw_def) bound to an
+   object of type Draw, which holds the state; it takes no arguments.
+   CPython 3.11 specialises a call to such a builtin, so the interpreter
+   calls emit_next directly, where a call to an object of a type with a
+   vectorcall slot, or to a METH_NOARGS builtin, takes the generic call
+   path on every value.  Python cannot make a Draw: the module's two
+   constructors below do.  A Draw is not tracked by the garbage
+   collector, so nothing it holds may refer back to it.
 
    The refill is one of two, each on src, a UniformSource, with refills
    from the engine and bitgen that source_engine picked when the draw was
@@ -835,7 +839,6 @@ static void scale_values(double *restrict out, const double *restrict in,
                0. */
 typedef struct {
     PyObject_HEAD
-    vectorcallfunc vectorcall;
     double *values;
     int64_t n;
     int64_t *cursor;
@@ -895,7 +898,9 @@ static int64_t gcd(int64_t a, int64_t b)
    and _snapshot's values[i] = pool_values[i] * scale is written in one
    sequential sweep, two lanes a step (scale_values; n is a multiple of
    4, and pass_emitter refuses a snapshot that overlaps the pool's
-   values).  A failed refill for the word raises with no pass;
+   values).  A store that holds a value off [0, 1) is refused first, as
+   _next_pass refuses it, with nothing touched.  A failed refill for the
+   word raises with no pass;
    for u1 or u2, as when the scale raises, the pool is regrouped and
    counted with no new scale or snapshot, as _next_pass leaves it.  Never
    inlined: in emit_next its frame would cost every value a larger
@@ -910,7 +915,7 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     PyObject *norm_sq = NULL, *sf = NULL, *ratio = NULL, *root = NULL, *error;
     int failed, rc = -1;   /* failed: 1 for the word, 2 for u1 or u2 */
 
-    if (source_read(&o, e->src, e->engine, e->bitgen, 0, 0) < 0)
+    if (source_read(&o, e->src, e->engine, e->bitgen, 0, 1) < 0)
         return -1;
     failed = source_fresh(&o, &u) < 0;
     while (!failed && !(u1 > 0.0))
@@ -980,15 +985,14 @@ static int emit_refill(fvn_emit *e)
 }
 
 static HOT_ENTRY PyObject *emit_next(PyObject *self,
-                                     PyObject *const *args, size_t nargsf,
+                                     PyObject *const *args, Py_ssize_t nargs,
                                      PyObject *kwnames)
 {
     fvn_emit *e = (fvn_emit *)self;
     int64_t i;
 
     (void)args;
-    if (PyVectorcall_NARGS(nargsf) != 0
-            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0)) {
+    if (nargs != 0 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0)) {
         PyErr_SetString(PyExc_TypeError, "a draw takes no arguments");
         return NULL;
     }
@@ -1010,6 +1014,14 @@ static HOT_ENTRY PyObject *emit_next(PyObject *self,
     return PyFloat_FromDouble(e->values[i]);
 }
 
+/* Plain METH_FASTCALL would let CPython refuse a keyword before
+   emit_next, with its own message. */
+static PyMethodDef draw_def = {
+    "draw", (PyCFunction)(void (*)(void))emit_next,
+    METH_FASTCALL | METH_KEYWORDS,
+    "The next value of the block, refilled first once it is used up.",
+};
+
 static void emit_dealloc(PyObject *self)
 {
     fvn_emit *e = (fvn_emit *)self;
@@ -1030,12 +1042,9 @@ static PyTypeObject emit_type = {
     .tp_name = "_fill.Draw",
     .tp_basicsize = sizeof(fvn_emit),
     .tp_dealloc = emit_dealloc,
-    .tp_vectorcall_offset = offsetof(fvn_emit, vectorcall),
-    .tp_call = PyVectorcall_Call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL
-                | Py_TPFLAGS_DISALLOW_INSTANTIATION,
-    .tp_doc = "The next value of the block, refilled first once it is "
-              "used up.",
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_doc = "The state of a draw: its block, cursor, source and refill. "
+              "The draw is its builtin method draw.",
 };
 
 static void kernel_dealloc(PyObject *self)
@@ -1128,7 +1137,7 @@ static PyObject *new_kernel(PyObject *module, PyObject *args)
 #define BLOCK_ARRAYS "an emitter reads an array('d') block and an " \
     "array('q') cursor of two"
 
-/* A draw over the block values and the cursor, with no refill yet. */
+/* A Draw over the block values and the cursor, with no refill yet. */
 static fvn_emit *emit_new(PyObject *values, PyObject *cursor)
 {
     fvn_emit *e = (fvn_emit *)PyType_GenericAlloc(&emit_type, 0);
@@ -1136,7 +1145,6 @@ static fvn_emit *emit_new(PyObject *values, PyObject *cursor)
 
     if (e == NULL)
         return NULL;
-    e->vectorcall = emit_next;
     if ((n = get_array(values, &e->views[0], "d", 1, BLOCK_ARRAYS)) < 0
             || get_array(cursor, &e->views[1], "q", 1, BLOCK_ARRAYS) != 2) {
         if (!PyErr_Occurred())
@@ -1148,6 +1156,15 @@ static fvn_emit *emit_new(PyObject *values, PyObject *cursor)
     e->n = n;
     e->cursor = e->views[1].buf;
     return e;
+}
+
+/* The draw of e: draw_def bound to e, which it then holds alone. */
+static PyObject *emit_bind(fvn_emit *e)
+{
+    PyObject *draw = PyCFunction_NewEx(&draw_def, (PyObject *)e, NULL);
+
+    Py_DECREF(e);
+    return draw;
 }
 
 #define FILL_COUNTS "the fill's counts must be an array('q') longer than " \
@@ -1176,7 +1193,7 @@ static PyObject *new_fill_emitter(PyObject *module, PyObject *args)
     e->counts = e->views[2].buf;
     e->src = Py_NewRef(src);
     e->kernel = (fvn_kernel *)Py_NewRef(kernel);
-    return (PyObject *)e;
+    return emit_bind(e);
 }
 
 #define POOL_VALUES "a pool's values must be as many float64 as its " \
@@ -1224,7 +1241,7 @@ static PyObject *new_pass_emitter(PyObject *module, PyObject *args)
     e->q = e->views[3].buf;
     e->src = Py_NewRef(src);
     e->pool = Py_NewRef(pool);
-    return (PyObject *)e;
+    return emit_bind(e);
 }
 
 #define FILL_ROOM "no room for n variates in an array('d') and their " \

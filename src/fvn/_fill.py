@@ -3,16 +3,19 @@ CPython extension module, ``library()``: ``fill_source``, the block fill
 of comparison-method variates run on a ``UniformSource``'s own state;
 ``fvn_refresh``, the regroup of one Wallace pass; ``kernel``, a table's
 kernel as the fill reads it, which keeps the one fill compiled for its
-table's shape; and the two constructors of a bound
-sampler's draw, an object of the module's type ``Draw`` that is called
-with no arguments through its vectorcall slot and refills in C on every
-engine: ``fill_emitter``'s runs the fill for a comparison sampler, and
+table's shape; and the two constructors of a bound sampler's draw, which
+is called with no arguments and refills in C on every engine:
+``fill_emitter``'s runs the fill for a comparison sampler, and
 ``pass_emitter``'s begins the next pass, regroup, variance redraw and
-snapshot, of a Wallace pool.  A numpy engine's ``bitgen_t`` is read from
-the engine's own capsule, so no address crosses Python.  The module also
-exports the constants it shares with Python: ``WORD_BITS``,
-``MAX_RUN_LENGTH``, ``MAX_TRIALS``, ``FILL_OVERFLOW``, ``FILL_TRIALS``
-and ``GUIDE_LEN``.
+snapshot, of a Wallace pool.  The draw is a builtin method, a
+``METH_FASTCALL | METH_KEYWORDS`` C function bound to an object of the
+module's type ``Draw``, which holds its state: CPython 3.11 specialises a
+call to such a builtin, so a value costs no generic call, where a call to
+an object of a vectorcall type is not specialised.  A numpy engine's
+``bitgen_t`` is read from the engine's own capsule, so no address
+crosses Python.  The module also exports the constants it shares with
+Python: ``WORD_BITS``, ``MAX_RUN_LENGTH``, ``MAX_TRIALS``,
+``FILL_OVERFLOW``, ``FILL_TRIALS`` and ``GUIDE_LEN``.
 
 The module is compiled by the installed gcc, against numpy's own
 ``bitgen_t`` (``numpy/random/bitgen.h``) and this interpreter's

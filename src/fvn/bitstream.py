@@ -21,9 +21,12 @@ has reached.  With the extension module loaded, both run
 source's state, runs the compiled block fill, which refills the source's
 buffer, as ``_refill`` does, once it is used up, and writes the state
 back.  ``fill_variates`` calls it through the module's ``fill_source``;
-a bound draw, the module's ``Draw``, fills blocks ahead of its caller
-with it, with no Python frame per block or value.  When the module does
-not load, the composed draw makes every variate.
+a bound draw, the module's builtin ``draw`` bound to a ``Draw``, fills
+blocks ahead of its caller with it, with no Python frame per block or
+value and, on CPython 3.11, a specialised call: the interpreter calls a
+builtin's C function directly, where it would make a generic call to an
+object of a vectorcall type.  When the module does not load, the
+composed draw makes every variate.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ TRIAL_OVERFLOW = f"no trial accepted in {MAX_TRIALS}; uniform source is broken"
 # _fill.FILL_TRIALS), read by _fill.c as it loads; 0 stops nothing.
 _FILL_ERRORS = (None, RUN_OVERFLOW, TRIAL_OVERFLOW)
 # Every uniform of the method lies in [0, 1), and so must every value on
-# the public recycled store: both spellings of the comparison method refuse
-# a store that holds one off it, with this message (read by _fill.c too),
-# before they touch the source.
+# the public recycled store: both spellings of the comparison method and
+# of the Wallace pass refuse a store that holds one off it, with this
+# message (read by _fill.c too), before they touch the source.
 STORE_OFF_UNIT = "the recycled store holds a value off [0, 1)"
 
 # Variates per compiled fill of a bound sampler.  A fill lands inside one
@@ -175,6 +178,15 @@ class UniformSource:
         self._floats, self._pos = floats, 0
         return floats
 
+    def check_store(self) -> None:
+        """Refuse a recycled store that holds a value off [0, 1) with
+        ValueError (STORE_OFF_UNIT).  The composed draw and
+        ``wallace._next_pass`` call it before they touch the source, as
+        the compiled fill and pass check the store they read."""
+        for v in self.recycled:
+            if not 0.0 <= v < 1.0:
+                raise ValueError(STORE_OFF_UNIT)
+
     def next_word(self) -> int:
         """One fresh WORD_BITS-bit integer, read from its float; one draw."""
         floats, i = self._floats, self._pos
@@ -272,10 +284,12 @@ class UniformSource:
         """A draw of endless values of ``samplers.comparison_draw(table,
         self)`` for a bound sampler, which ``claim``s the source.
 
-        With the extension module loaded the draw is its ``Draw``, made by
-        ``fill_emitter``: it reads ahead, filling a block of FILL_BLOCK
-        variates in place with ``fvn_fill_source`` once the last is used,
-        and hands them back one per call, with no Python frame.  ``draws``
+        With the extension module loaded the draw is ``fill_emitter``'s,
+        a builtin method, so that CPython 3.11 specialises its call,
+        bound to a ``Draw``, which holds the block: it reads ahead,
+        filling a block of FILL_BLOCK variates in place with
+        ``fvn_fill_source`` once the last is used, and hands them back one
+        per call, with no Python frame.  ``draws``
         is exact after every value; the buffer position, the recycled store
         and the sign pool are those of the block's end.  An error that
         stops a block is held until the values before it are read, so the

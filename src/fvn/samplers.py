@@ -13,8 +13,11 @@ engine; when the fill does not load, the composed draw makes every
 variate.  The four public functions take only ``src`` and return one
 composed draw on their kind's table.  ``make_sampler`` binds a comparison
 kind to ``src.bind_variates``.  With the extension module loaded, that
-draw and Wallace's are its ``Draw`` type, which reads ahead: it refills
-a comparison kind's block, or begins Wallace's next pass, in C.  The
+draw and Wallace's are its builtin ``draw``, bound to a ``Draw`` that
+holds the state, which reads ahead: it refills a comparison kind's
+block, or begins Wallace's next pass, in C.  CPython 3.11 specialises a
+call to a builtin, not to an object of a vectorcall type, so a caller's
+loop calls the draw's C function directly.  The
 textbook baselines (inversion, Box-Muller, polar) are here for
 distribution cross-checks, for ``fvn generate`` and ``fvn consumption``,
 and for perfbench's ``samplers.*_ns`` timings.
@@ -30,8 +33,7 @@ from itertools import chain
 from typing import Callable
 
 from . import tables
-from .bitstream import (MAX_TRIALS, STORE_OFF_UNIT, TRIAL_OVERFLOW,
-                        UniformSource)
+from .bitstream import MAX_TRIALS, TRIAL_OVERFLOW, UniformSource
 from .comparison import run_test
 # The scheme names double as the names of the samplers built on them.
 from .tables import EXP_BRENT, EXP_VN, NORMAL_FORSYTHE
@@ -97,9 +99,7 @@ def comparison_draw(table: tables.IntervalTable, src: UniformSource) -> float:
     one variate the source must be broken, and RuntimeError is raised.
     A recycled store that holds a value off [0, 1) is refused with
     ValueError before the source is touched."""
-    for v in src.recycled:
-        if not 0.0 <= v < 1.0:
-            raise ValueError(STORE_OFF_UNIT)
+    src.check_store()
     sign = src.random_sign() if table.is_normal else 1
     trials = 0
     while True:
@@ -208,13 +208,13 @@ def make_sampler(config: SamplerConfig, src: UniformSource) -> Callable[[], floa
     No kind has a Python wrapper frame per draw.  A comparison-method kind
     returns ``src.bind_variates`` on the config's table, whose K is always
     DEFAULT_TABLE_LEN: with the extension module loaded, the module's
-    ``Draw``, which reads ahead in blocks that the compiled fill makes, so
-    the source's buffer position, recycled store and sign pool run ahead
-    of the draws, while ``src.draws`` stays exact after every draw; with
-    no module, the composed draw itself.  An exception (the run-length or
-    trial cap, a failing engine) is raised by the draw where
-    ``comparison_draw`` raises it, with the same ``draws``, and the draws
-    after it go on as the composed draw's would.
+    draw, a builtin bound to a ``Draw``, which reads ahead in blocks that
+    the compiled fill makes, so the source's buffer position, recycled
+    store and sign pool run ahead of the draws, while ``src.draws`` stays
+    exact after every draw; with no module, the composed draw itself.  An
+    exception (the run-length or trial cap, a failing engine) is raised by
+    the draw where ``comparison_draw`` raises it, with the same ``draws``,
+    and the draws after it go on as the composed draw's would.
     exp_log returns the ``__next__`` of an iterator that calls
     ``exp_log_baseline``.  The pair samplers return the ``__next__`` of a
     pair iterator: it yields the first value of each pair and then the

@@ -165,7 +165,11 @@ def _snapshot(pool: NormalPool) -> None:
 
 
 def _next_pass(pool: NormalPool, src: UniformSource) -> None:
-    """Begin a pass: refresh, redraw the variance correction, snapshot."""
+    """Begin a pass: refresh, redraw the variance correction, snapshot.
+    A recycled store that holds a value off [0, 1) is refused with
+    ValueError (``UniformSource.check_store``) before the pool or the
+    source is touched, as the compiled pass refuses it."""
+    src.check_store()
     refresh(pool, src)
     pool.emit_scale = _pass_scale(pool, src)
     _snapshot(pool)

@@ -21,6 +21,7 @@ import random
 import re
 import sys
 import threading
+import types
 import weakref
 from array import array
 from functools import partial
@@ -63,6 +64,13 @@ def over_entries(argname, values, ids=None, entries=(FILL, NO_FILL)):
          for entry in entries for v, i in zip(values, ids)],
         indirect=["binding"])
     return lambda test: pytest.mark.usefixtures("binding")(params(test))
+
+
+def assert_compiled_draw(draw, lib):
+    """``draw`` is the module's draw: a builtin method bound to a ``Draw``,
+    which holds its state.  CPython 3.11 specialises a call to a builtin."""
+    assert type(draw) is types.BuiltinFunctionType
+    assert type(draw.__self__) is lib.Draw
 
 
 def fill_draw(table, src):
@@ -456,7 +464,7 @@ def test_fill_is_the_composed_draw_on_any_script(words, table, recycling, n):
     to 8 intervals of every scheme, so on every fill of the module and at
     every length it takes: ``fill_variates`` of n
     variates has the values, or the error, and the state of n composed
-    draws on a twin, and the bound draw, the module's ``Draw``, has the
+    draws on a twin, and the bound draw, the module's draw, has the
     values, or the error, and the ``draws`` of n composed draws.  The
     values are compared by their bytes, so the sign of a zero counts."""
     fast, bound, slow = (scripted(words)(recycling) for _ in range(3))
@@ -653,8 +661,10 @@ def test_an_engine_read_through_random_raw_is_filled_in_c(kind, make_engine,
     if lib is not None:
         refuse_composed_draw(monkeypatch)
     draw = make_sampler(config, bound)
-    assert (type(draw) is lib.Draw if lib is not None
-            else draw.func is comparison_draw)
+    if lib is not None:
+        assert_compiled_draw(draw, lib)
+    else:
+        assert draw.func is comparison_draw
     values = filled.fill_variates(config.table, 300).tolist()
     values += filled.fill_variates(config.table, 400).tolist()
     assert values == [draw() for _ in range(700)] == want
@@ -1273,7 +1283,7 @@ def test_every_engine_fills_as_the_composed_draw(engine, k, kind, recycling,
         UniformSource(0, engine=ENGINES[engine](seed, k), recycling=recycling)
         for _ in range(4))
     draw = bound.bind_variates(table)
-    assert type(draw) is lib.Draw
+    assert_compiled_draw(draw, lib)
     for n in sizes:
         before, want, error = twin.draws, [], None
         for _ in range(n):

@@ -1,7 +1,8 @@
 """Building and loading the extension module of the compiled fill, the
 constants it exports, the composed draw that makes every variate when it
-does not load, and the module's draw type over a block and a cursor."""
+does not load, and the module's draw over a block and a cursor."""
 
+import dis
 import gc
 import hashlib
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from fvn import _fill, bitstream, samplers, tables, wallace
 from fvn.bitstream import UniformSource
 from fvn.samplers import comparison_draw, default_config, make_sampler
-from tests.test_comparison_draw import RawOnly, WeakPCG64
+from tests.test_comparison_draw import RawOnly, WeakPCG64, assert_compiled_draw
 from tests.test_comparison_draw import state as source_state
 from tests.test_samplers import STREAM_PINS
 from tests.test_wallace import nan_blind_bytes, pool_values, refuse_python_pass
@@ -380,9 +381,9 @@ def test_a_mass_on_a_bucket_edge_starts_the_next_bucket(monkeypatch):
                      for b in range(_fill.GUIDE_LEN)]
 
 
-# The module's ``Draw`` with each of its refills: the fill on a numpy
-# engine, the fill on an engine read through ``random_raw`` and the
-# Wallace pass.
+# The module's draw, a builtin method bound to a ``Draw``, with each of
+# its refills: the fill on a numpy engine, the fill on an engine read
+# through ``random_raw`` and the Wallace pass.
 
 REFILLS = ("fill", "random-raw", "pass")
 BLOCK = bitstream.FILL_BLOCK
@@ -415,7 +416,7 @@ def compiled():
 @pytest.mark.usefixtures("fresh_library")
 @pytest.mark.parametrize("kind", [samplers.NORMAL_GRAND, samplers.WALLACE])
 def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
-    """A comparison kind and Wallace both bind the module's ``Draw`` when
+    """A comparison kind and Wallace both bind the module's draw when
     it loads; when it does not, a comparison kind binds the composed draw
     and Wallace ``emit_passes``' Python draw.  The compiled Wallace draw
     begins its passes with no Python pass."""
@@ -432,7 +433,7 @@ def test_a_bound_draw_is_the_emitter_of_its_spelling(kind, monkeypatch):
         refuse_python_pass(monkeypatch)
         draw = make_sampler(config, UniformSource(
             1, recycling=config.recycling_enabled))
-        assert type(draw) is _fill.library().Draw
+        assert_compiled_draw(draw, _fill.library())
         if kind == samplers.WALLACE:
             for _ in range(3 * wallace.DEFAULT_POOL_SIZE + 1):
                 draw()
@@ -502,7 +503,7 @@ def test_a_bound_draw_refuses_arguments_where_it_stands(refill, compiled):
     of a twin that was never so called."""
     (draw, src, _), (twin, twin_src, _) = (bound_draw(refill, 31)
                                            for _ in range(2))
-    assert type(draw) is compiled.Draw
+    assert_compiled_draw(draw, compiled)
     for stop in (100, 512 - 100, 256 + 512):   # mid-block, a block's end
         assert [draw() for _ in range(stop)] == [twin() for _ in range(stop)]
         for args, kwargs in (((1,), {}), ((), {"x": 1})):
@@ -529,7 +530,7 @@ def test_a_bound_draw_pins_its_arrays_and_frees_its_source(refill, compiled):
     (BufferError), whatever its refill; once it is dropped its source goes
     and the arrays can be resized again."""
     draw, src, pinned = bound_draw(refill, 32)
-    assert type(draw) is compiled.Draw
+    assert_compiled_draw(draw, compiled)
     held = weakref.ref(src)
     del src
     for _ in range(600):        # across a refill
@@ -544,3 +545,26 @@ def test_a_bound_draw_pins_its_arrays_and_frees_its_source(refill, compiled):
     assert held() is None
     for block in pinned:
         block.append(0)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info < (3, 11),
+                    reason="CPython specialises calls from 3.11 on")
+def test_the_interpreter_calls_a_draw_as_a_fast_builtin(compiled):
+    """Once warm, a loop's call to a fill draw and to a pass draw is each
+    specialised to call the draw's C function directly (3.11's
+    ``PRECALL_BUILTIN_FAST_WITH_KEYWORDS``).  A draw that is an object
+    of a vectorcall type, or a ``METH_NOARGS`` builtin, keeps 3.11's
+    generic call on every value."""
+    (fill, _, _), (wallace_pass, _, _) = (bound_draw(refill, 37)
+                                          for refill in ("fill", "pass"))
+
+    def loop(a, b):
+        for _ in range(300):
+            a()
+            b()
+
+    for _ in range(4):
+        loop(fill, wallace_pass)
+    opnames = [ins.opname for ins in dis.get_instructions(loop, adaptive=True)]
+    assert sum("BUILTIN_FAST" in name for name in opnames) == 2, opnames

@@ -8,6 +8,7 @@ import functools
 import gc
 import hashlib
 import math
+import re
 import struct
 import weakref
 from array import array
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from fvn import _fill, samplers, wallace
+from fvn import _fill, bitstream, samplers, wallace
 from fvn.bitstream import UniformSource
 from fvn.stats import ks_test, measure_consumption, moments
 from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q, NormalPool,
@@ -26,8 +27,8 @@ from fvn.wallace import (BLOCK, DEFAULT_POOL_SIZE, ORTHO_Q, NormalPool,
                          next_normal, refresh)
 from tests.test_bitstream import FailOnceEngine
 from tests.test_comparison_draw import (  # noqa: F401
-    OverridesRandomRaw, RawOnly, WeakPCG64, binding, fill_only, over_entries,
-    waits_for_the_lock)
+    OverridesRandomRaw, RawOnly, WeakPCG64, assert_compiled_draw, binding,
+    fill_only, over_entries, waits_for_the_lock)
 
 
 def test_transform_is_orthogonal_to_machine_zero():
@@ -502,7 +503,7 @@ def test_the_compiled_pass_takes_a_snapshot_apart_from_the_pool(shift):
         with pytest.raises(ValueError, match="apart from it"):
             make()
     else:
-        assert type(make()) is _fill.library().Draw
+        assert_compiled_draw(make(), _fill.library())
 
 
 @fill_only
@@ -566,7 +567,7 @@ def python_passes(monkeypatch):
 def test_an_engine_read_through_random_raw_gets_the_compiled_pass(
         make_engine, monkeypatch):
     """With the library loaded, the draw on an engine read through
-    ``random_raw`` only is ``pass_emitter``'s ``Draw``, which begins each
+    ``random_raw`` only is ``pass_emitter``'s draw, which begins each
     pass in C with no ``_next_pass`` call: the values and ``draws`` of
     ``next_normal`` on a twin, across passes that refill the buffer."""
     src, twin = (UniformSource(0, engine=make_engine(), recycling=False)
@@ -577,7 +578,7 @@ def test_an_engine_read_through_random_raw_gets_the_compiled_pass(
     assert twin._spent > 0
     refuse_python_pass(monkeypatch)
     draw = emit_passes(pool, src)
-    assert type(draw) is _fill.library().Draw
+    assert_compiled_draw(draw, _fill.library())
     assert [(draw(), src.draws) for _ in expected] == expected
     assert pool.pass_count == 60
 
@@ -618,6 +619,51 @@ def test_a_pass_whose_refill_fails_goes_on_as_next_normal(lost):
            (twin_pool.pass_count, twin_pool.emit_scale,
             twin_pool.values.tobytes())
     assert source_fields(src) == source_fields(twin)
+
+
+# Stored values off [0, 1), then -0.0, which is the uniform 0.0.
+STORED = (1.0, 1.5, -1e-300, math.inf, -math.inf, math.nan, -0.0)
+
+
+@over_entries("stored", STORED, ids=[repr(v) for v in STORED])
+def test_a_pass_refuses_a_store_off_the_unit_interval(stored):
+    """``src.recycled`` is public, so it can hold a value off [0, 1),
+    which Box-Muller would read as u1 or u2.  The pass refuses such a store
+    with ValueError before it touches the pool or the source, in the draw
+    of ``emit_passes``, compiled or Python, and in ``next_normal``: the
+    pool's bytes, ``pass_count``, the snapshot, ``draws`` and the store
+    are unchanged, and the next call raises again.  Once the store is
+    cleared both go on as a twin that never held it.  -0.0 is 0.0, a u1
+    that both redraw alike."""
+    sources = []
+    for _ in range(3):
+        src = UniformSource(7, recycling=False)
+        sources.append((init_pool(256, src), src))
+    (pool, src), (spec_pool, spec), (twin_pool, twin) = sources
+    calls = (emit_passes(pool, src),
+             functools.partial(next_normal, spec_pool, spec),
+             functools.partial(next_normal, twin_pool, twin))
+    for call in calls:
+        for _ in range(256):
+            call()
+    refused = not 0.0 <= stored < 1.0
+    for _, s in sources[:2] if refused else sources:
+        s.recycled.extend([0.5, stored])
+    if refused:
+        for (p, s), call in zip(sources[:2], calls):
+            before = (pool_fields(p), source_fields(s))
+            for _ in range(2):
+                with pytest.raises(ValueError, match=re.escape(
+                        bitstream.STORE_OFF_UNIT)):
+                    call()
+                assert (pool_fields(p), source_fields(s)) == before
+            s.recycled.clear()
+    want = [(calls[2](), twin.draws) for _ in range(2 * 256 + 1)]
+    for (p, s), call in zip(sources[:2], calls):
+        assert [(call(), s.draws) for _ in want] == want
+        assert pool_fields(p) == pool_fields(twin_pool)
+        assert source_fields(s) == source_fields(twin)
+    assert twin_pool.pass_count == 3
 
 
 @UNREADABLE_LAYOUTS
