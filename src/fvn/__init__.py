@@ -9,10 +9,11 @@ statistical machinery that verifies all of it.
 The sampling core needs only numpy.  Where gcc is installed, an extension
 module is compiled from ``fvn/_fill.c`` on first use: the
 comparison-method samplers run its block fill, which makes the same
-values as their composed draw, ``fvn.samplers.comparison_draw``, the
-Wallace pool refreshes with its regroup, which makes the same bytes as
-the numpy one, and every bound sampler's draw is its builtin ``draw``
-bound to a ``Draw``, which the interpreter calls directly.
+values as their composed draw, ``fvn.samplers.comparison_draw``, a
+bound Wallace pool begins each pass with its regroup, which makes the
+same bytes as the numpy one of ``fvn.wallace.refresh``, and every bound
+sampler's draw is its builtin ``draw`` bound to a ``Draw``, which the
+interpreter calls directly.
 The verification layer is the submodule ``fvn.stats``; it is not
 imported here, and it loads scipy only inside the two functions that
 call it.

@@ -2,18 +2,19 @@
    loaded by fvn._fill: the fills, block fills of comparison-method
    variates, one per table shape, and fvn_fill_source, which runs a
    kernel's fill on a UniformSource's own state (the module's
-   fill_source); fvn_refresh, one pass of the Wallace pool's regroup,
-   which makes each block's outputs two lanes at a time
-   from column pairs of q, with the same IEEE operations in the same
-   order as the numpy regroup, so the same bytes; and the draw, a builtin
-   method bound to a small object of type Draw, callable with no
-   arguments, that hands a bound sampler's block back to Python one float
-   at a time and refills it itself, on every engine: a comparison sampler's
-   block with fvn_fill_source, a Wallace pool's snapshot by beginning the
-   next pass (wallace_pass), which regroups the pool and then writes the
-   snapshot in one sequential sweep, two lanes a step, reading the
-   source's state through the same helpers as fvn_fill_source.  The
-   module also exports the constants below that Python repeats.
+   fill_source); and the draw, a builtin method bound to a small object
+   of type Draw, callable with no arguments, that hands a bound sampler's
+   block back to Python one float at a time and refills it itself, on
+   every engine: a comparison sampler's block with fvn_fill_source, a
+   Wallace pool's snapshot by beginning the next pass (wallace_pass),
+   which reads the source's state through the same helpers as
+   fvn_fill_source, regroups the pool and then writes the snapshot in one
+   sequential sweep, two lanes a step.  Its regroup is the C spelling of
+   wallace.refresh, whose numpy regroup is the spec: it makes each
+   block's outputs two lanes at a time from column pairs of q, with the
+   same IEEE operations in the same order, so the same bytes.  Only the
+   pass calls it.  The module also exports the constants below that
+   Python repeats.
 
    A fill is samplers.comparison_draw step for step: the pooled sign
    word, the leading-zero selection (read from the exponent of u's bits)
@@ -589,12 +590,12 @@ static int source_engine(PyObject *src, PyObject **engine,
 
 /* Reads the state of src into o, with room on the store for room more
    values, for refills from bitgen and engine as source_engine picked
-   them; on bitgen, it takes engine.lock, as random_raw does.  With
-   unit_store, a stored value off [0, 1) is refused, as
-   UniformSource.check_store refuses it, so a fill or a pass reads only
-   uniforms.  Returns 0, or -1 with a Python error set and nothing held. */
+   them; on bitgen, it takes engine.lock, as random_raw does.  A stored
+   value off [0, 1) is refused, as UniformSource.check_store refuses it,
+   so a fill or a pass reads only uniforms.  Returns 0, or -1 with a
+   Python error set and nothing held. */
 static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
-                       const bitgen_t *bitgen, int64_t room, int unit_store)
+                       const bitgen_t *bitgen, int64_t room)
 {
     fvn_state *s = &o->s;
     PyObject *floats;
@@ -628,7 +629,7 @@ static int source_read(fvn_source *o, PyObject *src, PyObject *engine,
         s->store[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(o->items, k));
         if (s->store[k] == -1.0 && PyErr_Occurred())
             goto fail;
-        if (unit_store && !(s->store[k] >= 0.0 && s->store[k] < 1.0)) {
+        if (!(s->store[k] >= 0.0 && s->store[k] < 1.0)) {
             PyErr_SetObject(PyExc_ValueError, store_error);
             goto fail;
         }
@@ -706,7 +707,7 @@ static HOT_ENTRY int64_t fvn_fill_source(PyObject *src, PyObject *engine,
     int64_t made, status;
 
     /* a variate leaves at most one more value on the store */
-    if (source_read(&o, src, engine, bitgen, n, 1) < 0)
+    if (source_read(&o, src, engine, bitgen, n) < 0)
         return -1;
     counts[0] = o.s.spent + o.s.pos;
     made = kn->fill(kn, &o, out, counts + 1, n);
@@ -731,12 +732,14 @@ static HOT_ENTRY int64_t fvn_fill_source(PyObject *src, PyObject *engine,
    lane, each lane the IEEE operation of a double. */
 typedef double v2df __attribute__((vector_size(16)));
 
-/* wallace.refresh's regroup, as its numpy spelling does it: position i of
-   the permuted order is (stride * i + offset) mod n, step = stride mod n.
-   Each block of 4 consecutive positions, x, is read and written back as
-   x q^T, each output summed left to right as ((x0 q0 + x1 q1) + x2 q2)
-   + x3 q3.  The caller passes values as n contiguous doubles with n a
-   multiple of 4, 0 <= step, offset < n, and q as 4 x 4 row-major doubles.
+/* wallace.refresh's regroup, as its numpy spelling, the spec, does it:
+   position i of the permuted order is (stride * i + offset) mod n, step =
+   stride mod n.  Each block of 4 consecutive positions, x, is read and
+   written back as x q^T, each output summed left to right as
+   ((x0 q0 + x1 q1) + x2 q2) + x3 q3.  Its one caller, wallace_pass,
+   passes values as n contiguous doubles with n a multiple of 4, a step
+   below n and coprime with it, 0 <= offset < n, and q as 4 x 4 row-major
+   doubles.
 
    A block's outputs are made two at a time: lane l of output pair h is
    output 2h + l, so each x_k, broadcast to both lanes, is multiplied by
@@ -751,20 +754,16 @@ typedef double v2df __attribute__((vector_size(16)));
    the next block's p0 is p0 + 4 step, each mod n.  With s2, s3 and s4,
    those multiples mod n, taken once, each is one add and one wrap from
    p0 (step_on), so a block waits on one chain of positions, not four.
-   They are the same positions for any step below n, one not coprime
-   with n among them.  The blocks are read and written in order, each
-   read whole before it is written, its outputs stored in the order
-   p0 to p3.  The permutation of a pass is a bijection, so its blocks are
-   disjoint and each is written in place; for any other step the order
-   still fixes the bytes, the last store to a position winning. */
+   The permutation of a pass is a bijection, so its blocks are disjoint
+   and each is read whole and written back in place. */
 static int64_t step_on(int64_t p, int64_t step, int64_t n)
 {
     p += step;
     return p >= n ? p - n : p;
 }
 
-static void fvn_refresh(double *values, int64_t n, int64_t step,
-                        int64_t offset, const double *q)
+static void regroup(double *values, int64_t n, int64_t step,
+                    int64_t offset, const double *q)
 {
     const v2df a0 = {q[0], q[4]}, a1 = {q[1], q[5]}, a2 = {q[2], q[6]},
         a3 = {q[3], q[7]}, b0 = {q[8], q[12]}, b1 = {q[9], q[13]},
@@ -890,21 +889,20 @@ static int64_t gcd(int64_t a, int64_t b)
    then Box-Muller's u1, again while u1 == 0, and u2, as next_uniform
    does, each popped from the store while it holds one, and a fresh word
    past the buffer's end refills it (source_fresh).  The stride and offset
-   are _block_stride's, the transform is q[pass_count mod 2] of the two
-   4 x 4 at q, and the variance correction is _pass_scale's: float's ** 3
-   is pow(x, 3.0), and s / norm_sq and its root are taken by Python's own
-   division and math.sqrt, with their errors.  Then, in _next_pass's
-   order, fvn_refresh regroups pool_values, emit_scale is written back
-   and _snapshot's values[i] = pool_values[i] * scale is written in one
-   sequential sweep, two lanes a step (scale_values; n is a multiple of
-   4, and pass_emitter refuses a snapshot that overlaps the pool's
-   values).  A store that holds a value off [0, 1) is refused first, as
-   _next_pass refuses it, with nothing touched.  A failed refill for the
-   word raises with no pass;
-   for u1 or u2, as when the scale raises, the pool is regrouped and
-   counted with no new scale or snapshot, as _next_pass leaves it.  Never
-   inlined: in emit_next its frame would cost every value a larger
-   prologue. */
+   are _block_permutation's, the transform is q[pass_count mod 2] of the
+   two 4 x 4 at q, and the variance correction is _pass_scale's: float's
+   ** 3 is pow(x, 3.0), and s / norm_sq and its root are taken by
+   Python's own division and math.sqrt, with their errors.  Then, in
+   _next_pass's order, pool_values is regrouped (regroup), emit_scale is
+   written back and _snapshot's values[i] = pool_values[i] * scale is
+   written in one sequential sweep, two lanes a step (scale_values; n is
+   a multiple of 4, and pass_emitter refuses a snapshot that overlaps the
+   pool's values).  A store that holds a value off [0, 1) is refused
+   first, as _next_pass refuses it, with nothing touched.  A failed
+   refill for the word raises with no pass; for u1 or u2, as when the
+   scale raises, the pool is regrouped and counted with no new scale or
+   snapshot, as _next_pass leaves it.  Never inlined: in emit_next its
+   frame would cost every value a larger prologue. */
 static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
 {
     const int64_t n = e->n;
@@ -915,7 +913,7 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     PyObject *norm_sq = NULL, *sf = NULL, *ratio = NULL, *root = NULL, *error;
     int failed, rc = -1;   /* failed: 1 for the word, 2 for u1 or u2 */
 
-    if (source_read(&o, e->src, e->engine, e->bitgen, 0, 1) < 0)
+    if (source_read(&o, e->src, e->engine, e->bitgen, 0) < 0)
         return -1;
     failed = source_fresh(&o, &u) < 0;
     while (!failed && !(u1 > 0.0))
@@ -940,8 +938,8 @@ static __attribute__((noinline)) int wallace_pass(fvn_emit *e)
     stride = (int64_t)(word & 0xFFFFFFFF) | 1;
     while (gcd(stride, n) != 1)
         stride += 2;
-    fvn_refresh(e->pool_values, n, stride % n, (int64_t)((word >> 32) % n),
-                e->q + 16 * (pass_count & 1));
+    regroup(e->pool_values, n, stride % n, (int64_t)((word >> 32) % n),
+            e->q + 16 * (pass_count & 1));
     if (root != NULL && PyObject_SetAttr(e->pool, names[N_EMIT_SCALE],
                                          root) == 0) {
         scale_values(e->values, e->pool_values, n, PyFloat_AsDouble(root));
@@ -1289,35 +1287,6 @@ done:
     return result;
 }
 
-#define REGROUP "a regroup reads n float64 values, a positive multiple of " \
-    "4, a step and an offset below n and 4 x 4 doubles of q"
-
-/* fvn_refresh(values, step, offset, q): fvn_refresh on values. */
-static PyObject *refresh(PyObject *module, PyObject *args)
-{
-    PyObject *values_obj, *q_obj, *result = NULL;
-    Py_buffer values = {0}, q = {0};
-    Py_ssize_t n, step, offset;
-
-    (void)module;
-    if (!PyArg_ParseTuple(args, "OnnO:fvn_refresh", &values_obj, &step,
-                          &offset, &q_obj))
-        return NULL;
-    n = get_array(values_obj, &values, "d", 1, REGROUP);
-    if (n <= 0 || n % 4 != 0 || step < 0 || step >= n || offset < 0
-            || offset >= n || get_array(q_obj, &q, "d", 0, REGROUP) != 16) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, REGROUP);
-        goto done;
-    }
-    fvn_refresh(values.buf, n, step, offset, q.buf);
-    result = Py_NewRef(Py_None);
-done:
-    PyBuffer_Release(&q);
-    PyBuffer_Release(&values);
-    return result;
-}
-
 static PyMethodDef fill_methods[] = {
     {"kernel", new_kernel, METH_VARARGS,
      "kernel(rows, cum, guide, K, normal, restart, recycling): a table's "
@@ -1330,8 +1299,6 @@ static PyMethodDef fill_methods[] = {
      "pass of a Wallace pool in C."},
     {"fill_source", (PyCFunction)(void (*)(void))fill_source, METH_FASTCALL,
      "fill_source(src, kernel, values, counts, n) -> (made, error)."},
-    {"fvn_refresh", refresh, METH_VARARGS,
-     "fvn_refresh(values, step, offset, q): one regroup of a Wallace pool."},
     {NULL, NULL, 0, NULL},
 };
 

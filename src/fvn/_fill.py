@@ -1,13 +1,13 @@
 """The compiled kernels of ``_fill.c``, built on first use and loaded as a
 CPython extension module, ``library()``: ``fill_source``, the block fill
 of comparison-method variates run on a ``UniformSource``'s own state;
-``fvn_refresh``, the regroup of one Wallace pass; ``kernel``, a table's
-kernel as the fill reads it, which keeps the one fill compiled for its
-table's shape; and the two constructors of a bound sampler's draw, which
-is called with no arguments and refills in C on every engine:
-``fill_emitter``'s runs the fill for a comparison sampler, and
-``pass_emitter``'s begins the next pass, regroup, variance redraw and
-snapshot, of a Wallace pool.  The draw is a builtin method, a
+``kernel``, a table's kernel as the fill reads it, which keeps the one
+fill compiled for its table's shape; and the two constructors of a bound
+sampler's draw, which is called with no arguments and refills in C on
+every engine: ``fill_emitter``'s runs the fill for a comparison sampler,
+and ``pass_emitter``'s begins the next pass, regroup, variance redraw and
+snapshot, of a Wallace pool.  The pass's regroup is the C spelling of
+``wallace.refresh``, the numpy spec.  The draw is a builtin method, a
 ``METH_FASTCALL | METH_KEYWORDS`` C function bound to an object of the
 module's type ``Draw``, which holds its state: CPython 3.11 specialises a
 call to such a builtin, so a value costs no generic call, where a call to
@@ -27,9 +27,9 @@ interpreters never share a build.  A build writes a temporary name and
 then renames it, so processes that start at once never load a
 half-written file.  Nothing is printed: when no compiler, no Python
 headers, no cache or no module works, ``library()`` is None: the
-composed draw ``samplers.comparison_draw`` makes every variate,
-``wallace.refresh`` regroups with numpy and ``wallace._next_pass`` begins
-every pass.
+composed draw ``samplers.comparison_draw`` makes every variate and
+``wallace._next_pass`` begins every pass.  ``wallace.refresh`` regroups
+with numpy whether the module loads or not.
 """
 
 from __future__ import annotations

@@ -180,9 +180,9 @@ class UniformSource:
 
     def check_store(self) -> None:
         """Refuse a recycled store that holds a value off [0, 1) with
-        ValueError (STORE_OFF_UNIT).  The composed draw and
-        ``wallace._next_pass`` call it before they touch the source, as
-        the compiled fill and pass check the store they read."""
+        ValueError (STORE_OFF_UNIT).  The composed draw, the three
+        baselines and ``wallace._next_pass`` call it before they touch the
+        source, as the compiled fill and pass check the store they read."""
         for v in self.recycled:
             if not 0.0 <= v < 1.0:
                 raise ValueError(STORE_OFF_UNIT)

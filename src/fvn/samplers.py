@@ -167,7 +167,9 @@ def normal_grand(src: UniformSource) -> float:
 
 
 def exp_log_baseline(src: UniformSource) -> float:
-    """Exp(1) by inversion, -ln(u); redraws the (measure-zero) u = 0."""
+    """Exp(1) by inversion, -ln(u); redraws the (measure-zero) u = 0.  A
+    store off [0, 1) is refused (``UniformSource.check_store``)."""
+    src.check_store()
     while True:
         u = src.next_uniform()
         if u > 0.0:
@@ -175,7 +177,9 @@ def exp_log_baseline(src: UniformSource) -> float:
 
 
 def box_muller(src: UniformSource) -> tuple[float, float]:
-    """One N(0, 1) pair from two uniforms."""
+    """One N(0, 1) pair from two uniforms.  A store off [0, 1) is refused
+    (``UniformSource.check_store``)."""
+    src.check_store()
     while True:
         u1 = src.next_uniform()
         if u1 > 0.0:
@@ -186,7 +190,9 @@ def box_muller(src: UniformSource) -> tuple[float, float]:
 
 
 def polar(src: UniformSource) -> tuple[float, float]:
-    """One N(0, 1) pair by the polar rejection method."""
+    """One N(0, 1) pair by the polar rejection method.  A store off [0, 1)
+    is refused (``UniformSource.check_store``)."""
+    src.check_store()
     while True:
         v1 = 2.0 * src.next_uniform() - 1.0
         v2 = 2.0 * src.next_uniform() - 1.0

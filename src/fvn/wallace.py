@@ -5,12 +5,11 @@ orthogonal transforms applied to randomly regrouped blocks.  Orthogonality
 preserves the pool's Euclidean norm, so refreshed values stay normal;
 uniforms are spent only on the block permutation and a per-pass variance
 correction, not per emitted variate.  The regroup is spelled twice, bit
-for bit: ``fvn_refresh`` of the extension module built from
-``_fill.c`` runs it whenever that loads, and the numpy regroup in
-``refresh`` is its spec and the path of a host with no compiler.  Both
-sum each output of a block in the same order, so they agree on every
-double, ±0.0, subnormals and inf among them; only which of two NaNs a
-sum returns is left to the compiler.
+for bit: ``refresh`` is the numpy regroup, its spec, and the compiled
+pass of the extension module built from ``_fill.c`` (below) regroups in
+C.  Both sum each output of a block in the same order, so they agree on
+every double, ±0.0, subnormals and inf among them; only which of two
+NaNs a sum returns is left to the compiler.
 
 A pass, not a single value, is the unit of emission.  When a pass begins,
 the pool is refreshed, the variance correction is redrawn and the
@@ -52,7 +51,6 @@ ORTHO_Q = 0.5 * np.array([
 ])
 # the transforms of even and odd passes, as the compiled pass reads them
 _PASS_Q = np.array([ORTHO_Q, ORTHO_Q.T])
-_ORTHO_Q_T = _PASS_Q[1]
 
 
 @dataclass
@@ -84,25 +82,19 @@ def _pass_scale(pool: NormalPool, src: UniformSource) -> float:
     return math.sqrt(s / pool.norm_sq)
 
 
-def _block_stride(n: int, word: int) -> tuple[int, int]:
-    """The stride, coprime to n, and the offset of the block permutation
-    that one word picks."""
+def _block_permutation(n: int, word: int) -> np.ndarray:
+    """Full-cycle stride permutation of range(n) derived from one word: the
+    stride, coprime to n, from its low 32 bits, the offset from the rest."""
     stride = (word & 0xFFFFFFFF) | 1
     while math.gcd(stride, n) != 1:
         stride += 2
-    return stride, (word >> 32) % n
-
-
-def _block_permutation(n: int, word: int) -> np.ndarray:
-    """Full-cycle stride permutation of range(n) derived from one word."""
-    stride, offset = _block_stride(n, word)
-    return (stride * np.arange(n) + offset) % n
+    return (stride * np.arange(n) + (word >> 32) % n) % n
 
 
 def _c_regroups(values: np.ndarray) -> bool:
-    """Whether ``fvn_refresh`` reads ``values`` in place: 1-D,
-    C-contiguous, aligned, writeable float64 with a size that is a
-    multiple of BLOCK."""
+    """Whether the compiled pass of ``emit_passes`` can regroup ``values``
+    in place: 1-D, C-contiguous, aligned, writeable float64 with a size
+    that is a multiple of BLOCK."""
     return (values.ndim == 1 and values.flags.carray
             and values.dtype == np.float64 and values.size % BLOCK == 0)
 
@@ -132,27 +124,19 @@ def refresh(pool: NormalPool, src: UniformSource) -> None:
     """Regroup the pool into random 4-blocks and transform each, spending
     one uniform word; the squared norm is preserved to rounding error.
 
-    ``fvn_refresh`` makes the same bytes as the numpy regroup below, a
-    NaN's sign aside, when the extension module loads and ``values`` is
-    laid out as C reads it (``_c_regroups``): it sums each output in the
-    same order, two outputs of a block at a time in a vector's two
-    lanes.  Any other pool, one built by hand among them, takes the numpy
-    regroup, with its result or its error."""
+    This numpy regroup is the spec of the compiled pass's, which makes
+    the same bytes, a NaN's sign aside: it sums each output in the same
+    order, two outputs of a block at a time in a vector's two lanes.  A
+    direct call always regroups here, on any pool, with its result or its
+    error."""
     values = pool.values
-    n = values.size
-    word = src.next_word()
-    q = _ORTHO_Q_T if pool.pass_count % 2 else ORTHO_Q
-    lib = _fill.library()
-    if lib is not None and _c_regroups(values):
-        stride, offset = _block_stride(n, word)
-        lib.fvn_refresh(values, stride % n, offset, q)
-    else:
-        idx = _block_permutation(n, word)
-        x = values[idx].reshape(-1, BLOCK)
-        # x q^T with each output summed in fvn_refresh's order: matmul
-        # keeps no order, so its bytes could differ from the C's
-        values[idx] = (((x[:, 0:1] * q[:, 0] + x[:, 1:2] * q[:, 1])
-                        + x[:, 2:3] * q[:, 2]) + x[:, 3:4] * q[:, 3]).ravel()
+    idx = _block_permutation(values.size, src.next_word())
+    q = _PASS_Q[pool.pass_count % 2]
+    x = values[idx].reshape(-1, BLOCK)
+    # x q^T with each output summed in the compiled regroup's order:
+    # matmul keeps no order, so its bytes could differ from the C's
+    values[idx] = (((x[:, 0:1] * q[:, 0] + x[:, 1:2] * q[:, 1])
+                    + x[:, 2:3] * q[:, 2]) + x[:, 3:4] * q[:, 3]).ravel()
     pool.pass_count += 1
 
 

@@ -27,7 +27,8 @@ from fvn.samplers import comparison_draw, default_config, make_sampler
 from tests.test_comparison_draw import RawOnly, WeakPCG64, assert_compiled_draw
 from tests.test_comparison_draw import state as source_state
 from tests.test_samplers import STREAM_PINS
-from tests.test_wallace import nan_blind_bytes, pool_values, refuse_python_pass
+from tests.test_wallace import (hand_pool, nan_blind_pool, pool_values,
+                                refuse_python_pass, skip_values)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,10 +123,15 @@ def test_a_new_build_unlinks_the_stale_ones(tmp_path, monkeypatch):
                         lambda out: Path(out).write_bytes(b""))
     built = Path(_fill._build())
     assert sorted(tmp_path.iterdir()) == sorted([built, edited, *kept])
-    values = array("d", [1.0, 2.0, 3.0, 4.0])
-    q = array("d", [float(i % 5 == 0) for i in range(16)])
-    loaded.fvn_refresh(values, 1, 0, q)
-    assert list(values) == [1.0, 2.0, 3.0, 4.0]     # q is the identity
+    table = default_config(samplers.EXP_BRENT).table
+    kernel = loaded.kernel(_fill.flat_rows(table), None, None, table.K,
+                           table.is_normal, table.restarts, True)
+    src, twin = UniformSource(5), UniformSource(5)
+    values, counts = array("d", bytes(8 * 8)), array("q", bytes(8 * 9))
+    assert loaded.fill_source(src, kernel, values, counts, 8) == (8, None)
+    # the composed draw: fill_variates would load the library patched here
+    assert list(values) == [comparison_draw(table, twin) for _ in range(8)]
+    assert src.draws == twin.draws
 
 
 @needs_compiler
@@ -209,6 +215,16 @@ def test_the_module_exports_the_constants_python_repeats(module, name):
     assert getattr(lib, name) == getattr(module, name)
 
 
+def test_the_module_exports_its_draws_kernels_and_constants_only(compiled):
+    """The module's public names are the draw's type, its kernel, its two
+    draw constructors, the block fill and the six constants: the Wallace
+    regroup has no entry of its own, the pass is its one caller."""
+    assert {n for n in dir(compiled) if not n.startswith("_")} == {
+        "Draw", "kernel", "fill_emitter", "pass_emitter", "fill_source",
+        "WORD_BITS", "MAX_RUN_LENGTH", "MAX_TRIALS", "FILL_OVERFLOW",
+        "FILL_TRIALS", "GUIDE_LEN"}
+
+
 @needs_compiler
 @pytest.mark.parametrize("broken", ["truncated", "no-init"])
 def test_an_unloadable_module_means_no_library(broken, tmp_path, monkeypatch,
@@ -266,23 +282,30 @@ def optimised(tmp_path_factory):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, overflow
 @pytest.mark.parametrize("size", [4, 8, 256, 1020, 4096])
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(data=st.data(),
-       words=st.lists(st.integers(min_value=0, max_value=2 ** 53 - 1),
-                      min_size=16, max_size=16))
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_the_regroup_does_not_depend_on_the_optimiser(optimised, size, data,
-                                                      words):
-    """``fvn_refresh`` of the -O0 and -O3 builds makes the bytes of the
-    -O2 build, a NaN's sign aside, over 16 even and odd regroups of the
-    pools of the regroup's spec test: the lanes' sums keep their order at
-    every level."""
+                                                      seed):
+    """The draw of ``pass_emitter`` of the -O2, -O0 and -O3 builds, each
+    on a twin of a hand-built pool of the regroup's spec test and of its
+    source, makes the pool's bytes of ``_next_pass`` on another twin, a
+    NaN's sign aside, after each of 16 even and odd passes: the lanes'
+    sums keep their order at every level."""
     values = data.draw(pool_values(size))
-    runs = {level: values.copy() for level in optimised}
-    for i, word in enumerate(words):
-        stride, offset = wallace._block_stride(size, word)
-        for level, lib in optimised.items():
-            lib.fvn_refresh(runs[level], stride % size, offset,
-                            wallace._PASS_Q[i % 2])
-        assert len({nan_blind_bytes(v) for v in runs.values()}) == 1, i
+    pools, draws = [], []
+    for lib in optimised.values():
+        pools.append(hand_pool(values))
+        # a cursor at the end: the first call begins a pass
+        draws.append(lib.pass_emitter(
+            pools[-1], UniformSource(seed, recycling=False), pools[-1].emitted,
+            array("q", [size, size]), wallace._PASS_Q))
+    spec, spec_src = hand_pool(values), UniformSource(seed, recycling=False)
+    for i in range(16):
+        for draw in draws:
+            draw()
+            skip_values(draw, size - 1)
+        wallace._next_pass(spec, spec_src)
+        assert {nan_blind_pool(pool) for pool in pools} == \
+            {nan_blind_pool(spec)}, i
 
 
 @needs_compiler

@@ -3,6 +3,7 @@ accounting contracts, determinism."""
 
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
-from fvn import samplers, tables
+from fvn import bitstream, samplers, tables
 from fvn.bitstream import UniformSource
 from fvn.samplers import (SamplerConfig, box_muller, default_config,
                           exp_brent, exp_log_baseline, exp_vn, interval_index,
                           make_sampler, normal_forsythe, normal_grand, polar)
 from fvn.stats import chi_square_test, measure_consumption
 from tests.test_bitstream import FakeEngine, raw_from_word
+from tests.test_comparison_draw import state as source_state
+from tests.test_wallace import STORED
 
 
 def draw_many(kind, n, seed, recycling=None):
@@ -229,6 +232,29 @@ def test_baseline_values_match_textbook_transforms():
     assert z2 == pytest.approx(math.sqrt(-2 * math.log(u1))
                                * math.sin(2 * math.pi * u2))
     assert polar(UniformSource(519))  # smoke: terminates and returns a pair
+
+
+@pytest.mark.parametrize("stored", STORED, ids=[repr(v) for v in STORED])
+@pytest.mark.parametrize("baseline", [exp_log_baseline, box_muller, polar])
+def test_a_baseline_refuses_a_store_off_the_unit_interval(baseline, stored):
+    """``src.recycled`` is public, so it can hold a value off [0, 1), which
+    a baseline would read as its uniform.  Each baseline refuses such a
+    store with ValueError (``STORE_OFF_UNIT``), twice, with the source
+    unchanged.  -0.0 is the uniform 0.0: it is taken, and the baseline
+    gives a twin's value and source that stored 0.0."""
+    src, twin = UniformSource(3), UniformSource(3)
+    src.recycled.extend([0.5, stored])
+    twin.recycled.extend([0.5, 0.0])
+    if not 0.0 <= stored < 1.0:
+        before = source_state(src)
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=re.escape(bitstream.STORE_OFF_UNIT)):
+                baseline(src)
+            assert source_state(src) == before
+    else:
+        assert baseline(src) == baseline(twin)
+        assert source_state(src) == source_state(twin)
 
 
 def test_every_kind_is_deterministic_under_fixed_seed():

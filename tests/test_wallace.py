@@ -1,8 +1,8 @@
 """Pool generator: orthogonality, norm conservation, emitted distribution;
-the compiled regroup against the numpy one, with the fill and with it
-forced off, and the pools that only the numpy regroup may take; the
-compiled pass of a bound draw against ``_next_pass``, on every engine, and
-the hand-built pools that keep the Python pass."""
+the numpy regroup of ``refresh`` against its spec; the compiled pass of a
+bound draw, with its C regroup, against ``_next_pass``, on every engine
+and on hand-built pools of values off the normal range; and the
+hand-built pools that keep the Python pass."""
 
 import functools
 import gc
@@ -12,6 +12,8 @@ import re
 import struct
 import weakref
 from array import array
+from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -252,6 +254,8 @@ REFRESH_PASSES = 64     # even and odd passes: Q and its transpose
        words=st.lists(st.integers(min_value=0, max_value=2 ** 53 - 1),
                       min_size=REFRESH_PASSES, max_size=REFRESH_PASSES))
 def test_refresh_is_the_numpy_regroup_bit_for_bit(size, data, words):
+    """``refresh`` sums each output in the spec's order, the order the
+    compiled pass is held to below, and spends one word per pass."""
     values = data.draw(pool_values(size))
     pool = NormalPool(values=values.copy(), pass_count=0, norm_sq=1.0,
                       read_cursor=0, emit_scale=1.0)
@@ -282,67 +286,6 @@ def test_emit_passes_is_pinned_across_three_refreshes(size):
         sha.update(struct.pack("<dq", draw(), src.draws))
     assert (sha.hexdigest(), src.draws) == EMIT_PASS_PINS[size]
     assert pool.pass_count == 3
-
-
-def read_only(values):
-    values.flags.writeable = False
-    return values
-
-
-# Hand-built pool values that C cannot read in place.
-UNREADABLE_LAYOUTS = pytest.mark.parametrize("make_values", [
-    lambda: np.arange(256, dtype=np.float32),
-    lambda: np.arange(512.0)[::2],              # a strided view
-    lambda: np.arange(258.0),                   # not a multiple of BLOCK
-    lambda: read_only(np.arange(256.0)),
-    lambda: np.arange(256.0).reshape(-1, BLOCK),
-], ids=["float32", "strided", "size-258", "read-only", "2-d"])
-
-
-@UNREADABLE_LAYOUTS
-def test_pools_c_cannot_read_take_the_numpy_regroup(make_values, monkeypatch):
-    """A hand-built pool whose values are not 1-D, C-contiguous, writeable
-    float64 with a size that is a multiple of BLOCK never reaches
-    ``fvn_refresh``: it gets the numpy regroup's result or its error."""
-    def outcome(lib):
-        monkeypatch.setattr(_fill, "library", lambda: lib)
-        pool = NormalPool(values=make_values(), pass_count=0, norm_sq=1.0,
-                          read_cursor=0, emit_scale=1.0)
-        src = UniformSource(616)
-        try:
-            refresh(pool, src)
-        except (ValueError, IndexError) as exc:
-            result = type(exc), str(exc)
-        else:
-            result = pool.values.tobytes()
-        return result, pool.pass_count, src.draws
-
-    class Refuses:
-        def fvn_refresh(self, *args):
-            raise AssertionError("fvn_refresh was handed a pool C cannot read")
-
-    assert outcome(Refuses()) == outcome(None)
-
-
-def test_a_pool_c_can_read_reaches_the_compiled_regroup(monkeypatch):
-    calls = []
-
-    class Records:
-        def fvn_refresh(self, *args):
-            calls.append(args)
-
-    monkeypatch.setattr(_fill, "library", lambda: Records())
-    values = np.arange(256.0)
-    pool = NormalPool(values=values, pass_count=1, norm_sq=1.0,
-                      read_cursor=0, emit_scale=1.0)
-    refresh(pool, WordSource([(5 << 32) | 6]))
-    # the pool's own values, stride 7 (6 | 1), offset 5, the transpose on
-    # an odd pass
-    assert len(calls) == 1
-    got, stride, offset, q = calls[0]
-    assert got is values and (stride, offset) == (7, 5)
-    assert q is wallace._ORTHO_Q_T
-    assert pool.pass_count == 2
 
 
 # The compiled pass: the draw of ``emit_passes`` begins each pass itself
@@ -483,6 +426,56 @@ def test_the_compiled_pass_is_next_pass_on_any_script(size, recycling, words,
             assert array("d", values).tobytes() == \
                 twin_pool.emitted.tobytes(), n
     assert pool.pass_count == SCRIPTED_PASSES
+
+
+def hand_pool(values):
+    """A pool built by hand on a copy of ``values``, with its snapshot."""
+    return NormalPool(values=values.copy(), pass_count=0, norm_sq=1.0,
+                      read_cursor=0, emit_scale=1.0,
+                      emitted=array("d", bytes(8 * values.size)))
+
+
+def nan_blind_pool(pool):
+    return (nan_blind_bytes(pool.values),
+            nan_blind_bytes(np.frombuffer(pool.emitted)), pool.pass_count,
+            pool.emit_scale)
+
+
+def skip_values(draw, k):
+    """Calls ``draw`` ``k`` times, with no Python loop between calls."""
+    deque(islice(iter(draw, None), k), maxlen=0)
+
+
+# 4 and 8: hand-built pools whose stride wraps at almost every step; 1020
+# bumps the stride past gcds
+@fill_only
+@pytest.mark.parametrize("size", [4, 8, 256, 1020, 4096])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, overflow
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_compiled_pass_regroups_as_next_pass_on_any_pool(size, data,
+                                                            seed,
+                                                            monkeypatch):
+    """A hand-built pool of the regroup's spec test, values off the normal
+    range among them: after each of 64 even and odd passes begun by the
+    draw, its values, snapshot, ``pass_count`` and ``emit_scale`` are
+    those of ``_next_pass``, whose regroup is numpy's, on a twin, a NaN's
+    sign aside; so are the source's words after the last."""
+    values = data.draw(pool_values(size))
+    pool, twin_pool = hand_pool(values), hand_pool(values)
+    src, twin = (UniformSource(seed, recycling=False) for _ in range(2))
+    with monkeypatch.context() as patch:
+        spec = refuse_python_pass(patch)
+        draw = emit_passes(pool, src)
+        skip_values(draw, size)
+        for n in range(REFRESH_PASSES):
+            draw()
+            spec(twin_pool, twin)
+            assert nan_blind_pool(pool) == nan_blind_pool(twin_pool), n
+            skip_values(draw, size - 1)
+    assert source_fields(src) == source_fields(twin)
+    assert pool.pass_count == REFRESH_PASSES
 
 
 @fill_only
@@ -664,6 +657,21 @@ def test_a_pass_refuses_a_store_off_the_unit_interval(stored):
         assert pool_fields(p) == pool_fields(twin_pool)
         assert source_fields(s) == source_fields(twin)
     assert twin_pool.pass_count == 3
+
+
+def read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+# Hand-built pool values that C cannot read in place.
+UNREADABLE_LAYOUTS = pytest.mark.parametrize("make_values", [
+    lambda: np.arange(256, dtype=np.float32),
+    lambda: np.arange(512.0)[::2],              # a strided view
+    lambda: np.arange(258.0),                   # not a multiple of BLOCK
+    lambda: read_only(np.arange(256.0)),
+    lambda: np.arange(256.0).reshape(-1, BLOCK),
+], ids=["float32", "strided", "size-258", "read-only", "2-d"])
 
 
 @UNREADABLE_LAYOUTS
